@@ -19,7 +19,6 @@ from .algebra import (
     check_coassociativity,
     check_unit,
     delta_matrix,
-    delta_of,
     delta_rank,
     is_invariant,
     minimal_polynomial,
@@ -30,12 +29,9 @@ from .amplify import (
     AmplifiedAlgebra,
     ComultiplicationReport,
     SpreadSpec,
-    amplify,
     build_counit,
     comultiplication_report,
-    counit_feasible,
     counit_solution_space,
-    full_report,
     is_bijection_graph,
     is_incidence_invertible,
     lift,
@@ -65,7 +61,7 @@ from .frobenius import (
     transport_pair,
     verify_frobenius_pair,
 )
-from .linalg import Matrix, invert, rank, solve_linear
+from .linalg import Matrix
 from .pipeline import (
     AnalysisResult,
     ModelIsomorphism,

@@ -59,12 +59,17 @@ class FinDimAlgebra:
         self._unit_coeffs = coeffs
         self._unit = Element(self, coeffs)
         if validate:
-            w = check_unit(self)
-            if w is not None:
-                raise InvalidAlgebra(f"unit axiom fails at basis index {w}", witness=w)
-            w = check_associativity(self)
-            if w is not None:
-                raise InvalidAlgebra(f"associativity fails at triple {w}", witness=w)
+            self.validate()
+
+    def validate(self):
+        """Raise InvalidAlgebra, with a witness, unless the unit and
+        associativity axioms hold."""
+        w = check_unit(self)
+        if w is not None:
+            raise InvalidAlgebra(f"unit axiom fails at basis index {w}", witness=w)
+        w = check_associativity(self)
+        if w is not None:
+            raise InvalidAlgebra(f"associativity fails at triple {w}", witness=w)
 
     @property
     def unit(self) -> "Element":
@@ -272,16 +277,34 @@ class Functional:
 
 
 class Tensor2:
-    """Sparse element of A (x) A keyed by basis index pairs."""
+    """Sparse element of A (x) A keyed by basis index pairs.
 
-    __slots__ = ("algebra", "coeffs")
+    Like every value here it is immutable after construction, which keeps
+    its comultiplication table valid once filled.
+    """
+
+    __slots__ = ("algebra", "coeffs", "_delta")
 
     def __init__(self, algebra: FinDimAlgebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = coeffs
+        self._delta = None
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def delta(self) -> list:
+        """Comultiplication table: entry g holds the coefficients of b_g . x.
+
+        Computed on first use and shared by every check that reads the
+        images Delta(b_g) = b_g . x.
+        """
+        if self._delta is None:
+            alg = self.algebra
+            self._delta = [
+                act_left(alg.basis_element(g), self).coeffs for g in range(alg.dim)
+            ]
+        return self._delta
 
     def __eq__(self, other):
         if not isinstance(other, Tensor2):
@@ -437,16 +460,10 @@ def is_invariant(t: Tensor2):
     exhaustive for the whole algebra.
     """
     alg = t.algebra
-    for g in range(alg.dim):
-        b = alg.basis_element(g)
-        if act_left(b, t) != act_right(t, b):
+    for g, img in enumerate(t.delta()):
+        if img != act_right(t, alg.basis_element(g)).coeffs:
             return g
     return None
-
-
-def delta_of(x: Tensor2, a: Element) -> Tensor2:
-    """Comultiplication induced by an invariant tensor: a -> a.x."""
-    return act_left(a, x)
 
 
 def check_coassociativity(x: Tensor2):
@@ -456,23 +473,13 @@ def check_coassociativity(x: Tensor2):
     with invariance this certifies coassociativity of the induced map on
     the whole algebra.
     """
-    alg = x.algebra
-    rows = alg.rows
+    table = x.delta()
     left: dict = {}
     right: dict = {}
-    delta_cache: dict = {}
-
-    def delta_basis(idx):
-        cached = delta_cache.get(idx)
-        if cached is None:
-            cached = act_left(alg.basis_element(idx), x).coeffs
-            delta_cache[idx] = cached
-        return cached
-
     for (alpha, beta), c in x.coeffs.items():
-        for (u, v), cd in delta_basis(alpha).items():
+        for (u, v), cd in table[alpha].items():
             _accum(left, (u, v, beta), c * cd)
-        for (u, v), cd in delta_basis(beta).items():
+        for (u, v), cd in table[beta].items():
             _accum(right, (alpha, u, v), c * cd)
     if left == right:
         return None
@@ -488,12 +495,8 @@ def delta_matrix(x: Tensor2) -> Matrix:
     alg = x.algebra
     d = alg.dim
     z = alg.field.zero
-    cols = []
-    for g in range(d):
-        img = act_left(alg.basis_element(g), x).coeffs
-        cols.append(img)
     rows = [[z] * d for _ in range(d * d)]
-    for g, img in enumerate(cols):
+    for g, img in enumerate(x.delta()):
         for (a, b), c in img.items():
             rows[a * d + b][g] = c
     return Matrix(alg.field, rows)
@@ -501,10 +504,7 @@ def delta_matrix(x: Tensor2) -> Matrix:
 
 def delta_rank(x: Tensor2) -> int:
     """Rank of the induced comultiplication, via sparse elimination."""
-    alg = x.algebra
-    return sparse_rank(
-        act_left(alg.basis_element(g), x).coeffs for g in range(alg.dim)
-    )
+    return sparse_rank(x.delta())
 
 
 def apply_functional(side: str, f: Functional, t: Tensor2) -> Element:

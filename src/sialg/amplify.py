@@ -36,7 +36,7 @@ from .errors import (
     NotBijection,
 )
 from .linalg import Matrix, sparse_solve
-from .structure import CanonicalDecomposition, NakayamaData, Span
+from .structure import CanonicalDecomposition, NakayamaData, Span, peirce_components
 
 
 class AmplifiedAlgebra:
@@ -259,102 +259,38 @@ def preset_spec(name: str, m, nak: NakayamaData) -> SpreadSpec:
 # -- spreading -------------------------------------------------------------------
 
 
-def _block_components(amp: AmplifiedAlgebra, y: Tensor2, nak: NakayamaData):
-    """Corner-pair components of a basic tensor, in corner coordinates.
-
-    Raises BadBlockSupport unless y lies in the sum of
-    corner(j<-i) (x) corner(nu^-1(i)<-j).
-    """
-    base = amp.base
-    n = amp.n
-    reps = amp.dec.reps
-    proj_cache: dict = {}
-
-    def proj(key, idx):
-        got = proj_cache.get((key, idx))
-        if got is None:
-            j, i = key
-            got = multiply(multiply(reps[j], base.basis_element(idx)), reps[i])
-            proj_cache[(key, idx)] = got
-        return got
-
-    components: dict = {}
-    for (a, b), c in y.coeffs.items():
-        for j in range(n):
-            for i in range(n):
-                left = proj((j, i), a)
-                if not left.coeffs:
-                    continue
-                for u in range(n):
-                    for v in range(n):
-                        right = proj((u, v), b)
-                        if not right.coeffs:
-                            continue
-                        grid = components.setdefault((j, i, u, v), {})
-                        lc = amp.corner_spans[(j, i)].coordinates(left.coeffs)
-                        rc = amp.corner_spans[(u, v)].coordinates(right.coeffs)
-                        for b1, c1 in enumerate(lc):
-                            if not c1:
-                                continue
-                            for b2, c2 in enumerate(rc):
-                                if not c2:
-                                    continue
-                                key = (b1, b2)
-                                w = grid.get(key, 0) + c * c1 * c2
-                                if w:
-                                    grid[key] = w
-                                else:
-                                    grid.pop(key, None)
-    out: dict = {}
-    for (j, i, u, v), grid in components.items():
-        if not grid:
-            continue
-        if v != j or u != nak.nu_inverse(i):
-            raise BadBlockSupport(
-                f"tensor has a component in corners ({j}<-{i}) (x) ({u}<-{v})"
-            )
-        out[(j, i)] = grid
-    return out
-
-
 def spread(
-    amp: AmplifiedAlgebra,
-    y: Tensor2,
-    spec: SpreadSpec,
-    nak: NakayamaData,
-    verify: bool = True,
+    amp: AmplifiedAlgebra, y: Tensor2, spec: SpreadSpec, nak: NakayamaData
 ) -> Tensor2:
     """Distribute each corner block of y over projective copies via S(i).
 
     For a block component phi (x) psi with phi in corner(j<-i), the output
     collects phi^{t<-s} (x) psi^{s'<-t} over t = 1..m(j) and (s, s') in
-    S(i).  The result is invariant in the amplified bimodule; this is
-    re-verified exactly unless `verify` is disabled.
+    S(i).  Raises BadBlockSupport unless y lies in the sum of
+    corner(j<-i) (x) corner(nu^-1(i)<-j).  The result is invariant in the
+    amplified bimodule when y is invariant in the basic one;
+    `comultiplication_report` checks that exactly.
     """
     spec.validate(amp.m, nak)
-    blocks = _block_components(amp, y, nak)
+    blocks = peirce_components(y, amp.dec.reps, amp.corner_spans)
     coeffs: dict = {}
-    for (j, i), grid in blocks.items():
-        i2 = nak.nu_inverse(i)
+    for (j, i, u, v), grid in blocks.items():
+        if v != j or u != nak.nu_inverse(i):
+            raise BadBlockSupport(
+                f"tensor has a component in corners ({j}<-{i}) (x) ({u}<-{v})"
+            )
         for t in range(1, amp.m[j] + 1):
             for s, s2 in spec.classes[i]:
                 for (b1, b2), c in grid.items():
                     k1 = amp.index[(i, j, s, t, b1)]
-                    k2 = amp.index[(j, i2, t, s2, b2)]
+                    k2 = amp.index[(j, u, t, s2, b2)]
                     key = (k1, k2)
                     w = coeffs.get(key, 0) + c
                     if w:
                         coeffs[key] = w
                     else:
                         coeffs.pop(key, None)
-    x = Tensor2(amp.algebra, coeffs)
-    if verify:
-        witness = is_invariant(x)
-        if witness is not None:
-            raise AlgebraError(
-                f"spread tensor is not invariant (basis witness {witness})"
-            )
-    return x
+    return Tensor2(amp.algebra, coeffs)
 
 
 # -- counitality ------------------------------------------------------------------
@@ -471,12 +407,6 @@ def counit_solution_space(alg: FinDimAlgebra, x: Tensor2):
     return eps, nullity
 
 
-def counit_feasible(alg_or_amp, x: Tensor2):
-    """Optional counit solving both identities, via the linear oracle."""
-    alg = alg_or_amp.algebra if isinstance(alg_or_amp, AmplifiedAlgebra) else alg_or_amp
-    return counit_solution_space(alg, x)[0]
-
-
 # -- report ------------------------------------------------------------------------
 
 
@@ -566,18 +496,3 @@ def comultiplication_report(
         solution_space_dim=nullity,
         routes_consistent=routes,
     )
-
-
-def full_report(
-    amp: AmplifiedAlgebra,
-    x: Tensor2,
-    spec: SpreadSpec,
-    nak: NakayamaData,
-    eps_base: Functional,
-) -> ComultiplicationReport:
-    """Report for a spread tensor on the amplified model itself."""
-    flags = is_bijection_graph(spec, amp.m, nak)
-    built = None
-    if all(flags):
-        built = build_counit(amp, spec, nak, eps_base, x)
-    return comultiplication_report(amp.algebra, x, flags, built)

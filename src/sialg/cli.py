@@ -26,13 +26,7 @@ from .families import (
     nsy_algebra,
 )
 from .fields import Field
-from .pipeline import (
-    analyze,
-    comultiplication_pipeline,
-    prepare,
-    run_spec,
-    validate_algebra,
-)
+from .pipeline import analyze, comultiplication_pipeline, prepare, run_spec
 from .structure import DEFAULT_SEED
 from .verify import run_verification
 
@@ -46,10 +40,13 @@ def _dump(obj, path: str | None):
         sys.stdout.write(text)
 
 
-def _load_algebra(path: str) -> FinDimAlgebra:
+def _load_json(path: str):
     with open(path) as fh:
-        data = json.load(fh)
-    return FinDimAlgebra.from_json(data, validate=True)
+        return json.load(fh)
+
+
+def _load_algebra(path: str) -> FinDimAlgebra:
+    return FinDimAlgebra.from_json(_load_json(path), validate=True)
 
 
 def _field_from_args(args) -> Field:
@@ -107,22 +104,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _resolve_spec(args):
-    if args.spec:
-        with open(args.spec) as fh:
-            return json.load(fh)
-    return args.preset
-
-
 def cmd_comul(args) -> int:
     alg = _load_algebra(args.input)
-    spec = _resolve_spec(args)
-    if isinstance(spec, dict):
-        # subset-data JSON needs the class count, so analyze first
-        ctx = prepare(alg, args.seed)
-        run = run_spec(ctx, SpreadSpec.from_json(spec, ctx.analysis.dec.n))
-    else:
-        run = comultiplication_pipeline(alg, spec, args.seed)
+    data = _load_json(args.spec) if args.spec else None
+    ctx = prepare(alg, args.seed)
+    # subset-data JSON needs the class count, so it is parsed after analysis
+    spec = SpreadSpec.from_json(data, ctx.analysis.dec.n) if args.spec else args.preset
+    run = run_spec(ctx, spec)
     _dump(run.to_json(), args.report or args.output)
     return 0
 
@@ -130,7 +118,6 @@ def cmd_comul(args) -> int:
 def cmd_verify(args) -> int:
     if args.input:
         alg = _load_algebra(args.input)
-        validate_algebra(alg)
         run = comultiplication_pipeline(alg, args.preset, args.seed)
         _dump(run.report.to_json(), args.report or args.output)
         r = run.report

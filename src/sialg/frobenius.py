@@ -31,6 +31,7 @@ from .structure import (
     NakayamaData,
     RadicalData,
     Span,
+    peirce_components,
     radical,
 )
 
@@ -303,7 +304,7 @@ def verify_frobenius_pair(
         if not basis or not any(eps(z) for z in basis):
             small_ok, small_witness = False, i
             break
-    block_ok, block_witness = _block_support(lam, y, dec, nak)
+    block_ok, block_witness = _block_support(y, dec, nak)
     return FrobeniusPairReport(
         invariant,
         counital,
@@ -316,44 +317,12 @@ def verify_frobenius_pair(
     )
 
 
-def _block_support(lam, y: Tensor2, dec, nak):
-    """y must live in the sum of L_{j<-i} (x) L_{nu^-1(i)<-j}."""
-    n = dec.n
-    reps = dec.reps
-    proj_cache: dict = {}
-
-    def proj(key, idx):
-        got = proj_cache.get((key, idx))
-        if got is None:
-            j, i = key
-            got = multiply(multiply(reps[j], lam.basis_element(idx)), reps[i]).coeffs
-            proj_cache[(key, idx)] = got
-        return got
-
-    for jt in range(n):
-        for isrc in range(n):
-            for ut in range(n):
-                for vsrc in range(n):
-                    if vsrc == jt and ut == nak.nu_inverse(isrc):
-                        continue
-                    component: dict = {}
-                    for (a, b), c in y.coeffs.items():
-                        left = proj((jt, isrc), a)
-                        if not left:
-                            continue
-                        right = proj((ut, vsrc), b)
-                        if not right:
-                            continue
-                        for k1, c1 in left.items():
-                            for k2, c2 in right.items():
-                                key = (k1, k2)
-                                w = component.get(key, 0) + c * c1 * c2
-                                if w:
-                                    component[key] = w
-                                else:
-                                    component.pop(key, None)
-                    if component:
-                        return False, (jt, isrc, ut, vsrc)
+def _block_support(y: Tensor2, dec, nak):
+    """y must live in the sum of L_{j<-i} (x) L_{nu^-1(i)<-j}; the witness
+    is the lowest offending corner quadruple (j, i, u, v)."""
+    for jt, isrc, ut, vsrc in sorted(peirce_components(y, dec.reps)):
+        if vsrc != jt or ut != nak.nu_inverse(isrc):
+            return False, (jt, isrc, ut, vsrc)
     return True, None
 
 

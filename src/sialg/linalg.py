@@ -176,18 +176,6 @@ class Matrix:
         return Matrix(self.field, [r[self.ncols:] for r in reduced.rows])
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def invert(m: Matrix) -> Matrix:
-    return m.inverse()
-
-
-def solve_linear(a: Matrix, b: Matrix):
-    return a.solve(b)
-
-
 # -- sparse rows -------------------------------------------------------------
 #
 # A sparse row is a zero-free dict {key: scalar} with mutually orderable keys.

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from . import poly
-from .algebra import Element, FinDimAlgebra, minimal_polynomial, multiply
+from .algebra import Element, FinDimAlgebra, Tensor2, minimal_polynomial, multiply
 from .errors import (
     AlgebraError,
     NotSelfInjectiveLike,
@@ -115,6 +115,50 @@ class Span:
 
 def element_span(field, elements) -> Span:
     return Span(field, (e.coeffs for e in elements))
+
+
+def peirce_components(y: Tensor2, reps, spans: dict | None = None) -> dict:
+    """Nonzero Peirce components of y for the idempotents `reps`.
+
+    Returns {(j, i, u, v): {(k1, k2): c}}, the component of y in
+    e_j A e_i (x) e_u A e_v.  Keys k1, k2 are basis indices, or corner
+    coordinates when `spans` maps each corner (j, i) to a Span of e_j A e_i.
+    """
+    alg = y.algebra
+    corners = [(j, i) for j in range(len(reps)) for i in range(len(reps))]
+    cache: dict = {}
+
+    def proj(corner, idx):
+        got = cache.get((corner, idx))
+        if got is None:
+            j, i = corner
+            got = multiply(multiply(reps[j], alg.basis_element(idx)), reps[i]).coeffs
+            if got and spans is not None:
+                coords = spans[corner].coordinates(got)
+                got = {b: c for b, c in enumerate(coords) if c}
+            cache[(corner, idx)] = got
+        return got
+
+    components: dict = {}
+    for (a, b), c in y.coeffs.items():
+        for left_corner in corners:
+            left = proj(left_corner, a)
+            if not left:
+                continue
+            for right_corner in corners:
+                right = proj(right_corner, b)
+                if not right:
+                    continue
+                comp = components.setdefault(left_corner + right_corner, {})
+                for k1, c1 in left.items():
+                    cc = c * c1
+                    for k2, c2 in right.items():
+                        w = comp.get((k1, k2), 0) + cc * c2
+                        if w:
+                            comp[(k1, k2)] = w
+                        else:
+                            comp.pop((k1, k2), None)
+    return {key: comp for key, comp in components.items() if comp}
 
 
 def _element_pow(a: Element, q: int) -> Element:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import FinDimAlgebra, Tensor2, act_left, act_right, permute_basis
+from .algebra import FinDimAlgebra, Tensor2, act_right, permute_basis
 from .amplify import (
     SpreadSpec,
     amplify,
@@ -170,7 +170,7 @@ def check_multiplication_identities() -> CheckResult:
             )
             if act_right(delta1, mult) != right_expected:
                 failures.append(f"right nsy({n},{l},{m}) X[{i},{j};{r},{s}]")
-            if act_left(mult, delta1) != left_expected:
+            if delta1.delta()[idx] != left_expected.coeffs:
                 failures.append(f"left nsy({n},{l},{m}) X[{i},{j};{r},{s}]")
     return CheckResult(
         "multiplication-identities",

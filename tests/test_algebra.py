@@ -1,9 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from sialg import algebra
 from sialg.algebra import (
     FinDimAlgebra,
     Functional,
@@ -15,7 +17,6 @@ from sialg.algebra import (
     check_coassociativity,
     check_unit,
     delta_matrix,
-    delta_of,
     delta_rank,
     is_invariant,
     minimal_polynomial,
@@ -113,13 +114,72 @@ def test_is_invariant_examples():
 
 
 def test_delta_of_examples():
+    # the comultiplication induced by an invariant tensor x is a -> a.x
     A = kx2()
     y = A.tensor2({(0, 1): 1, (1, 0): 1})
-    assert delta_of(y, A.unit) == y
-    assert delta_of(y, A.basis_element(1)) == A.tensor2({(1, 1): 1})
+    assert act_left(A.unit, y) == y
+    assert act_left(A.basis_element(1), y) == A.tensor2({(1, 1): 1})
     M = matrix_algebra(2)
     x = M.tensor2({(0, 0): 1, (1, 2): 1, (2, 1): 1, (3, 3): 1})  # sum E_ts (x) E_st
-    assert delta_of(x, E(M, 1, 1)) == M.tensor2({(0, 0): 1, (1, 2): 1})
+    assert act_left(E(M, 1, 1), x) == M.tensor2({(0, 0): 1, (1, 2): 1})
+    assert x.delta()[0] == {(0, 0): 1, (1, 2): 1}
+
+
+def _table_cases():
+    M = matrix_algebra(2)
+    A = nsy_algebra(2, 2, (1, 2)).algebra
+    rng = random.Random(11)
+    return [
+        kx2().tensor2({(0, 1): 1, (1, 0): 1}),
+        M.tensor2({(0, 0): 1, (1, 2): 1, (2, 1): 1, (3, 3): 1}),
+        M.tensor2({(0, 1): 1}),  # E11 (x) E12: not invariant, not coassociative
+        kx2().tensor2({(0, 1): 1}),  # not invariant, coassociative
+    ] + [random_tensor(A, rng, terms=6) for _ in range(4)]
+
+
+def test_delta_table_matches_act_left(monkeypatch):
+    calls = []
+    act = algebra.act_left
+
+    def counted(a, t):
+        calls.append(t)
+        return act(a, t)
+
+    monkeypatch.setattr(algebra, "act_left", counted)
+    for x in _table_cases():
+        del calls[:]
+        is_invariant(x)
+        check_coassociativity(x)
+        delta_rank(x)
+        delta_matrix(x)
+        alg = x.algebra
+        assert len(calls) == alg.dim  # one act_left per basis element
+        for g, img in enumerate(x.delta()):
+            assert img == act(alg.basis_element(g), x).coeffs
+
+
+def test_checks_agree_in_any_order():
+    checks = {
+        "invariant": is_invariant,
+        "coassociative": check_coassociativity,
+        "rank": delta_rank,
+    }
+    found_failures = set()
+    for x in _table_cases():
+
+        def fresh():
+            return Tensor2(x.algebra, dict(x.coeffs))
+
+        expected = {name: check(fresh()) for name, check in checks.items()}
+        found_failures.update(
+            name for name in ("invariant", "coassociative") if expected[name] is not None
+        )
+        shared = fresh()
+        for order in permutations(checks):
+            copy = fresh()
+            assert {name: checks[name](copy) for name in order} == expected
+            assert {name: checks[name](shared) for name in order} == expected
+    assert found_failures == {"invariant", "coassociative"}
 
 
 def test_check_coassociativity():
@@ -197,7 +257,7 @@ def test_delta_left_linearity_random():
     x = A.tensor2({(0, 0): 1, (1, 2): 1, (2, 1): 1, (3, 3): 1})
     for _ in range(20):
         a, b = random_element(A, rng), random_element(A, rng)
-        assert delta_of(x, a * b) == act_left(a, delta_of(x, b))
+        assert act_left(a * b, x) == act_left(a, act_left(b, x))
 
 
 def test_functional_right_action_compat_random():

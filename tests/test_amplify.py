@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import product as iter_product
 
@@ -16,9 +17,8 @@ from sialg.amplify import (
     SpreadSpec,
     amplify,
     build_counit,
-    counit_feasible,
+    comultiplication_report,
     counit_solution_space,
-    full_report,
     is_bijection_graph,
     is_incidence_invertible,
     lift,
@@ -151,6 +151,7 @@ def _rand(alg, rng):
 def test_spread_singleton_and_diagonal_m2():
     k, dec, nak, amp, pair = _scalar_amp()
     xs = spread(amp, pair.y, SpreadSpec.singleton(1), nak)
+    assert is_invariant(xs) is None
     ab = {amp.tuples[a][2:4] + amp.tuples[b][2:4] for (a, b) in xs.coeffs}
     # E11 (x) E11 + E21 (x) E12 in copy coordinates (s,t) x (s,t)
     assert ab == {(1, 1, 1, 1), (1, 2, 2, 1)}
@@ -220,6 +221,7 @@ def test_build_counit_matrix_trace():
     k, dec, nak, amp, pair = _scalar_amp()
     spec = SpreadSpec.diagonal(amp.m, nak)
     x = spread(amp, pair.y, spec, nak)
+    assert is_invariant(x) is None
     eps = build_counit(amp, spec, nak, pair.epsilon, x)
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
         assert eps.values[a] == (QQ(1) if s == t else QQ(0))
@@ -234,6 +236,7 @@ def test_build_counit_m_equals_one_recovers_base():
     pair = frobenius_pair(B, dec, nak)
     spec = SpreadSpec.singleton(2)
     x = spread(amp, pair.y, spec, nak)
+    assert is_invariant(x) is None
     eps = build_counit(amp, spec, nak, pair.epsilon, x)
     # under the canonical identification the counit restricts to the base one
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
@@ -247,6 +250,7 @@ def test_build_counit_m_equals_one_recovers_base():
 def test_counit_oracle_m2_singleton_infeasible():
     k, dec, nak, amp, pair = _scalar_amp()
     x = spread(amp, pair.y, SpreadSpec.singleton(1), nak)
+    assert is_invariant(x) is None
     # independent dense cross-check of the 8x4 system
     alg = amp.algebra
     rows = []
@@ -270,12 +274,13 @@ def test_counit_oracle_m2_singleton_infeasible():
 
     with pytest.raises(Infeasible):
         Matrix(alg.field, rows).solve(Matrix.column(alg.field, rhs))
-    assert counit_feasible(amp, x) is None
+    assert counit_solution_space(alg, x)[0] is None
 
 
 def test_counit_oracle_m2_diagonal_unique_trace():
     k, dec, nak, amp, pair = _scalar_amp()
     x = spread(amp, pair.y, SpreadSpec.diagonal(amp.m, nak), nak)
+    assert is_invariant(x) is None
     eps, nullity = counit_solution_space(amp.algebra, x)
     assert eps is not None and nullity == 0
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
@@ -290,6 +295,7 @@ def test_counitality_beyond_bijection_graphs_finding():
     spec = SpreadSpec((frozenset({(1, 1), (2, 2), (1, 2)}),))
     assert is_bijection_graph(spec, amp.m, nak) == [False]
     x = spread(amp, pair.y, spec, nak)
+    assert is_invariant(x) is None
     assert check_coassociativity(x) is None
     eps, nullity = counit_solution_space(amp.algebra, x)
     assert eps is not None
@@ -323,7 +329,8 @@ def test_exhaustive_nonempty_specs_small_multiplicities():
 
         for combo in iter_product(*(nonempty_subsets(b) for b in boxes)):
             spec = SpreadSpec(tuple(combo))
-            x = spread(amp, pair.y, spec, nak)  # internally checks invariance
+            x = spread(amp, pair.y, spec, nak)
+            assert is_invariant(x) is None
             assert check_coassociativity(x) is None
 
 
@@ -334,7 +341,7 @@ def test_empty_class_flagged_noninjective():
     pair = frobenius_pair(B, dec, nak)
     spec = SpreadSpec((frozenset(), frozenset({(1, 1)})))
     x = spread(amp, pair.y, spec, nak)
-    rep = full_report(amp, x, spec, nak, pair.epsilon)
+    rep = comultiplication_report(amp.algebra, x, is_bijection_graph(spec, amp.m, nak))
     assert rep.invariant and rep.coassociative
     assert rep.rank < rep.dim and not rep.injective
 
@@ -348,6 +355,7 @@ def test_compatibility_square_singleton():
     amp = amplify(B, dec, m)
     pair = frobenius_pair(B, dec, nak)
     x = spread(amp, pair.y, SpreadSpec.singleton(2), nak)
+    assert is_invariant(x) is None
     rng = random.Random(29)
     reps = dec.reps
     checked = 0
@@ -408,6 +416,7 @@ def test_build_counit_nsy_diagonal_socle_support():
     pair = frobenius_pair(B, dec, nak)
     spec = SpreadSpec.diagonal(amp.m, nak)
     x = spread(amp, pair.y, spec, nak)
+    assert is_invariant(x) is None
     eps = build_counit(amp, spec, nak, pair.epsilon, x)
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
         v = eps.values[a]
@@ -445,3 +454,10 @@ def test_preset_spec_names():
         frozenset({(1, 1), (2, 2)}),
         frozenset({(1, 1), (2, 2)}),
     )
+
+
+def test_amplify_submodule_not_shadowed():
+    import sialg
+
+    assert inspect.ismodule(sialg.amplify)
+    assert sialg.amplify.amplify is amplify

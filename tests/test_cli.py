@@ -1,6 +1,21 @@
+import hashlib
 import json
 
+import pytest
+
 from sialg.cli import main
+
+# sha256 of report files, pinned so that refactors keep every byte
+DIAGONAL_NSY_2_2_22_COMUL_SHA256 = (
+    "03d228b6e637381dec85aa3ab26f2fc75efe01927dbadb2ca8cf2c79e96475af"
+)
+VERIFY_SMALL_REPORT_SHA256 = (
+    "6448049195ca15288cc6f801c70dc9f67876f7780742dfa3f8005f3298d84d3e"
+)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_cli(*argv):
@@ -55,6 +70,18 @@ def test_comul_with_spec_file(tmp_path):
     assert report["counital"] and report["counit_built"]
 
 
+@pytest.mark.parametrize("text", ["[[1, 1]]", "3", '"full"'])
+def test_comul_spec_file_not_an_object(tmp_path, capsys, text):
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", "matrix", "--m", "2", "-o", str(alg_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    assert run_cli("comul", "--input", str(alg_path), "--spec", str(spec_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BadParams: malformed subset data")
+    assert captured.out == ""
+
+
 def test_corrupted_input_exit_code(tmp_path, capsys):
     alg_path = tmp_path / "bad.json"
     run_cli("generate", "--family", "matrix", "--m", "2", "-o", str(alg_path))
@@ -90,6 +117,7 @@ def test_report_bytes_deterministic(tmp_path):
     run_cli("comul", "--input", str(alg_path), "--preset", "diagonal",
             "--report", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+    assert sha256(out1) == DIAGONAL_NSY_2_2_22_COMUL_SHA256
 
 
 def test_generate_bad_params():
@@ -103,6 +131,7 @@ def test_verify_small_profile_reports_findings(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code = run_cli("verify", "--profile", "small", "--report", str(out))
     assert code == 2
+    assert sha256(out) == VERIFY_SMALL_REPORT_SHA256
     report = json.loads(out.read_text())
     by_name = {c["name"]: c for c in report["checks"]}
     assert len(by_name) == 9

@@ -213,7 +213,8 @@ def test_offdiagonal_transport_breaks_support_finding():
     rep = verify_frobenius_pair(B, moved, dec, nak, rad)
     assert rep.invariant and rep.counital
     assert not rep.support_ok and rep.support_witness == (0, 0)
-    assert not rep.block_ok
+    # the lowest offending corner quadruple (j, i, u, v)
+    assert not rep.block_ok and rep.block_witness == (0, 1, 1, 0)
 
 
 def test_uniqueness_up_to_transport():
