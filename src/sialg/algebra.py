@@ -4,8 +4,9 @@ A :class:`FinDimAlgebra` stores the products of basis pairs as sparse
 rows, so every operation here reduces to exact sparse accumulation.  All
 values are immutable after construction and all checks return ``None``
 on success or a lowest-index witness on failure, so a failing report can
-always point at concrete data.  Everything is pure; the d^3 sweeps and
-per-basis invariance checks may safely run concurrently if ever needed.
+always point at concrete data.  Everything is pure; the associativity
+sweep over triples with a nonzero product path and the per-basis
+invariance checks may safely run concurrently if ever needed.
 """
 
 from __future__ import annotations
@@ -399,25 +400,40 @@ def check_unit(alg: FinDimAlgebra):
 
 
 def check_associativity(alg: FinDimAlgebra):
-    """None if all basis triples associate, else the first failing (i, j, k)."""
+    """None if all basis triples associate, else the first failing (i, j, k).
+
+    Only triples with a nonzero product path are compared: some b_l in
+    supp(b_i b_j) with b_l b_k != 0, or in supp(b_j b_k) with b_i b_l != 0.
+    Every other triple has two zero sides.  Candidates go in lexicographic
+    order, so the witness is the lowest failing triple.
+    """
     rows = alg.rows
     d = alg.dim
+    nonzero = [[k for k in range(d) if rows_l[k]] for rows_l in rows]
+    producers: list = [[] for _ in range(d)]  # l -> (j, k) with b_l in supp(b_j b_k)
+    for j in range(d):
+        for k in nonzero[j]:
+            for l in rows[j][k]:
+                producers[l].append((j, k))
     for i in range(d):
         rows_i = rows[i]
-        for j in range(d):
-            ij = rows_i[j]
-            rows_j = rows[j]
-            for k in range(d):
-                left: dict = {}
-                for l, c in ij.items():
-                    for m, c2 in rows[l][k].items():
-                        _accum(left, m, c * c2)
-                right: dict = {}
-                for l, c in rows_j[k].items():
-                    for m, c2 in rows_i[l].items():
-                        _accum(right, m, c * c2)
-                if left != right:
-                    return (i, j, k)
+        pairs = set()
+        for j in nonzero[i]:
+            for l in rows_i[j]:
+                pairs.update((j, k) for k in nonzero[l])
+        for l in nonzero[i]:
+            pairs.update(producers[l])
+        for j, k in sorted(pairs):
+            left: dict = {}
+            for l, c in rows_i[j].items():
+                for m, c2 in rows[l][k].items():
+                    _accum(left, m, c * c2)
+            right: dict = {}
+            for l, c in rows[j][k].items():
+                for m, c2 in rows_i[l].items():
+                    _accum(right, m, c * c2)
+            if left != right:
+                return (i, j, k)
     return None
 
 

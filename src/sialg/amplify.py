@@ -231,16 +231,18 @@ class SpreadSpec:
 
     @classmethod
     def from_json(cls, data, n: int) -> "SpreadSpec":
-        classes = [frozenset() for _ in range(n)]
+        classes = [None] * n
         try:
             for row in data["classes"]:
                 idx = int(row["i"]) - 1
                 if not 0 <= idx < n:
                     raise BadParams(f"class index {row['i']} out of range")
+                if classes[idx] is not None:
+                    raise BadParams(f"class index {row['i']} given twice")
                 classes[idx] = frozenset((int(s), int(s2)) for s, s2 in row["pairs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise BadParams(f"malformed subset data: {exc}") from exc
-        return cls(tuple(classes))
+        return cls(tuple(frozenset() if c is None else c for c in classes))
 
 
 PRESETS = ("singleton", "diagonal", "full")

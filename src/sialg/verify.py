@@ -518,7 +518,7 @@ def check_negative_controls(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def check_round_trip(seed: int = DEFAULT_SEED, profile: str = "small") -> CheckResult:
+def check_round_trip(cache: CorpusCache) -> CheckResult:
     """Basis-permuted corpus inputs run through the model-transport path and
     report exactly the same facts as the unpermuted presentations.
 
@@ -528,16 +528,15 @@ def check_round_trip(seed: int = DEFAULT_SEED, profile: str = "small") -> CheckR
     exact properties (invariance, coassociativity, counit validity).
     """
     failures = []
-    rng = random.Random(seed)
-    entries = corpus(profile)
+    rng = random.Random(cache.seed)
     runs = 0
-    for entry in entries:
-        base_ctx = prepare(entry.algebra, seed)
+    for idx, entry in cache.items():
+        base_ctx = cache.context(idx)
         perm = list(range(entry.algebra.dim))
         rng.shuffle(perm)
         palg = permute_basis(entry.algebra, perm)
         try:
-            ctx = prepare(palg, seed, validate=True)
+            ctx = prepare(palg, cache.seed, validate=True)
         except AlgebraError as exc:
             failures.append(f"{entry.key} permuted: {type(exc).__name__}: {exc}")
             continue
@@ -592,7 +591,7 @@ def run_verification(profile: str = "small", seed: int = DEFAULT_SEED) -> list:
             check_pair_support(cache),
             check_nakayama_crosscheck(cache),
             check_negative_controls(seed),
-            check_round_trip(seed, profile),
+            check_round_trip(cache),
         ]
     )
     return results

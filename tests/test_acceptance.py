@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from sialg import verify
 from sialg.structure import DEFAULT_SEED
 from sialg.verify import (
     CorpusCache,
@@ -127,7 +128,22 @@ def test_criterion_8_negative_controls():
     assert result.passed, result.failures[:5]
 
 
-def test_criterion_9_permuted_round_trip():
-    result = check_round_trip(DEFAULT_SEED, "small")
+def test_criterion_9_permuted_round_trip(cache):
+    result = check_round_trip(cache)
     _report(result)
     assert result.passed, result.failures[:5]
+
+
+def test_run_verification_prepares_each_input_once(monkeypatch):
+    # 14 corpus contexts (shared by every check, the round trip included),
+    # 1 negative control and 14 permuted presentations
+    calls = []
+    original = verify.prepare
+
+    def counting_prepare(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "prepare", counting_prepare)
+    verify.run_verification("small")
+    assert len(calls) == 29

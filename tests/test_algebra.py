@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -24,7 +24,7 @@ from sialg.algebra import (
     permute_basis,
 )
 from sialg.errors import DimensionMismatch, InvalidAlgebra
-from sialg.families import matrix_algebra, nakayama_algebra, nsy_algebra
+from sialg.families import corpus, matrix_algebra, nakayama_algebra, nsy_algebra
 from sialg.fields import QQ
 
 
@@ -65,8 +65,14 @@ def test_check_associativity_and_unit():
     data = matrix_algebra(2).to_json()
     data["structure"][0] = [0, 0, 0, "2"]
     corrupt = FinDimAlgebra.from_json(data, validate=False)
-    witness = check_associativity(corrupt)
-    assert witness is not None
+    assert check_associativity(corrupt) == (0, 0, 1)
+    # E12 E21 = 2 E11 keeps the unit and breaks associativity
+    data = matrix_algebra(2).to_json()
+    data["structure"][2] = [1, 2, 0, "2"]
+    with pytest.raises(InvalidAlgebra) as info:
+        FinDimAlgebra.from_json(data, validate=True)
+    assert str(info.value) == "associativity fails at triple (1, 2, 1)"
+    assert info.value.witness == (1, 2, 1)
     # broken unit vector reported with its index
     data = kx2().to_json()
     data["unit"] = ["0", "0"]
@@ -74,6 +80,59 @@ def test_check_associativity_and_unit():
     assert check_unit(broken) == 0
     with pytest.raises(InvalidAlgebra):
         FinDimAlgebra.from_json(data, validate=True)
+
+
+def dense_associativity_witness(alg):
+    """Reference: the lowest basis triple with (b_i b_j) b_k != b_i (b_j b_k)."""
+    b = alg.basis()
+    for i, j, k in product(range(alg.dim), repeat=3):
+        if (b[i] * b[j]) * b[k] != b[i] * (b[j] * b[k]):
+            return (i, j, k)
+    return None
+
+
+def test_associativity_witness_matches_dense_reference():
+    # seeded single-constant corruptions: bump one, delete one, add one
+    rng = random.Random(20261018)
+    compared = failing = 0
+    for entry in corpus("small"):
+        alg = entry.algebra
+        assert check_associativity(alg) is None
+        d = alg.dim
+        struct = [(i, j, k, c) for i in range(d) for j in range(d)
+                  for k, c in sorted(alg.rows[i][j].items())]
+        unit = alg.unit.dense()
+        present = {(i, j, k) for i, j, k, _ in struct}
+        for _ in range(3):
+            bumped = list(struct)
+            p = rng.randrange(len(bumped))
+            i, j, k, c = bumped[p]
+            bumped[p] = (i, j, k, c + alg.field.one)
+            deleted = list(struct)
+            del deleted[rng.randrange(len(deleted))]
+            key = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
+            added = struct + ([] if key in present else [key + (alg.field.one,)])
+            for s in (bumped, deleted, added):
+                corrupt = FinDimAlgebra(alg.field, alg.labels, s, unit)
+                witness = check_associativity(corrupt)
+                assert witness == dense_associativity_witness(corrupt), entry.key
+                compared += 1
+                failing += witness is not None
+    # most single-constant corruptions break associativity
+    assert failing >= compared // 2, (failing, compared)
+
+
+def test_associativity_witness_with_one_zero_side():
+    # basis 1, a, b with only the unit products and one more product
+    unit_products = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 0, 1, 1), (2, 0, 2, 1)]
+    # a a = 0 and a b = b: (a a) b = 0 but a (a b) = b
+    A = FinDimAlgebra(QQ, ["1", "a", "b"], unit_products + [(1, 2, 2, 1)], [1, 0, 0])
+    assert check_unit(A) is None
+    assert check_associativity(A) == dense_associativity_witness(A) == (1, 1, 2)
+    # mirror: a a = 0 and b a = b: (b a) a = b but b (a a) = 0
+    B = FinDimAlgebra(QQ, ["1", "a", "b"], unit_products + [(2, 1, 2, 1)], [1, 0, 0])
+    assert check_unit(B) is None
+    assert check_associativity(B) == dense_associativity_witness(B) == (2, 1, 1)
 
 
 def test_act_left_right_matrix_units():

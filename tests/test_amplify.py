@@ -27,6 +27,7 @@ from sialg.amplify import (
 )
 from sialg.errors import (
     BadBlockSupport,
+    BadParams,
     BlockMismatch,
     IndexOutOfRange,
     NotBasic,
@@ -432,6 +433,16 @@ def test_spread_spec_json_round_trip():
     data = spec.to_json()
     assert SpreadSpec.from_json(data, 2) == spec
     assert data["classes"][0]["i"] == 1
+
+
+def test_spread_spec_json_duplicate_class_rejected():
+    data = {"classes": [{"i": 1, "pairs": [[1, 1]]}, {"i": 1, "pairs": []}]}
+    with pytest.raises(BadParams, match="class index 1 given twice"):
+        SpreadSpec.from_json(data, 2)
+    # a class with no row is empty, as before
+    assert SpreadSpec.from_json({"classes": [{"i": 2, "pairs": [[1, 1]]}]}, 2) == (
+        SpreadSpec((frozenset(), frozenset({(1, 1)})))
+    )
 
 
 def test_preset_spec_names():

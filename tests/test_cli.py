@@ -82,6 +82,20 @@ def test_comul_spec_file_not_an_object(tmp_path, capsys, text):
     assert captured.out == ""
 
 
+def test_comul_spec_file_duplicate_class(tmp_path, capsys):
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", "nsy", "--n", "2", "--l", "2", "--m", "1,2",
+            "-o", str(alg_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"classes": [{"i": 1, "pairs": [[1, 1]]}, {"i": 1, "pairs": []}]}
+    ))
+    assert run_cli("comul", "--input", str(alg_path), "--spec", str(spec_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BadParams: class index 1 given twice")
+    assert captured.out == ""
+
+
 def test_corrupted_input_exit_code(tmp_path, capsys):
     alg_path = tmp_path / "bad.json"
     run_cli("generate", "--family", "matrix", "--m", "2", "-o", str(alg_path))
