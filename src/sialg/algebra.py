@@ -13,7 +13,18 @@ from __future__ import annotations
 
 from .errors import BadParams, DimensionMismatch, InvalidAlgebra
 from .fields import Field
-from .linalg import Matrix, sparse_rank
+from .linalg import Matrix, Span, sparse_rank
+
+
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; BadParams for anything else.
+
+    ``int()`` would truncate 1.9 to 1 and accept "1" or true, so a file
+    could name data it does not state.
+    """
+    if type(value) is not int:
+        raise BadParams(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _accum(dst: dict, key, value):
@@ -144,7 +155,7 @@ class FinDimAlgebra:
     def from_json(cls, data: dict, validate: bool = True) -> "FinDimAlgebra":
         try:
             field = Field.from_json(data["field"])
-            dim = int(data["dim"])
+            dim = json_int(data["dim"], "dim")
             labels = [str(x) for x in data["basis"]]
             if len(labels) != dim:
                 raise BadParams("basis label count differs from dim")
@@ -152,7 +163,10 @@ class FinDimAlgebra:
             if len(unit) != dim:
                 raise BadParams("unit vector length differs from dim")
             structure = [
-                (int(i), int(j), int(k), field.parse(c) if isinstance(c, str) else field(c))
+                (
+                    *(json_int(x, "structure index") for x in (i, j, k)),
+                    field.parse(c) if isinstance(c, str) else field(c),
+                )
                 for i, j, k, c in data["structure"]
             ]
         except (KeyError, TypeError, ValueError) as exc:
@@ -339,7 +353,7 @@ class Tensor2:
         parse = algebra.field.parse
         out = {}
         for a, b, c in data:
-            a, b = int(a), int(b)
+            a, b = json_int(a, "tensor index"), json_int(b, "tensor index")
             if not (0 <= a < algebra.dim and 0 <= b < algebra.dim):
                 raise BadParams(f"tensor index ({a},{b}) out of range")
             c = parse(c) if isinstance(c, str) else algebra.field(c)
@@ -520,7 +534,7 @@ def delta_matrix(x: Tensor2) -> Matrix:
 
 def delta_rank(x: Tensor2) -> int:
     """Rank of the induced comultiplication, via sparse elimination."""
-    return sparse_rank(x.delta())
+    return sparse_rank(x.algebra.field, x.delta())
 
 
 def apply_functional(side: str, f: Functional, t: Tensor2) -> Element:
@@ -581,37 +595,15 @@ def minimal_polynomial(a: Element, unit: Element | None = None):
     """
     alg = a.algebra
     field = alg.field
-    rows: dict = {}
+    d = alg.dim
+    span = Span(field)
     power = alg.unit if unit is None else unit
-    k = 0
-    while True:
-        vec = dict(power.coeffs)
-        combo = {k: field.one}
-        # reduce vec against the echelon, tracking the combination of powers
-        while vec:
-            piv = min(vec)
-            if piv not in rows:
-                break
-            c = vec[piv]
-            stored_vec, stored_combo = rows[piv]
-            for kk, vv in stored_vec.items():
-                _accum(vec, kk, -c * vv)
-            for kk, vv in stored_combo.items():
-                _accum(combo, kk, -c * vv)
-        if not vec:
-            # dependence: sum combo_t z^t = 0, top power is z^k
-            lead = combo[k]
-            coeffs = [field.zero] * (k + 1)
-            for t, c in combo.items():
-                coeffs[t] = c / lead
-            return tuple(coeffs)
-        piv = min(vec)
-        inv = field.one / vec[piv]
-        rows[piv] = (
-            {kk: vv * inv for kk, vv in vec.items()},
-            {kk: vv * inv for kk, vv in combo.items()},
-        )
+    for t in range(d + 1):
+        # the power z^t carries the tag key d + t, above every coordinate key
+        row = span.reduce({**power.coeffs, d + t: field.one})
+        if min(row) >= d:
+            # only tags are left: z^t + sum_{s<t} row[d + s] z^s = 0
+            return tuple(row.get(d + s, field.zero) for s in range(t + 1))
+        span.add(row)
         power = multiply(power, a)
-        k += 1
-        if k > alg.dim:
-            raise InvalidAlgebra("no minimal polynomial found; algebra data corrupt")
+    raise InvalidAlgebra("no minimal polynomial found; algebra data corrupt")

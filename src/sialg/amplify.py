@@ -24,6 +24,7 @@ from .algebra import (
     check_coassociativity,
     delta_rank,
     is_invariant,
+    json_int,
     multiply,
 )
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     NotBijection,
 )
 from .linalg import Matrix, sparse_solve
-from .structure import CanonicalDecomposition, NakayamaData, Span, peirce_components
+from .structure import CanonicalDecomposition, NakayamaData, corner_span, peirce_components
 
 
 class AmplifiedAlgebra:
@@ -62,11 +63,7 @@ class AmplifiedAlgebra:
         self.corner_spans: dict = {}
         for j in range(n):
             for i in range(n):
-                span = Span(field)
-                for t in range(base.dim):
-                    w = multiply(multiply(reps[j], base.basis_element(t)), reps[i])
-                    if w.coeffs:
-                        span.add(w.coeffs)
+                span = corner_span(base, reps[j], reps[i])
                 self.corner_spans[(j, i)] = span
                 self.corner_bases[(j, i)] = [
                     Element(base, dict(row)) for row in span.basis_vectors()
@@ -234,12 +231,15 @@ class SpreadSpec:
         classes = [None] * n
         try:
             for row in data["classes"]:
-                idx = int(row["i"]) - 1
+                idx = json_int(row["i"], "class index") - 1
                 if not 0 <= idx < n:
                     raise BadParams(f"class index {row['i']} out of range")
                 if classes[idx] is not None:
                     raise BadParams(f"class index {row['i']} given twice")
-                classes[idx] = frozenset((int(s), int(s2)) for s, s2 in row["pairs"])
+                classes[idx] = frozenset(
+                    (json_int(s, "copy index"), json_int(s2, "copy index"))
+                    for s, s2 in row["pairs"]
+                )
         except (KeyError, TypeError, ValueError) as exc:
             raise BadParams(f"malformed subset data: {exc}") from exc
         return cls(tuple(frozenset() if c is None else c for c in classes))
@@ -394,7 +394,7 @@ def counit_solution_space(alg: FinDimAlgebra, x: Tensor2):
     unit = alg.unit.coeffs
     rows = left_rows + right_rows
     rhs = [unit.get(g, field.zero) for g in range(d)] * 2
-    sol, nullity = sparse_solve(rows, rhs, d)
+    sol, nullity = sparse_solve(field, rows, rhs, d)
     if sol is None:
         return None, nullity
     values = [field.zero] * d

@@ -137,6 +137,13 @@ class Fp:
         return f"{self.value} mod {self.p}"
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise BadParams(f"scalar '{text}' has a zero denominator") from None
+
+
 class Field:
     """Ground field descriptor: the rationals (``p is None``) or GF(p)."""
 
@@ -181,14 +188,14 @@ class Field:
         """Parse a scalar string: "a", "a/b" or "r mod p"."""
         text = text.strip()
         if self.p is None:
-            return Fraction(text)
+            return _fraction(text)
         if "mod" in text:
             r, p = (part.strip() for part in text.split("mod"))
             if int(p) != self.p:
                 raise BadParams(f"scalar '{text}' does not live in GF({self.p})")
             return Fp(int(r), self.p)
         if "/" in text:
-            return self(Fraction(text))
+            return self(_fraction(text))
         return Fp(int(text), self.p)
 
     def format(self, x) -> str:

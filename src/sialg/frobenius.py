@@ -24,13 +24,13 @@ from .algebra import (
     multiply,
 )
 from .errors import AlgebraError, NotFrobenius, NotInvertible, SingularGram
-from .linalg import Matrix, sparse_kernel
+from .linalg import Matrix, Span, sparse_kernel
 from .structure import (
     DEFAULT_SEED,
     CanonicalDecomposition,
     NakayamaData,
     RadicalData,
-    Span,
+    corner_basis,
     peirce_components,
     radical,
 )
@@ -62,15 +62,6 @@ class SmallSpaceData:
         return [len(b) for b in self.bases]
 
 
-def corner_basis_elements(alg: FinDimAlgebra, left: Element, right: Element) -> list:
-    span = Span(alg.field)
-    for t in range(alg.dim):
-        w = multiply(multiply(left, alg.basis_element(t)), right)
-        if w.coeffs:
-            span.add(w.coeffs)
-    return [Element(alg, dict(row)) for row in span.basis_vectors()]
-
-
 def small_spaces(
     lam: FinDimAlgebra,
     dec: CanonicalDecomposition,
@@ -87,7 +78,7 @@ def small_spaces(
     for i in range(dec.n):
         src = dec.reps[i]
         tgt = dec.reps[nak.nu_inverse(i)]
-        corner = corner_basis_elements(lam, tgt, src)
+        corner = corner_basis(lam, tgt, src)
         if not rad.basis:
             bases.append(corner)
             continue
@@ -161,7 +152,7 @@ def construct_counit(
     for i in range(dec.n):
         for j in range(dec.n):
             src, tgt = dec.reps[i], dec.reps[j]
-            corner = corner_basis_elements(lam, tgt, src)
+            corner = corner_basis(lam, tgt, src)
             if not corner:
                 continue
             if j == nak.nu_inverse(i):
@@ -292,7 +283,7 @@ def verify_frobenius_pair(
         for j in range(dec.n):
             if j == nak.nu_inverse(i):
                 continue
-            corner = corner_basis_elements(lam, dec.reps[j], dec.reps[i])
+            corner = corner_basis(lam, dec.reps[j], dec.reps[i])
             if any(eps(q) for q in corner):
                 support_ok, support_witness = False, (j, i)
                 break

@@ -1,10 +1,13 @@
 """Dense and sparse exact linear algebra over a :class:`~sialg.fields.Field`.
 
 Dense :class:`Matrix` covers rank / solve / invert with deterministic
-first-nonzero pivoting.  The ``sparse_*`` helpers work on rows stored as
-``{column_key: scalar}`` dicts with orderable keys; they carry the large
-but very sparse systems (socles, counit feasibility, comultiplication
-rank) that would be wasteful densely.
+first-nonzero pivoting.  :class:`Span` is the one sparse elimination: it
+keeps rows stored as ``{column_key: scalar}`` dicts with orderable keys in
+reduced echelon form, dividing only through ``field.one``.  The
+``sparse_rank``, ``sparse_kernel`` and ``sparse_solve`` helpers are a few
+lines each over it; together they carry the large but very sparse systems
+(Peirce corners, socles, counit feasibility, comultiplication rank) that
+would be wasteful densely.
 """
 
 from __future__ import annotations
@@ -179,107 +182,30 @@ class Matrix:
 # -- sparse rows -------------------------------------------------------------
 #
 # A sparse row is a zero-free dict {key: scalar} with mutually orderable keys.
-# Echelon state is a dict {pivot_key: row} where each stored row is reduced
-# against all other pivots and scaled to pivot coefficient 1.
 
 
-def _reduce_row(row: dict, echelon: dict) -> dict:
-    # stored rows are fully reduced, so eliminating a pivot only introduces
-    # free keys; one pass over the pivot keys initially present is complete
-    row = dict(row)
-    for piv in sorted(k for k in row if k in echelon):
-        c = row[piv]
-        for k, v in echelon[piv].items():
-            w = row.get(k, 0) - c * v
-            if w:
-                row[k] = w
-            else:
-                row.pop(k, None)
-    return row
+class Span:
+    """Row space of sparse vectors, kept in reduced echelon form.
 
-
-def _insert_row(row: dict, echelon: dict) -> bool:
-    """Reduce row against echelon and insert it; False if it reduced to zero."""
-    row = _reduce_row(row, echelon)
-    if not row:
-        return False
-    piv = min(row)
-    inv = 1 / row[piv]
-    row = {k: v * inv for k, v in row.items()}
-    for other in echelon.values():
-        c = other.get(piv)
-        if c:
-            for k, v in row.items():
-                w = other.get(k, 0) - c * v
-                if w:
-                    other[k] = w
-                else:
-                    other.pop(k, None)
-    echelon[piv] = row
-    return True
-
-
-def sparse_echelon(rows) -> dict:
-    echelon: dict = {}
-    for row in rows:
-        if row:
-            _insert_row(row, echelon)
-    return echelon
-
-
-def sparse_rank(rows) -> int:
-    return len(sparse_echelon(rows))
-
-
-def sparse_kernel(field, eq_rows, nunknowns: int):
-    """Kernel basis of a homogeneous system given as sparse equation rows.
-
-    Unknowns are keyed 0..nunknowns-1; returns sparse dict vectors.
+    Each stored row is scaled to 1 at its pivot, its least key, and no
+    other stored row has an entry at that key.
     """
-    echelon = sparse_echelon(eq_rows)
-    pivots = set(echelon)
-    basis = []
-    for j in range(nunknowns):
-        if j in pivots:
-            continue
-        vec = {j: field.one}
-        for piv, row in echelon.items():
-            c = row.get(j)
-            if c:
-                vec[piv] = -c
-        basis.append(vec)
-    return basis
 
+    def __init__(self, field, vectors=()):
+        self.field = field
+        self.rows: dict = {}
+        for v in vectors:
+            self.add(v)
 
-def sparse_solve(eq_rows, rhs, nunknowns: int):
-    """Solve a sparse inhomogeneous system.
-
-    ``eq_rows`` and ``rhs`` run in parallel.  Returns (solution dict or
-    None when infeasible, dimension of the homogeneous solution space).
-    """
-    echelon: dict = {}
-    rhs_col: dict = {}
-    feasible = True
-    for row, b in zip(eq_rows, rhs):
-        row = dict(row)
-        for piv in sorted(k for k in row if k in echelon):
-            c = row[piv]
-            for k, v in echelon[piv].items():
-                w = row.get(k, 0) - c * v
-                if w:
-                    row[k] = w
-                else:
-                    row.pop(k, None)
-            b = b - c * rhs_col[piv]
+    def add(self, coeffs: dict) -> bool:
+        """Insert a vector; False if it was already in the span."""
+        row = self.reduce(coeffs)
         if not row:
-            if b:
-                feasible = False
-            continue
+            return False
         piv = min(row)
-        inv = 1 / row[piv]
+        inv = self.field.one / row[piv]
         row = {k: v * inv for k, v in row.items()}
-        b = b * inv
-        for p, other in echelon.items():
+        for other in self.rows.values():
             c = other.get(piv)
             if c:
                 for k, v in row.items():
@@ -288,11 +214,92 @@ def sparse_solve(eq_rows, rhs, nunknowns: int):
                         other[k] = w
                     else:
                         other.pop(k, None)
-                rhs_col[p] = rhs_col[p] - c * b
-        echelon[piv] = row
-        rhs_col[piv] = b
-    nullity = nunknowns - len(echelon)
-    if not feasible:
-        return None, nullity
-    sol = {piv: rhs_col[piv] for piv in echelon if rhs_col[piv]}
-    return sol, nullity
+        self.rows[piv] = row
+        return True
+
+    def reduce(self, coeffs: dict) -> dict:
+        # rows are kept fully reduced, so eliminating a pivot only brings in
+        # free keys; one pass over the pivots initially present is complete
+        row = dict(coeffs)
+        for piv in sorted(k for k in row if k in self.rows):
+            c = row[piv]
+            for k, v in self.rows[piv].items():
+                w = row.get(k, 0) - c * v
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+        return row
+
+    def contains(self, coeffs: dict) -> bool:
+        return not self.reduce(coeffs)
+
+    def coordinates(self, coeffs: dict):
+        """Coordinates w.r.t. the echelon basis, or None if outside the span.
+
+        Rows are fully reduced, so the coordinate at a basis row is just
+        the coefficient at that row's pivot.
+        """
+        basis = self.basis_items()
+        coords = [coeffs.get(piv, self.field.zero) for piv, _ in basis]
+        residue = dict(coeffs)
+        for (piv, row), c in zip(basis, coords):
+            if c:
+                for k, v in row.items():
+                    w = residue.get(k, 0) - c * v
+                    if w:
+                        residue[k] = w
+                    else:
+                        residue.pop(k, None)
+        if residue:
+            return None
+        return coords
+
+    def basis_items(self):
+        return sorted(self.rows.items())
+
+    def basis_vectors(self):
+        return [row for _, row in self.basis_items()]
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def sparse_rank(field, rows) -> int:
+    return Span(field, rows).dim
+
+
+def sparse_kernel(field, eq_rows, nunknowns: int):
+    """Kernel basis of a homogeneous system given as sparse equation rows.
+
+    Unknowns are keyed 0..nunknowns-1; returns sparse dict vectors.
+    """
+    span = Span(field, eq_rows)
+    basis = []
+    for j in range(nunknowns):
+        if j in span.rows:
+            continue
+        vec = {j: field.one}
+        for piv, row in span.rows.items():
+            c = row.get(j)
+            if c:
+                vec[piv] = -c
+        basis.append(vec)
+    return basis
+
+
+def sparse_solve(field, eq_rows, rhs, nunknowns: int):
+    """Solve a sparse inhomogeneous system.
+
+    ``eq_rows`` and ``rhs`` run in parallel.  Returns (solution dict or
+    None when infeasible, dimension of the homogeneous solution space).
+    The right-hand side rides along as the column keyed ``nunknowns``, so
+    the system is infeasible exactly when that column holds a pivot.
+    """
+    rows = ({**row, nunknowns: b} if b else row for row, b in zip(eq_rows, rhs))
+    span = Span(field, rows)
+    if nunknowns in span.rows:
+        return None, nunknowns - (span.dim - 1)
+    sol = {piv: row[nunknowns] for piv, row in span.rows.items() if nunknowns in row}
+    return sol, nunknowns - span.dim

@@ -149,7 +149,7 @@ class ModelIsomorphism:
                     raise AlgebraError(
                         f"model map is not multiplicative at basis pair ({a},{b})"
                     )
-        if sparse_rank(img.coeffs for img in self.images) != d:
+        if sparse_rank(alg.field, (img.coeffs for img in self.images)) != d:
             raise AlgebraError("model map is not bijective")
 
     def apply_element(self, x: Element) -> Element:

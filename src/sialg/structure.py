@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedField,
     WitnessNotFound,
 )
-from .linalg import Matrix, sparse_kernel, sparse_solve
+from .linalg import Matrix, Span, sparse_kernel, sparse_solve
 
 DEFAULT_SEED = 271828
 SPLIT_BUDGET_FACTOR = 32
@@ -32,89 +32,31 @@ FLAG_SPLIT = "split"
 FLAG_NOT_SPLIT = "not-split-unverified"
 
 
-# -- echelon spans over the ambient coordinate space --------------------------
-
-
-class Span:
-    """Row space of sparse coefficient vectors in reduced echelon form."""
-
-    def __init__(self, field, vectors=()):
-        self.field = field
-        self.rows: dict = {}
-        for v in vectors:
-            self.add(v)
-
-    def add(self, coeffs: dict) -> bool:
-        """Insert a vector; False if it was already in the span."""
-        row = self.reduce(coeffs)
-        if not row:
-            return False
-        piv = min(row)
-        inv = self.field.one / row[piv]
-        row = {k: v * inv for k, v in row.items()}
-        for other in self.rows.values():
-            c = other.get(piv)
-            if c:
-                for k, v in row.items():
-                    w = other.get(k, 0) - c * v
-                    if w:
-                        other[k] = w
-                    else:
-                        other.pop(k, None)
-        self.rows[piv] = row
-        return True
-
-    def reduce(self, coeffs: dict) -> dict:
-        # rows are kept fully reduced, so eliminating a pivot only brings in
-        # free keys; one pass over the pivots initially present is complete
-        row = dict(coeffs)
-        for piv in sorted(k for k in row if k in self.rows):
-            c = row[piv]
-            for k, v in self.rows[piv].items():
-                w = row.get(k, 0) - c * v
-                if w:
-                    row[k] = w
-                else:
-                    row.pop(k, None)
-        return row
-
-    def contains(self, coeffs: dict) -> bool:
-        return not self.reduce(coeffs)
-
-    def coordinates(self, coeffs: dict):
-        """Coordinates w.r.t. the echelon basis, or None if outside the span.
-
-        Rows are fully reduced, so the coordinate at a basis row is just
-        the coefficient at that row's pivot.
-        """
-        basis = self.basis_items()
-        coords = [coeffs.get(piv, self.field.zero) for piv, _ in basis]
-        residue = dict(coeffs)
-        for (piv, row), c in zip(basis, coords):
-            if c:
-                for k, v in row.items():
-                    w = residue.get(k, 0) - c * v
-                    if w:
-                        residue[k] = w
-                    else:
-                        residue.pop(k, None)
-        if residue:
-            return None
-        return coords
-
-    def basis_items(self):
-        return sorted(self.rows.items())
-
-    def basis_vectors(self):
-        return [row for _, row in self.basis_items()]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+# -- spans and Peirce corners in the ambient coordinate space ------------------
 
 
 def element_span(field, elements) -> Span:
     return Span(field, (e.coeffs for e in elements))
+
+
+def corner_span(alg: FinDimAlgebra, left: Element | None, right: Element | None) -> Span:
+    """Span of left . b_t . right over the basis b_t; a None side skips
+    that multiply, so one side gives a one-sided ideal e A or A e."""
+    span = Span(alg.field)
+    for t in range(alg.dim):
+        w = alg.basis_element(t)
+        if left is not None:
+            w = multiply(left, w)
+        if right is not None:
+            w = multiply(w, right)
+        span.add(w.coeffs)
+    return span
+
+
+def corner_basis(alg: FinDimAlgebra, left: Element | None, right: Element | None) -> list:
+    """Echelon basis elements of `corner_span`."""
+    span = corner_span(alg, left, right)
+    return [Element(alg, dict(row)) for row in span.basis_vectors()]
 
 
 def peirce_components(y: Tensor2, reps, spans: dict | None = None) -> dict:
@@ -352,15 +294,6 @@ class CanonicalDecomposition:
         return FLAG_SPLIT in self.flags
 
 
-def _corner_span(quot: QuotientData, e: Element) -> Span:
-    span = Span(quot.algebra.field)
-    for i in range(quot.algebra.dim):
-        w = multiply(multiply(e, quot.algebra.basis_element(i)), e)
-        if w.coeffs:
-            span.add(w.coeffs)
-    return span
-
-
 def _split_once(qalg: FinDimAlgebra, e: Element, corner: Span, rng, budget: int):
     """Try to write e as a sum of two orthogonal idempotents; None if the
     budget runs out.  Returns ((e1, e2), attempts_used) on success."""
@@ -426,7 +359,7 @@ def _primitive_idempotents_semisimple(quot: QuotientData, seed: int):
     work = [qalg.unit]
     while work:
         e = work.pop()
-        corner = _corner_span(quot, e)
+        corner = corner_span(qalg, e, e)
         if corner.dim == 1:
             done.append(e)
             continue
@@ -550,24 +483,6 @@ def decomposition_from_idempotents(
 # -- right modules, socles, Nakayama permutation -------------------------------
 
 
-def right_module_basis(alg: FinDimAlgebra, e: Element) -> list:
-    span = Span(alg.field)
-    for i in range(alg.dim):
-        w = multiply(e, alg.basis_element(i))
-        if w.coeffs:
-            span.add(w.coeffs)
-    return [Element(alg, dict(row)) for row in span.basis_vectors()]
-
-
-def left_module_basis(alg: FinDimAlgebra, e: Element) -> list:
-    span = Span(alg.field)
-    for i in range(alg.dim):
-        w = multiply(alg.basis_element(i), e)
-        if w.coeffs:
-            span.add(w.coeffs)
-    return [Element(alg, dict(row)) for row in span.basis_vectors()]
-
-
 def socle_basis(alg: FinDimAlgebra, module_basis: list, rad: RadicalData) -> list:
     """Basis of {a in span(module_basis) : a * J = 0}."""
     field = alg.field
@@ -617,7 +532,7 @@ def nakayama(
     nu = []
     socles = []
     for i in range(dec.n):
-        module = right_module_basis(alg, dec.reps[i])
+        module = corner_basis(alg, dec.reps[i], None)
         soc = socle_basis(alg, module, rad)
         if not soc:
             raise NotSelfInjectiveLike(f"socle of projective class {i} is zero")
@@ -718,8 +633,8 @@ def verify_nakayama_duality(
 
 
 def _duality_holds(alg, dec, i: int, j: int, seed: int) -> bool:
-    u_basis = right_module_basis(alg, dec.reps[i])
-    x_basis = left_module_basis(alg, dec.reps[j])
+    u_basis = corner_basis(alg, dec.reps[i], None)
+    x_basis = corner_basis(alg, None, dec.reps[j])
     if len(u_basis) != len(x_basis):
         return False
     u_span = element_span(alg.field, u_basis)
@@ -786,11 +701,7 @@ def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
     corner_spans = {}
     for j in range(n):
         for i in range(n):
-            span = Span(field)
-            for t in range(alg.dim):
-                w = multiply(multiply(reps[j], alg.basis_element(t)), reps[i])
-                if w.coeffs:
-                    span.add(w.coeffs)
+            span = corner_span(alg, reps[j], reps[i])
             corner_spans[(j, i)] = span
             for row in span.basis_vectors():
                 basis_elements.append(Element(alg, dict(row)))
@@ -875,8 +786,8 @@ def iso_witnesses(
         row_v = [e1]
         for s in range(1, len(cls)):
             es = cls[s]
-            c1 = _corner_basis(alg, e1, es)
-            c2 = _corner_basis(alg, es, e1)
+            c1 = corner_basis(alg, e1, es)
+            c2 = corner_basis(alg, es, e1)
             pair = _find_witness_pair(alg, e1, es, c1, c2, rng, budget)
             if pair is None:
                 raise WitnessNotFound(
@@ -887,15 +798,6 @@ def iso_witnesses(
         us.append(row_u)
         vs.append(row_v)
     return IsoWitness(us, vs)
-
-
-def _corner_basis(alg: FinDimAlgebra, left: Element, right: Element) -> list:
-    span = Span(alg.field)
-    for t in range(alg.dim):
-        w = multiply(multiply(left, alg.basis_element(t)), right)
-        if w.coeffs:
-            span.add(w.coeffs)
-    return [Element(alg, dict(row)) for row in span.basis_vectors()]
 
 
 def _find_witness_pair(alg, e1, es, c1, c2, rng, budget):
@@ -927,7 +829,7 @@ def _find_witness_pair(alg, e1, es, c1, c2, rng, budget):
         keys = sorted(set(per_coord) | set(e1.coeffs))
         rows = [per_coord.get(k, {}) for k in keys]
         rhs = [e1.coeffs.get(k, field.zero) for k in keys]
-        sol, _ = sparse_solve(rows, rhs, len(c2))
+        sol, _ = sparse_solve(field, rows, rhs, len(c2))
         if sol is None:
             continue
         v = alg.zero()

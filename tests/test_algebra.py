@@ -23,9 +23,11 @@ from sialg.algebra import (
     multiply,
     permute_basis,
 )
-from sialg.errors import DimensionMismatch, InvalidAlgebra
+from sialg.errors import BadParams, DimensionMismatch, InvalidAlgebra
 from sialg.families import corpus, matrix_algebra, nakayama_algebra, nsy_algebra
-from sialg.fields import QQ
+from sialg.fields import QQ, Field
+from sialg.linalg import Matrix
+from sialg.structure import canonical_decomposition, corner_basis
 
 
 def kx2():
@@ -339,6 +341,9 @@ def test_algebra_json_round_trip():
     assert back.labels == A.labels
     t = A.tensor2({(0, 3): Fraction(2, 3), (8, 1): -1})
     assert Tensor2.from_json(A, t.to_json()) == t
+    for index in (0.5, True, "0"):
+        with pytest.raises(BadParams, match="tensor index must be an integer"):
+            Tensor2.from_json(A, [[index, 0, "1"]])
 
 
 def test_permute_basis_is_isomorphism():
@@ -365,3 +370,47 @@ def test_minimal_polynomial():
     M = matrix_algebra(2)
     e11 = E(M, 1, 1)
     assert minimal_polynomial(e11) == (Fraction(0), Fraction(-1), Fraction(1))  # t^2 - t
+
+
+def _over(alg, field):
+    # integral structure constants reduce to an algebra over any field
+    if field.is_rational or not alg.field.is_rational:
+        return alg
+    data = alg.to_json()
+    data["field"] = field.to_json()
+    return FinDimAlgebra.from_json(data, validate=True)
+
+
+def test_minimal_polynomial_differential():
+    # mu(a) = 0, mu monic, and deg mu = rank of the dense matrix of the
+    # powers unit, a, a^2, ..., a^dim (the dimension of the algebra they span)
+    rng = random.Random(12)
+    checked = 0
+    for field in (QQ, Field(101)):
+        for entry in corpus("small"):
+            alg = _over(entry.algebra, field)
+            f = alg.field
+            cases = [
+                (alg.element({i: f.random(rng) for i in range(alg.dim)}), None)
+                for _ in range(3)
+            ]
+            for e in canonical_decomposition(alg).all_idempotents():
+                corner = corner_basis(alg, e, e)
+                combo = alg.zero()
+                for q in corner:
+                    combo = combo + q.scaled(f.random(rng))
+                cases += [(corner[-1], e), (combo, e)]
+            for a, unit in cases:
+                mu = minimal_polynomial(a, unit=unit)
+                assert mu[-1] == f.one
+                one = alg.unit if unit is None else unit
+                value, power, powers = alg.zero(), one, []
+                for t in range(alg.dim + 1):
+                    if t < len(mu):
+                        value = value + power.scaled(mu[t])
+                    powers.append(power.dense())
+                    power = power * a
+                assert value.is_zero()
+                assert len(mu) - 1 == Matrix(f, powers).rank()
+                checked += 1
+    assert checked > 150

@@ -12,6 +12,11 @@ DIAGONAL_NSY_2_2_22_COMUL_SHA256 = (
 VERIFY_SMALL_REPORT_SHA256 = (
     "6448049195ca15288cc6f801c70dc9f67876f7780742dfa3f8005f3298d84d3e"
 )
+# `sialg verify --profile standard --report` takes about 40 s, too slow
+# for Tier-1, so only the CI workflow (.github/workflows/tier1.yml) checks it
+VERIFY_STANDARD_REPORT_SHA256 = (
+    "af1557ded646bc100536cb5eee7b83a4d39b126acc19ccdbfbf3a312f6cacd85"
+)
 
 
 def sha256(path):
@@ -105,6 +110,68 @@ def test_corrupted_input_exit_code(tmp_path, capsys):
     assert run_cli("analyze", "--input", str(alg_path)) == 1
     err = capsys.readouterr().err
     assert "witness" in err
+
+
+@pytest.mark.parametrize("prime", [None, "5"])
+@pytest.mark.parametrize("command", ["analyze", "comul"])
+def test_zero_denominator_scalar(tmp_path, capsys, prime, command):
+    alg_path = tmp_path / "a.json"
+    field_args = ("--prime", prime) if prime else ()
+    run_cli("generate", "--family", "matrix", "--m", "2", *field_args, "-o", str(alg_path))
+    data = json.loads(alg_path.read_text())
+    if command == "analyze":
+        data["unit"][0] = "1/0"
+    else:
+        data["structure"][0][3] = "1/0"
+    alg_path.write_text(json.dumps(data))
+    assert run_cli(command, "--input", str(alg_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BadParams: ")
+    assert "scalar '1/0' has a zero denominator" in captured.err
+    assert captured.out == ""
+
+
+def _non_integral_structure_index(data):
+    entry = next(e for e in data["structure"] if e[:3] == [0, 0, 0])
+    entry[0] = 0.5
+
+
+def _non_integral_dim(data):
+    data["dim"] = 1.9
+
+
+@pytest.mark.parametrize("family, corrupt, message", [
+    (("matrix", "--m", "2"), _non_integral_structure_index,
+     "structure index must be an integer, got 0.5"),
+    (("product", "--m", "1"), _non_integral_dim, "dim must be an integer, got 1.9"),
+], ids=["structure-index", "dim"])
+def test_non_integral_algebra_index(tmp_path, capsys, family, corrupt, message):
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", *family, "-o", str(alg_path))
+    data = json.loads(alg_path.read_text())
+    corrupt(data)
+    alg_path.write_text(json.dumps(data))
+    assert run_cli("analyze", "--input", str(alg_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BadParams: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_comul_spec_file_non_integral_pair(tmp_path, capsys):
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", "nsy", "--n", "2", "--l", "2", "--m", "1,2",
+            "-o", str(alg_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"classes": [{"i": 1, "pairs": [[1, 1]]}, {"i": 2, "pairs": [[1.7, 1]]}]}
+    ))
+    assert run_cli("comul", "--input", str(alg_path), "--spec", str(spec_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: BadParams: copy index must be an integer, got 1.7"
+    )
+    assert captured.out == ""
 
 
 def test_missing_file_is_operational_error(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sialg.errors import Infeasible, SingularMatrix
-from sialg.fields import Field, QQ
+from sialg.fields import Field, Fp, QQ
 from sialg.linalg import Matrix, sparse_kernel, sparse_rank, sparse_solve
 
 
@@ -82,11 +82,11 @@ def test_sparse_agrees_with_dense():
     for field in (QQ, Field(3)):
         for _ in range(40):
             m = random_matrix(field, rng, rng.randint(1, 6), rng.randint(1, 6))
-            assert sparse_rank(_dense_to_rows(m)) == m.rank()
+            assert sparse_rank(field, _dense_to_rows(m)) == m.rank()
             kern = sparse_kernel(field, _dense_to_rows(m), m.ncols)
             assert len(kern) == len(m.kernel())
             rhs = [field.random(rng, -3, 3) for _ in range(m.nrows)]
-            sol, nullity = sparse_solve(_dense_to_rows(m), rhs, m.ncols)
+            sol, nullity = sparse_solve(field, _dense_to_rows(m), rhs, m.ncols)
             assert nullity == len(m.kernel())
             try:
                 dsol, _ = m.solve(Matrix.column(field, rhs))
@@ -99,3 +99,23 @@ def test_sparse_agrees_with_dense():
                 for row, b in zip(m.rows, rhs):
                     acc = sum((c * x for c, x in zip(row, full)), field.zero)
                     assert acc == b
+
+
+def test_sparse_integer_rows_give_field_scalars():
+    # rows written with Python ints: every division goes through the field,
+    # so results are Fractions over QQ and residues over GF(3), never floats
+    assert sparse_solve(QQ, [{0: 2}], [1], 1) == ({0: Fraction(1, 2)}, 0)
+    assert sparse_kernel(QQ, [{0: 2, 1: 1}], 2) == [{1: 1, 0: Fraction(-1, 2)}]
+    # over GF(3) the second row is twice the first
+    assert sparse_rank(Field(3), [{0: 1, 1: 2}, {0: 2, 1: 1}]) == 1
+    rows = [{0: 2, 1: 1}, {1: 2, 2: 1}]
+    for field, scalar in ((QQ, Fraction), (Field(3), Fp)):
+        assert sparse_rank(field, rows) == 2
+        (kern,) = sparse_kernel(field, rows, 3)
+        sol, nullity = sparse_solve(field, rows, [1, 2], 3)
+        assert nullity == 1
+        for vec, rhs in ((kern, [0, 0]), (sol, [1, 2])):
+            assert all(type(c) is scalar for c in vec.values())
+            for row, b in zip(rows, rhs):
+                assert sum((c * vec.get(k, 0) for k, c in row.items()), field.zero) == b
+        assert sparse_solve(field, rows + [{0: 2, 1: 1}], [1, 2, 2], 3) == (None, 1)

@@ -190,10 +190,10 @@ def test_duality_examples():
     B = nakayama_algebra(2, 2)
     dec = canonical_decomposition(B)
     nak = nakayama(B, dec)
-    from sialg.structure import right_module_basis
+    from sialg.structure import corner_basis
 
     for i in range(2):
-        assert len(right_module_basis(B, dec.reps[i])) == 2
+        assert len(corner_basis(B, dec.reps[i], None)) == 2
     assert verify_nakayama_duality(B, dec, nak)
     kx3 = nakayama_algebra(1, 3)
     dec3 = canonical_decomposition(kx3)
