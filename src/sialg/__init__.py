@@ -11,7 +11,6 @@ from .algebra import (
     FinDimAlgebra,
     Functional,
     Tensor2,
-    Tensor3,
     act_left,
     act_right,
     apply_functional,

@@ -12,19 +12,8 @@ invariance checks may safely run concurrently if ever needed.
 from __future__ import annotations
 
 from .errors import BadParams, DimensionMismatch, InvalidAlgebra
-from .fields import Field
+from .fields import Field, json_int
 from .linalg import Matrix, Span, sparse_rank
-
-
-def json_int(value, what: str) -> int:
-    """`value` if it is a JSON integer; BadParams for anything else.
-
-    ``int()`` would truncate 1.9 to 1 and accept "1" or true, so a file
-    could name data it does not state.
-    """
-    if type(value) is not int:
-        raise BadParams(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _accum(dst: dict, key, value):
@@ -367,24 +356,6 @@ class Tensor2:
         return " + ".join(parts) if parts else "0"
 
 
-class Tensor3:
-    """Sparse element of A (x) A (x) A keyed by basis index triples."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: FinDimAlgebra, coeffs: dict):
-        self.algebra = algebra
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.algebra.same_space(other.algebra) and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
 # -- products and axioms ------------------------------------------------------
 
 
@@ -580,11 +551,6 @@ def permute_basis(alg: FinDimAlgebra, perm) -> FinDimAlgebra:
         unit[inv[k]] = c
     labels = [alg.labels[perm[r]] for r in range(d)]
     return FinDimAlgebra(alg.field, labels, structure, unit)
-
-
-def map_element(src: Element, dst_alg: FinDimAlgebra, index_map) -> Element:
-    """Push an element through a basis index bijection."""
-    return dst_alg.element({index_map[i]: c for i, c in src.coeffs.items()})
 
 
 def minimal_polynomial(a: Element, unit: Element | None = None):

@@ -24,7 +24,6 @@ from .algebra import (
     check_coassociativity,
     delta_rank,
     is_invariant,
-    json_int,
     multiply,
 )
 from .errors import (
@@ -36,6 +35,7 @@ from .errors import (
     NotBasic,
     NotBijection,
 )
+from .fields import json_int
 from .linalg import Matrix, sparse_solve
 from .structure import CanonicalDecomposition, NakayamaData, corner_span, peirce_components
 
@@ -428,10 +428,6 @@ class ComultiplicationReport:
     feasible: bool
     solution_space_dim: int
     routes_consistent: bool | None
-
-    @property
-    def all_core_checks(self) -> bool:
-        return self.invariant and self.coassociative
 
     def to_json(self):
         return {

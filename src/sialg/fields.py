@@ -1,9 +1,12 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Scalars are either ``fractions.Fraction`` (rationals) or :class:`Fp`
-(residues mod p).  Both are immutable, support the usual operators, mix
+Over QQ a scalar is a Python ``int`` when it is integral and a
+``fractions.Fraction`` otherwise; over GF(p) it is an :class:`Fp`
+(residue mod p).  All are immutable, support the usual operators, mix
 freely with Python ints, and order totally, so generic code never needs
-to branch on the field kind.
+to branch on the field kind.  The one division in the package is
+:meth:`Field.inv`, so no float can arise from exact inputs; a float or
+bool offered as a scalar is refused.
 """
 
 from __future__ import annotations
@@ -137,9 +140,27 @@ class Fp:
         return f"{self.value} mod {self.p}"
 
 
-def _fraction(text: str) -> Fraction:
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; BadParams for anything else.
+
+    ``int()`` would truncate 1.9 to 1 and accept "1" or true, so a file
+    could name data it does not state.
+    """
+    if type(value) is not int:
+        raise BadParams(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def narrow(x):
+    """An integral Fraction as the int it equals; any other scalar as is."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _fraction(text: str):
     try:
-        return Fraction(text)
+        return narrow(Fraction(text))
     except ZeroDivisionError:
         raise BadParams(f"scalar '{text}' has a zero denominator") from None
 
@@ -154,8 +175,8 @@ class Field:
             raise BadParams(f"{p} is not prime")
         self.p = p
         if p is None:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
+            self.zero = 0
+            self.one = 1
         else:
             self.zero = Fp(0, p)
             self.one = Fp(1, p)
@@ -170,10 +191,12 @@ class Field:
 
     def __call__(self, n):
         """Coerce an int, Fraction or Fp into this field."""
+        if isinstance(n, (bool, float)):
+            raise BadParams(f"scalar {n!r} is not exact: write an integer or a string 'a/b'")
         if self.p is None:
             if isinstance(n, Fp):
                 raise BadParams("cannot coerce a prime-field residue into the rationals")
-            return Fraction(n)
+            return n if type(n) is int else narrow(Fraction(n))
         if isinstance(n, Fp):
             if n.p != self.p:
                 raise BadParams(f"mixed prime fields GF({self.p}), GF({n.p})")
@@ -183,6 +206,17 @@ class Field:
                 raise BadParams(f"denominator of {n} vanishes mod {self.p}")
             return Fp(n.numerator, self.p) / n.denominator
         return Fp(n, self.p)
+
+    def inv(self, x):
+        """Multiplicative inverse of a nonzero scalar: the one division in sialg.
+
+        Over QQ an int or Fraction gives an int when the inverse is
+        integral; over GF(p) an int or residue gives a residue.  Zero raises
+        ZeroDivisionError.
+        """
+        if self.p is None:
+            return narrow(Fraction(1, x))
+        return self.one / x
 
     def parse(self, text: str):
         """Parse a scalar string: "a", "a/b" or "r mod p"."""
@@ -206,7 +240,7 @@ class Field:
     def random(self, rng, lo: int = -2, hi: int = 2):
         """Small deterministic scalar from a seeded rng."""
         if self.p is None:
-            return Fraction(rng.randint(lo, hi))
+            return rng.randint(lo, hi)
         return Fp(rng.randrange(self.p), self.p)
 
     def random_nonzero(self, rng):
@@ -223,7 +257,7 @@ class Field:
         if data == "rational":
             return cls()
         if isinstance(data, dict) and set(data) == {"prime"}:
-            return cls(int(data["prime"]))
+            return cls(json_int(data["prime"], "prime"))
         raise BadParams(f"bad field spec: {data!r}")
 
     def __eq__(self, other):

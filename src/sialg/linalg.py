@@ -3,7 +3,8 @@
 Dense :class:`Matrix` covers rank / solve / invert with deterministic
 first-nonzero pivoting.  :class:`Span` is the one sparse elimination: it
 keeps rows stored as ``{column_key: scalar}`` dicts with orderable keys in
-reduced echelon form, dividing only through ``field.one``.  The
+reduced echelon form.  Both divide only through ``field.inv`` and narrow
+an integral rational back to ``int`` as they scale a pivot row.  The
 ``sparse_rank``, ``sparse_kernel`` and ``sparse_solve`` helpers are a few
 lines each over it; together they carry the large but very sparse systems
 (Peirce corners, socles, counit feasibility, comultiplication rank) that
@@ -13,6 +14,7 @@ would be wasteful densely.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, Infeasible, SingularMatrix
+from .fields import narrow
 
 
 class Matrix:
@@ -113,8 +115,8 @@ class Matrix:
             if pivot_row is None:
                 continue
             rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            inv = self.field.one / rows[rank][col]
-            rows[rank] = [x * inv for x in rows[rank]]
+            inv = self.field.inv(rows[rank][col])
+            rows[rank] = [narrow(x * inv) for x in rows[rank]]
             for r in range(self.nrows):
                 if r != rank and rows[r][col]:
                     c = rows[r][col]
@@ -203,8 +205,8 @@ class Span:
         if not row:
             return False
         piv = min(row)
-        inv = self.field.one / row[piv]
-        row = {k: v * inv for k, v in row.items()}
+        inv = self.field.inv(row[piv])
+        row = {k: narrow(v * inv) for k, v in row.items()}
         for other in self.rows.values():
             c = other.get(piv)
             if c:

@@ -1,8 +1,10 @@
 """Univariate polynomial arithmetic and small-degree exact factorization.
 
 Polynomials are normalized little-endian coefficient tuples over a
-:class:`~sialg.fields.Field`; the zero polynomial is ``()``.  Over GF(p)
-factorization runs squarefree / distinct-degree / equal-degree splitting;
+:class:`~sialg.fields.Field`; the zero polynomial is ``()``.  Routines
+that divide take the field first and invert through ``Field.inv``.
+Over GF(p) factorization runs squarefree / distinct-degree /
+equal-degree splitting;
 over the rationals it reduces mod one large prime and recombines factor
 subsets (fine at the small degrees this pipeline produces, no attempt at
 industrial-strength factoring).
@@ -11,12 +13,11 @@ industrial-strength factoring).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd, isqrt, lcm
 
 from .errors import BadParams
-from .fields import Field, next_prime
+from .fields import QQ, Field, next_prime
 
 
 def normalize(coeffs) -> tuple:
@@ -68,12 +69,12 @@ def mul(f, g) -> tuple:
     return normalize(out)
 
 
-def divmod_poly(f, g):
+def divmod_poly(field, f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
     q = [g[-1] * 0] * max(len(f) - len(g) + 1, 0)
-    inv_lead = 1 / g[-1]
+    inv_lead = field.inv(g[-1])
     for i in range(len(f) - len(g), -1, -1):
         c = f[i + len(g) - 1] * inv_lead
         if c:
@@ -83,41 +84,37 @@ def divmod_poly(f, g):
     return normalize(q), normalize(f)
 
 
-def mod(f, g):
-    return divmod_poly(f, g)[1]
+def mod(field, f, g):
+    return divmod_poly(field, f, g)[1]
 
 
-def monic(f) -> tuple:
+def monic(field, f) -> tuple:
     if not f:
         return ()
-    inv = 1 / f[-1]
+    inv = field.inv(f[-1])
     return normalize([c * inv for c in f])
 
 
-def gcd(f, g) -> tuple:
+def gcd(field, f, g) -> tuple:
     while g:
-        f, g = g, mod(f, g)
-    return monic(f)
+        f, g = g, mod(field, f, g)
+    return monic(field, f)
 
 
-def xgcd(f, g):
+def xgcd(field, f, g):
     """Monic g0 = gcd(f, g) together with u, v such that u*f + v*g = g0."""
     r0, r1 = f, g
-    one = ()
-    if f:
-        one = (f[-1] / f[-1],)
-    elif g:
-        one = (g[-1] / g[-1],)
+    one = (field.one,) if f or g else ()
     s0, s1 = one, ()
     t0, t1 = (), one
     while r1:
-        q, r = divmod_poly(r0, r1)
+        q, r = divmod_poly(field, r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, sub(s0, mul(q, s1))
         t0, t1 = t1, sub(t0, mul(q, t1))
     if not r0:
         return (), s0, t0
-    inv = 1 / r0[-1]
+    inv = field.inv(r0[-1])
     return scale(r0, inv), scale(s0, inv), scale(t0, inv)
 
 
@@ -125,22 +122,15 @@ def derivative(f, field) -> tuple:
     return normalize([field(i) * c for i, c in enumerate(f)][1:])
 
 
-def pow_mod(f, e: int, m) -> tuple:
-    result = (m[-1] / m[-1],)
-    f = mod(f, m)
+def pow_mod(field, f, e: int, m) -> tuple:
+    result = (field.one,)
+    f = mod(field, f, m)
     while e:
         if e & 1:
-            result = mod(mul(result, f), m)
-        f = mod(mul(f, f), m)
+            result = mod(field, mul(result, f), m)
+        f = mod(field, mul(f, f), m)
         e >>= 1
     return result
-
-
-def evaluate(f, x):
-    acc = 0 * x
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 # -- factorization over GF(p) ------------------------------------------------
@@ -155,16 +145,16 @@ def _squarefree_fp(field: Field, f) -> list:
     if not d:
         # f = v(x^p); p-th roots of GF(p) coefficients are themselves
         return [(g, m * p) for g, m in _squarefree_fp(field, normalize(f[::p]))]
-    c = gcd(f, d)
-    w = divmod_poly(f, c)[0]
+    c = gcd(field, f, d)
+    w = divmod_poly(field, f, c)[0]
     i = 1
     while degree(w) > 0:
-        y = gcd(w, c)
-        fac = divmod_poly(w, y)[0]
+        y = gcd(field, w, c)
+        fac = divmod_poly(field, w, y)[0]
         if degree(fac) > 0:
-            out.append((monic(fac), i))
+            out.append((monic(field, fac), i))
         w = y
-        c = divmod_poly(c, y)[0]
+        c = divmod_poly(field, c, y)[0]
         i += 1
     if degree(c) > 0:
         out.extend((g, m * p) for g, m in _squarefree_fp(field, normalize(c[::p])))
@@ -184,16 +174,16 @@ def _equal_degree_split(field: Field, f, d: int, rng) -> list:
             t = a
             b = a
             for _ in range(d - 1):
-                b = pow_mod(b, 2, f)
+                b = pow_mod(field, b, 2, f)
                 t = add(t, b)
-            h = gcd(t, f)
+            h = gcd(field, t, f)
         else:
-            b = pow_mod(a, (p**d - 1) // 2, f)
-            h = gcd(sub(b, one), f)
+            b = pow_mod(field, a, (p**d - 1) // 2, f)
+            h = gcd(field, sub(b, one), f)
         if 0 < degree(h) < degree(f):
-            g = divmod_poly(f, h)[0]
-            return _equal_degree_split(field, monic(h), d, rng) + _equal_degree_split(
-                field, monic(g), d, rng
+            g = divmod_poly(field, f, h)[0]
+            return _equal_degree_split(field, monic(field, h), d, rng) + _equal_degree_split(
+                field, monic(field, g), d, rng
             )
 
 
@@ -205,16 +195,16 @@ def _factor_squarefree_fp(field: Field, f) -> list:
     rest = f
     d = 1
     while degree(rest) >= 2 * d:
-        h = pow_mod(h, p, rest)
-        g = gcd(sub(h, x), rest)
+        h = pow_mod(field, h, p, rest)
+        g = gcd(field, sub(h, x), rest)
         if degree(g) > 0:
             rng = random.Random(p * 1000003 + d * 101 + degree(rest))
-            out.extend(_equal_degree_split(field, monic(g), d, rng))
-            rest = divmod_poly(rest, g)[0]
-            h = mod(h, rest) if rest else h
+            out.extend(_equal_degree_split(field, monic(field, g), d, rng))
+            rest = divmod_poly(field, rest, g)[0]
+            h = mod(field, h, rest) if rest else h
         d += 1
     if degree(rest) > 0:
-        out.append(monic(rest))
+        out.append(monic(field, rest))
     return out
 
 
@@ -223,17 +213,17 @@ def _factor_squarefree_fp(field: Field, f) -> list:
 
 def _squarefree_char0(f) -> list:
     out = []
-    fd = normalize([Fraction(i) * c for i, c in enumerate(f)][1:])
-    c = gcd(f, fd)
-    w = divmod_poly(f, c)[0]
+    fd = derivative(f, QQ)
+    c = gcd(QQ, f, fd)
+    w = divmod_poly(QQ, f, c)[0]
     i = 1
     while degree(w) > 0:
-        y = gcd(w, c)
-        fac = divmod_poly(w, y)[0]
+        y = gcd(QQ, w, c)
+        fac = divmod_poly(QQ, w, y)[0]
         if degree(fac) > 0:
-            out.append((monic(fac), i))
+            out.append((monic(QQ, fac), i))
         w = y
-        c = divmod_poly(c, y)[0]
+        c = divmod_poly(QQ, c, y)[0]
         i += 1
     return out
 
@@ -258,7 +248,7 @@ def _factor_squarefree_rational(f) -> list:
     """Monic rational irreducible factors of a squarefree monic-able f."""
     n = degree(f)
     if n == 1:
-        return [monic(f)]
+        return [monic(QQ, f)]
     g = _primitive_int(f)
     lead = g[-1]
     # coefficient bound for integer factors of lead*g, with generous slack
@@ -268,13 +258,13 @@ def _factor_squarefree_rational(f) -> list:
         field = Field(p)
         if g[-1] % p:
             gp = normalize([field(c) for c in g])
-            if degree(gcd(gp, derivative(gp, field))) == 0:
+            if degree(gcd(field, gp, derivative(gp, field))) == 0:
                 break
         p = next_prime(p + 1)
-    pool = _factor_squarefree_fp(field, monic(gp))
+    pool = _factor_squarefree_fp(field, monic(field, gp))
     pool.sort()
     found = []
-    current = [Fraction(c) for c in g]
+    current = list(g)
 
     def lift(mod_poly, lead_now):
         out = []
@@ -282,7 +272,7 @@ def _factor_squarefree_rational(f) -> list:
             v = c.value * lead_now % p
             if v > p // 2:
                 v -= p
-            out.append(Fraction(v))
+            out.append(v)
         return normalize(out)
 
     k = 1
@@ -294,12 +284,12 @@ def _factor_squarefree_rational(f) -> list:
                 prod = mul(prod, pool[i])
             lead_now = int(current[-1])
             cand = lift(prod, lead_now)
-            cand = normalize([Fraction(c) for c in _primitive_int(cand)])
+            cand = normalize(_primitive_int(cand))
             if not cand or degree(cand) < 1:
                 continue
-            q, r = divmod_poly(tuple(current), cand)
+            q, r = divmod_poly(QQ, tuple(current), cand)
             if not r:
-                found.append(monic(cand))
+                found.append(monic(QQ, cand))
                 current = list(q)
                 pool = [pl for i, pl in enumerate(pool) if i not in idx]
                 retry = True
@@ -307,7 +297,7 @@ def _factor_squarefree_rational(f) -> list:
         if not retry:
             k += 1
     if degree(normalize(current)) > 0:
-        found.append(monic(normalize(current)))
+        found.append(monic(QQ, normalize(current)))
     return found
 
 
@@ -320,7 +310,7 @@ def factor(field: Field, f):
     if not f:
         raise BadParams("cannot factor the zero polynomial")
     unit = f[-1]
-    f = monic(f)
+    f = monic(field, f)
     if degree(f) < 1:
         return unit, []
     if field.p is None:

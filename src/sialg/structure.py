@@ -324,11 +324,11 @@ def _split_once(qalg: FinDimAlgebra, e: Element, corner: Span, rng, budget: int)
         f = poly.normalize(factors[0][0])
         for _ in range(factors[0][1] - 1):
             f = poly.mul(f, factors[0][0])
-        g, _ = poly.divmod_poly(mu, f)
-        gcd_fg, u, v = poly.xgcd(f, g)
+        g, _ = poly.divmod_poly(field, mu, f)
+        gcd_fg, u, v = poly.xgcd(field, f, g)
         if poly.degree(gcd_fg) != 0:
             continue
-        eps_poly = poly.mod(poly.mul(v, g), mu)
+        eps_poly = poly.mod(field, poly.mul(v, g), mu)
         # evaluate at z relative to the corner unit e
         eps = e.scaled(field.zero)
         power = e

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import FinDimAlgebra, Tensor2, act_right, permute_basis
 from .amplify import (
+    ComultiplicationReport,
     SpreadSpec,
     amplify,
     counit_solution_space,
     is_incidence_invertible,
+    preset_spec,
     spread,
 )
 from .errors import AlgebraError, InvalidAlgebra, NotFrobenius, NotSelfInjectiveLike
@@ -66,13 +68,15 @@ class CheckResult:
 
 
 class CorpusCache:
-    """Pipeline contexts per corpus entry, built once and shared."""
+    """Pipeline contexts per corpus entry, and the reports of the subset
+    data run on them, each built once and shared."""
 
     def __init__(self, profile: str, seed: int = DEFAULT_SEED):
         self.profile = profile
         self.seed = seed
         self.entries = corpus(profile)
         self._contexts: dict = {}
+        self._reports: dict = {}
 
     def context(self, idx: int) -> PipelineContext:
         ctx = self._contexts.get(idx)
@@ -80,6 +84,18 @@ class CorpusCache:
             ctx = prepare(self.entries[idx].algebra, self.seed)
             self._contexts[idx] = ctx
         return ctx
+
+    def report(self, idx: int, spec: SpreadSpec | str) -> ComultiplicationReport:
+        """Report of `run_spec` on entry idx; a preset name and the subset
+        data it resolves to share one run."""
+        ctx = self.context(idx)
+        if isinstance(spec, str):
+            spec = preset_spec(spec, ctx.analysis.dec.multiplicities, ctx.analysis.nak)
+        report = self._reports.get((idx, spec))
+        if report is None:
+            report = run_spec(ctx, spec).report
+            self._reports[(idx, spec)] = report
+        return report
 
     def items(self):
         return list(enumerate(self.entries))
@@ -185,8 +201,7 @@ def check_singleton_injectivity(cache: CorpusCache) -> CheckResult:
     comultiplication has full rank, on every corpus algebra."""
     failures = []
     for idx, entry in cache.items():
-        run = run_spec(cache.context(idx), "singleton")
-        r = run.report
+        r = cache.report(idx, "singleton")
         if not (r.invariant and r.coassociative and r.rank == r.dim):
             failures.append(
                 f"{entry.key}: invariant={r.invariant} coassociative={r.coassociative}"
@@ -238,8 +253,7 @@ def check_spread_family(cache: CorpusCache):
         field = ctx.analysis.algebra.field
         for spec_name, spec in specs:
             runs += 1
-            run = run_spec(ctx, spec)
-            r = run.report
+            r = cache.report(idx, spec)
             if not (r.invariant and r.coassociative):
                 fam_failures.append(
                     f"{entry.key} [{spec_name}]: invariant={r.invariant}"
@@ -549,7 +563,7 @@ def check_round_trip(cache: CorpusCache) -> CheckResult:
         for preset in ("singleton", "diagonal", "full"):
             runs += 1
             r = run_spec(ctx, preset).report
-            r0 = run_spec(base_ctx, preset).report
+            r0 = cache.report(idx, preset)
             ok = (
                 r.invariant
                 and r.coassociative

@@ -136,14 +136,29 @@ def test_criterion_9_permuted_round_trip(cache):
 
 def test_run_verification_prepares_each_input_once(monkeypatch):
     # 14 corpus contexts (shared by every check, the round trip included),
-    # 1 negative control and 14 permuted presentations
-    calls = []
-    original = verify.prepare
+    # 1 negative control and 14 permuted presentations (prepared with
+    # validate=True)
+    prepared, runs = [], []
+    original_prepare, original_run_spec = verify.prepare, verify.run_spec
 
     def counting_prepare(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+        ctx = original_prepare(*args, **kwargs)
+        prepared.append((ctx, kwargs.get("validate", False)))
+        return ctx
+
+    def counting_run_spec(ctx, spec):
+        run = original_run_spec(ctx, spec)
+        runs.append((id(ctx), run.spec))
+        return run
 
     monkeypatch.setattr(verify, "prepare", counting_prepare)
+    monkeypatch.setattr(verify, "run_spec", counting_run_spec)
     verify.run_verification("small")
-    assert len(calls) == 29
+    assert len(prepared) == 29
+    # on the shared contexts each subset datum runs once, whether the
+    # singleton check, the sweep or the round trip's base side asks for it;
+    # the 14 permuted contexts run 5 subset data each
+    shared = {id(ctx) for ctx, validate in prepared if not validate}
+    base = [run for run in runs if run[0] in shared]
+    assert len(base) == len(set(base)) == 61
+    assert len(runs) - len(base) == 14 * 5

@@ -12,8 +12,8 @@ DIAGONAL_NSY_2_2_22_COMUL_SHA256 = (
 VERIFY_SMALL_REPORT_SHA256 = (
     "6448049195ca15288cc6f801c70dc9f67876f7780742dfa3f8005f3298d84d3e"
 )
-# `sialg verify --profile standard --report` takes about 40 s, too slow
-# for Tier-1, so only the CI workflow (.github/workflows/tier1.yml) checks it
+# `sialg verify --profile standard --report` takes about 9 s, half of
+# Tier-1 again, so only the CI workflow (.github/workflows/tier1.yml) checks it
 VERIFY_STANDARD_REPORT_SHA256 = (
     "af1557ded646bc100536cb5eee7b83a4d39b126acc19ccdbfbf3a312f6cacd85"
 )
@@ -128,6 +128,20 @@ def test_zero_denominator_scalar(tmp_path, capsys, prime, command):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: BadParams: ")
     assert "scalar '1/0' has a zero denominator" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("prime", [None, "5"])
+def test_float_scalar_refused(tmp_path, capsys, prime):
+    alg_path = tmp_path / "a.json"
+    field_args = ("--prime", prime) if prime else ()
+    run_cli("generate", "--family", "matrix", "--m", "2", *field_args, "-o", str(alg_path))
+    data = json.loads(alg_path.read_text())
+    data["unit"][0] = 1.5
+    alg_path.write_text(json.dumps(data))
+    assert run_cli("analyze", "--input", str(alg_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: BadParams: scalar 1.5 is not exact")
     assert captured.out == ""
 
 

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -60,10 +62,58 @@ def test_parse_format_round_trip():
 
 def test_rational_coercion():
     assert QQ(Fraction(2, 4)) == Fraction(1, 2)
+    assert type(QQ(Fraction(4, 2))) is int and QQ(Fraction(4, 2)) == 2
     f = Field(5)
     assert f(Fraction(1, 2)) == f(3)
     with pytest.raises(BadParams):
         f(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("value", [0.1, 2.0, True])
+def test_inexact_scalars_refused(field, value):
+    with pytest.raises(BadParams):
+        field(value)
+
+
+def test_rational_scalars_are_ints_when_integral():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.parse("4/2")) is int and QQ.parse("4/2") == 2
+    assert QQ.parse("1/2") == Fraction(1, 2)
+    rng = random.Random(3)
+    assert all(type(QQ.random(rng)) is int for _ in range(20))
+    for x, text in ((2, "2"), (-1, "-1"), (Fraction(1, 2), "1/2")):
+        assert QQ.format(QQ(x)) == text
+
+
+def test_inv():
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(Fraction(1, 2))) is int and QQ.inv(Fraction(1, 2)) == 2
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    f = Field(5)
+    assert type(f.inv(f(2))) is Fp and f.inv(f(2)) == f(3)
+    # an int row entry over GF(p) is inverted in GF(p), not over QQ
+    assert type(f.inv(2)) is Fp and f.inv(2) == f(3)
+    for field in (QQ, f):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero)
+
+
+def test_division_only_in_fields():
+    # every `/` in the package is in fields.py, behind Field.inv and Fp, so
+    # no `1 / c` on int scalars can bring floats back
+    src = Path(__file__).resolve().parents[1] / "src" / "sialg"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(getattr(node, "op", None), ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(list(src.glob("*.py"))) > 1
+    assert found == []
 
 
 def test_field_json():
@@ -72,3 +122,6 @@ def test_field_json():
     assert Field(3).to_json() == {"prime": 3}
     with pytest.raises(BadParams):
         Field.from_json({"weird": 1})
+    for prime in (5.9, "7", True):
+        with pytest.raises(BadParams, match="prime must be an integer"):
+            Field.from_json({"prime": prime})

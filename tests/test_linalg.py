@@ -103,19 +103,20 @@ def test_sparse_agrees_with_dense():
 
 def test_sparse_integer_rows_give_field_scalars():
     # rows written with Python ints: every division goes through the field,
-    # so results are Fractions over QQ and residues over GF(3), never floats
+    # so results are exact scalars (ints or Fractions over QQ, residues over
+    # GF(3)), never floats
     assert sparse_solve(QQ, [{0: 2}], [1], 1) == ({0: Fraction(1, 2)}, 0)
     assert sparse_kernel(QQ, [{0: 2, 1: 1}], 2) == [{1: 1, 0: Fraction(-1, 2)}]
     # over GF(3) the second row is twice the first
     assert sparse_rank(Field(3), [{0: 1, 1: 2}, {0: 2, 1: 1}]) == 1
     rows = [{0: 2, 1: 1}, {1: 2, 2: 1}]
-    for field, scalar in ((QQ, Fraction), (Field(3), Fp)):
+    for field, scalars in ((QQ, (int, Fraction)), (Field(3), (Fp,))):
         assert sparse_rank(field, rows) == 2
         (kern,) = sparse_kernel(field, rows, 3)
         sol, nullity = sparse_solve(field, rows, [1, 2], 3)
         assert nullity == 1
         for vec, rhs in ((kern, [0, 0]), (sol, [1, 2])):
-            assert all(type(c) is scalar for c in vec.values())
+            assert all(type(c) in scalars for c in vec.values())
             for row, b in zip(rows, rhs):
                 assert sum((c * vec.get(k, 0) for k, c in row.items()), field.zero) == b
         assert sparse_solve(field, rows + [{0: 2, 1: 1}], [1, 2, 2], 3) == (None, 1)

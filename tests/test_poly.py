@@ -81,7 +81,7 @@ def test_xgcd_identity():
             g = poly.normalize([field.random(rng, -3, 3) for _ in range(3)])
             if not f or not g:
                 continue
-            d, u, v = poly.xgcd(f, g)
+            d, u, v = poly.xgcd(field, f, g)
             assert poly.add(poly.mul(u, f), poly.mul(v, g)) == d
             if d:
-                assert poly.mod(f, d) == () and poly.mod(g, d) == ()
+                assert poly.mod(field, f, d) == () and poly.mod(field, g, d) == ()
