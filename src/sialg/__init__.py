@@ -17,7 +17,6 @@ from .algebra import (
     check_associativity,
     check_coassociativity,
     check_unit,
-    delta_matrix,
     delta_rank,
     is_invariant,
     minimal_polynomial,

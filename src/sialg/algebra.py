@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import BadParams, DimensionMismatch, InvalidAlgebra
 from .fields import Field, json_int
-from .linalg import Matrix, Span, sparse_rank
+from .linalg import Span, sparse_rank
 
 
 def _accum(dst: dict, key, value):
@@ -489,18 +489,6 @@ def check_coassociativity(x: Tensor2):
         if left.get(key, 0) != right.get(key, 0):
             return key
     return None
-
-
-def delta_matrix(x: Tensor2) -> Matrix:
-    """Matrix of a -> a.x as a d^2 x d matrix; rank d means injective."""
-    alg = x.algebra
-    d = alg.dim
-    z = alg.field.zero
-    rows = [[z] * d for _ in range(d * d)]
-    for g, img in enumerate(x.delta()):
-        for (a, b), c in img.items():
-            rows[a * d + b][g] = c
-    return Matrix(alg.field, rows)
 
 
 def delta_rank(x: Tensor2) -> int:

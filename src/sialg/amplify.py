@@ -36,7 +36,7 @@ from .errors import (
     NotBijection,
 )
 from .fields import json_int
-from .linalg import Matrix, sparse_solve
+from .linalg import sparse_rank, sparse_solve
 from .structure import CanonicalDecomposition, NakayamaData, corner_span, peirce_components
 
 
@@ -331,10 +331,10 @@ def is_incidence_invertible(spec: SpreadSpec, m, nak: NakayamaData, field) -> li
             out.append(False)
             continue
         rows = [
-            [field.one if (s, s2) in pairs else field.zero for s2 in range(1, mo + 1)]
+            {s2: field.one for s2 in range(1, mo + 1) if (s, s2) in pairs}
             for s in range(1, mi + 1)
         ]
-        out.append(Matrix(field, rows).rank() == mi)
+        out.append(sparse_rank(field, rows) == mi)
     return out
 
 

@@ -17,10 +17,6 @@ class InvalidAlgebra(AlgebraError):
         self.witness = witness
 
 
-class Infeasible(AlgebraError):
-    """A linear system has no solution."""
-
-
 class SingularMatrix(AlgebraError):
     """Inversion attempted on a rank-deficient matrix."""
 

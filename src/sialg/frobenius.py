@@ -23,8 +23,8 @@ from .algebra import (
     is_invariant,
     multiply,
 )
-from .errors import AlgebraError, NotFrobenius, NotInvertible, SingularGram
-from .linalg import Matrix, Span, sparse_kernel
+from .errors import AlgebraError, NotFrobenius, NotInvertible, SingularGram, SingularMatrix
+from .linalg import Matrix, Span, sparse_kernel, sparse_rank, sparse_solve
 from .structure import (
     DEFAULT_SEED,
     CanonicalDecomposition,
@@ -124,10 +124,8 @@ def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
 
 
 def _functional_from_targets(lam: FinDimAlgebra, vectors, targets) -> Functional:
-    mat = Matrix(lam.field, [list(v.dense()) for v in vectors])
-    rhs = Matrix.column(lam.field, targets)
-    sol, _ = mat.solve(rhs)
-    return Functional(lam, sol.column_vector(0))
+    sol, _ = sparse_solve(lam.field, [v.coeffs for v in vectors], targets, lam.dim)
+    return Functional(lam, [sol.get(k, lam.field.zero) for k in range(lam.dim)])
 
 
 def construct_counit(
@@ -191,7 +189,7 @@ def dual_basis_tensor(lam: FinDimAlgebra, eps: Functional) -> Tensor2:
     gram = gram_matrix(lam, eps)
     try:
         ginv = gram.inverse()
-    except Exception as exc:
+    except SingularMatrix as exc:
         raise SingularGram("Gram matrix of the counit is singular") from exc
     coeffs = {}
     for a in range(lam.dim):
@@ -317,16 +315,16 @@ def _block_support(y: Tensor2, dec, nak):
     return True, None
 
 
+def is_unit(lam: FinDimAlgebra, b: Element) -> bool:
+    """b is a unit exactly when the columns b.e_t have full rank."""
+    cols = (multiply(b, lam.basis_element(t)).coeffs for t in range(lam.dim))
+    return sparse_rank(lam.field, cols) == lam.dim
+
+
 def transport_pair(lam: FinDimAlgebra, pair: FrobeniusPair, b: Element) -> FrobeniusPair:
     """New pair with eps'(a) = eps(a b) for an invertible b; the tensor is
     rebuilt from the transported counit's Gram inverse."""
-    field = lam.field
-    cols = [multiply(b, lam.basis_element(t)).coeffs for t in range(lam.dim)]
-    mat = Matrix(
-        field,
-        [[cols[t].get(k, field.zero) for t in range(lam.dim)] for k in range(lam.dim)],
-    )
-    if mat.rank() != lam.dim:
+    if not is_unit(lam, b):
         raise NotInvertible("transport element is not a unit")
     eps2 = Functional(
         lam, [pair.epsilon(multiply(lam.basis_element(a), b)) for a in range(lam.dim)]

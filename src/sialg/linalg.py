@@ -1,19 +1,21 @@
-"""Dense and sparse exact linear algebra over a :class:`~sialg.fields.Field`.
+"""Exact linear algebra over a :class:`~sialg.fields.Field`: one elimination.
 
-Dense :class:`Matrix` covers rank / solve / invert with deterministic
-first-nonzero pivoting.  :class:`Span` is the one sparse elimination: it
-keeps rows stored as ``{column_key: scalar}`` dicts with orderable keys in
-reduced echelon form.  Both divide only through ``field.inv`` and narrow
-an integral rational back to ``int`` as they scale a pivot row.  The
-``sparse_rank``, ``sparse_kernel`` and ``sparse_solve`` helpers are a few
-lines each over it; together they carry the large but very sparse systems
-(Peirce corners, socles, counit feasibility, comultiplication rank) that
-would be wasteful densely.
+:class:`Span` is the only elimination algorithm: it keeps rows stored as
+``{column_key: scalar}`` dicts with orderable keys in reduced echelon
+form, divides only through ``field.inv`` and narrows an integral rational
+back to ``int`` as it scales a pivot row.  The ``sparse_rank``,
+``sparse_kernel`` and ``sparse_solve`` helpers are a few lines each over
+it; together they carry the large but very sparse systems (Peirce
+corners, socles, counit feasibility, comultiplication rank) that would be
+wasteful densely.  :class:`Matrix` is a dense view over the same
+elimination, used for the Gram matrix of a counit: its ``rref`` hands the
+nonzero entries of each row to a :class:`Span` and writes the reduced
+rows back out densely.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, Infeasible, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 from .fields import narrow
 
 
@@ -32,153 +34,37 @@ class Matrix:
             if len(r) != self.ncols:
                 raise DimensionMismatch("ragged rows")
 
-    @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def column(cls, field, vec):
-        return cls(field, [[x] for x in vec])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols})"
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def column_vector(self, j):
-        return [r[j] for r in self.rows]
-
-    def transpose(self):
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)] if self.rows else [])
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise DimensionMismatch("inner dimensions differ")
-        z = self.field.zero
-        out = []
-        for row in self.rows:
-            out_row = []
-            for j in range(other.ncols):
-                acc = z
-                for k, c in enumerate(row):
-                    if c:
-                        acc = acc + c * other.rows[k][j]
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.field, out)
-
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch("shapes differ")
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch("shapes differ")
-        return Matrix(
-            self.field,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column tuple)."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        rank = 0
-        for col in range(self.ncols):
-            pivot_row = None
-            for r in range(rank, self.nrows):
-                if rows[r][col]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            inv = self.field.inv(rows[rank][col])
-            rows[rank] = [narrow(x * inv) for x in rows[rank]]
-            for r in range(self.nrows):
-                if r != rank and rows[r][col]:
-                    c = rows[r][col]
-                    rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        return Matrix(self.field, rows), tuple(pivots)
+        span = Span(self.field, ({j: x for j, x in enumerate(r) if x} for r in self.rows))
+        z = self.field.zero
+        rows = []
+        for _, row in span.basis_items():
+            dense = [z] * self.ncols
+            for j, x in row.items():
+                dense[j] = x
+            rows.append(dense)
+        rows.extend([z] * self.ncols for _ in range(self.nrows - span.dim))
+        return Matrix(self.field, rows), tuple(sorted(span.rows))
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def kernel(self):
-        """Basis of the right null space, as a list of coefficient lists."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        z, o = self.field.zero, self.field.one
-        basis = []
-        for j in free:
-            vec = [z] * self.ncols
-            vec[j] = o
-            for r, pc in enumerate(pivots):
-                vec[pc] = -reduced.rows[r][j]
-            basis.append(vec)
-        return basis
-
-    def solve(self, rhs: "Matrix"):
-        """Particular solution X of self*X = rhs plus right kernel basis.
-
-        Raises Infeasible when no solution exists.
-        """
-        if rhs.nrows != self.nrows:
-            raise DimensionMismatch("rhs row count differs")
-        aug = Matrix(
-            self.field,
-            [list(r) + list(b) for r, b in zip(self.rows, rhs.rows)],
-        )
-        reduced, pivots = aug.rref()
-        for r in range(len(pivots)):
-            if pivots[r] >= self.ncols:
-                raise Infeasible("inconsistent linear system")
-        z = self.field.zero
-        sol = [[z] * rhs.ncols for _ in range(self.ncols)]
-        for r, pc in enumerate(pivots):
-            for j in range(rhs.ncols):
-                sol[pc][j] = reduced.rows[r][self.ncols + j]
-        return Matrix(self.field, sol), self.kernel()
-
     def inverse(self):
-        if self.nrows != self.ncols:
+        n = self.nrows
+        if n != self.ncols:
             raise SingularMatrix("not square")
+        z, o = self.field.zero, self.field.one
         aug = Matrix(
             self.field,
-            [
-                list(r) + list(e)
-                for r, e in zip(self.rows, Matrix.identity(self.field, self.nrows).rows)
-            ],
+            [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(self.rows)],
         )
+        # the identity block gives the augmented matrix rank n, so the left
+        # block is invertible exactly when no pivot falls in the right block
         reduced, pivots = aug.rref()
-        if len(pivots) < self.nrows or any(p >= self.ncols for p in pivots):
+        if any(p >= n for p in pivots):
             raise SingularMatrix("rank deficient")
-        return Matrix(self.field, [r[self.ncols:] for r in reduced.rows])
+        return Matrix(self.field, [r[n:] for r in reduced.rows])
 
 
 # -- sparse rows -------------------------------------------------------------

@@ -30,7 +30,7 @@ from .amplify import (
 )
 from .errors import AlgebraError
 from .frobenius import FrobeniusPair, frobenius_pair
-from .linalg import Matrix, sparse_rank
+from .linalg import Span
 from .structure import (
     DEFAULT_SEED,
     BasicEmbedding,
@@ -119,14 +119,6 @@ class ModelIsomorphism:
             images.append(img)
         self.images = images
         self._verify()
-        field = alg.field
-        self._matrix = Matrix(
-            field,
-            [
-                [images[t].coeffs.get(k, field.zero) for t in range(len(images))]
-                for k in range(alg.dim)
-            ],
-        )
 
     def _verify(self):
         amp_alg = self.amp.algebra
@@ -149,8 +141,19 @@ class ModelIsomorphism:
                     raise AlgebraError(
                         f"model map is not multiplicative at basis pair ({a},{b})"
                     )
-        if sparse_rank(alg.field, (img.coeffs for img in self.images)) != d:
+        # row t carries the image of basis vector t tagged by key d + t; the
+        # map is bijective exactly when every pivot is an input key, and the
+        # row at pivot k then spells phi^-1(b_k) in its tag keys
+        field = alg.field
+        span = Span(
+            field, ({**img.coeffs, d + t: field.one} for t, img in enumerate(self.images))
+        )
+        if any(piv >= d for piv in span.rows):
             raise AlgebraError("model map is not bijective")
+        self.preimages = [
+            {key - d: c for key, c in row.items() if key >= d}
+            for _, row in span.basis_items()
+        ]
 
     def apply_element(self, x: Element) -> Element:
         out = self.alg.zero()
@@ -172,10 +175,13 @@ class ModelIsomorphism:
         return Tensor2(self.alg, out)
 
     def transport_functional(self, f: Functional) -> Functional:
-        """Functional on the input algebra pulling back to f on the model."""
-        rhs = Matrix.column(self.amp.algebra.field, list(f.values))
-        sol, _ = self._matrix.transpose().solve(rhs)
-        return Functional(self.alg, sol.column_vector(0))
+        """Functional on the input algebra pulling back to f on the model:
+        its value at b_k is f(phi^-1(b_k))."""
+        zero = self.alg.field.zero
+        return Functional(
+            self.alg,
+            [sum((c * f.values[t] for t, c in pre.items()), zero) for pre in self.preimages],
+        )
 
 
 @dataclass

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedField,
     WitnessNotFound,
 )
-from .linalg import Matrix, Span, sparse_kernel, sparse_solve
+from .linalg import Span, sparse_kernel, sparse_rank, sparse_solve
 
 DEFAULT_SEED = 271828
 SPLIT_BUDGET_FACTOR = 32
@@ -144,15 +144,16 @@ def _trace_form_kernel(alg: FinDimAlgebra):
     form = []
     for i in range(d):
         row_i = alg.rows[i]
-        form_row = []
+        form_row = {}
         for j in range(d):
             acc = field.zero
             for k, c in row_i[j].items():
                 if traces[k]:
                     acc = acc + c * traces[k]
-            form_row.append(acc)
+            if acc:
+                form_row[j] = acc
         form.append(form_row)
-    return Matrix(field, form).kernel()
+    return sparse_kernel(field, form, d)
 
 
 def _frobenius_power_kernel(alg: FinDimAlgebra):
@@ -162,12 +163,11 @@ def _frobenius_power_kernel(alg: FinDimAlgebra):
     q = p
     while q < alg.dim:
         q *= p
-    cols = [_element_pow(alg.basis_element(i), q).coeffs for i in range(alg.dim)]
-    rows = [
-        [cols[i].get(k, alg.field.zero) for i in range(alg.dim)]
-        for k in range(alg.dim)
-    ]
-    return Matrix(alg.field, rows).kernel()
+    rows = [{} for _ in range(alg.dim)]
+    for i in range(alg.dim):
+        for k, c in _element_pow(alg.basis_element(i), q).coeffs.items():
+            rows[k][i] = c
+    return sparse_kernel(alg.field, rows, alg.dim)
 
 
 def radical(alg: FinDimAlgebra, verify: bool = True) -> RadicalData:
@@ -186,9 +186,7 @@ def radical(alg: FinDimAlgebra, verify: bool = True) -> RadicalData:
         raise UnsupportedField(
             f"radical over GF({field.p}) needs p > dim or a commutative algebra"
         )
-    span = Span(field)
-    for vec in kernel:
-        span.add({i: c for i, c in enumerate(vec) if c})
+    span = Span(field, kernel)
     basis = [Element(alg, dict(row)) for row in span.basis_vectors()]
     # nilpotency index: first power of the span that vanishes
     index = 1
@@ -592,14 +590,14 @@ def _has_invertible_combination(field, sols, size: int, seed: int) -> bool:
     if not sols:
         return False
 
-    def as_matrix(vec: dict) -> Matrix:
-        rows = [[field.zero] * size for _ in range(size)]
+    def invertible(vec: dict) -> bool:
+        rows = [{} for _ in range(size)]
         for key, c in vec.items():
             rows[key // size][key % size] = c
-        return Matrix(field, rows)
+        return sparse_rank(field, rows) == size
 
     for vec in sols:
-        if as_matrix(vec).rank() == size:
+        if invertible(vec):
             return True
     rng = random.Random(seed)
     for _ in range(64):
@@ -613,7 +611,7 @@ def _has_invertible_combination(field, sols, size: int, seed: int) -> bool:
                         combo[k] = w
                     else:
                         combo.pop(k, None)
-        if combo and as_matrix(combo).rank() == size:
+        if combo and invertible(combo):
             return True
     return False
 

@@ -1,0 +1,104 @@
+"""Dense Gaussian elimination over a Field, kept apart from sialg.linalg.
+
+A plain textbook reference for the tests: matrices are lists of rows of
+field scalars, pivots are chosen as the first nonzero entry of a column,
+and the only division is ``field.inv``.  Nothing here uses
+``sialg.linalg``, so comparing against it checks ``Span`` and the dense
+``Matrix`` view over it with an independent implementation.
+"""
+
+
+def rref(field, rows, ncols):
+    """(reduced rows, pivot columns); zero rows sink to the bottom."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            c = rows[r][col]
+            if r != rank and c:
+                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def rank(field, rows):
+    return len(rref(field, rows, len(rows[0]) if rows else 0)[1])
+
+
+def kernel(field, rows, ncols):
+    """Basis of the right null space: one vector per free column."""
+    reduced, pivots = rref(field, rows, ncols)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [field.zero] * ncols
+        vec[j] = field.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][j]
+        basis.append(vec)
+    return basis
+
+
+def solve(field, rows, rhs, ncols):
+    """A solution of rows . x = rhs with free unknowns 0, or None."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    reduced, pivots = rref(field, aug, ncols + 1)
+    if ncols in pivots:
+        return None
+    sol = [field.zero] * ncols
+    for r, pc in enumerate(pivots):
+        sol[pc] = reduced[r][ncols]
+    return sol
+
+
+def inverse(field, rows):
+    """Inverse of a square matrix, or None when it is singular."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        return None
+    aug = [list(r) + e for r, e in zip(rows, identity(field, n))]
+    reduced, pivots = rref(field, aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [r[n:] for r in reduced]
+
+
+def identity(field, n):
+    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+
+
+def matmul(field, a, b):
+    return [
+        [sum((x * b[k][j] for k, x in enumerate(row)), field.zero) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def apply(field, rows, vec):
+    return [sum((c * x for c, x in zip(row, vec)), field.zero) for row in rows]
+
+
+def left_multiplication(b):
+    """Dense matrix of a -> b a; b is a unit exactly when it has full rank."""
+    alg = b.algebra
+    cols = [(b * alg.basis_element(t)).coeffs for t in range(alg.dim)]
+    return [[col.get(k, alg.field.zero) for col in cols] for k in range(alg.dim)]
+
+
+def delta_matrix(x):
+    """Matrix of a -> a.x as a d^2 x d matrix; rank d means injective."""
+    alg = x.algebra
+    d = alg.dim
+    rows = [[alg.field.zero] * d for _ in range(d * d)]
+    for g, img in enumerate(x.delta()):
+        for (a, b), c in img.items():
+            rows[a * d + b][g] = c
+    return rows

@@ -157,8 +157,10 @@ def test_run_verification_prepares_each_input_once(monkeypatch):
     assert len(prepared) == 29
     # on the shared contexts each subset datum runs once, whether the
     # singleton check, the sweep or the round trip's base side asks for it;
-    # the 14 permuted contexts run 5 subset data each
+    # the 14 permuted contexts ask for 5 subset data each (70 runs counted
+    # in the report), of which 38 are distinct and run once
     shared = {id(ctx) for ctx, validate in prepared if not validate}
     base = [run for run in runs if run[0] in shared]
     assert len(base) == len(set(base)) == 61
-    assert len(runs) - len(base) == 14 * 5
+    permuted = [run for run in runs if run[0] not in shared]
+    assert len(permuted) == len(set(permuted)) == 38

@@ -4,6 +4,7 @@ from itertools import product as iter_product
 
 import pytest
 
+import dense_reference as dense
 from sialg.algebra import (
     act_left,
     apply_functional,
@@ -41,7 +42,6 @@ from sialg.families import (
 )
 from sialg.fields import QQ, Field
 from sialg.frobenius import frobenius_pair
-from sialg.linalg import Matrix
 from sialg.structure import NakayamaData, canonical_decomposition, nakayama, radical
 
 
@@ -271,10 +271,7 @@ def test_counit_oracle_m2_singleton_infeasible():
                 row[b] += c
         rows.append(row)
         rhs.append(unit[g])
-    from sialg.errors import Infeasible
-
-    with pytest.raises(Infeasible):
-        Matrix(alg.field, rows).solve(Matrix.column(alg.field, rhs))
+    assert dense.solve(alg.field, rows, rhs, 4) is None
     assert counit_solution_space(alg, x)[0] is None
 
 

@@ -3,47 +3,71 @@ from fractions import Fraction
 
 import pytest
 
-from sialg.errors import Infeasible, SingularMatrix
+import dense_reference as dense
+from sialg.errors import SingularMatrix
 from sialg.fields import Field, Fp, QQ
 from sialg.linalg import Matrix, sparse_kernel, sparse_rank, sparse_solve
 
 
-def qmat(rows):
-    return Matrix(QQ, [[Fraction(x) for x in r] for r in rows])
+def q(rows):
+    return [[Fraction(x) for x in r] for r in rows]
 
 
 def test_rank_examples():
-    assert Matrix.identity(QQ, 2).rank() == 2
-    assert Matrix.zeros(QQ, 2, 2).rank() == 0
-    assert qmat([[1, 2], [2, 4]]).rank() == 1
+    for rows, rank in (
+        (dense.identity(QQ, 2), 2),
+        ([[QQ.zero] * 2] * 2, 0),
+        (q([[1, 2], [2, 4]]), 1),
+    ):
+        assert Matrix(QQ, rows).rank() == dense.rank(QQ, rows) == rank
+        assert sparse_rank(QQ, _dense_to_rows(rows)) == rank
 
 
 def test_solve_examples():
-    sol, kern = Matrix.identity(QQ, 3).solve(qmat([[1], [2], [3]]))
-    assert sol == qmat([[1], [2], [3]]) and kern == []
-    with pytest.raises(Infeasible):
-        Matrix.zeros(QQ, 1, 1).solve(qmat([[1]]))
-    sol, kern = qmat([[1, 1]]).solve(qmat([[1]]))
-    assert sol.column_vector(0) == [Fraction(1), Fraction(0)]
-    assert len(kern) == 1
-    # kernel spans (1, -1)
-    v = kern[0]
-    assert v[0] == -v[1] and v[0] != 0
+    for rows, rhs, expect, nullity in (
+        (dense.identity(QQ, 3), [1, 2, 3], [1, 2, 3], 0),
+        ([[QQ.zero]], [1], None, 1),
+        (q([[1, 1]]), [1], [1, 0], 1),
+    ):
+        ncols = len(rows[0])
+        assert dense.solve(QQ, rows, rhs, ncols) == expect
+        sol, got_nullity = sparse_solve(QQ, _dense_to_rows(rows), rhs, ncols)
+        assert got_nullity == nullity == len(dense.kernel(QQ, rows, ncols))
+        if expect is None:
+            assert sol is None
+        else:
+            assert [sol.get(j, 0) for j in range(ncols)] == expect
+    # the kernel of (1 1) spans (1, -1)
+    assert dense.kernel(QQ, q([[1, 1]]), 2) == [[-1, 1]]
+    assert sparse_kernel(QQ, [{0: 1, 1: 1}], 2) == [{1: 1, 0: -1}]
 
 
 def test_invert_examples():
-    assert Matrix.identity(QQ, 3).inverse() == Matrix.identity(QQ, 3)
-    swap = qmat([[0, 1], [1, 0]])
-    assert swap.inverse() == swap
-    shear = qmat([[1, 1], [0, 1]])
-    assert shear.inverse() == qmat([[1, -1], [0, 1]])
+    eye = dense.identity(QQ, 3)
+    assert Matrix(QQ, eye).inverse().rows == eye == dense.inverse(QQ, eye)
+    swap = q([[0, 1], [1, 0]])
+    assert Matrix(QQ, swap).inverse().rows == swap
+    shear = q([[1, 1], [0, 1]])
+    assert Matrix(QQ, shear).inverse().rows == q([[1, -1], [0, 1]]) == dense.inverse(QQ, shear)
+    singular = q([[1, 2], [2, 4]])
+    assert dense.inverse(QQ, singular) is None
     with pytest.raises(SingularMatrix):
-        qmat([[1, 2], [2, 4]]).inverse()
+        Matrix(QQ, singular).inverse()
 
 
-def random_matrix(field, rng, nrows, ncols):
-    return Matrix(
-        field, [[field.random(rng, -4, 4) for _ in range(ncols)] for _ in range(nrows)]
+def random_rows(field, rng, nrows, ncols):
+    return [[field.random(rng, -4, 4) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def low_rank_rows(field, rng, nrows, ncols):
+    """A product through an inner dimension below min(nrows, ncols), or of
+    dimension at most 1 when that minimum is 1; inner dimension 0 gives the
+    zero matrix."""
+    inner = rng.randint(0, max(min(nrows, ncols) - 1, 1))
+    if not inner:
+        return [[field.zero] * ncols for _ in range(nrows)]
+    return dense.matmul(
+        field, random_rows(field, rng, nrows, inner), random_rows(field, rng, inner, ncols)
     )
 
 
@@ -51,13 +75,13 @@ def test_rank_nullity_random():
     rng = random.Random(7)
     for field in (QQ, Field(5)):
         for _ in range(40):
-            m = random_matrix(field, rng, rng.randint(1, 5), rng.randint(1, 5))
-            assert m.rank() + len(m.kernel()) == m.ncols
-            for v in m.kernel():
-                prod = [
-                    sum((c * x for c, x in zip(row, v)), field.zero) for row in m.rows
-                ]
-                assert all(not e for e in prod)
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            rows = random_rows(field, rng, nrows, ncols)
+            kern = dense.kernel(field, rows, ncols)
+            assert Matrix(field, rows).rank() + len(kern) == ncols
+            assert len(sparse_kernel(field, _dense_to_rows(rows), ncols)) == len(kern)
+            for v in kern:
+                assert all(not e for e in dense.apply(field, rows, v))
 
 
 def test_inverse_random():
@@ -65,40 +89,67 @@ def test_inverse_random():
     for field in (QQ, Field(7)):
         for _ in range(25):
             n = rng.randint(1, 5)
-            m = random_matrix(field, rng, n, n)
-            if m.rank() < n:
+            rows = random_rows(field, rng, n, n)
+            if dense.rank(field, rows) < n:
                 continue
-            assert m.inverse() * m == Matrix.identity(field, n)
+            inv = Matrix(field, rows).inverse().rows
+            assert dense.matmul(field, inv, rows) == dense.identity(field, n)
+            assert dense.matmul(field, rows, inv) == dense.identity(field, n)
 
 
-def _dense_to_rows(m):
-    return [
-        {j: c for j, c in enumerate(row) if c} for row in m.rows
-    ]
+def test_matrix_view_matches_dense_reference():
+    # Matrix.rref and Matrix.inverse run through Span; reduced echelon form
+    # is unique, so both must equal the textbook elimination exactly
+    rng = random.Random(12)
+    shapes = 0
+    for field in (QQ, Field(5)):
+        for trial in range(60):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            if trial % 3 == 0:
+                nrows = ncols  # square, so the inverse is tested often
+            make = low_rank_rows if trial % 2 else random_rows
+            rows = make(field, rng, nrows, ncols)
+            reduced, pivots = Matrix(field, rows).rref()
+            want_rows, want_pivots = dense.rref(field, rows, ncols)
+            assert (reduced.rows, list(pivots)) == (want_rows, want_pivots)
+            assert (reduced.nrows, reduced.ncols) == (nrows, ncols)
+            want_inv = dense.inverse(field, rows)
+            if want_inv is None:
+                with pytest.raises(SingularMatrix):
+                    Matrix(field, rows).inverse()
+            else:
+                assert Matrix(field, rows).inverse().rows == want_inv
+            shapes += 1
+        zero = [[field.zero] * 3 for _ in range(2)]
+        assert Matrix(field, zero).rref()[0].rows == zero
+        with pytest.raises(SingularMatrix):
+            Matrix(field, [[field.zero] * 2 for _ in range(2)]).inverse()
+    assert shapes == 120
+
+
+def _dense_to_rows(rows):
+    return [{j: c for j, c in enumerate(row) if c} for row in rows]
 
 
 def test_sparse_agrees_with_dense():
     rng = random.Random(9)
     for field in (QQ, Field(3)):
         for _ in range(40):
-            m = random_matrix(field, rng, rng.randint(1, 6), rng.randint(1, 6))
-            assert sparse_rank(field, _dense_to_rows(m)) == m.rank()
-            kern = sparse_kernel(field, _dense_to_rows(m), m.ncols)
-            assert len(kern) == len(m.kernel())
-            rhs = [field.random(rng, -3, 3) for _ in range(m.nrows)]
-            sol, nullity = sparse_solve(field, _dense_to_rows(m), rhs, m.ncols)
-            assert nullity == len(m.kernel())
-            try:
-                dsol, _ = m.solve(Matrix.column(field, rhs))
-                dense_feasible = True
-            except Infeasible:
-                dense_feasible = False
-            assert (sol is not None) == dense_feasible
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            rows = random_rows(field, rng, nrows, ncols)
+            sparse = _dense_to_rows(rows)
+            assert sparse_rank(field, sparse) == dense.rank(field, rows)
+            kern = sparse_kernel(field, sparse, ncols)
+            assert len(kern) == len(dense.kernel(field, rows, ncols))
+            rhs = [field.random(rng, -3, 3) for _ in range(nrows)]
+            sol, nullity = sparse_solve(field, sparse, rhs, ncols)
+            assert nullity == len(kern)
+            dsol = dense.solve(field, rows, rhs, ncols)
+            assert (sol is None) == (dsol is None)
             if sol is not None:
-                full = [sol.get(j, field.zero) for j in range(m.ncols)]
-                for row, b in zip(m.rows, rhs):
-                    acc = sum((c * x for c, x in zip(row, full)), field.zero)
-                    assert acc == b
+                # both set the free unknowns to 0, so the solutions coincide
+                assert [sol.get(j, field.zero) for j in range(ncols)] == dsol
+                assert dense.apply(field, rows, dsol) == rhs
 
 
 def test_sparse_integer_rows_give_field_scalars():

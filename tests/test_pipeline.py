@@ -3,16 +3,18 @@ import random
 
 import pytest
 
+import dense_reference as dense
 from sialg.algebra import is_invariant, permute_basis
 from sialg.amplify import SpreadSpec
 from sialg.errors import InvalidAlgebra, NotSelfInjectiveLike
 from sialg.families import (
+    corpus,
     matrix_algebra,
     nsy_algebra,
     path_algebra_a2,
     reference_delta_one,
 )
-from sialg.algebra import FinDimAlgebra
+from sialg.algebra import FinDimAlgebra, Functional
 from sialg.pipeline import analyze, comultiplication_pipeline, prepare, run_spec
 
 
@@ -153,10 +155,8 @@ def test_unsupported_modular_field_rejected():
 
 def _conjugate_basis(alg, T):
     """Presentation on the basis b'_r = sum_s T[r][s] b_s, T invertible."""
-    from sialg.linalg import Matrix
-
     field = alg.field
-    inv = Matrix(field, T).inverse()
+    inv = dense.inverse(field, T)
     d = alg.dim
     structure = []
     for i in range(d):
@@ -174,7 +174,7 @@ def _conjugate_basis(alg, T):
                 if not c:
                     continue
                 for r in range(d):
-                    w = inv.rows[k][r] * c
+                    w = inv[k][r] * c
                     if w:
                         structure.append((i, j, r, w))
     merged: dict = {}
@@ -184,7 +184,7 @@ def _conjugate_basis(alg, T):
     unit = [field.zero] * d
     for k, c in alg.unit.coeffs.items():
         for r in range(d):
-            unit[r] = unit[r] + inv.rows[k][r] * c
+            unit[r] = unit[r] + inv[k][r] * c
     return FinDimAlgebra(field, [f"v{r}" for r in range(d)], entries, unit, validate=True)
 
 
@@ -193,7 +193,6 @@ def test_pipeline_on_dense_change_of_basis():
     # all monomial structure, stressing the radical elimination, quotient
     # splitting, witness search and corner decomposition generically
     from sialg.fields import Field
-    from sialg.linalg import Matrix
 
     rng = random.Random(99)
     cases = [
@@ -209,11 +208,11 @@ def test_pipeline_on_dense_change_of_basis():
                 [alg.field.random(rng, -2, 2) for _ in range(alg.dim)]
                 for _ in range(alg.dim)
             ]
-            if Matrix(alg.field, T).rank() == alg.dim:
+            if dense.rank(alg.field, T) == alg.dim:
                 break
-        dense = _conjugate_basis(alg, T)
+        conjugated = _conjugate_basis(alg, T)
         base = prepare(alg)
-        ctx = prepare(dense)
+        ctx = prepare(conjugated)
         assert sorted(ctx.analysis.dec.multiplicities) == sorted(
             base.analysis.dec.multiplicities
         )
@@ -222,3 +221,20 @@ def test_pipeline_on_dense_change_of_basis():
             r0 = run_spec(base, preset).report
             assert r.invariant and r.coassociative
             assert r.rank == r0.rank and r.feasible == r0.feasible
+
+
+def test_transport_functional_matches_dense_solve():
+    # phi^-1 is read off once, when the model map is built; on every
+    # small-corpus context the transported functional must pull back to f
+    # and equal the dense solve of sum_k images[t][k] psi_k = f_t
+    rng = random.Random(23)
+    for entry in corpus("small"):
+        model_map = prepare(entry.algebra).model_map
+        alg, images = model_map.alg, model_map.images
+        field, d = alg.field, alg.dim
+        rows = [[img.coeffs.get(k, field.zero) for k in range(d)] for img in images]
+        for _ in range(3):
+            f = Functional(model_map.amp.algebra, [field.random(rng, -3, 3) for _ in range(d)])
+            psi = model_map.transport_functional(f)
+            assert [psi(img) for img in images] == list(f.values)
+            assert list(psi.values) == dense.solve(field, rows, f.values, d)
