@@ -16,8 +16,12 @@ from .fields import Field, json_int
 from .linalg import Span, sparse_rank
 
 
-def _accum(dst: dict, key, value):
+def _accum(dst: dict, key, value, p):
+    """dst[key] += value, reduced mod p over GF(p) (p None over QQ); a
+    zero sum drops the key, so stored dicts stay zero-free."""
     w = dst.get(key, 0) + value
+    if p:
+        w %= p
     if w:
         dst[key] = w
     else:
@@ -109,7 +113,7 @@ class FinDimAlgebra:
             a, b = key
             c = self.field(c)
             if c:
-                _accum(out, (a, b), c)
+                _accum(out, (a, b), c, self.field.p)
         return Tensor2(self, out)
 
     def is_commutative(self) -> bool:
@@ -209,25 +213,31 @@ class Element:
     def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
+        p = self.algebra.field.p
         for i, c in other.coeffs.items():
-            _accum(out, i, c)
+            _accum(out, i, c, p)
         return Element(self.algebra, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.coeffs)
+        p = self.algebra.field.p
         for i, c in other.coeffs.items():
-            _accum(out, i, -c)
+            _accum(out, i, -c, p)
         return Element(self.algebra, out)
 
     def __neg__(self):
-        return Element(self.algebra, {i: -c for i, c in self.coeffs.items()})
+        norm = self.algebra.field.normal
+        return Element(self.algebra, {i: norm(-c) for i, c in self.coeffs.items()})
 
     def scaled(self, c):
-        c = self.algebra.field(c)
+        field = self.algebra.field
+        c, p = field(c), field.p
         if not c:
             return Element(self.algebra, {})
-        return Element(self.algebra, {i: v * c for i, v in self.coeffs.items()})
+        return Element(
+            self.algebra, {i: v * c % p if p else v * c for i, v in self.coeffs.items()}
+        )
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -259,10 +269,11 @@ class Functional:
     def __call__(self, a: Element):
         if not self.algebra.same_space(a.algebra):
             raise DimensionMismatch("functional applied across algebras")
-        acc = self.algebra.field.zero
+        field = self.algebra.field
+        acc = field.zero
         for i, c in a.coeffs.items():
             acc = acc + self.values[i] * c
-        return acc
+        return acc if field.p is None else acc % field.p
 
     def __eq__(self, other):
         if not isinstance(other, Functional):
@@ -317,21 +328,26 @@ class Tensor2:
 
     def __add__(self, other):
         out = dict(self.coeffs)
+        p = self.algebra.field.p
         for k, c in other.coeffs.items():
-            _accum(out, k, c)
+            _accum(out, k, c, p)
         return Tensor2(self.algebra, out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
+        p = self.algebra.field.p
         for k, c in other.coeffs.items():
-            _accum(out, k, -c)
+            _accum(out, k, -c, p)
         return Tensor2(self.algebra, out)
 
     def scaled(self, c):
-        c = self.algebra.field(c)
+        field = self.algebra.field
+        c, p = field(c), field.p
         if not c:
             return Tensor2(self.algebra, {})
-        return Tensor2(self.algebra, {k: v * c for k, v in self.coeffs.items()})
+        return Tensor2(
+            self.algebra, {k: v * c % p if p else v * c for k, v in self.coeffs.items()}
+        )
 
     def to_json(self):
         fmt = self.algebra.field.format
@@ -347,7 +363,7 @@ class Tensor2:
                 raise BadParams(f"tensor index ({a},{b}) out of range")
             c = parse(c) if isinstance(c, str) else algebra.field(c)
             if c:
-                _accum(out, (a, b), c)
+                _accum(out, (a, b), c, algebra.field.p)
         return cls(algebra, out)
 
     def __repr__(self):
@@ -364,13 +380,20 @@ def multiply(a: Element, b: Element) -> Element:
     if not a.algebra.same_space(b.algebra):
         raise DimensionMismatch("product across algebras")
     rows = a.algebra.rows
+    p = a.algebra.field.p
     out: dict = {}
     for i, ca in a.coeffs.items():
         row_i = rows[i]
         for j, cb in b.coeffs.items():
             c = ca * cb
             for k, ck in row_i[j].items():
-                _accum(out, k, c * ck)
+                w = out.get(k, 0) + c * ck
+                if p:
+                    w %= p
+                if w:
+                    out[k] = w
+                else:
+                    out.pop(k, None)
     return Element(a.algebra, out)
 
 
@@ -394,6 +417,7 @@ def check_associativity(alg: FinDimAlgebra):
     """
     rows = alg.rows
     d = alg.dim
+    p = alg.field.p
     nonzero = [[k for k in range(d) if rows_l[k]] for rows_l in rows]
     producers: list = [[] for _ in range(d)]  # l -> (j, k) with b_l in supp(b_j b_k)
     for j in range(d):
@@ -412,11 +436,11 @@ def check_associativity(alg: FinDimAlgebra):
             left: dict = {}
             for l, c in rows_i[j].items():
                 for m, c2 in rows[l][k].items():
-                    _accum(left, m, c * c2)
+                    _accum(left, m, c * c2, p)
             right: dict = {}
             for l, c in rows[j][k].items():
                 for m, c2 in rows_i[l].items():
-                    _accum(right, m, c * c2)
+                    _accum(right, m, c * c2, p)
             if left != right:
                 return (i, j, k)
     return None
@@ -430,12 +454,20 @@ def act_left(a: Element, t: Tensor2) -> Tensor2:
     if not a.algebra.same_space(t.algebra):
         raise DimensionMismatch("action across algebras")
     rows = t.algebra.rows
+    p = t.algebra.field.p
     out: dict = {}
     for (alpha, beta), c in t.coeffs.items():
         for i, ca in a.coeffs.items():
             cc = ca * c
             for k, ck in rows[i][alpha].items():
-                _accum(out, (k, beta), cc * ck)
+                key = (k, beta)
+                w = out.get(key, 0) + cc * ck
+                if p:
+                    w %= p
+                if w:
+                    out[key] = w
+                else:
+                    out.pop(key, None)
     return Tensor2(t.algebra, out)
 
 
@@ -444,13 +476,21 @@ def act_right(t: Tensor2, a: Element) -> Tensor2:
     if not a.algebra.same_space(t.algebra):
         raise DimensionMismatch("action across algebras")
     rows = t.algebra.rows
+    p = t.algebra.field.p
     out: dict = {}
     for (alpha, beta), c in t.coeffs.items():
         row_beta = rows[beta]
         for j, ca in a.coeffs.items():
             cc = c * ca
             for k, ck in row_beta[j].items():
-                _accum(out, (alpha, k), cc * ck)
+                key = (alpha, k)
+                w = out.get(key, 0) + cc * ck
+                if p:
+                    w %= p
+                if w:
+                    out[key] = w
+                else:
+                    out.pop(key, None)
     return Tensor2(t.algebra, out)
 
 
@@ -475,20 +515,28 @@ def check_coassociativity(x: Tensor2):
     the whole algebra.
     """
     table = x.delta()
-    left: dict = {}
-    right: dict = {}
+    p = x.algebra.field.p
+    diff: dict = {}  # (Delta (x) id)x - (id (x) Delta)x, zero-free
     for (alpha, beta), c in x.coeffs.items():
         for (u, v), cd in table[alpha].items():
-            _accum(left, (u, v, beta), c * cd)
+            key = (u, v, beta)
+            w = diff.get(key, 0) + c * cd
+            if p:
+                w %= p
+            if w:
+                diff[key] = w
+            else:
+                diff.pop(key, None)
         for (u, v), cd in table[beta].items():
-            _accum(right, (alpha, u, v), c * cd)
-    if left == right:
-        return None
-    keys = set(left) | set(right)
-    for key in sorted(keys):
-        if left.get(key, 0) != right.get(key, 0):
-            return key
-    return None
+            key = (alpha, u, v)
+            w = diff.get(key, 0) - c * cd
+            if p:
+                w %= p
+            if w:
+                diff[key] = w
+            else:
+                diff.pop(key, None)
+    return min(diff) if diff else None
 
 
 def delta_rank(x: Tensor2) -> int:
@@ -501,17 +549,18 @@ def apply_functional(side: str, f: Functional, t: Tensor2) -> Element:
     if not f.algebra.same_space(t.algebra):
         raise DimensionMismatch("functional applied across algebras")
     vals = f.values
+    p = t.algebra.field.p
     out: dict = {}
     if side == "left":
         for (alpha, beta), c in t.coeffs.items():
             v = vals[alpha]
             if v:
-                _accum(out, beta, v * c)
+                _accum(out, beta, v * c, p)
     elif side == "right":
         for (alpha, beta), c in t.coeffs.items():
             v = vals[beta]
             if v:
-                _accum(out, alpha, c * v)
+                _accum(out, alpha, c * v, p)
     else:
         raise BadParams("side must be 'left' or 'right'")
     return Element(t.algebra, out)

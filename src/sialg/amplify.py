@@ -275,6 +275,7 @@ def spread(
     """
     spec.validate(amp.m, nak)
     blocks = peirce_components(y, amp.dec.reps, amp.corner_spans)
+    p = amp.algebra.field.p
     coeffs: dict = {}
     for (j, i, u, v), grid in blocks.items():
         if v != j or u != nak.nu_inverse(i):
@@ -288,6 +289,8 @@ def spread(
                     k2 = amp.index[(j, u, t, s2, b2)]
                     key = (k1, k2)
                     w = coeffs.get(key, 0) + c
+                    if p:
+                        w %= p
                     if w:
                         coeffs[key] = w
                     else:
@@ -380,17 +383,10 @@ def counit_solution_space(alg: FinDimAlgebra, x: Tensor2):
     d = alg.dim
     left_rows = [dict() for _ in range(d)]
     right_rows = [dict() for _ in range(d)]
+    # x is a dict, so each (a, b) sets one entry of one row on each side
     for (a, b), c in x.coeffs.items():
-        w = left_rows[b].get(a, field.zero) + c
-        if w:
-            left_rows[b][a] = w
-        else:
-            left_rows[b].pop(a, None)
-        w = right_rows[a].get(b, field.zero) + c
-        if w:
-            right_rows[a][b] = w
-        else:
-            right_rows[a].pop(b, None)
+        left_rows[b][a] = c
+        right_rows[a][b] = c
     unit = alg.unit.coeffs
     rows = left_rows + right_rows
     rhs = [unit.get(g, field.zero) for g in range(d)] * 2

@@ -41,8 +41,11 @@ def _dump(obj, path: str | None):
 
 
 def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise BadParams(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_algebra(path: str) -> FinDimAlgebra:
@@ -53,8 +56,15 @@ def _field_from_args(args) -> Field:
     return Field(args.prime) if args.prime is not None else Field()
 
 
-def _parse_ints(text: str):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _parse_ints(text: str, count: int | None = None):
+    """Comma-separated integers; exactly `count` of them when given."""
+    try:
+        values = [int(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise BadParams(f"expected comma-separated integers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise BadParams(f"expected {count} integer(s), got {text!r}")
+    return values
 
 
 def cmd_generate(args) -> int:
@@ -74,13 +84,13 @@ def cmd_generate(args) -> int:
     elif family == "matrix":
         if args.m is None:
             raise BadParams("--family matrix needs --m SIZE")
-        (size,) = _parse_ints(args.m)
+        (size,) = _parse_ints(args.m, 1)
         alg = matrix_algebra(size, field)
         prov = {"family": "matrix", "size": size}
     elif family == "product":
         if args.m is None:
             raise BadParams("--family product needs --m COPIES")
-        (copies,) = _parse_ints(args.m)
+        (copies,) = _parse_ints(args.m, 1)
         alg = field_product_algebra(copies, field)
         prov = {"family": "product", "copies": copies}
     elif family == "group":

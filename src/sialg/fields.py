@@ -1,12 +1,13 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
 Over QQ a scalar is a Python ``int`` when it is integral and a
-``fractions.Fraction`` otherwise; over GF(p) it is an :class:`Fp`
-(residue mod p).  All are immutable, support the usual operators, mix
-freely with Python ints, and order totally, so generic code never needs
-to branch on the field kind.  The one division in the package is
-:meth:`Field.inv`, so no float can arise from exact inputs; a float or
-bool offered as a scalar is refused.
+``fractions.Fraction`` otherwise; over GF(p) it is an ``int`` reduced
+into ``range(p)``.  Scalars are plain Python numbers, so generic code
+adds and multiplies them without branching on the field kind; over GF(p)
+every site that stores a scalar, or tests one for zero or equality,
+first reduces it with ``% p`` (:meth:`Field.normal`).  The one division
+in the package is :meth:`Field.inv`, so no float can arise from exact
+inputs; a float or bool offered as a scalar is refused.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def next_prime(n: int) -> int:
 
 
 class Fp:
-    """Element of GF(p).  Ints coerce on the fly; p mismatch raises."""
+    """A residue mod p tagged with its prime, for callers outside sialg:
+    :meth:`Field.__call__` takes one and returns its ``int`` residue, the
+    form sialg stores a scalar over GF(p) in."""
 
     __slots__ = ("value", "p")
 
@@ -58,86 +61,10 @@ class Fp:
         self.value = value % p
         self.p = p
 
-    def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise BadParams(f"mixed prime fields GF({self.p}), GF({other.p})")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fp(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fp(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fp(v - self.value, self.p)
-
     def __mul__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is None else Fp(self.value * v, self.p)
+        return Fp(self.value * Field(self.p)(other), self.p)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if v % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return Fp(self.value * pow(v, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if self.value == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return Fp(v * pow(self.value, self.p - 2, self.p), self.p)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return (Fp(1, self.p) / self) ** (-e)
-        return Fp(pow(self.value, e, self.p), self.p)
-
-    def __neg__(self):
-        return Fp(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __lt__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return self.value < v
-
-    def __le__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return self.value <= v
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} mod {self.p}"
 
 
 def json_int(value, what: str) -> int:
@@ -174,49 +101,52 @@ class Field:
         if p is not None and not is_prime(p):
             raise BadParams(f"{p} is not prime")
         self.p = p
-        if p is None:
-            self.zero = 0
-            self.one = 1
-        else:
-            self.zero = Fp(0, p)
-            self.one = Fp(1, p)
+        self.zero = 0
+        self.one = 1
 
     @property
     def is_rational(self) -> bool:
         return self.p is None
 
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
-
     def __call__(self, n):
         """Coerce an int, Fraction or Fp into this field."""
+        p = self.p
+        if type(n) is int:
+            return n if p is None else n % p
         if isinstance(n, (bool, float)):
             raise BadParams(f"scalar {n!r} is not exact: write an integer or a string 'a/b'")
-        if self.p is None:
+        if p is None:
             if isinstance(n, Fp):
                 raise BadParams("cannot coerce a prime-field residue into the rationals")
-            return n if type(n) is int else narrow(Fraction(n))
+            return narrow(Fraction(n))
         if isinstance(n, Fp):
-            if n.p != self.p:
-                raise BadParams(f"mixed prime fields GF({self.p}), GF({n.p})")
-            return n
+            if n.p != p:
+                raise BadParams(f"mixed prime fields GF({p}), GF({n.p})")
+            return n.value
         if isinstance(n, Fraction):
-            if n.denominator % self.p == 0:
-                raise BadParams(f"denominator of {n} vanishes mod {self.p}")
-            return Fp(n.numerator, self.p) / n.denominator
-        return Fp(n, self.p)
+            if n.denominator % p == 0:
+                raise BadParams(f"denominator of {n} vanishes mod {p}")
+            return n.numerator * self.inv(n.denominator) % p
+        return n % p
+
+    def normal(self, x):
+        """x in the form this field stores it: an integral Fraction as its
+        int over QQ, the residue of an int in range(p) over GF(p)."""
+        return narrow(x) if self.p is None else x % self.p
 
     def inv(self, x):
         """Multiplicative inverse of a nonzero scalar: the one division in sialg.
 
         Over QQ an int or Fraction gives an int when the inverse is
-        integral; over GF(p) an int or residue gives a residue.  Zero raises
+        integral; over GF(p) an int gives its inverse residue.  Zero raises
         ZeroDivisionError.
         """
-        if self.p is None:
+        p = self.p
+        if p is None:
             return narrow(Fraction(1, x))
-        return self.one / x
+        if x % p == 0:
+            raise ZeroDivisionError(f"division by zero in GF({p})")
+        return pow(x, p - 2, p)
 
     def parse(self, text: str):
         """Parse a scalar string: "a", "a/b" or "r mod p"."""
@@ -227,21 +157,21 @@ class Field:
             r, p = (part.strip() for part in text.split("mod"))
             if int(p) != self.p:
                 raise BadParams(f"scalar '{text}' does not live in GF({self.p})")
-            return Fp(int(r), self.p)
+            return int(r) % self.p
         if "/" in text:
             return self(_fraction(text))
-        return Fp(int(text), self.p)
+        return int(text) % self.p
 
     def format(self, x) -> str:
         if self.p is None:
             return str(x)
-        return f"{x.value} mod {self.p}"
+        return f"{x % self.p} mod {self.p}"
 
     def random(self, rng, lo: int = -2, hi: int = 2):
         """Small deterministic scalar from a seeded rng."""
         if self.p is None:
             return rng.randint(lo, hi)
-        return Fp(rng.randrange(self.p), self.p)
+        return rng.randrange(self.p)
 
     def random_nonzero(self, rng):
         while True:

@@ -118,7 +118,7 @@ def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
                 v = vals[k]
                 if v:
                     acc = acc + c * v
-            out.append(acc)
+            out.append(field.normal(acc))
         rows.append(out)
     return Matrix(field, rows)
 

@@ -2,8 +2,9 @@
 
 :class:`Span` is the only elimination algorithm: it keeps rows stored as
 ``{column_key: scalar}`` dicts with orderable keys in reduced echelon
-form, divides only through ``field.inv`` and narrows an integral rational
-back to ``int`` as it scales a pivot row.  The ``sparse_rank``,
+form, divides only through ``field.inv`` and brings every scalar it
+stores into the field's normal form (``Field.normal``: an integral
+rational as ``int``, a residue mod p in ``range(p)``).  The ``sparse_rank``,
 ``sparse_kernel`` and ``sparse_solve`` helpers are a few lines each over
 it; together they carry the large but very sparse systems (Peirce
 corners, socles, counit feasibility, comultiplication rank) that would be
@@ -16,7 +17,6 @@ rows back out densely.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, SingularMatrix
-from .fields import narrow
 
 
 class Matrix:
@@ -91,13 +91,16 @@ class Span:
         if not row:
             return False
         piv = min(row)
-        inv = self.field.inv(row[piv])
-        row = {k: narrow(v * inv) for k, v in row.items()}
+        field = self.field
+        inv, norm, p = field.inv(row[piv]), field.normal, field.p
+        row = {k: norm(v * inv) for k, v in row.items()}
         for other in self.rows.values():
             c = other.get(piv)
             if c:
                 for k, v in row.items():
                     w = other.get(k, 0) - c * v
+                    if p:
+                        w %= p
                     if w:
                         other[k] = w
                     else:
@@ -106,13 +109,20 @@ class Span:
         return True
 
     def reduce(self, coeffs: dict) -> dict:
-        # rows are kept fully reduced, so eliminating a pivot only brings in
-        # free keys; one pass over the pivots initially present is complete
-        row = dict(coeffs)
+        """The remainder of `coeffs` modulo the span: a zero-free row whose
+        scalars are in the field's normal form over GF(p).
+
+        Rows are kept fully reduced, so eliminating a pivot only brings in
+        free keys; one pass over the pivots initially present is complete.
+        """
+        p = self.field.p
+        row = dict(coeffs) if p is None else {k: w for k, v in coeffs.items() if (w := v % p)}
         for piv in sorted(k for k in row if k in self.rows):
             c = row[piv]
             for k, v in self.rows[piv].items():
                 w = row.get(k, 0) - c * v
+                if p:
+                    w %= p
                 if w:
                     row[k] = w
                 else:
@@ -128,20 +138,10 @@ class Span:
         Rows are fully reduced, so the coordinate at a basis row is just
         the coefficient at that row's pivot.
         """
-        basis = self.basis_items()
-        coords = [coeffs.get(piv, self.field.zero) for piv, _ in basis]
-        residue = dict(coeffs)
-        for (piv, row), c in zip(basis, coords):
-            if c:
-                for k, v in row.items():
-                    w = residue.get(k, 0) - c * v
-                    if w:
-                        residue[k] = w
-                    else:
-                        residue.pop(k, None)
-        if residue:
+        if self.reduce(coeffs):
             return None
-        return coords
+        norm, zero = self.field.normal, self.field.zero
+        return [norm(coeffs.get(piv, zero)) for piv in sorted(self.rows)]
 
     def basis_items(self):
         return sorted(self.rows.items())
@@ -172,7 +172,7 @@ def sparse_kernel(field, eq_rows, nunknowns: int):
         for piv, row in span.rows.items():
             c = row.get(j)
             if c:
-                vec[piv] = -c
+                vec[piv] = field.normal(-c)
         basis.append(vec)
     return basis
 

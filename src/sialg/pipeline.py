@@ -162,12 +162,15 @@ class ModelIsomorphism:
         return out
 
     def apply_tensor2(self, x: Tensor2) -> Tensor2:
+        p = self.alg.field.p
         out: dict = {}
         for (a, b), c in x.coeffs.items():
             for k1, c1 in self.images[a].coeffs.items():
                 for k2, c2 in self.images[b].coeffs.items():
                     key = (k1, k2)
                     w = out.get(key, 0) + c * c1 * c2
+                    if p:
+                        w %= p
                     if w:
                         out[key] = w
                     else:

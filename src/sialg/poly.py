@@ -1,8 +1,10 @@
 """Univariate polynomial arithmetic and small-degree exact factorization.
 
 Polynomials are normalized little-endian coefficient tuples over a
-:class:`~sialg.fields.Field`; the zero polynomial is ``()``.  Routines
-that divide take the field first and invert through ``Field.inv``.
+:class:`~sialg.fields.Field`; the zero polynomial is ``()``.  Every
+routine takes the field first: results pass through ``normalize``, which
+reduces coefficients mod p over GF(p), and division inverts through
+``Field.inv``.
 Over GF(p) factorization runs squarefree / distinct-degree /
 equal-degree splitting;
 over the rationals it reduces mod one large prime and recombines factor
@@ -20,8 +22,9 @@ from .errors import BadParams
 from .fields import QQ, Field, next_prime
 
 
-def normalize(coeffs) -> tuple:
-    coeffs = list(coeffs)
+def normalize(field, coeffs) -> tuple:
+    p = field.p
+    coeffs = list(coeffs) if p is None else [c % p for c in coeffs]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
@@ -36,29 +39,29 @@ def constant(field, c) -> tuple:
     return (c,) if c else ()
 
 
-def add(f, g) -> tuple:
+def add(field, f, g) -> tuple:
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
     for i, c in enumerate(g):
         out[i] = out[i] + c
-    return normalize(out)
+    return normalize(field, out)
 
 
-def sub(f, g) -> tuple:
+def sub(field, f, g) -> tuple:
     out = list(f) + [c * 0 for c in g[len(f):]]
     for i, c in enumerate(g):
         out[i] = out[i] - c
-    return normalize(out)
+    return normalize(field, out)
 
 
-def scale(f, c) -> tuple:
+def scale(field, f, c) -> tuple:
     if not c:
         return ()
-    return normalize([a * c for a in f])
+    return normalize(field, [a * c for a in f])
 
 
-def mul(f, g) -> tuple:
+def mul(field, f, g) -> tuple:
     if not f or not g:
         return ()
     out = [f[0] * g[0] * 0] * (len(f) + len(g) - 1)
@@ -66,7 +69,7 @@ def mul(f, g) -> tuple:
         if a:
             for j, b in enumerate(g):
                 out[i + j] = out[i + j] + a * b
-    return normalize(out)
+    return normalize(field, out)
 
 
 def divmod_poly(field, f, g):
@@ -76,12 +79,14 @@ def divmod_poly(field, f, g):
     q = [g[-1] * 0] * max(len(f) - len(g) + 1, 0)
     inv_lead = field.inv(g[-1])
     for i in range(len(f) - len(g), -1, -1):
-        c = f[i + len(g) - 1] * inv_lead
+        # over GF(p) the quotient digit is tested once reduced; the
+        # remainder is reduced by normalize
+        c = field.normal(f[i + len(g) - 1] * inv_lead)
         if c:
             q[i] = c
             for j, b in enumerate(g):
                 f[i + j] = f[i + j] - c * b
-    return normalize(q), normalize(f)
+    return normalize(field, q), normalize(field, f)
 
 
 def mod(field, f, g):
@@ -92,7 +97,7 @@ def monic(field, f) -> tuple:
     if not f:
         return ()
     inv = field.inv(f[-1])
-    return normalize([c * inv for c in f])
+    return normalize(field, [c * inv for c in f])
 
 
 def gcd(field, f, g) -> tuple:
@@ -110,16 +115,16 @@ def xgcd(field, f, g):
     while r1:
         q, r = divmod_poly(field, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1))
-        t0, t1 = t1, sub(t0, mul(q, t1))
+        s0, s1 = s1, sub(field, s0, mul(field, q, s1))
+        t0, t1 = t1, sub(field, t0, mul(field, q, t1))
     if not r0:
         return (), s0, t0
     inv = field.inv(r0[-1])
-    return scale(r0, inv), scale(s0, inv), scale(t0, inv)
+    return scale(field, r0, inv), scale(field, s0, inv), scale(field, t0, inv)
 
 
-def derivative(f, field) -> tuple:
-    return normalize([field(i) * c for i, c in enumerate(f)][1:])
+def derivative(field, f) -> tuple:
+    return normalize(field, [i * c for i, c in enumerate(f)][1:])
 
 
 def pow_mod(field, f, e: int, m) -> tuple:
@@ -127,8 +132,8 @@ def pow_mod(field, f, e: int, m) -> tuple:
     f = mod(field, f, m)
     while e:
         if e & 1:
-            result = mod(field, mul(result, f), m)
-        f = mod(field, mul(f, f), m)
+            result = mod(field, mul(field, result, f), m)
+        f = mod(field, mul(field, f, f), m)
         e >>= 1
     return result
 
@@ -141,10 +146,10 @@ def _squarefree_fp(field: Field, f) -> list:
     out = []
     if degree(f) < 1:
         return out
-    d = derivative(f, field)
+    d = derivative(field, f)
     if not d:
         # f = v(x^p); p-th roots of GF(p) coefficients are themselves
-        return [(g, m * p) for g, m in _squarefree_fp(field, normalize(f[::p]))]
+        return [(g, m * p) for g, m in _squarefree_fp(field, normalize(field, f[::p]))]
     c = gcd(field, f, d)
     w = divmod_poly(field, f, c)[0]
     i = 1
@@ -157,7 +162,7 @@ def _squarefree_fp(field: Field, f) -> list:
         c = divmod_poly(field, c, y)[0]
         i += 1
     if degree(c) > 0:
-        out.extend((g, m * p) for g, m in _squarefree_fp(field, normalize(c[::p])))
+        out.extend((g, m * p) for g, m in _squarefree_fp(field, normalize(field, c[::p])))
     return out
 
 
@@ -167,7 +172,7 @@ def _equal_degree_split(field: Field, f, d: int, rng) -> list:
     p = field.p
     one = (field.one,)
     while True:
-        a = normalize([field(rng.randrange(p)) for _ in range(degree(f))])
+        a = normalize(field, [rng.randrange(p) for _ in range(degree(f))])
         if degree(a) < 1:
             continue
         if p == 2:
@@ -175,11 +180,11 @@ def _equal_degree_split(field: Field, f, d: int, rng) -> list:
             b = a
             for _ in range(d - 1):
                 b = pow_mod(field, b, 2, f)
-                t = add(t, b)
+                t = add(field, t, b)
             h = gcd(field, t, f)
         else:
             b = pow_mod(field, a, (p**d - 1) // 2, f)
-            h = gcd(field, sub(b, one), f)
+            h = gcd(field, sub(field, b, one), f)
         if 0 < degree(h) < degree(f):
             g = divmod_poly(field, f, h)[0]
             return _equal_degree_split(field, monic(field, h), d, rng) + _equal_degree_split(
@@ -196,7 +201,7 @@ def _factor_squarefree_fp(field: Field, f) -> list:
     d = 1
     while degree(rest) >= 2 * d:
         h = pow_mod(field, h, p, rest)
-        g = gcd(field, sub(h, x), rest)
+        g = gcd(field, sub(field, h, x), rest)
         if degree(g) > 0:
             rng = random.Random(p * 1000003 + d * 101 + degree(rest))
             out.extend(_equal_degree_split(field, monic(field, g), d, rng))
@@ -213,7 +218,7 @@ def _factor_squarefree_fp(field: Field, f) -> list:
 
 def _squarefree_char0(f) -> list:
     out = []
-    fd = derivative(f, QQ)
+    fd = derivative(QQ, f)
     c = gcd(QQ, f, fd)
     w = divmod_poly(QQ, f, c)[0]
     i = 1
@@ -257,8 +262,8 @@ def _factor_squarefree_rational(f) -> list:
     while True:
         field = Field(p)
         if g[-1] % p:
-            gp = normalize([field(c) for c in g])
-            if degree(gcd(field, gp, derivative(gp, field))) == 0:
+            gp = normalize(field, g)
+            if degree(gcd(field, gp, derivative(field, gp))) == 0:
                 break
         p = next_prime(p + 1)
     pool = _factor_squarefree_fp(field, monic(field, gp))
@@ -269,11 +274,11 @@ def _factor_squarefree_rational(f) -> list:
     def lift(mod_poly, lead_now):
         out = []
         for c in mod_poly:
-            v = c.value * lead_now % p
+            v = c * lead_now % p
             if v > p // 2:
                 v -= p
             out.append(v)
-        return normalize(out)
+        return normalize(QQ, out)
 
     k = 1
     while 2 * k <= len(pool):
@@ -281,10 +286,10 @@ def _factor_squarefree_rational(f) -> list:
         for idx in combinations(range(len(pool)), k):
             prod = (field.one,)
             for i in idx:
-                prod = mul(prod, pool[i])
+                prod = mul(field, prod, pool[i])
             lead_now = int(current[-1])
             cand = lift(prod, lead_now)
-            cand = normalize(_primitive_int(cand))
+            cand = normalize(QQ, _primitive_int(cand))
             if not cand or degree(cand) < 1:
                 continue
             q, r = divmod_poly(QQ, tuple(current), cand)
@@ -296,8 +301,8 @@ def _factor_squarefree_rational(f) -> list:
                 break
         if not retry:
             k += 1
-    if degree(normalize(current)) > 0:
-        found.append(monic(QQ, normalize(current)))
+    if degree(normalize(QQ, current)) > 0:
+        found.append(monic(QQ, normalize(QQ, current)))
     return found
 
 
@@ -306,7 +311,7 @@ def factor(field: Field, f):
 
     The unit times the product of factor powers re-multiplies to f exactly.
     """
-    f = normalize([field(c) for c in f])
+    f = normalize(field, [field(c) for c in f])
     if not f:
         raise BadParams("cannot factor the zero polynomial")
     unit = f[-1]

@@ -67,6 +67,7 @@ def peirce_components(y: Tensor2, reps, spans: dict | None = None) -> dict:
     coordinates when `spans` maps each corner (j, i) to a Span of e_j A e_i.
     """
     alg = y.algebra
+    p = alg.field.p
     corners = [(j, i) for j in range(len(reps)) for i in range(len(reps))]
     cache: dict = {}
 
@@ -96,6 +97,8 @@ def peirce_components(y: Tensor2, reps, spans: dict | None = None) -> dict:
                     cc = c * c1
                     for k2, c2 in right.items():
                         w = comp.get((k1, k2), 0) + cc * c2
+                        if p:
+                            w %= p
                         if w:
                             comp[(k1, k2)] = w
                         else:
@@ -132,6 +135,7 @@ class RadicalData:
 def _trace_form_kernel(alg: FinDimAlgebra):
     d = alg.dim
     field = alg.field
+    p = field.p
     traces = []
     for k in range(d):
         acc = field.zero
@@ -140,7 +144,7 @@ def _trace_form_kernel(alg: FinDimAlgebra):
             c = row[a].get(a)
             if c:
                 acc = acc + c
-        traces.append(acc)
+        traces.append(acc % p if p else acc)
     form = []
     for i in range(d):
         row_i = alg.rows[i]
@@ -150,6 +154,8 @@ def _trace_form_kernel(alg: FinDimAlgebra):
             for k, c in row_i[j].items():
                 if traces[k]:
                     acc = acc + c * traces[k]
+            if p:
+                acc %= p
             if acc:
                 form_row[j] = acc
         form.append(form_row)
@@ -319,14 +325,14 @@ def _split_once(qalg: FinDimAlgebra, e: Element, corner: Span, rng, budget: int)
         _, factors = poly.factor(field, mu)
         if len(factors) < 2:
             continue
-        f = poly.normalize(factors[0][0])
+        f = factors[0][0]
         for _ in range(factors[0][1] - 1):
-            f = poly.mul(f, factors[0][0])
+            f = poly.mul(field, f, factors[0][0])
         g, _ = poly.divmod_poly(field, mu, f)
         gcd_fg, u, v = poly.xgcd(field, f, g)
         if poly.degree(gcd_fg) != 0:
             continue
-        eps_poly = poly.mod(field, poly.mul(v, g), mu)
+        eps_poly = poly.mod(field, poly.mul(field, v, g), mu)
         # evaluate at z relative to the corner unit e
         eps = e.scaled(field.zero)
         power = e
@@ -576,7 +582,7 @@ def _right_dual_intertwiners(alg, u_basis, u_span, x_basis, x_span):
                 for q, c in enumerate(delta[t]):
                     if c:
                         key = r * nx + q
-                        w2 = row.get(key, field.zero) - c
+                        w2 = field.normal(row.get(key, field.zero) - c)
                         if w2:
                             row[key] = w2
                         else:
@@ -606,7 +612,7 @@ def _has_invertible_combination(field, sols, size: int, seed: int) -> bool:
             c = field.random(rng, -3, 3)
             if c:
                 for k, v in vec.items():
-                    w = combo.get(k, field.zero) + c * v
+                    w = field.normal(combo.get(k, field.zero) + c * v)
                     if w:
                         combo[k] = w
                     else:
@@ -747,7 +753,7 @@ def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
                 if w.coeffs:
                     for k, c in corner_coords((j, i), w.coeffs):
                         out[k] = out.get(k, field.zero) + c
-        return Element(lam, {k: c for k, c in out.items() if c})
+        return lam.element(out)
 
     groups = [[project(cls[0])] for cls in dec.classes]
     dec_lam = decomposition_from_idempotents(lam, groups, dec.flags)

@@ -2,7 +2,9 @@
 
 A plain textbook reference for the tests: matrices are lists of rows of
 field scalars, pivots are chosen as the first nonzero entry of a column,
-and the only division is ``field.inv``.  Nothing here uses
+the only division is ``field.inv``, and every computed entry passes
+through ``field.normal`` (over GF(p) scalars are ints reduced mod p).
+Nothing here uses
 ``sialg.linalg``, so comparing against it checks ``Span`` and the dense
 ``Matrix`` view over it with an independent implementation.
 """
@@ -10,7 +12,8 @@ and the only division is ``field.inv``.  Nothing here uses
 
 def rref(field, rows, ncols):
     """(reduced rows, pivot columns); zero rows sink to the bottom."""
-    rows = [list(r) for r in rows]
+    norm = field.normal
+    rows = [[norm(x) for x in r] for r in rows]
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -19,11 +22,11 @@ def rref(field, rows, ncols):
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         inv = field.inv(rows[rank][col])
-        rows[rank] = [x * inv for x in rows[rank]]
+        rows[rank] = [norm(x * inv) for x in rows[rank]]
         for r in range(len(rows)):
             c = rows[r][col]
             if r != rank and c:
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+                rows[r] = [norm(x - c * y) for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
     return rows, pivots
 
@@ -42,7 +45,7 @@ def kernel(field, rows, ncols):
         vec = [field.zero] * ncols
         vec[j] = field.one
         for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][j]
+            vec[pc] = field.normal(-reduced[r][j])
         basis.append(vec)
     return basis
 
@@ -77,13 +80,16 @@ def identity(field, n):
 
 def matmul(field, a, b):
     return [
-        [sum((x * b[k][j] for k, x in enumerate(row)), field.zero) for j in range(len(b[0]))]
+        [
+            field.normal(sum((x * b[k][j] for k, x in enumerate(row)), field.zero))
+            for j in range(len(b[0]))
+        ]
         for row in a
     ]
 
 
 def apply(field, rows, vec):
-    return [sum((c * x for c, x in zip(row, vec)), field.zero) for row in rows]
+    return [field.normal(sum((c * x for c, x in zip(row, vec)), field.zero)) for row in rows]
 
 
 def left_multiplication(b):

@@ -188,6 +188,33 @@ def test_comul_spec_file_non_integral_pair(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("family_args, message", [
+    (("nsy", "--n", "2", "--l", "2", "--m", "1,x"),
+     "expected comma-separated integers, got '1,x'"),
+    (("matrix", "--m", "2,3"), "expected 1 integer(s), got '2,3'"),
+], ids=["non-integer-m", "two-sizes"])
+def test_generate_malformed_integers(capsys, family_args, message):
+    assert run_cli("generate", "--family", *family_args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: BadParams: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--input", "--spec"])
+def test_non_utf8_file_refused(tmp_path, capsys, flag):
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", "nakayama", "--n", "2", "--l", "2", "-o", str(alg_path))
+    bad_path = tmp_path / "latin1.json"
+    bad_path.write_bytes(b'{"classes": "\xe9"}')
+    argv = ["comul", "--input", str(bad_path if flag == "--input" else alg_path)]
+    if flag == "--spec":
+        argv += ["--spec", str(bad_path)]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: BadParams: {bad_path} is not UTF-8 text")
+    assert captured.out == ""
+
+
 def test_missing_file_is_operational_error(tmp_path):
     assert run_cli("analyze", "--input", str(tmp_path / "nope.json")) == 1
 

@@ -5,8 +5,8 @@ import pytest
 
 import dense_reference as dense
 from sialg.errors import SingularMatrix
-from sialg.fields import Field, Fp, QQ
-from sialg.linalg import Matrix, sparse_kernel, sparse_rank, sparse_solve
+from sialg.fields import Field, QQ
+from sialg.linalg import Matrix, Span, sparse_kernel, sparse_rank, sparse_solve
 
 
 def q(rows):
@@ -154,20 +154,37 @@ def test_sparse_agrees_with_dense():
 
 def test_sparse_integer_rows_give_field_scalars():
     # rows written with Python ints: every division goes through the field,
-    # so results are exact scalars (ints or Fractions over QQ, residues over
-    # GF(3)), never floats
+    # so results are exact scalars (ints or Fractions over QQ, ints in
+    # range(3) over GF(3)), never floats
     assert sparse_solve(QQ, [{0: 2}], [1], 1) == ({0: Fraction(1, 2)}, 0)
     assert sparse_kernel(QQ, [{0: 2, 1: 1}], 2) == [{1: 1, 0: Fraction(-1, 2)}]
     # over GF(3) the second row is twice the first
     assert sparse_rank(Field(3), [{0: 1, 1: 2}, {0: 2, 1: 1}]) == 1
     rows = [{0: 2, 1: 1}, {1: 2, 2: 1}]
-    for field, scalars in ((QQ, (int, Fraction)), (Field(3), (Fp,))):
+
+    def is_gf3_scalar(c):
+        return type(c) is int and 0 <= c < 3
+
+    for field, scalar in ((QQ, lambda c: type(c) in (int, Fraction)), (Field(3), is_gf3_scalar)):
         assert sparse_rank(field, rows) == 2
         (kern,) = sparse_kernel(field, rows, 3)
         sol, nullity = sparse_solve(field, rows, [1, 2], 3)
         assert nullity == 1
         for vec, rhs in ((kern, [0, 0]), (sol, [1, 2])):
-            assert all(type(c) in scalars for c in vec.values())
+            assert all(scalar(c) for c in vec.values())
             for row, b in zip(rows, rhs):
-                assert sum((c * vec.get(k, 0) for k, c in row.items()), field.zero) == b
+                dot = sum((c * vec.get(k, 0) for k, c in row.items()), field.zero)
+                assert field.normal(dot) == b
         assert sparse_solve(field, rows + [{0: 2, 1: 1}], [1, 2, 2], 3) == (None, 1)
+    # unreduced and negative entries over GF(3) are reduced on insert: 5 = 2
+    # and -1 = 2, a multiple of 3 is a zero, and the stored rows hold residues
+    gf3 = Field(3)
+    span = Span(gf3, [{0: 5, 1: -1, 2: 3}, {0: -4, 1: 7}])
+    assert span.dim == 2
+    assert span.basis_vectors() == [{0: 1}, {1: 1}]
+    assert span.contains({0: 4, 1: -2, 2: 6})
+    assert Span(gf3, [{0: 3, 1: -3}]).dim == 0
+    assert sparse_kernel(gf3, [{0: 5, 1: -1}], 2) == [{1: 1, 0: 2}]
+    assert sparse_solve(gf3, [{0: -1}], [5], 1) == ({0: 1}, 0)
+    for row in Span(gf3, [{0: 5, 1: -1}, {1: -2, 2: 4}]).rows.values():
+        assert all(is_gf3_scalar(c) and c for c in row.values())

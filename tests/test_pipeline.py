@@ -9,12 +9,14 @@ from sialg.amplify import SpreadSpec
 from sialg.errors import InvalidAlgebra, NotSelfInjectiveLike
 from sialg.families import (
     corpus,
+    group_algebra,
     matrix_algebra,
     nsy_algebra,
     path_algebra_a2,
     reference_delta_one,
 )
 from sialg.algebra import FinDimAlgebra, Functional
+from sialg.fields import Field
 from sialg.pipeline import analyze, comultiplication_pipeline, prepare, run_spec
 
 
@@ -238,3 +240,85 @@ def test_transport_functional_matches_dense_solve():
             psi = model_map.transport_functional(f)
             assert [psi(img) for img in images] == list(f.values)
             assert list(psi.values) == dense.solve(field, rows, f.values, d)
+
+
+PRESETS = ("singleton", "diagonal", "full")
+GF101_NSY_SHAPES = (
+    (1, 1, (2,)),
+    (1, 2, (3,)),
+    (2, 2, (1, 2)),
+    (2, 2, (2, 2)),
+    (1, 3, (2,)),
+    (3, 2, (2, 1, 1)),
+)
+
+
+def _stored_scalars(ctx, runs):
+    """(where, scalars of one zero-free dict) for everything the pipeline
+    stores sparsely, and (where, dense values) for its functionals."""
+    a = ctx.analysis
+    sparse, dense_values = [], []
+    for name, alg in (("input", a.algebra), ("basic", a.lam), ("model", ctx.amp.algebra)):
+        sparse += [(f"{name} rows", row) for line in alg.rows for row in line]
+        sparse.append((f"{name} unit", alg.unit.coeffs))
+    for name, dec in (("input", a.dec), ("basic", a.embedding.dec_lam)):
+        for e in dec.all_idempotents():
+            sparse += [(f"{name} idempotent", e.coeffs), (f"{name} -idempotent", (-e).coeffs)]
+    for name, rad in (("input", a.rad), ("basic", a.rad_lam)):
+        sparse += [(f"{name} radical span", row) for row in rad.span.rows.values()]
+    sparse.append(("Frobenius tensor", ctx.pair.y.coeffs))
+    dense_values.append(("Frobenius counit", ctx.pair.epsilon.values))
+    for preset, run in runs.items():
+        sparse.append((f"{preset} spread tensor", run.x.coeffs))
+        sparse += [(f"{preset} delta", img) for img in run.x.delta()]
+        if run.report.counit is not None:
+            dense_values.append((f"{preset} counit", run.report.counit.values))
+    return sparse, dense_values
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n, l=l, m=m: nsy_algebra(n, l, m, Field(101)).algebra
+      for n, l, m in GF101_NSY_SHAPES),
+    lambda: group_algebra([2], Field(2)),
+    lambda: group_algebra([2, 2], Field(2)),
+    lambda: group_algebra([3], Field(3)),
+], ids=[*(f"nsy{n}{l}{''.join(map(str, m))}-gf101" for n, l, m in GF101_NSY_SHAPES),
+        "group2-gf2", "group22-gf2", "group3-gf3"])
+def test_gfp_scalars_are_reduced_ints(make):
+    # over GF(p) a stored scalar is an int in range(p), and sparse dicts
+    # are zero-free, after prepare and the three presets
+    alg = make()
+    p = alg.field.p
+    ctx = prepare(alg)
+    runs = {preset: run_spec(ctx, preset) for preset in PRESETS}
+    sparse, dense_values = _stored_scalars(ctx, runs)
+    for where, coeffs in sparse:
+        bad = [c for c in coeffs.values() if not (type(c) is int and 0 < c < p)]
+        assert not bad, f"{where}: {bad}"
+    for where, values in dense_values:
+        bad = [c for c in values if not (type(c) is int and 0 <= c < p)]
+        assert not bad, f"{where}: {bad}"
+
+
+@pytest.mark.parametrize("entry", [e for e in corpus("small") if e.provenance["family"] == "nsy"],
+                         ids=lambda e: e.key)
+def test_base_change_to_gf101_keeps_invariants(entry):
+    # metamorphic: integral structure constants over QQ and over GF(p),
+    # p = 101 > dim, give the same decomposition data and the same facts
+    # about every preset spread tensor
+    prov = entry.provenance
+    nsy_gf = nsy_algebra(prov["n"], prov["l"], prov["m"], Field(101)).algebra
+    ctx_q, ctx_p = prepare(entry.algebra), prepare(nsy_gf)
+    assert nsy_gf.dim < 101
+
+    def analysis_facts(ctx):
+        a = ctx.analysis
+        return a.dec.multiplicities, a.nak.nu, a.rad.dim, a.lam.dim
+
+    assert analysis_facts(ctx_p) == analysis_facts(ctx_q)
+    for preset in PRESETS:
+        facts = [
+            (r.rank, r.injective, r.invariant, r.coassociative, r.feasible)
+            for r in (run_spec(ctx, preset).report for ctx in (ctx_q, ctx_p))
+        ]
+        assert facts[0] == facts[1], preset
