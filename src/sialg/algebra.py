@@ -103,9 +103,6 @@ class FinDimAlgebra:
                 out[i] = c
         return Element(self, out)
 
-    def functional(self, values) -> "Functional":
-        return Functional(self, values)
-
     def tensor2(self, coeffs) -> "Tensor2":
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         out = {}
@@ -325,29 +322,6 @@ class Tensor2:
         if not isinstance(other, Tensor2):
             return NotImplemented
         return self.algebra.same_space(other.algebra) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        p = self.algebra.field.p
-        for k, c in other.coeffs.items():
-            _accum(out, k, c, p)
-        return Tensor2(self.algebra, out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        p = self.algebra.field.p
-        for k, c in other.coeffs.items():
-            _accum(out, k, -c, p)
-        return Tensor2(self.algebra, out)
-
-    def scaled(self, c):
-        field = self.algebra.field
-        c, p = field(c), field.p
-        if not c:
-            return Tensor2(self.algebra, {})
-        return Tensor2(
-            self.algebra, {k: v * c % p if p else v * c for k, v in self.coeffs.items()}
-        )
 
     def to_json(self):
         fmt = self.algebra.field.format

@@ -1,10 +1,13 @@
 """Amplified algebras End(P_1^m1 + ... + P_n^mn) and spread comultiplications.
 
 The amplified basis is indexed by (source class i, target class j, source
-copy s, target copy t, corner basis element b); copy indices are 1-based
-here, matching the subset data S(i) in {1..m(i)} x {1..m(nu^-1 i)}.  The
-spreading operation distributes each corner block of an invariant basic
-tensor over copies according to S(i), and the two counitality routes
+copy s, target copy t, corner basis element b); b indexes the basis of
+the Peirce corner (j <- i) in the base algebra's `PeirceCorners`, kept as
+`amp.corners`.  Copy indices are 1-based here, matching the subset data
+S(i) in {1..m(i)} x {1..m(nu^-1 i)}.  The spreading operation cuts an
+invariant basic tensor into its corner blocks with
+`amp.corners.tensor_components` and distributes each block over copies
+according to S(i), and the two counitality routes
 (direct construction for bijection graphs, and an independent linear
 feasibility oracle) are kept strictly separate so they can cross-check
 each other.
@@ -37,7 +40,7 @@ from .errors import (
 )
 from .fields import json_int
 from .linalg import sparse_rank, sparse_solve
-from .structure import CanonicalDecomposition, NakayamaData, corner_span, peirce_components
+from .structure import CanonicalDecomposition, NakayamaData, PeirceCorners
 
 
 class AmplifiedAlgebra:
@@ -50,7 +53,7 @@ class AmplifiedAlgebra:
     def __init__(self, base: FinDimAlgebra, dec: CanonicalDecomposition, m):
         if any(v != 1 for v in dec.multiplicities):
             raise NotBasic("amplification needs a basic decomposition")
-        m = tuple(int(v) for v in m)
+        m = tuple(json_int(v, "multiplicity") for v in m)
         if len(m) != dec.n or any(v < 1 for v in m):
             raise BadParams("multiplicities must list one value >= 1 per class")
         self.base = base
@@ -59,19 +62,12 @@ class AmplifiedAlgebra:
         n = dec.n
         field = base.field
         reps = dec.reps
-        self.corner_bases: dict = {}
-        self.corner_spans: dict = {}
-        for j in range(n):
-            for i in range(n):
-                span = corner_span(base, reps[j], reps[i])
-                self.corner_spans[(j, i)] = span
-                self.corner_bases[(j, i)] = [
-                    Element(base, dict(row)) for row in span.basis_vectors()
-                ]
+        self.corners = corners = PeirceCorners(base, reps)
+        bases = corners.bases
         tuples = []
         for i in range(n):
             for j in range(n):
-                corner = self.corner_bases[(j, i)]
+                corner = bases[(j, i)]
                 for s in range(1, m[i] + 1):
                     for t in range(1, m[j] + 1):
                         for b in range(len(corner)):
@@ -81,16 +77,14 @@ class AmplifiedAlgebra:
         labels = [f"a[{j}<-{i};{t}<-{s}].{b}" for (i, j, s, t, b) in tuples]
         structure = []
         for (i1, j1, s1, t1, b1), a_idx in self.index.items():
-            q1 = self.corner_bases[(j1, i1)][b1]
+            q1 = bases[(j1, i1)][b1]
             for (i2, j2, s2, t2, b2), b_idx in self.index.items():
                 if i1 != j2 or s1 != t2:
                     continue
-                prod = multiply(q1, self.corner_bases[(j2, i2)][b2])
+                prod = multiply(q1, bases[(j2, i2)][b2])
                 if not prod.coeffs:
                     continue
-                coords = self.corner_spans[(j1, i2)].coordinates(prod.coeffs)
-                if coords is None:
-                    raise AlgebraError("corner product left its Peirce corner")
+                coords = corners.coordinates((j1, i2), prod.coeffs)
                 for k, c in enumerate(coords):
                     if c:
                         structure.append(
@@ -98,9 +92,7 @@ class AmplifiedAlgebra:
                         )
         unit = [field.zero] * len(tuples)
         for i in range(n):
-            coords = self.corner_spans[(i, i)].coordinates(reps[i].coeffs)
-            if coords is None:
-                raise AlgebraError("class idempotent escaped its corner")
+            coords = corners.coordinates((i, i), reps[i].coeffs)
             for t in range(1, m[i] + 1):
                 for k, c in enumerate(coords):
                     if c:
@@ -111,14 +103,6 @@ class AmplifiedAlgebra:
     def n(self) -> int:
         return self.dec.n
 
-    def lift_coords(self, i: int, j: int, coords, s: int, t: int) -> Element:
-        """Element with corner coordinates `coords` placed in copies (s, t)."""
-        out = {}
-        for b, c in enumerate(coords):
-            if c:
-                out[self.index[(i, j, s, t, b)]] = c
-        return Element(self.algebra, out)
-
 
 def amplify(base: FinDimAlgebra, dec: CanonicalDecomposition, m) -> AmplifiedAlgebra:
     return AmplifiedAlgebra(base, dec, m)
@@ -126,29 +110,17 @@ def amplify(base: FinDimAlgebra, dec: CanonicalDecomposition, m) -> AmplifiedAlg
 
 def lift(amp: AmplifiedAlgebra, phi: Element, s: int, t: int) -> Element:
     """Copy-placement of a single-corner element phi of the base algebra."""
-    base = amp.base
-    reps = amp.dec.reps
-    home = None
-    for j in range(amp.n):
-        for i in range(amp.n):
-            w = multiply(multiply(reps[j], phi), reps[i])
-            if w.coeffs:
-                if home is not None:
-                    raise BlockMismatch("element meets several Peirce corners")
-                home = (j, i, w)
-    if home is None:
+    comps = amp.corners.components(phi)
+    if not comps:
         return amp.algebra.zero()
-    j, i, w = home
-    if w != phi:
-        raise BlockMismatch("element is not contained in a single Peirce corner")
+    if len(comps) > 1:
+        raise BlockMismatch("element meets several Peirce corners")
+    [((j, i), coords)] = comps.items()
     if not (1 <= s <= amp.m[i]) or not (1 <= t <= amp.m[j]):
         raise IndexOutOfRange(
             f"copy indices ({s},{t}) outside 1..{amp.m[i]} x 1..{amp.m[j]}"
         )
-    coords = amp.corner_spans[(j, i)].coordinates(phi.coeffs)
-    if coords is None:
-        raise BlockMismatch("element is not in the corner span")
-    return amp.lift_coords(i, j, coords, s, t)
+    return Element(amp.algebra, {amp.index[(i, j, s, t, b)]: c for b, c in coords.items()})
 
 
 # -- subset data ----------------------------------------------------------------
@@ -274,7 +246,7 @@ def spread(
     `comultiplication_report` checks that exactly.
     """
     spec.validate(amp.m, nak)
-    blocks = peirce_components(y, amp.dec.reps, amp.corner_spans)
+    blocks = amp.corners.tensor_components(y)
     p = amp.algebra.field.p
     coeffs: dict = {}
     for (j, i, u, v), grid in blocks.items():
@@ -361,7 +333,7 @@ def build_counit(
     values = [field.zero] * amp.algebra.dim
     for (i, j, s, t, b), idx in amp.index.items():
         if j == nak.nu_inverse(i) and t == phi[i][s]:
-            values[idx] = eps_base(amp.corner_bases[(j, i)][b])
+            values[idx] = eps_base(amp.corners.bases[(j, i)][b])
     eps = Functional(amp.algebra, values)
     if x is not None:
         unit = amp.algebra.unit

@@ -14,7 +14,7 @@ from itertools import product as iter_product
 
 from .algebra import FinDimAlgebra, Tensor2
 from .errors import BadParams
-from .fields import Field, QQ
+from .fields import QQ, Field, json_int
 
 
 def nakayama_algebra(n: int, l: int, field: Field = QQ) -> FinDimAlgebra:
@@ -60,7 +60,7 @@ class NsyPresentation:
 
 def nsy_algebra(n: int, l: int, m, field: Field = QQ) -> NsyPresentation:
     """Amplification of nakayama_algebra(n, l) by copy multiplicities m."""
-    m = tuple(int(v) for v in m)
+    m = tuple(json_int(v, "multiplicity") for v in m)
     if len(m) != n or any(v < 1 for v in m):
         raise BadParams("m must list n multiplicities >= 1")
     tuples = []
@@ -131,7 +131,7 @@ def field_product_algebra(copies: int, field: Field = QQ) -> FinDimAlgebra:
 
 def group_algebra(factors, field: Field = QQ) -> FinDimAlgebra:
     """Group algebra of the abelian group Z_{d1} x ... x Z_{dk}."""
-    factors = tuple(int(d) for d in factors)
+    factors = tuple(json_int(d, "cyclic factor size") for d in factors)
     if not factors or any(d < 1 for d in factors):
         raise BadParams("cyclic factor sizes must be >= 1")
     elements = list(iter_product(*(range(d) for d in factors)))

@@ -29,9 +29,8 @@ from .structure import (
     DEFAULT_SEED,
     CanonicalDecomposition,
     NakayamaData,
+    PeirceCorners,
     RadicalData,
-    corner_basis,
-    peirce_components,
     radical,
 )
 
@@ -62,23 +61,14 @@ class SmallSpaceData:
         return [len(b) for b in self.bases]
 
 
-def small_spaces(
-    lam: FinDimAlgebra,
-    dec: CanonicalDecomposition,
-    nak: NakayamaData,
-    rad: RadicalData | None = None,
-) -> SmallSpaceData:
-    """Per class i, the subspace of e_{nu^-1(i),1} L e_{i,1} killed by the
-    radical on both sides; these span the morphisms factoring through a
-    simple module."""
-    if rad is None:
-        rad = radical(lam)
-    field = lam.field
+def small_spaces(corners: PeirceCorners, nak: NakayamaData, rad: RadicalData) -> SmallSpaceData:
+    """Per class i, the subspace of the corner e_{nu^-1(i),1} L e_{i,1} killed
+    by the radical on both sides; these span the morphisms factoring
+    through a simple module."""
+    lam = corners.alg
     bases = []
-    for i in range(dec.n):
-        src = dec.reps[i]
-        tgt = dec.reps[nak.nu_inverse(i)]
-        corner = corner_basis(lam, tgt, src)
+    for i in range(len(corners.reps)):
+        corner = corners.bases[(nak.nu_inverse(i), i)]
         if not rad.basis:
             bases.append(corner)
             continue
@@ -93,7 +83,7 @@ def small_spaces(
                     per_coord_r.setdefault(k, {})[t] = c
             eq_rows.extend(per_coord_l.values())
             eq_rows.extend(per_coord_r.values())
-        sols = sparse_kernel(field, eq_rows, len(corner))
+        sols = sparse_kernel(lam.field, eq_rows, len(corner))
         basis = []
         for vec in sols:
             z = lam.zero()
@@ -144,13 +134,13 @@ def construct_counit(
     if rad is None:
         rad = radical(lam)
     field = lam.field
-    small = small_spaces(lam, dec, nak, rad)
+    corners = PeirceCorners(lam, dec.reps)
+    small = small_spaces(corners, nak, rad)
     vectors = []
     small_slots = []  # indices into `vectors` carrying small basis entries
     for i in range(dec.n):
         for j in range(dec.n):
-            src, tgt = dec.reps[i], dec.reps[j]
-            corner = corner_basis(lam, tgt, src)
+            corner = corners.bases[(j, i)]
             if not corner:
                 continue
             if j == nak.nu_inverse(i):
@@ -258,7 +248,7 @@ def verify_frobenius_pair(
     pair: FrobeniusPair,
     dec: CanonicalDecomposition,
     nak: NakayamaData,
-    rad: RadicalData | None = None,
+    rad: RadicalData,
 ) -> FrobeniusPairReport:
     """Exact checks: invariance, counit laws, corner support of eps, block
     support of y, and nondegeneracy of eps on every small space.
@@ -268,32 +258,30 @@ def verify_frobenius_pair(
     the small-space criterion tested here (for split inputs the space is
     one-dimensional and this is exactly invertibility of its Gram).
     """
-    if rad is None:
-        rad = radical(lam)
     eps, y = pair.epsilon, pair.y
     invariant = is_invariant(y) is None
     counital = (
         apply_functional("left", eps, y) == lam.unit
         and apply_functional("right", eps, y) == lam.unit
     )
+    corners = PeirceCorners(lam, dec.reps)
     support_ok, support_witness = True, None
     for i in range(dec.n):
         for j in range(dec.n):
             if j == nak.nu_inverse(i):
                 continue
-            corner = corner_basis(lam, dec.reps[j], dec.reps[i])
-            if any(eps(q) for q in corner):
+            if any(eps(q) for q in corners.bases[(j, i)]):
                 support_ok, support_witness = False, (j, i)
                 break
         if not support_ok:
             break
-    small = small_spaces(lam, dec, nak, rad)
+    small = small_spaces(corners, nak, rad)
     small_ok, small_witness = True, None
     for i, basis in enumerate(small.bases):
         if not basis or not any(eps(z) for z in basis):
             small_ok, small_witness = False, i
             break
-    block_ok, block_witness = _block_support(y, dec, nak)
+    block_ok, block_witness = _block_support(y, corners, nak)
     return FrobeniusPairReport(
         invariant,
         counital,
@@ -306,10 +294,10 @@ def verify_frobenius_pair(
     )
 
 
-def _block_support(y: Tensor2, dec, nak):
+def _block_support(y: Tensor2, corners: PeirceCorners, nak):
     """y must live in the sum of L_{j<-i} (x) L_{nu^-1(i)<-j}; the witness
     is the lowest offending corner quadruple (j, i, u, v)."""
-    for jt, isrc, ut, vsrc in sorted(peirce_components(y, dec.reps)):
+    for jt, isrc, ut, vsrc in sorted(corners.tensor_components(y)):
         if vsrc != jt or ut != nak.nu_inverse(isrc):
             return False, (jt, isrc, ut, vsrc)
     return True, None

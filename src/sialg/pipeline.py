@@ -114,7 +114,7 @@ class ModelIsomorphism:
         self.amp = amp
         images = []
         for (i, j, s, t, b) in amp.tuples:
-            q = emb.to_parent(amp.corner_bases[(j, i)][b])
+            q = emb.to_parent(amp.corners.bases[(j, i)][b])
             img = multiply(multiply(wit.vs[j][t - 1], q), wit.us[i][s - 1])
             images.append(img)
         self.images = images

@@ -34,11 +34,6 @@ def degree(f) -> int:
     return len(f) - 1
 
 
-def constant(field, c) -> tuple:
-    c = field(c)
-    return (c,) if c else ()
-
-
 def add(field, f, g) -> tuple:
     if len(f) < len(g):
         f, g = g, f
@@ -138,18 +133,20 @@ def pow_mod(field, f, e: int, m) -> tuple:
     return result
 
 
-# -- factorization over GF(p) ------------------------------------------------
+def _squarefree(field: Field, f) -> list:
+    """Yun's squarefree decomposition [(g, m), ...] of a monic f.
 
-
-def _squarefree_fp(field: Field, f) -> list:
+    Over GF(p) a vanishing derivative, or a remainder left when the loop
+    ends, is a polynomial in x^p; its p-th root is read off every p-th
+    coefficient (p-th roots of GF(p) coefficients are themselves).
+    """
     p = field.p
     out = []
     if degree(f) < 1:
         return out
     d = derivative(field, f)
-    if not d:
-        # f = v(x^p); p-th roots of GF(p) coefficients are themselves
-        return [(g, m * p) for g, m in _squarefree_fp(field, normalize(field, f[::p]))]
+    if p and not d:
+        return [(g, m * p) for g, m in _squarefree(field, normalize(field, f[::p]))]
     c = gcd(field, f, d)
     w = divmod_poly(field, f, c)[0]
     i = 1
@@ -161,9 +158,12 @@ def _squarefree_fp(field: Field, f) -> list:
         w = y
         c = divmod_poly(field, c, y)[0]
         i += 1
-    if degree(c) > 0:
-        out.extend((g, m * p) for g, m in _squarefree_fp(field, normalize(field, c[::p])))
+    if p and degree(c) > 0:
+        out.extend((g, m * p) for g, m in _squarefree(field, normalize(field, c[::p])))
     return out
+
+
+# -- factorization over GF(p) ------------------------------------------------
 
 
 def _equal_degree_split(field: Field, f, d: int, rng) -> list:
@@ -214,23 +214,6 @@ def _factor_squarefree_fp(field: Field, f) -> list:
 
 
 # -- factorization over the rationals ----------------------------------------
-
-
-def _squarefree_char0(f) -> list:
-    out = []
-    fd = derivative(QQ, f)
-    c = gcd(QQ, f, fd)
-    w = divmod_poly(QQ, f, c)[0]
-    i = 1
-    while degree(w) > 0:
-        y = gcd(QQ, w, c)
-        fac = divmod_poly(QQ, w, y)[0]
-        if degree(fac) > 0:
-            out.append((monic(QQ, fac), i))
-        w = y
-        c = divmod_poly(QQ, c, y)[0]
-        i += 1
-    return out
 
 
 def _primitive_int(f):
@@ -318,16 +301,11 @@ def factor(field: Field, f):
     f = monic(field, f)
     if degree(f) < 1:
         return unit, []
-    if field.p is None:
-        blocks = _squarefree_char0(f)
-        out = []
-        for g, m in blocks:
-            for h in _factor_squarefree_rational(g):
-                out.append((h, m))
-    else:
-        out = []
-        for g, m in _squarefree_fp(field, f):
-            for h in _factor_squarefree_fp(field, g):
-                out.append((h, m))
+    out = []
+    for g, m in _squarefree(field, f):
+        if field.p is None:
+            out.extend((h, m) for h in _factor_squarefree_rational(g))
+        else:
+            out.extend((h, m) for h in _factor_squarefree_fp(field, g))
     out.sort()
     return unit, out

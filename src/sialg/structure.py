@@ -1,4 +1,5 @@
-"""Structure theory: radical, canonical decomposition, Nakayama data.
+"""Structure theory: radical, canonical decomposition, Peirce corners,
+Nakayama data and the basic reduction.
 
 The radical uses the regular-representation trace form (characteristic 0
 or p > dim); for commutative algebras over GF(p) it falls back on the
@@ -7,6 +8,9 @@ Idempotents are lifted from the semisimple quotient with the cubic
 iteration a -> 3a^2 - 2a^3 and orthogonalized sequentially; splitting
 inside the quotient factors minimal polynomials of swept corner elements.
 All randomized searches take an explicit seed and are reproducible.
+`PeirceCorners` is the one Peirce decomposition: each corner e_j A e_i of
+the class representatives is computed once, and every projection of an
+element or tensor onto the corners goes through it.
 """
 
 from __future__ import annotations
@@ -59,51 +63,66 @@ def corner_basis(alg: FinDimAlgebra, left: Element | None, right: Element | None
     return [Element(alg, dict(row)) for row in span.basis_vectors()]
 
 
-def peirce_components(y: Tensor2, reps, spans: dict | None = None) -> dict:
-    """Nonzero Peirce components of y for the idempotents `reps`.
+class PeirceCorners:
+    """The Peirce corners e_j A e_i of orthogonal idempotents `reps`.
 
-    Returns {(j, i, u, v): {(k1, k2): c}}, the component of y in
-    e_j A e_i (x) e_u A e_v.  Keys k1, k2 are basis indices, or corner
-    coordinates when `spans` maps each corner (j, i) to a Span of e_j A e_i.
+    Each corner's Span and echelon basis is computed once, in j-major
+    order; `bases[(j, i)]` and `spans[(j, i)]` hold them.  Components are
+    given in corner coordinates, the indices into `bases[(j, i)]`.  When
+    the reps sum to e, the components of a reassemble e a e.
     """
-    alg = y.algebra
-    p = alg.field.p
-    corners = [(j, i) for j in range(len(reps)) for i in range(len(reps))]
-    cache: dict = {}
 
-    def proj(corner, idx):
-        got = cache.get((corner, idx))
-        if got is None:
-            j, i = corner
-            got = multiply(multiply(reps[j], alg.basis_element(idx)), reps[i]).coeffs
-            if got and spans is not None:
-                coords = spans[corner].coordinates(got)
-                got = {b: c for b, c in enumerate(coords) if c}
-            cache[(corner, idx)] = got
-        return got
+    def __init__(self, alg: FinDimAlgebra, reps):
+        self.alg = alg
+        self.reps = reps
+        self.spans: dict = {}
+        self.bases: dict = {}
+        for j in range(len(reps)):
+            for i in range(len(reps)):
+                span = self.spans[(j, i)] = corner_span(alg, reps[j], reps[i])
+                self.bases[(j, i)] = [Element(alg, dict(row)) for row in span.basis_vectors()]
+        self._basis_components: dict = {}  # basis index -> components, filled on demand
 
-    components: dict = {}
-    for (a, b), c in y.coeffs.items():
-        for left_corner in corners:
-            left = proj(left_corner, a)
-            if not left:
-                continue
-            for right_corner in corners:
-                right = proj(right_corner, b)
-                if not right:
-                    continue
-                comp = components.setdefault(left_corner + right_corner, {})
-                for k1, c1 in left.items():
-                    cc = c * c1
-                    for k2, c2 in right.items():
-                        w = comp.get((k1, k2), 0) + cc * c2
-                        if p:
-                            w %= p
-                        if w:
-                            comp[(k1, k2)] = w
-                        else:
-                            comp.pop((k1, k2), None)
-    return {key: comp for key, comp in components.items() if comp}
+    def coordinates(self, corner, coeffs: dict) -> list:
+        """Coordinates of `coeffs` in the corner's echelon basis."""
+        coords = self.spans[corner].coordinates(coeffs)
+        if coords is None:
+            raise AlgebraError(f"element left its Peirce corner {corner}")
+        return coords
+
+    def components(self, a: Element) -> dict:
+        """Nonzero corner components {(j, i): {b: c}} of e_j a e_i."""
+        out = {}
+        for (j, i) in self.spans:
+            w = multiply(multiply(self.reps[j], a), self.reps[i]).coeffs
+            if w:
+                coords = self.coordinates((j, i), w)
+                out[(j, i)] = {b: c for b, c in enumerate(coords) if c}
+        return out
+
+    def tensor_components(self, y: Tensor2) -> dict:
+        """Nonzero Peirce components of y: {(j, i, u, v): {(b1, b2): c}},
+        the component in e_j A e_i (x) e_u A e_v in corner coordinates."""
+        memo = self._basis_components
+        for idx in {k for key in y.coeffs for k in key} - memo.keys():
+            memo[idx] = self.components(self.alg.basis_element(idx))
+        p = self.alg.field.p
+        out: dict = {}
+        for (a, b), c in y.coeffs.items():
+            for left_corner, left in memo[a].items():
+                for right_corner, right in memo[b].items():
+                    comp = out.setdefault(left_corner + right_corner, {})
+                    for k1, c1 in left.items():
+                        cc = c * c1
+                        for k2, c2 in right.items():
+                            w = comp.get((k1, k2), 0) + cc * c2
+                            if p:
+                                w %= p
+                            if w:
+                                comp[(k1, k2)] = w
+                            else:
+                                comp.pop((k1, k2), None)
+        return {key: comp for key, comp in out.items() if comp}
 
 
 def _element_pow(a: Element, q: int) -> Element:
@@ -176,7 +195,7 @@ def _frobenius_power_kernel(alg: FinDimAlgebra):
     return sparse_kernel(alg.field, rows, alg.dim)
 
 
-def radical(alg: FinDimAlgebra, verify: bool = True) -> RadicalData:
+def radical(alg: FinDimAlgebra) -> RadicalData:
     """Jacobson radical basis with nilpotency index.
 
     Characteristic restrictions: exact over the rationals, over GF(p)
@@ -211,14 +230,13 @@ def radical(alg: FinDimAlgebra, verify: bool = True) -> RadicalData:
         index += 1
         if index > alg.dim + 1:
             raise AlgebraError("radical candidate is not nilpotent")
-    if verify:
-        for i in range(alg.dim):
-            b = alg.basis_element(i)
-            for r in basis:
-                if not span.contains(multiply(b, r).coeffs) or not span.contains(
-                    multiply(r, b).coeffs
-                ):
-                    raise AlgebraError("radical candidate is not an ideal")
+    for i in range(alg.dim):
+        b = alg.basis_element(i)
+        for r in basis:
+            if not span.contains(multiply(b, r).coeffs) or not span.contains(
+                multiply(r, b).coeffs
+            ):
+                raise AlgebraError("radical candidate is not an ideal")
     return RadicalData(basis, span, index)
 
 
@@ -401,7 +419,7 @@ def canonical_decomposition(
     if rad is None:
         rad = radical(alg)
     quot = semisimple_quotient(alg, rad)
-    qrad = radical(quot.algebra, verify=False)
+    qrad = radical(quot.algebra)
     if qrad.dim != 0:
         raise AlgebraError("semisimple quotient still has a radical")
     qidems, certified = _primitive_idempotents_semisimple(quot, seed)
@@ -663,12 +681,11 @@ def duality_pattern(
 class BasicEmbedding:
     """Inclusion data for the basic corner eAe inside its parent algebra."""
 
-    def __init__(self, lam, dec_lam, parent, elements, project_fn):
+    def __init__(self, lam, dec_lam, parent, elements):
         self.lam = lam
         self.dec_lam = dec_lam
         self.parent = parent
         self.elements = elements  # parent elements carrying the basic basis
-        self._project_fn = project_fn
 
     def to_parent(self, x: Element) -> Element:
         if self.elements is None:
@@ -678,15 +695,12 @@ class BasicEmbedding:
             out = out + self.elements[t].scaled(c)
         return out
 
-    def project(self, a: Element) -> Element:
-        """Corner projection of an element of the parent lying in eAe."""
-        return self._project_fn(a)
-
 
 def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
     """Corner algebra e A e for e the sum of class representatives.
 
-    Returns (lam, embedding); lam's induced decomposition keeps the
+    Its basis is the concatenation of the Peirce corner bases in j-major
+    order.  Returns (lam, embedding); lam's induced decomposition keeps the
     parent's class order, so multiplicities and the Nakayama permutation
     stay aligned across the reduction.
     """
@@ -697,36 +711,14 @@ def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
     if e == alg.unit:
         groups = [[cls[0]] for cls in dec.classes]
         dec_lam = decomposition_from_idempotents(alg, groups, dec.flags)
-        return alg, BasicEmbedding(alg, dec_lam, alg, None, lambda a: a)
-    field = alg.field
-    n = dec.n
-    basis_elements = []
-    corner_of_index = []
-    corner_spans = {}
-    for j in range(n):
-        for i in range(n):
-            span = corner_span(alg, reps[j], reps[i])
-            corner_spans[(j, i)] = span
-            for row in span.basis_vectors():
-                basis_elements.append(Element(alg, dict(row)))
-                corner_of_index.append((j, i))
-    dim_lam = len(basis_elements)
-    labels = []
-    seen = {}
-    for t, (j, i) in enumerate(corner_of_index):
-        seen[(j, i)] = seen.get((j, i), -1) + 1
-        labels.append(f"c[{j}<-{i}].{seen[(j, i)]}")
-    offsets = {}
-    for t, key in enumerate(corner_of_index):
-        offsets.setdefault(key, t)
-
-    def corner_coords(key, coeffs: dict):
-        span = corner_spans[key]
-        coords = span.coordinates(coeffs)
-        if coords is None:
-            raise AlgebraError("product left its Peirce corner")
-        return [(offsets[key] + t, c) for t, c in enumerate(coords) if c]
-
+        return alg, BasicEmbedding(alg, dec_lam, alg, None)
+    corners = PeirceCorners(alg, reps)
+    basis_elements, labels, offsets, corner_of_index = [], [], {}, []
+    for (j, i), basis in corners.bases.items():
+        offsets[(j, i)] = len(basis_elements)
+        basis_elements.extend(basis)
+        labels.extend(f"c[{j}<-{i}].{b}" for b in range(len(basis)))
+        corner_of_index.extend([(j, i)] * len(basis))
     structure = []
     for a_idx, qa in enumerate(basis_elements):
         ja, ia = corner_of_index[a_idx]
@@ -735,29 +727,22 @@ def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
             if ia != jb:
                 continue
             prod = multiply(qa, qb)
-            if not prod.coeffs:
-                continue
-            for k, c in corner_coords((ja, ib), prod.coeffs):
-                structure.append((a_idx, b_idx, k, c))
-    unit = [field.zero] * dim_lam
-    for i in range(n):
-        for k, c in corner_coords((i, i), reps[i].coeffs):
-            unit[k] = c
-    lam = FinDimAlgebra(field, labels, structure, unit, validate=True)
-
-    def project(a: Element) -> Element:
-        out: dict = {}
-        for j in range(n):
-            for i in range(n):
-                w = multiply(multiply(reps[j], a), reps[i])
-                if w.coeffs:
-                    for k, c in corner_coords((j, i), w.coeffs):
-                        out[k] = out.get(k, field.zero) + c
-        return lam.element(out)
-
-    groups = [[project(cls[0])] for cls in dec.classes]
-    dec_lam = decomposition_from_idempotents(lam, groups, dec.flags)
-    return lam, BasicEmbedding(lam, dec_lam, alg, basis_elements, project)
+            if prod.coeffs:
+                for k, c in enumerate(corners.coordinates((ja, ib), prod.coeffs)):
+                    if c:
+                        structure.append((a_idx, b_idx, offsets[(ja, ib)] + k, c))
+    # the reps, each in its own diagonal corner, sum to the unit e of eAe
+    images = []
+    unit = [alg.field.zero] * len(basis_elements)
+    for r in reps:
+        image = {}
+        for key, comp in corners.components(r).items():
+            for b, c in comp.items():
+                image[offsets[key] + b] = unit[offsets[key] + b] = c
+        images.append(image)
+    lam = FinDimAlgebra(alg.field, labels, structure, unit, validate=True)
+    dec_lam = decomposition_from_idempotents(lam, [[lam.element(im)] for im in images], dec.flags)
+    return lam, BasicEmbedding(lam, dec_lam, alg, basis_elements)
 
 
 # -- isomorphism witnesses between projective copies ---------------------------

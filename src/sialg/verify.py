@@ -142,7 +142,7 @@ def _model_to_x_index(amp, nsy):
     """Basis bijection: model tuple (i,j,s,t,b) -> X[j_path; t-1, s-1]."""
     index_map = {}
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
-        q = amp.corner_bases[(j, i)][b]
+        q = amp.corners.bases[(j, i)][b]
         if len(q.coeffs) != 1:
             raise AlgebraError("path corner basis is not monomial")
         path_idx = next(iter(q.coeffs))

@@ -86,7 +86,7 @@ def test_amplify_identity_multiplicities():
     assert amp.algebra.dim == B.dim
     emap = {}
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
-        (base_idx,) = amp.corner_bases[(j, i)][b].coeffs
+        (base_idx,) = amp.corners.bases[(j, i)][b].coeffs
         emap[a] = base_idx
     assert sorted(emap.values()) == list(range(B.dim))
     for a in range(B.dim):
@@ -241,7 +241,7 @@ def test_build_counit_m_equals_one_recovers_base():
     eps = build_counit(amp, spec, nak, pair.epsilon, x)
     # under the canonical identification the counit restricts to the base one
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
-        q = amp.corner_bases[(j, i)][b]
+        q = amp.corners.bases[(j, i)][b]
         if j == nak.nu_inverse(i):
             assert eps.values[a] == pair.epsilon(q)
         else:
@@ -419,7 +419,7 @@ def test_build_counit_nsy_diagonal_socle_support():
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
         v = eps.values[a]
         if v:
-            q = amp.corner_bases[(j, i)][b]
+            q = amp.corners.bases[(j, i)][b]
             (path_idx,) = q.coeffs
             assert path_idx % 2 == 1  # a length-(l-1) socle path
             assert s == t

@@ -53,7 +53,7 @@ def test_nsy_m_one_equals_nakayama():
 def _model_index_map(amp, nsy):
     out = {}
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
-        q = amp.corner_bases[(j, i)][b]
+        q = amp.corners.bases[(j, i)][b]
         (path_idx,) = q.coeffs
         pi, pk = divmod(path_idx, nsy.l)
         out[a] = nsy.x(pi, pk, t - 1, s - 1)
@@ -194,3 +194,21 @@ def test_corpus_standard_size_and_bounds():
     assert len(set(keys)) == len(keys)
     with pytest.raises(BadParams):
         corpus("huge")
+
+
+def _amplify_b22(m):
+    B = nakayama_algebra(2, 2)
+    return amplify(B, canonical_decomposition(B), m)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nsy_algebra(1, 2, (1.9,)),
+    lambda: nsy_algebra(2, 2, (1, True)),
+    lambda: group_algebra((2.7,), Field(3)),
+    lambda: group_algebra(("3",)),
+    lambda: _amplify_b22((1.5, True)),
+], ids=["nsy-float", "nsy-bool", "group-float", "group-str", "amplify-float-bool"])
+def test_non_integer_multiplicities_refused(build):
+    # int() would truncate 1.9 to 1 and read "3" or True as a size
+    with pytest.raises(BadParams):
+        build()

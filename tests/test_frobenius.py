@@ -27,6 +27,7 @@ from sialg.frobenius import (
 from sialg.linalg import Matrix
 from sialg.structure import (
     NakayamaData,
+    PeirceCorners,
     canonical_decomposition,
     nakayama,
     radical,
@@ -43,7 +44,7 @@ def _setup(alg):
 def test_small_spaces_kx2():
     A = nakayama_algebra(1, 2)
     dec, nak, rad = _setup(A)
-    small = small_spaces(A, dec, nak, rad)
+    small = small_spaces(PeirceCorners(A, dec.reps), nak, rad)
     assert small.dims() == [1]
     assert small.bases[0][0].coeffs == {1: QQ(1)}  # spanned by x
 
@@ -51,7 +52,7 @@ def test_small_spaces_kx2():
 def test_small_spaces_b22():
     B = nakayama_algebra(2, 2)
     dec, nak, rad = _setup(B)
-    small = small_spaces(B, dec, nak, rad)
+    small = small_spaces(PeirceCorners(B, dec.reps), nak, rad)
     assert small.dims() == [1, 1]
     for basis in small.bases:
         (idx,) = basis[0].coeffs
@@ -61,7 +62,7 @@ def test_small_spaces_b22():
 def test_small_spaces_semisimple_whole_corner():
     M = matrix_algebra(2)
     dec, nak, rad = _setup(M)
-    small = small_spaces(M, dec, nak, rad)
+    small = small_spaces(PeirceCorners(M, dec.reps), nak, rad)
     assert small.dims() == [1]  # corner e11 M e11, J = 0
 
 

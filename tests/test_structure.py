@@ -4,8 +4,10 @@ from itertools import combinations
 import pytest
 
 from sialg.algebra import multiply, permute_basis
+from sialg.amplify import amplify, lift
 from sialg.errors import NotSelfInjectiveLike, UnsupportedField
 from sialg.families import (
+    corpus,
     field_product_algebra,
     group_algebra,
     matrix_algebra,
@@ -14,8 +16,10 @@ from sialg.families import (
     path_algebra_a2,
 )
 from sialg.fields import Field, QQ
+from sialg.pipeline import analyze
 from sialg.structure import (
     NakayamaData,
+    PeirceCorners,
     basic_reduction,
     canonical_decomposition,
     duality_pattern,
@@ -231,6 +235,78 @@ def test_basic_reduction_identity_on_basic():
     lam, emb = basic_reduction(B, dec)
     assert lam is B
     assert emb.to_parent(B.basis_element(1)) == B.basis_element(1)
+
+
+def _outer(alg, terms):
+    """The tensor sum of c * left (x) right over the terms (c, left, right)."""
+    coeffs = {}
+    for c, left, right in terms:
+        for k1, c1 in left.coeffs.items():
+            for k2, c2 in right.coeffs.items():
+                coeffs[(k1, k2)] = coeffs.get((k1, k2), 0) + c * c1 * c2
+    return alg.tensor2(coeffs)
+
+
+def _check_corners(corners, rng, complete):
+    # components reassemble e a e, and y with both legs cut down by e, for
+    # e the sum of the reps; that is a and y themselves when e = 1
+    alg, field, bases = corners.alg, corners.alg.field, corners.bases
+    d = alg.dim
+    e = alg.zero()
+    for r in corners.reps:
+        e = e + r
+    assert (e == alg.unit) == complete
+
+    def cut(x):
+        return multiply(multiply(e, x), e)
+
+    for _ in range(3):
+        a = alg.element({k: field.random(rng) for k in range(d)})
+        got = alg.zero()
+        for key, comp in corners.components(a).items():
+            for b, c in comp.items():
+                got = got + bases[key][b].scaled(c)
+        assert got == (a if complete else cut(a))
+        y = alg.tensor2(
+            {(rng.randrange(d), rng.randrange(d)): field.random(rng) for _ in range(4 * d)}
+        )
+        got = _outer(alg, (
+            (c, bases[key[:2]][b1], bases[key[2:]][b2])
+            for key, comp in corners.tensor_components(y).items()
+            for (b1, b2), c in comp.items()
+        ))
+        expected = _outer(alg, (
+            (c, cut(alg.basis_element(k1)), cut(alg.basis_element(k2)))
+            for (k1, k2), c in y.coeffs.items()
+        ))
+        assert got == (y if complete else expected)
+
+
+_PEIRCE_INPUTS = [(e.key, e.algebra) for e in corpus("small")] + [
+    (e.key + " gf101", nsy_algebra(*(e.provenance[k] for k in "nlm"), Field(101)).algebra)
+    for e in corpus("small")
+    if e.provenance["family"] == "nsy"
+]
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for _, alg in _PEIRCE_INPUTS], ids=[key for key, _ in _PEIRCE_INPUTS]
+)
+def test_peirce_corners_reassemble(alg):
+    rng = random.Random(97)
+    a = analyze(alg)
+    dec, lam, dec_lam = a.dec, a.lam, a.embedding.dec_lam
+    # the input with one representative per class: e a e, e = 1 iff basic
+    basic = all(v == 1 for v in dec.multiplicities)
+    _check_corners(PeirceCorners(alg, dec.reps), rng, basic)
+    _check_corners(PeirceCorners(lam, dec_lam.reps), rng, True)
+    # the amplified model cut by every copy idempotent, then by one per class
+    amp = amplify(lam, dec_lam, dec.multiplicities)
+    copies = [
+        [lift(amp, rep, t, t) for t in range(1, amp.m[i] + 1)] for i, rep in enumerate(dec_lam.reps)
+    ]
+    _check_corners(PeirceCorners(amp.algebra, [e for cls in copies for e in cls]), rng, True)
+    _check_corners(PeirceCorners(amp.algebra, [cls[0] for cls in copies]), rng, basic)
 
 
 def _find_iso_by_permutation(A, B):
