@@ -371,6 +371,20 @@ def multiply(a: Element, b: Element) -> Element:
     return Element(a.algebra, out)
 
 
+def combination(alg: FinDimAlgebra, vectors, coeffs) -> Element:
+    """sum_t c_t v_t for coeffs a dict {t: c_t} or a list parallel to
+    `vectors`, accumulated into one dict."""
+    items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+    norm, p = alg.field.normal, alg.field.p
+    out: dict = {}
+    for t, c in items:
+        c = norm(c)
+        if c:
+            for k, v in vectors[t].coeffs.items():
+                _accum(out, k, v * c, p)
+    return Element(alg, out)
+
+
 def check_unit(alg: FinDimAlgebra):
     """None if 1*b_i = b_i = b_i*1 for all i, else the first failing index."""
     one = alg.unit

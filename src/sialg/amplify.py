@@ -2,9 +2,11 @@
 
 The amplified basis is indexed by (source class i, target class j, source
 copy s, target copy t, corner basis element b); b indexes the basis of
-the Peirce corner (j <- i) in the base algebra's `PeirceCorners`, kept as
-`amp.corners`.  Copy indices are 1-based here, matching the subset data
-S(i) in {1..m(i)} x {1..m(nu^-1 i)}.  The spreading operation cuts an
+the Peirce corner (j <- i) in the base algebra's `PeirceCorners`.  The
+corners are passed in, not built: `amplify(corners, m)` keeps the object
+it is given as `amp.corners`, so the pipeline's counit and its amplified
+model read one Peirce decomposition.  Copy indices are 1-based here,
+matching the subset data S(i) in {1..m(i)} x {1..m(nu^-1 i)}.  The spreading operation cuts an
 invariant basic tensor into its corner blocks with
 `amp.corners.tensor_components` and distributes each block over copies
 according to S(i), and the two counitality routes
@@ -40,7 +42,7 @@ from .errors import (
 )
 from .fields import json_int
 from .linalg import sparse_rank, sparse_solve
-from .structure import CanonicalDecomposition, NakayamaData, PeirceCorners
+from .structure import NakayamaData, PeirceCorners
 
 
 class AmplifiedAlgebra:
@@ -50,19 +52,18 @@ class AmplifiedAlgebra:
     the product composes morphisms through a matching inner copy index.
     """
 
-    def __init__(self, base: FinDimAlgebra, dec: CanonicalDecomposition, m):
-        if any(v != 1 for v in dec.multiplicities):
+    def __init__(self, corners: PeirceCorners, m):
+        base, reps = corners.alg, corners.reps
+        n = len(reps)
+        # one idempotent per class exactly when the class reps sum to 1
+        if sum(reps[1:], reps[0]) != base.unit:
             raise NotBasic("amplification needs a basic decomposition")
         m = tuple(json_int(v, "multiplicity") for v in m)
-        if len(m) != dec.n or any(v < 1 for v in m):
+        if len(m) != n or any(v < 1 for v in m):
             raise BadParams("multiplicities must list one value >= 1 per class")
-        self.base = base
-        self.dec = dec
         self.m = m
-        n = dec.n
+        self.corners = corners
         field = base.field
-        reps = dec.reps
-        self.corners = corners = PeirceCorners(base, reps)
         bases = corners.bases
         tuples = []
         for i in range(n):
@@ -99,13 +100,9 @@ class AmplifiedAlgebra:
                         unit[self.index[(i, i, t, t, k)]] = c
         self.algebra = FinDimAlgebra(field, labels, structure, unit, validate=True)
 
-    @property
-    def n(self) -> int:
-        return self.dec.n
 
-
-def amplify(base: FinDimAlgebra, dec: CanonicalDecomposition, m) -> AmplifiedAlgebra:
-    return AmplifiedAlgebra(base, dec, m)
+def amplify(corners: PeirceCorners, m) -> AmplifiedAlgebra:
+    return AmplifiedAlgebra(corners, m)
 
 
 def lift(amp: AmplifiedAlgebra, phi: Element, s: int, t: int) -> Element:

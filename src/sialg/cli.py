@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", help="comma-separated multiplicities (or a size)")
     gen.add_argument("--factors", help="comma-separated cyclic group factor sizes")
     gen.add_argument("--prime", type=int, help="work over GF(p) instead of the rationals")
-    gen.add_argument("--rational", action="store_true", help="work over the rationals (default)")
     gen.add_argument("--output", "-o")
 
     ana = sub.add_parser("analyze", help="canonical decomposition and Nakayama data")

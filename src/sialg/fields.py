@@ -12,6 +12,7 @@ inputs; a float or bool offered as a scalar is refused.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import BadParams
@@ -85,11 +86,9 @@ def narrow(x):
     return x
 
 
-def _fraction(text: str):
-    try:
-        return narrow(Fraction(text))
-    except ZeroDivisionError:
-        raise BadParams(f"scalar '{text}' has a zero denominator") from None
+# "a", "a/b" or "r mod p" in decimal digits: no exponent or decimal point,
+# which Fraction would expand exactly however many digits they ask for
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+)|\s*mod\s*([0-9]+))?")
 
 
 class Field:
@@ -149,18 +148,22 @@ class Field:
         return pow(x, p - 2, p)
 
     def parse(self, text: str):
-        """Parse a scalar string: "a", "a/b" or "r mod p"."""
-        text = text.strip()
-        if self.p is None:
-            return _fraction(text)
-        if "mod" in text:
-            r, p = (part.strip() for part in text.split("mod"))
-            if int(p) != self.p:
-                raise BadParams(f"scalar '{text}' does not live in GF({self.p})")
-            return int(r) % self.p
-        if "/" in text:
-            return self(_fraction(text))
-        return int(text) % self.p
+        """Parse a scalar string: "a", "a/b" or, over GF(p), "r mod p", all
+        integers; any other form, "1e5" or "0.5" included, is BadParams."""
+        match = _SCALAR.fullmatch(text.strip())
+        if match is None:
+            raise BadParams(f"scalar '{text}' is not an integer, 'a/b' or 'r mod p'")
+        try:
+            num, den, mod = (None if g is None else int(g) for g in match.groups())
+        except ValueError as exc:  # more digits than int() converts
+            raise BadParams(f"scalar {text[:20]!r}... is too long: {exc}") from None
+        if mod is not None:
+            if mod != self.p:
+                raise BadParams(f"scalar '{text}' does not live in {self!r}")
+            return num % mod
+        if den == 0:
+            raise BadParams(f"scalar '{text}' has a zero denominator")
+        return self(num if den is None else Fraction(num, den))
 
     def format(self, x) -> str:
         if self.p is None:

@@ -7,6 +7,11 @@ Gram matrix G[a][b] = eps(b_a b_b) is invertible.  The dual-basis tensor
 is assembled from the Gram inverse with duals multiplying on the left
 inside eps, and every produced pair is re-verified exactly: invariance,
 both counit identities, and the two support clauses.
+
+Every function here takes the basic algebra's Peirce decomposition, a
+`structure.PeirceCorners` built once per context (`analyze` keeps it as
+`AnalysisResult.corners`), in place of the algebra and its idempotents;
+none of them builds one.
 """
 
 from __future__ import annotations
@@ -24,15 +29,8 @@ from .algebra import (
     multiply,
 )
 from .errors import AlgebraError, NotFrobenius, NotInvertible, SingularGram, SingularMatrix
-from .linalg import Matrix, Span, sparse_kernel, sparse_rank, sparse_solve
-from .structure import (
-    DEFAULT_SEED,
-    CanonicalDecomposition,
-    NakayamaData,
-    PeirceCorners,
-    RadicalData,
-    radical,
-)
+from .linalg import Matrix, Span, sparse_rank, sparse_solve
+from .structure import DEFAULT_SEED, NakayamaData, PeirceCorners, RadicalData, annihilator
 
 COUNIT_RETRY_BUDGET = 32
 
@@ -65,33 +63,12 @@ def small_spaces(corners: PeirceCorners, nak: NakayamaData, rad: RadicalData) ->
     """Per class i, the subspace of the corner e_{nu^-1(i),1} L e_{i,1} killed
     by the radical on both sides; these span the morphisms factoring
     through a simple module."""
-    lam = corners.alg
-    bases = []
-    for i in range(len(corners.reps)):
-        corner = corners.bases[(nak.nu_inverse(i), i)]
-        if not rad.basis:
-            bases.append(corner)
-            continue
-        eq_rows = []
-        for r in rad.basis:
-            per_coord_l: dict = {}
-            per_coord_r: dict = {}
-            for t, q in enumerate(corner):
-                for k, c in multiply(r, q).coeffs.items():
-                    per_coord_l.setdefault(k, {})[t] = c
-                for k, c in multiply(q, r).coeffs.items():
-                    per_coord_r.setdefault(k, {})[t] = c
-            eq_rows.extend(per_coord_l.values())
-            eq_rows.extend(per_coord_r.values())
-        sols = sparse_kernel(lam.field, eq_rows, len(corner))
-        basis = []
-        for vec in sols:
-            z = lam.zero()
-            for t, c in vec.items():
-                z = z + corner[t].scaled(c)
-            basis.append(z)
-        bases.append(basis)
-    return SmallSpaceData(bases)
+    return SmallSpaceData(
+        [
+            annihilator(corners.alg, corners.bases[(nak.nu_inverse(i), i)], rad.basis, rad.basis)
+            for i in range(len(corners.reps))
+        ]
+    )
 
 
 def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
@@ -119,11 +96,7 @@ def _functional_from_targets(lam: FinDimAlgebra, vectors, targets) -> Functional
 
 
 def construct_counit(
-    lam: FinDimAlgebra,
-    dec: CanonicalDecomposition,
-    nak: NakayamaData,
-    seed: int = DEFAULT_SEED,
-    rad: RadicalData | None = None,
+    corners: PeirceCorners, nak: NakayamaData, rad: RadicalData, seed: int = DEFAULT_SEED
 ) -> Functional:
     """Counit supported on the allowed corners with an invertible Gram.
 
@@ -131,15 +104,14 @@ def construct_counit(
     fixed complement; seeded nonzero retries cover small spaces of
     dimension > 1.  Raises NotFrobenius when the budget is exhausted.
     """
-    if rad is None:
-        rad = radical(lam)
+    lam = corners.alg
     field = lam.field
-    corners = PeirceCorners(lam, dec.reps)
+    n = len(corners.reps)
     small = small_spaces(corners, nak, rad)
     vectors = []
     small_slots = []  # indices into `vectors` carrying small basis entries
-    for i in range(dec.n):
-        for j in range(dec.n):
+    for i in range(n):
+        for j in range(n):
             corner = corners.bases[(j, i)]
             if not corner:
                 continue
@@ -199,14 +171,10 @@ def dual_basis_tensor(lam: FinDimAlgebra, eps: Functional) -> Tensor2:
 
 
 def frobenius_pair(
-    lam: FinDimAlgebra,
-    dec: CanonicalDecomposition,
-    nak: NakayamaData,
-    seed: int = DEFAULT_SEED,
-    rad: RadicalData | None = None,
+    corners: PeirceCorners, nak: NakayamaData, rad: RadicalData, seed: int = DEFAULT_SEED
 ) -> FrobeniusPair:
-    eps = construct_counit(lam, dec, nak, seed, rad)
-    return FrobeniusPair(eps, dual_basis_tensor(lam, eps))
+    eps = construct_counit(corners, nak, rad, seed)
+    return FrobeniusPair(eps, dual_basis_tensor(corners.alg, eps))
 
 
 @dataclass
@@ -244,11 +212,7 @@ class FrobeniusPairReport:
 
 
 def verify_frobenius_pair(
-    lam: FinDimAlgebra,
-    pair: FrobeniusPair,
-    dec: CanonicalDecomposition,
-    nak: NakayamaData,
-    rad: RadicalData,
+    corners: PeirceCorners, pair: FrobeniusPair, nak: NakayamaData, rad: RadicalData
 ) -> FrobeniusPairReport:
     """Exact checks: invariance, counit laws, corner support of eps, block
     support of y, and nondegeneracy of eps on every small space.
@@ -258,16 +222,16 @@ def verify_frobenius_pair(
     the small-space criterion tested here (for split inputs the space is
     one-dimensional and this is exactly invertibility of its Gram).
     """
+    lam, n = corners.alg, len(corners.reps)
     eps, y = pair.epsilon, pair.y
     invariant = is_invariant(y) is None
     counital = (
         apply_functional("left", eps, y) == lam.unit
         and apply_functional("right", eps, y) == lam.unit
     )
-    corners = PeirceCorners(lam, dec.reps)
     support_ok, support_witness = True, None
-    for i in range(dec.n):
-        for j in range(dec.n):
+    for i in range(n):
+        for j in range(n):
             if j == nak.nu_inverse(i):
                 continue
             if any(eps(q) for q in corners.bases[(j, i)]):

@@ -16,6 +16,7 @@ from .algebra import (
     FinDimAlgebra,
     Functional,
     Tensor2,
+    combination,
     multiply,
 )
 from .amplify import (
@@ -37,6 +38,7 @@ from .structure import (
     CanonicalDecomposition,
     IsoWitness,
     NakayamaData,
+    PeirceCorners,
     RadicalData,
     basic_reduction,
     canonical_decomposition,
@@ -48,13 +50,21 @@ from .structure import (
 
 @dataclass
 class AnalysisResult:
+    """`corners` is the basic algebra's Peirce decomposition by
+    `embedding.dec_lam.reps`, built once in `analyze` and read by every
+    later layer; `lam` is `corners.alg`."""
+
     algebra: FinDimAlgebra
     rad: RadicalData
     dec: CanonicalDecomposition
-    lam: FinDimAlgebra
+    corners: PeirceCorners
     embedding: BasicEmbedding
     rad_lam: RadicalData
     nak: NakayamaData
+
+    @property
+    def lam(self) -> FinDimAlgebra:
+        return self.corners.alg
 
     @property
     def multiplicities(self) -> tuple:
@@ -92,7 +102,8 @@ def analyze(
     lam, emb = basic_reduction(alg, dec)
     rad_lam = rad if lam is alg else radical(lam)
     nak = nakayama(lam, emb.dec_lam, rad_lam)
-    return AnalysisResult(alg, rad, dec, lam, emb, rad_lam, nak)
+    corners = PeirceCorners(lam, emb.dec_lam.reps)
+    return AnalysisResult(alg, rad, dec, corners, emb, rad_lam, nak)
 
 
 class ModelIsomorphism:
@@ -134,10 +145,7 @@ class ModelIsomorphism:
             img_a = self.images[a]
             row = amp_alg.rows[a]
             for b in range(d):
-                expect = alg.zero()
-                for k, c in row[b].items():
-                    expect = expect + self.images[k].scaled(c)
-                if multiply(img_a, self.images[b]) != expect:
+                if multiply(img_a, self.images[b]) != combination(alg, self.images, row[b]):
                     raise AlgebraError(
                         f"model map is not multiplicative at basis pair ({a},{b})"
                     )
@@ -156,10 +164,7 @@ class ModelIsomorphism:
         ]
 
     def apply_element(self, x: Element) -> Element:
-        out = self.alg.zero()
-        for t, c in x.coeffs.items():
-            out = out + self.images[t].scaled(c)
-        return out
+        return combination(self.alg, self.images, x.coeffs)
 
     def apply_tensor2(self, x: Tensor2) -> Tensor2:
         p = self.alg.field.p
@@ -222,11 +227,9 @@ class PipelineContext:
 
 def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED, validate: bool = False):
     analysis = analyze(alg, seed, validate)
-    pair = frobenius_pair(
-        analysis.lam, analysis.embedding.dec_lam, analysis.nak, seed, analysis.rad_lam
-    )
+    pair = frobenius_pair(analysis.corners, analysis.nak, analysis.rad_lam, seed)
     wit = iso_witnesses(alg, analysis.dec, seed)
-    amp = amplify(analysis.lam, analysis.embedding.dec_lam, analysis.dec.multiplicities)
+    amp = amplify(analysis.corners, analysis.dec.multiplicities)
     model_map = ModelIsomorphism(alg, amp, analysis.embedding, wit)
     return PipelineContext(analysis, pair, wit, amp, model_map)
 

@@ -19,7 +19,14 @@ import random
 from dataclasses import dataclass
 
 from . import poly
-from .algebra import Element, FinDimAlgebra, Tensor2, minimal_polynomial, multiply
+from .algebra import (
+    Element,
+    FinDimAlgebra,
+    Tensor2,
+    combination,
+    minimal_polynomial,
+    multiply,
+)
 from .errors import (
     AlgebraError,
     NotSelfInjectiveLike,
@@ -326,12 +333,7 @@ def _split_once(qalg: FinDimAlgebra, e: Element, corner: Span, rng, budget: int)
     def candidates():
         yield from corner_elems
         while True:
-            coeffs = [field.random(rng) for _ in corner_elems]
-            z = qalg.zero()
-            for c, w in zip(coeffs, corner_elems):
-                if c:
-                    z = z + w.scaled(c)
-            yield z
+            yield combination(qalg, corner_elems, [field.random(rng) for _ in corner_elems])
 
     for z in candidates():
         if attempts >= budget:
@@ -505,27 +507,18 @@ def decomposition_from_idempotents(
 # -- right modules, socles, Nakayama permutation -------------------------------
 
 
-def socle_basis(alg: FinDimAlgebra, module_basis: list, rad: RadicalData) -> list:
-    """Basis of {a in span(module_basis) : a * J = 0}."""
-    field = alg.field
-    if not rad.basis:
-        return list(module_basis)
+def annihilator(alg: FinDimAlgebra, basis: list, left, right) -> list:
+    """Basis of the z in span(basis) with l . z = 0 for every l in `left`
+    and z . r = 0 for every r in `right`."""
     eq_rows = []
-    for r in rad.basis:
+    for factor, on_left in [(l, True) for l in left] + [(r, False) for r in right]:
         per_coord: dict = {}
-        for t, u in enumerate(module_basis):
-            prod = multiply(u, r)
+        for t, q in enumerate(basis):
+            prod = multiply(factor, q) if on_left else multiply(q, factor)
             for k, c in prod.coeffs.items():
                 per_coord.setdefault(k, {})[t] = c
         eq_rows.extend(per_coord.values())
-    sols = sparse_kernel(field, eq_rows, len(module_basis))
-    out = []
-    for vec in sols:
-        a = alg.zero()
-        for t, c in vec.items():
-            a = a + module_basis[t].scaled(c)
-        out.append(a)
-    return out
+    return [combination(alg, basis, vec) for vec in sparse_kernel(alg.field, eq_rows, len(basis))]
 
 
 @dataclass
@@ -555,7 +548,7 @@ def nakayama(
     socles = []
     for i in range(dec.n):
         module = corner_basis(alg, dec.reps[i], None)
-        soc = socle_basis(alg, module, rad)
+        soc = annihilator(alg, module, [], rad.basis)
         if not soc:
             raise NotSelfInjectiveLike(f"socle of projective class {i} is zero")
         hits = set()
@@ -690,10 +683,7 @@ class BasicEmbedding:
     def to_parent(self, x: Element) -> Element:
         if self.elements is None:
             return x
-        out = self.parent.zero()
-        for t, c in x.coeffs.items():
-            out = out + self.elements[t].scaled(c)
-        return out
+        return combination(self.parent, self.elements, x.coeffs)
 
 
 def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
@@ -705,10 +695,7 @@ def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
     stay aligned across the reduction.
     """
     reps = dec.reps
-    e = reps[0]
-    for r in reps[1:]:
-        e = e + r
-    if e == alg.unit:
+    if sum(reps[1:], reps[0]) == alg.unit:
         groups = [[cls[0]] for cls in dec.classes]
         dec_lam = decomposition_from_idempotents(alg, groups, dec.flags)
         return alg, BasicEmbedding(alg, dec_lam, alg, None)
@@ -796,12 +783,7 @@ def _find_witness_pair(alg, e1, es, c1, c2, rng, budget):
     def candidates():
         yield from c1
         while True:
-            z = alg.zero()
-            for w in c1:
-                c = field.random(rng)
-                if c:
-                    z = z + w.scaled(c)
-            yield z
+            yield combination(alg, c1, [field.random(rng) for _ in c1])
 
     for u in candidates():
         if attempts >= budget:
@@ -821,9 +803,7 @@ def _find_witness_pair(alg, e1, es, c1, c2, rng, budget):
         sol, _ = sparse_solve(field, rows, rhs, len(c2))
         if sol is None:
             continue
-        v = alg.zero()
-        for t, c in sol.items():
-            v = v + c2[t].scaled(c)
+        v = combination(alg, c2, sol)
         if multiply(u, v) != e1:
             raise AlgebraError("witness solve produced an inexact solution")
         if multiply(v, u) != es:

@@ -43,9 +43,11 @@ from .pipeline import PipelineContext, prepare, run_spec
 from .structure import (
     DEFAULT_SEED,
     NakayamaData,
+    PeirceCorners,
     canonical_decomposition,
     duality_pattern,
     nakayama,
+    radical,
 )
 
 REFERENCE_SHAPES = ((1, 2), (2, 2), (2, 3), (3, 2))
@@ -114,13 +116,15 @@ def check_reference_regression() -> CheckResult:
     count = 0
     for n, l in REFERENCE_SHAPES:
         base = nakayama_algebra(n, l)
-        dec = canonical_decomposition(base)
-        nak = nakayama(base, dec)
-        pair = frobenius_pair(base, dec, nak)
+        rad = radical(base)
+        dec = canonical_decomposition(base, DEFAULT_SEED, rad)
+        corners = PeirceCorners(base, dec.reps)
+        nak = nakayama(base, dec, rad)
+        pair = frobenius_pair(corners, nak, rad)
         for m in _m_vectors(n, 3):
             count += 1
             nsy = nsy_algebra(n, l, m)
-            amp = amplify(base, dec, m)
+            amp = amplify(corners, m)
             x_model = spread(amp, pair.y, SpreadSpec.singleton(n), nak)
             # canonical identification of the model basis with the X basis
             expected = reference_delta_one(nsy)
@@ -313,13 +317,12 @@ def _transports(ctx: PipelineContext, draw):
     the unit is that of the transport leading to the reported pair (None
     for t = 0), and the report is `verify_frobenius_pair`'s."""
     a = ctx.analysis
-    lam, dec, nak, rad = a.lam, a.embedding.dec_lam, a.nak, a.rad_lam
     pair, b = ctx.pair, None
     for t in range(TRANSPORTS_PER_ALGEBRA + 1):
-        yield t, b, verify_frobenius_pair(lam, pair, dec, nak, rad)
+        yield t, b, verify_frobenius_pair(a.corners, pair, a.nak, a.rad_lam)
         if t < TRANSPORTS_PER_ALGEBRA:
             b = draw()
-            pair = transport_pair(lam, pair, b)
+            pair = transport_pair(a.lam, pair, b)
 
 
 def check_pair_support(cache: CorpusCache) -> CheckResult:
@@ -365,14 +368,14 @@ def check_transported_pairs(cache: CorpusCache) -> CheckResult:
     failures = []
     pairs_checked = 0
     for idx, entry, ctx in _basic_contexts(cache):
-        lam = ctx.analysis.lam
-        dec = ctx.analysis.embedding.dec_lam
+        corners = ctx.analysis.corners
+        lam = corners.alg
         diag_rng = random.Random(cache.seed * 13 + idx)
         any_rng = random.Random(cache.seed * 7 + idx)
         sequences = (
             (
                 "diagonal-corner",
-                lambda: _random_corner_diagonal_unit(lam, dec, diag_rng),
+                lambda: _random_corner_diagonal_unit(corners, diag_rng),
                 lambda rep: rep.all_ok,
             ),
             (
@@ -409,12 +412,13 @@ def _random_invertible(lam, rng):
             return cand
 
 
-def _random_corner_diagonal_unit(lam, dec, rng):
+def _random_corner_diagonal_unit(corners, rng):
     """Random unit of the diagonal corner sum e_1 L e_1 + ... + e_n L e_n."""
+    lam = corners.alg
     field = lam.field
     while True:
         b = lam.zero()
-        for rep in dec.reps:
+        for rep in corners.reps:
             r = lam.element({i: field.random(rng, -2, 2) for i in range(lam.dim)})
             b = b + rep + (rep * r * rep).scaled(field.random(rng, -2, 2))
         if is_unit(lam, b):
@@ -463,15 +467,17 @@ def check_negative_controls(seed: int = DEFAULT_SEED) -> CheckResult:
     structure constants caught with a witness."""
     failures = []
     a2 = path_algebra_a2()
-    dec = canonical_decomposition(a2)
+    rad = radical(a2)
+    dec = canonical_decomposition(a2, DEFAULT_SEED, rad)
     try:
-        nakayama(a2, dec)
+        nakayama(a2, dec, rad)
         failures.append("path algebra A2 accepted by the socle test")
     except NotSelfInjectiveLike:
         pass
+    corners = PeirceCorners(a2, dec.reps)
     for nu in ((0, 1), (1, 0)):
         try:
-            construct_counit(a2, dec, NakayamaData(nu, [[], []]), seed)
+            construct_counit(corners, NakayamaData(nu, [[], []]), rad, seed)
             failures.append(f"path algebra A2 produced a counit for nu={nu}")
         except NotFrobenius:
             pass

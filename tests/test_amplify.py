@@ -42,7 +42,13 @@ from sialg.families import (
 )
 from sialg.fields import QQ, Field
 from sialg.frobenius import frobenius_pair
-from sialg.structure import NakayamaData, canonical_decomposition, nakayama, radical
+from sialg.structure import (
+    NakayamaData,
+    PeirceCorners,
+    canonical_decomposition,
+    nakayama,
+    radical,
+)
 
 
 def _setup(alg):
@@ -55,8 +61,8 @@ def _setup(alg):
 def _scalar_amp():
     k = field_product_algebra(1)
     dec, nak, rad = _setup(k)
-    amp = amplify(k, dec, (2,))
-    pair = frobenius_pair(k, dec, nak)
+    amp = amplify(PeirceCorners(k, dec.reps), (2,))
+    pair = frobenius_pair(amp.corners, nak, rad)
     return k, dec, nak, amp, pair
 
 
@@ -82,7 +88,7 @@ def test_amplify_identity_multiplicities():
     # the identification directly
     B = nakayama_algebra(2, 2)
     dec, nak, rad = _setup(B)
-    amp = amplify(B, dec, (1, 1))
+    amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
     assert amp.algebra.dim == B.dim
     emap = {}
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
@@ -98,12 +104,24 @@ def test_amplify_identity_multiplicities():
 def test_amplify_dimension_formula():
     B = nakayama_algebra(2, 2)
     dec, nak, rad = _setup(B)
-    amp = amplify(B, dec, (1, 2))
+    amp = amplify(PeirceCorners(B, dec.reps), (1, 2))
     assert amp.algebra.dim == 9  # (m0 + m1)^2 with all corners 1-dim
     with pytest.raises(NotBasic):
         M = matrix_algebra(2)
         decm = canonical_decomposition(M)
-        amplify(M, decm, (1,))
+        amplify(PeirceCorners(M, decm.reps), (1,))
+
+
+def test_amplify_refuses_reps_not_summing_to_one():
+    # one idempotent per class exactly when the class reps sum to 1
+    M = matrix_algebra(2)
+    with pytest.raises(NotBasic):
+        amplify(PeirceCorners(M, canonical_decomposition(M).reps), (1,))
+    B = nakayama_algebra(2, 2)
+    reps = canonical_decomposition(B).reps
+    with pytest.raises(NotBasic):
+        amplify(PeirceCorners(B, reps[:1]), (1,))
+    assert amplify(PeirceCorners(B, reps), (1, 1)).algebra.dim == B.dim
 
 
 def test_lift_examples():
@@ -112,7 +130,7 @@ def test_lift_examples():
     assert list(e21.coeffs) == [amp.index[(0, 0, 1, 2, 0)]]
     B = nakayama_algebra(2, 2)
     decb, nakb, radb = _setup(B)
-    ampb = amplify(B, decb, (2, 2))
+    ampb = amplify(PeirceCorners(B, decb.reps), (2, 2))
     for i, rep in enumerate(decb.reps):
         for t in (1, 2):
             idem = lift(ampb, rep, t, t)
@@ -126,7 +144,7 @@ def test_lift_examples():
 def test_lift_composition_rule():
     B = nakayama_algebra(2, 2)
     dec, nak, rad = _setup(B)
-    amp = amplify(B, dec, (2, 2))
+    amp = amplify(PeirceCorners(B, dec.reps), (2, 2))
     rng = random.Random(23)
     # phi in corner(j <- mid), psi in corner(mid <- i): composition matches
     reps = dec.reps
@@ -164,7 +182,7 @@ def test_spread_singleton_and_diagonal_m2():
 def test_spread_rejects_bad_block_support():
     B = nakayama_algebra(2, 2)
     dec, nak, rad = _setup(B)
-    amp = amplify(B, dec, (1, 1))
+    amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
     bad = B.tensor2({(0, 0): 1})  # e0 (x) e0 violates the block pattern
     with pytest.raises(BadBlockSupport):
         spread(amp, bad, SpreadSpec.singleton(2), nak)
@@ -233,8 +251,8 @@ def test_build_counit_matrix_trace():
 def test_build_counit_m_equals_one_recovers_base():
     B = nakayama_algebra(2, 2)
     dec, nak, rad = _setup(B)
-    amp = amplify(B, dec, (1, 1))
-    pair = frobenius_pair(B, dec, nak)
+    amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
+    pair = frobenius_pair(amp.corners, nak, rad)
     spec = SpreadSpec.singleton(2)
     x = spread(amp, pair.y, spec, nak)
     assert is_invariant(x) is None
@@ -308,8 +326,8 @@ def test_exhaustive_nonempty_specs_small_multiplicities():
         (n, l), m = alg_m
         B = nakayama_algebra(n, l)
         dec, nak, rad = _setup(B)
-        amp = amplify(B, dec, m)
-        pair = frobenius_pair(B, dec, nak)
+        amp = amplify(PeirceCorners(B, dec.reps), m)
+        pair = frobenius_pair(amp.corners, nak, rad)
         boxes = [
             [
                 (s, s2)
@@ -335,8 +353,8 @@ def test_exhaustive_nonempty_specs_small_multiplicities():
 def test_empty_class_flagged_noninjective():
     B = nakayama_algebra(2, 2)
     dec, nak, rad = _setup(B)
-    amp = amplify(B, dec, (1, 1))
-    pair = frobenius_pair(B, dec, nak)
+    amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
+    pair = frobenius_pair(amp.corners, nak, rad)
     spec = SpreadSpec((frozenset(), frozenset({(1, 1)})))
     x = spread(amp, pair.y, spec, nak)
     rep = comultiplication_report(amp.algebra, x, is_bijection_graph(spec, amp.m, nak))
@@ -350,8 +368,8 @@ def test_compatibility_square_singleton():
     B = nakayama_algebra(2, 2)
     dec, nak, rad = _setup(B)
     m = (2, 2)
-    amp = amplify(B, dec, m)
-    pair = frobenius_pair(B, dec, nak)
+    amp = amplify(PeirceCorners(B, dec.reps), m)
+    pair = frobenius_pair(amp.corners, nak, rad)
     x = spread(amp, pair.y, SpreadSpec.singleton(2), nak)
     assert is_invariant(x) is None
     rng = random.Random(29)
@@ -410,8 +428,8 @@ def test_build_counit_nsy_diagonal_socle_support():
     nsy = nsy_algebra(2, 2, (2, 2))
     B = nakayama_algebra(2, 2)
     dec, nak, rad = _setup(B)
-    amp = amplify(B, dec, (2, 2))
-    pair = frobenius_pair(B, dec, nak)
+    amp = amplify(PeirceCorners(B, dec.reps), (2, 2))
+    pair = frobenius_pair(amp.corners, nak, rad)
     spec = SpreadSpec.diagonal(amp.m, nak)
     x = spread(amp, pair.y, spec, nak)
     assert is_invariant(x) is None

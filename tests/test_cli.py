@@ -145,6 +145,22 @@ def test_float_scalar_refused(tmp_path, capsys, prime):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("prime", [None, "5"])
+@pytest.mark.parametrize("text", ["1e400", "0.5"])
+def test_exponent_and_decimal_scalars_refused(tmp_path, capsys, prime, text):
+    # Fraction() would expand "1e400" exactly before the unit check ran
+    alg_path = tmp_path / "a.json"
+    field_args = ("--prime", prime) if prime else ()
+    run_cli("generate", "--family", "matrix", "--m", "2", *field_args, "-o", str(alg_path))
+    data = json.loads(alg_path.read_text())
+    data["unit"][0] = text
+    alg_path.write_text(json.dumps(data))
+    assert run_cli("analyze", "--input", str(alg_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: BadParams: scalar '{text}' is not an integer")
+    assert captured.out == ""
+
+
 def _non_integral_structure_index(data):
     entry = next(e for e in data["structure"] if e[:3] == [0, 0, 0])
     entry[0] = 0.5

@@ -18,7 +18,7 @@ from sialg.families import (
     reference_delta_one,
 )
 from sialg.fields import Field, QQ
-from sialg.structure import canonical_decomposition, nakayama, radical
+from sialg.structure import PeirceCorners, canonical_decomposition, nakayama, radical
 
 
 def test_nakayama_algebra_examples():
@@ -69,7 +69,7 @@ def test_nsy_isomorphic_to_amplified_nakayama(n, l, m):
     nsy = nsy_algebra(n, l, m)
     B = nakayama_algebra(n, l)
     dec = canonical_decomposition(B)
-    amp = amplify(B, dec, m)
+    amp = amplify(PeirceCorners(B, dec.reps), m)
     assert amp.algebra.dim == nsy.algebra.dim
     emap = _model_index_map(amp, nsy)
     assert sorted(emap.values()) == list(range(nsy.algebra.dim))
@@ -198,7 +198,7 @@ def test_corpus_standard_size_and_bounds():
 
 def _amplify_b22(m):
     B = nakayama_algebra(2, 2)
-    return amplify(B, canonical_decomposition(B), m)
+    return amplify(PeirceCorners(B, canonical_decomposition(B).reps), m)
 
 
 @pytest.mark.parametrize("build", [

@@ -68,6 +68,26 @@ def test_parse_format_round_trip():
         g.parse("3 mod 11")
 
 
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("text", ["1e5", "1E-3", "0.5", ".5", "1_000", "1/-2", "2 mod", ""])
+def test_parse_refuses_forms_outside_the_grammar(field, text):
+    # Fraction() would expand "1e5" to 100000, and "1e1000000000" digit by digit
+    with pytest.raises(BadParams):
+        field.parse(text)
+
+
+def test_parse_grammar():
+    assert QQ.parse(" +5 ") == 5 and QQ.parse("-6/4") == Fraction(-3, 2)
+    g = Field(7)
+    assert g.parse("-1") == 6 and g.parse("1/2") == 4 and g.parse("3mod7") == 3
+    with pytest.raises(BadParams):
+        QQ.parse("3 mod 7")
+    with pytest.raises(BadParams):
+        g.parse("2/7")
+    with pytest.raises(BadParams):  # past int()'s digit limit
+        QQ.parse("9" * 5000)
+
+
 def test_rational_coercion():
     assert QQ(Fraction(2, 4)) == Fraction(1, 2)
     assert type(QQ(Fraction(4, 2))) is int and QQ(Fraction(4, 2)) == 2

@@ -38,21 +38,21 @@ def _setup(alg):
     rad = radical(alg)
     dec = canonical_decomposition(alg, rad=rad)
     nak = nakayama(alg, dec, rad)
-    return dec, nak, rad
+    return PeirceCorners(alg, dec.reps), nak, rad
 
 
 def test_small_spaces_kx2():
     A = nakayama_algebra(1, 2)
-    dec, nak, rad = _setup(A)
-    small = small_spaces(PeirceCorners(A, dec.reps), nak, rad)
+    corners, nak, rad = _setup(A)
+    small = small_spaces(corners, nak, rad)
     assert small.dims() == [1]
     assert small.bases[0][0].coeffs == {1: QQ(1)}  # spanned by x
 
 
 def test_small_spaces_b22():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
-    small = small_spaces(PeirceCorners(B, dec.reps), nak, rad)
+    corners, nak, rad = _setup(B)
+    small = small_spaces(corners, nak, rad)
     assert small.dims() == [1, 1]
     for basis in small.bases:
         (idx,) = basis[0].coeffs
@@ -61,23 +61,23 @@ def test_small_spaces_b22():
 
 def test_small_spaces_semisimple_whole_corner():
     M = matrix_algebra(2)
-    dec, nak, rad = _setup(M)
-    small = small_spaces(PeirceCorners(M, dec.reps), nak, rad)
+    corners, nak, rad = _setup(M)
+    small = small_spaces(corners, nak, rad)
     assert small.dims() == [1]  # corner e11 M e11, J = 0
 
 
 def test_construct_counit_kx2():
     A = nakayama_algebra(1, 2)
-    dec, nak, rad = _setup(A)
-    eps = construct_counit(A, dec, nak)
+    corners, nak, rad = _setup(A)
+    eps = construct_counit(corners, nak, rad)
     assert eps.values == (QQ(0), QQ(1))
 
 
 def test_construct_counit_bnl_socle_paths():
     for n, l in ((2, 2), (3, 2), (2, 3)):
         B = nakayama_algebra(n, l, QQ)
-        dec, nak, rad = _setup(B)
-        eps = construct_counit(B, dec, nak)
+        corners, nak, rad = _setup(B)
+        eps = construct_counit(corners, nak, rad)
         for i in range(n):
             for k in range(l):
                 expected = QQ(1) if k == l - 1 else QQ(0)
@@ -87,15 +87,15 @@ def test_construct_counit_bnl_socle_paths():
 
 def test_construct_counit_product():
     P = field_product_algebra(2)
-    dec, nak, rad = _setup(P)
-    eps = construct_counit(P, dec, nak)
+    corners, nak, rad = _setup(P)
+    eps = construct_counit(corners, nak, rad)
     assert eps.values == (QQ(1), QQ(1))
 
 
 def test_dual_basis_tensor_examples():
     A = nakayama_algebra(1, 2)
-    dec, nak, rad = _setup(A)
-    eps = construct_counit(A, dec, nak)
+    corners, nak, rad = _setup(A)
+    eps = construct_counit(corners, nak, rad)
     y = dual_basis_tensor(A, eps)
     assert y.coeffs == {(0, 1): QQ(1), (1, 0): QQ(1)}
     one_dim = field_product_algebra(1)
@@ -105,8 +105,8 @@ def test_dual_basis_tensor_examples():
 
 def test_dual_basis_tensor_b22_reference_value():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
-    pair = frobenius_pair(B, dec, nak)
+    corners, nak, rad = _setup(B)
+    pair = frobenius_pair(corners, nak, rad)
     idx = {(i, k): i * 2 + k for i in range(2) for k in range(2)}
     expected = {
         (idx[(0, 0)], idx[(1, 1)]): QQ(1),
@@ -136,33 +136,33 @@ def test_pair_core_laws_across_corpus():
         group_algebra([3], Field(3)),
         field_product_algebra(2),
     ):
-        dec, nak, rad = _setup(alg)
-        pair = frobenius_pair(alg, dec, nak)
+        corners, nak, rad = _setup(alg)
+        pair = frobenius_pair(corners, nak, rad)
         assert is_invariant(pair.y) is None
         assert apply_functional("left", pair.epsilon, pair.y) == alg.unit
         assert apply_functional("right", pair.epsilon, pair.y) == alg.unit
-        rep = verify_frobenius_pair(alg, pair, dec, nak, rad)
+        rep = verify_frobenius_pair(corners, pair, nak, rad)
         assert rep.all_ok
 
 
 def test_verify_detects_corrupted_counit():
     B = nakayama_algebra(3, 2)
-    dec, nak, rad = _setup(B)
-    pair = frobenius_pair(B, dec, nak)
+    corners, nak, rad = _setup(B)
+    pair = frobenius_pair(corners, nak, rad)
     # move mass onto a diagonal corner e_i L e_i, which is forbidden since
     # the permutation has no fixed point here
     values = list(pair.epsilon.values)
     values[0] = QQ(1)
     bad = FrobeniusPair(Functional(B, values), pair.y)
-    rep = verify_frobenius_pair(B, bad, dec, nak, rad)
+    rep = verify_frobenius_pair(corners, bad, nak, rad)
     assert not rep.support_ok
     assert rep.support_witness is not None
 
 
 def test_transport_identity_and_kx2():
     A = nakayama_algebra(1, 2)
-    dec, nak, rad = _setup(A)
-    pair = frobenius_pair(A, dec, nak)
+    corners, nak, rad = _setup(A)
+    pair = frobenius_pair(corners, nak, rad)
     same = transport_pair(A, pair, A.unit)
     assert same.epsilon == pair.epsilon and same.y == pair.y
     moved = transport_pair(A, pair, A.element([1, 1]))
@@ -171,12 +171,12 @@ def test_transport_identity_and_kx2():
         transport_pair(A, pair, A.basis_element(1))
 
 
-def _random_corner_diagonal_unit(alg, dec, rng):
+def _random_corner_diagonal_unit(alg, corners, rng):
     """Invertible element supported on the diagonal corners e_i A e_i."""
     field = alg.field
     while True:
         b = alg.zero()
-        for rep in dec.reps:
+        for rep in corners.reps:
             corner = multiply(multiply(rep, _random_el(alg, rng)), rep)
             b = b + rep + corner.scaled(field.random(rng, -2, 2))
         if dense.rank(field, dense.left_multiplication(b)) == alg.dim:
@@ -192,12 +192,12 @@ def test_corner_diagonal_transports_preserve_support():
     # support clauses; this is the support-stable transport subgroup
     rng = random.Random(17)
     for alg in (nakayama_algebra(2, 3), nakayama_algebra(3, 2), nakayama_algebra(2, 2)):
-        dec, nak, rad = _setup(alg)
-        pair = frobenius_pair(alg, dec, nak)
+        corners, nak, rad = _setup(alg)
+        pair = frobenius_pair(corners, nak, rad)
         for _ in range(6):
-            b = _random_corner_diagonal_unit(alg, dec, rng)
+            b = _random_corner_diagonal_unit(alg, corners, rng)
             pair = transport_pair(alg, pair, b)
-            rep = verify_frobenius_pair(alg, pair, dec, nak, rad)
+            rep = verify_frobenius_pair(corners, pair, nak, rad)
             assert rep.all_ok
 
 
@@ -206,14 +206,14 @@ def test_offdiagonal_transport_breaks_support_finding():
     # 1 + p[0,1] yields a genuine pair (invariant tensor, exact counit
     # identities) that violates both support clauses
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
-    pair = frobenius_pair(B, dec, nak)
+    corners, nak, rad = _setup(B)
+    pair = frobenius_pair(corners, nak, rad)
     b = B.unit + B.basis_element(1)  # 1 + p[0,1]
     moved = transport_pair(B, pair, b)
     assert is_invariant(moved.y) is None
     assert apply_functional("left", moved.epsilon, moved.y) == B.unit
     assert apply_functional("right", moved.epsilon, moved.y) == B.unit
-    rep = verify_frobenius_pair(B, moved, dec, nak, rad)
+    rep = verify_frobenius_pair(corners, moved, nak, rad)
     assert rep.invariant and rep.counital
     assert not rep.support_ok and rep.support_witness == (0, 0)
     # the lowest offending corner quadruple (j, i, u, v)
@@ -223,9 +223,9 @@ def test_offdiagonal_transport_breaks_support_finding():
 def test_uniqueness_up_to_transport():
     rng = random.Random(19)
     for alg in (nakayama_algebra(2, 2), nakayama_algebra(1, 3)):
-        dec, nak, rad = _setup(alg)
-        pair = frobenius_pair(alg, dec, nak)
-        b0 = _random_corner_diagonal_unit(alg, dec, rng)
+        corners, nak, rad = _setup(alg)
+        pair = frobenius_pair(corners, nak, rad)
+        b0 = _random_corner_diagonal_unit(alg, corners, rng)
         other = transport_pair(alg, pair, b0)
         # recover the transport element from the two counits: G b = eps'
         gram = gram_matrix(alg, pair.epsilon).rows
@@ -238,16 +238,17 @@ def test_uniqueness_up_to_transport():
 
 def test_not_frobenius_on_a2():
     a2 = path_algebra_a2()
-    dec = canonical_decomposition(a2)
+    rad = radical(a2)
+    corners = PeirceCorners(a2, canonical_decomposition(a2, rad=rad).reps)
     for nu in ((0, 1), (1, 0)):
         with pytest.raises(NotFrobenius):
-            construct_counit(a2, dec, NakayamaData(nu, [[], []]))
+            construct_counit(corners, NakayamaData(nu, [[], []]), rad)
 
 
 def test_pair_json_round_trip():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
-    pair = frobenius_pair(B, dec, nak)
+    corners, nak, rad = _setup(B)
+    pair = frobenius_pair(corners, nak, rad)
     data = pair.to_json()
     back = FrobeniusPair.from_json(B, data)
     assert back.epsilon == pair.epsilon and back.y == pair.y

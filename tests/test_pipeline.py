@@ -18,6 +18,8 @@ from sialg.families import (
 from sialg.algebra import FinDimAlgebra, Functional
 from sialg.fields import Field
 from sialg.pipeline import analyze, comultiplication_pipeline, prepare, run_spec
+from sialg.structure import PeirceCorners
+from sialg.verify import CorpusCache, check_pair_support, check_transported_pairs
 
 
 def test_analyze_m2():
@@ -116,6 +118,42 @@ def test_context_reuse_across_specs():
     r2 = run_spec(ctx, "diagonal").report
     assert r1.rank == r2.rank == 8
     assert not r1.feasible and r2.feasible
+
+
+def _count_corner_builds(monkeypatch):
+    builds = []
+    original = PeirceCorners.__init__
+
+    def counting(self, alg, reps):
+        builds.append(alg)
+        original(self, alg, reps)
+
+    monkeypatch.setattr(PeirceCorners, "__init__", counting)
+    return builds
+
+
+def test_one_peirce_decomposition_per_context(monkeypatch):
+    # the basic algebra's corners are built once, in `analyze`, and shared by
+    # the counit and the amplified model; a non-basic input adds the one
+    # build of its own corners inside the basic reduction
+    builds = _count_corner_builds(monkeypatch)
+    for entry in corpus("small"):
+        builds.clear()
+        ctx = prepare(entry.algebra)
+        basic = all(v == 1 for v in ctx.analysis.dec.multiplicities)
+        assert len(builds) == (1 if basic else 2), entry.key
+        assert ctx.amp.corners is ctx.analysis.corners
+        assert ctx.analysis.lam is ctx.analysis.corners.alg
+
+
+def test_pair_checks_build_no_corners(monkeypatch):
+    cache = CorpusCache("small")
+    for idx in range(len(cache.entries)):
+        cache.context(idx)
+    builds = _count_corner_builds(monkeypatch)
+    assert check_transported_pairs(cache).passed
+    check_pair_support(cache)
+    assert builds == []
 
 
 def test_decomposition_and_pipeline_deterministic():

@@ -295,13 +295,13 @@ _PEIRCE_INPUTS = [(e.key, e.algebra) for e in corpus("small")] + [
 def test_peirce_corners_reassemble(alg):
     rng = random.Random(97)
     a = analyze(alg)
-    dec, lam, dec_lam = a.dec, a.lam, a.embedding.dec_lam
+    dec, dec_lam = a.dec, a.embedding.dec_lam
     # the input with one representative per class: e a e, e = 1 iff basic
     basic = all(v == 1 for v in dec.multiplicities)
     _check_corners(PeirceCorners(alg, dec.reps), rng, basic)
-    _check_corners(PeirceCorners(lam, dec_lam.reps), rng, True)
+    _check_corners(a.corners, rng, True)
     # the amplified model cut by every copy idempotent, then by one per class
-    amp = amplify(lam, dec_lam, dec.multiplicities)
+    amp = amplify(a.corners, dec.multiplicities)
     copies = [
         [lift(amp, rep, t, t) for t in range(1, amp.m[i] + 1)] for i, rep in enumerate(dec_lam.reps)
     ]
