@@ -291,19 +291,34 @@ class Functional:
 class Tensor2:
     """Sparse element of A (x) A keyed by basis index pairs.
 
-    Like every value here it is immutable after construction, which keeps
-    its comultiplication table valid once filled.
+    Like every value here it is immutable after construction.  Two caches
+    rely on that: the comultiplication table and the grouping of the terms
+    by leg, each filled on first use and never invalidated.
     """
 
-    __slots__ = ("algebra", "coeffs", "_delta")
+    __slots__ = ("algebra", "coeffs", "_delta", "_legs")
 
     def __init__(self, algebra: FinDimAlgebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = coeffs
         self._delta = None
+        self._legs = None
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def legs(self) -> tuple:
+        """(by_left, by_right): the terms c u_alpha (x) v_beta grouped by
+        left leg, [(alpha, [(beta, c), ...])], and by right leg,
+        [(beta, [(alpha, c), ...])].  Computed on first use."""
+        if self._legs is None:
+            by_left: dict = {}
+            by_right: dict = {}
+            for (alpha, beta), c in self.coeffs.items():
+                by_left.setdefault(alpha, []).append((beta, c))
+                by_right.setdefault(beta, []).append((alpha, c))
+            self._legs = (list(by_left.items()), list(by_right.items()))
+        return self._legs
 
     def delta(self) -> list:
         """Comultiplication table: entry g holds the coefficients of b_g . x.
@@ -438,47 +453,59 @@ def check_associativity(alg: FinDimAlgebra):
 
 
 def act_left(a: Element, t: Tensor2) -> Tensor2:
-    """a . (u (x) v) = (a u) (x) v, extended bilinearly."""
+    """a . (u (x) v) = (a u) (x) v, extended bilinearly, visiting only the
+    left legs alpha with b_i b_alpha != 0 for the acting b_i."""
     if not a.algebra.same_space(t.algebra):
         raise DimensionMismatch("action across algebras")
     rows = t.algebra.rows
     p = t.algebra.field.p
+    by_left = t.legs()[0]
     out: dict = {}
-    for (alpha, beta), c in t.coeffs.items():
-        for i, ca in a.coeffs.items():
-            cc = ca * c
-            for k, ck in rows[i][alpha].items():
-                key = (k, beta)
-                w = out.get(key, 0) + cc * ck
-                if p:
-                    w %= p
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+    for i, ca in a.coeffs.items():
+        rows_i = rows[i]
+        for alpha, terms in by_left:
+            prod = rows_i[alpha]
+            if not prod:
+                continue
+            for k, ck in prod.items():
+                cc = ca * ck
+                for beta, c in terms:
+                    key = (k, beta)
+                    w = out.get(key, 0) + cc * c
+                    if p:
+                        w %= p
+                    if w:
+                        out[key] = w
+                    else:
+                        out.pop(key, None)
     return Tensor2(t.algebra, out)
 
 
 def act_right(t: Tensor2, a: Element) -> Tensor2:
-    """(u (x) v) . a = u (x) (v a), extended bilinearly."""
+    """(u (x) v) . a = u (x) (v a), extended bilinearly, visiting only the
+    right legs beta with b_beta b_j != 0 for the acting b_j."""
     if not a.algebra.same_space(t.algebra):
         raise DimensionMismatch("action across algebras")
     rows = t.algebra.rows
     p = t.algebra.field.p
+    by_right = t.legs()[1]
     out: dict = {}
-    for (alpha, beta), c in t.coeffs.items():
-        row_beta = rows[beta]
-        for j, ca in a.coeffs.items():
-            cc = c * ca
-            for k, ck in row_beta[j].items():
-                key = (alpha, k)
-                w = out.get(key, 0) + cc * ck
-                if p:
-                    w %= p
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
+    for j, ca in a.coeffs.items():
+        for beta, terms in by_right:
+            prod = rows[beta][j]
+            if not prod:
+                continue
+            for k, ck in prod.items():
+                cc = ck * ca
+                for alpha, c in terms:
+                    key = (alpha, k)
+                    w = out.get(key, 0) + c * cc
+                    if p:
+                        w %= p
+                    if w:
+                        out[key] = w
+                    else:
+                        out.pop(key, None)
     return Tensor2(t.algebra, out)
 
 

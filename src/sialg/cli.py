@@ -5,8 +5,9 @@ emitted with sorted keys and no timestamps, and every randomized search
 derives from the --seed flag (default fixed).
 
 Exit codes: 0 all requested checks hold; 1 operational error (bad input,
-unsupported field, rejected algebra); 2 a verification check found an
-exact counterexample to one of the monitored statements.
+unsupported field, rejected algebra, a usage error on the command line);
+2 a verification check found an exact counterexample to one of the
+monitored statements.
 """
 
 from __future__ import annotations
@@ -159,8 +160,17 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code kept for a falsified
+    statement; this parser (and its subcommand parsers) exits 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="sialg",
         description="Exact computations with self-injective algebras: "
         "canonical decompositions, Frobenius pairs, spread comultiplications.",

@@ -74,7 +74,8 @@ class PeirceCorners:
     """The Peirce corners e_j A e_i of orthogonal idempotents `reps`.
 
     Each corner's Span and echelon basis is computed once, in j-major
-    order; `bases[(j, i)]` and `spans[(j, i)]` hold them.  Components are
+    order, from the left products e_j b_t computed once per j;
+    `bases[(j, i)]` and `spans[(j, i)]` hold them.  Components are
     given in corner coordinates, the indices into `bases[(j, i)]`.  When
     the reps sum to e, the components of a reassemble e a e.
     """
@@ -84,9 +85,12 @@ class PeirceCorners:
         self.reps = reps
         self.spans: dict = {}
         self.bases: dict = {}
-        for j in range(len(reps)):
-            for i in range(len(reps)):
-                span = self.spans[(j, i)] = corner_span(alg, reps[j], reps[i])
+        for j, left in enumerate(reps):
+            lefts = [multiply(left, b) for b in alg.basis()]  # shared by row j's corners
+            for i, right in enumerate(reps):
+                span = self.spans[(j, i)] = element_span(
+                    alg.field, (multiply(w, right) for w in lefts)
+                )
                 self.bases[(j, i)] = [Element(alg, dict(row)) for row in span.basis_vectors()]
         self._basis_components: dict = {}  # basis index -> components, filled on demand
 

@@ -1,4 +1,5 @@
-"""Dense Gaussian elimination over a Field, kept apart from sialg.linalg.
+"""Dense Gaussian elimination over a Field, kept apart from sialg.linalg,
+and term-by-term bimodule actions, kept apart from sialg.algebra.
 
 A plain textbook reference for the tests: matrices are lists of rows of
 field scalars, pivots are chosen as the first nonzero entry of a column,
@@ -6,7 +7,10 @@ the only division is ``field.inv``, and every computed entry passes
 through ``field.normal`` (over GF(p) scalars are ints reduced mod p).
 Nothing here uses
 ``sialg.linalg``, so comparing against it checks ``Span`` and the dense
-``Matrix`` view over it with an independent implementation.
+``Matrix`` view over it with an independent implementation.  The actions
+walk every term of the tensor for every term of the acting element, with
+no grouping by leg, so comparing against them checks ``act_left`` and
+``act_right``.
 """
 
 
@@ -108,3 +112,39 @@ def delta_matrix(x):
         for (a, b), c in img.items():
             rows[a * d + b][g] = c
     return rows
+
+
+def act_left(a, t):
+    """Coefficients of a . t, where a . (u (x) v) = (a u) (x) v."""
+    rows = t.algebra.rows
+    p = t.algebra.field.p
+    out = {}
+    for (alpha, beta), c in t.coeffs.items():
+        for i, ca in a.coeffs.items():
+            for k, ck in rows[i][alpha].items():
+                w = out.get((k, beta), 0) + ca * c * ck
+                if p:
+                    w %= p
+                if w:
+                    out[(k, beta)] = w
+                else:
+                    out.pop((k, beta), None)
+    return out
+
+
+def act_right(t, a):
+    """Coefficients of t . a, where (u (x) v) . a = u (x) (v a)."""
+    rows = t.algebra.rows
+    p = t.algebra.field.p
+    out = {}
+    for (alpha, beta), c in t.coeffs.items():
+        for j, ca in a.coeffs.items():
+            for k, ck in rows[beta][j].items():
+                w = out.get((alpha, k), 0) + c * ca * ck
+                if p:
+                    w %= p
+                if w:
+                    out[(alpha, k)] = w
+                else:
+                    out.pop((alpha, k), None)
+    return out

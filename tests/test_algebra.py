@@ -23,9 +23,11 @@ from sialg.algebra import (
     multiply,
     permute_basis,
 )
+from sialg.amplify import PRESETS
 from sialg.errors import BadParams, DimensionMismatch, InvalidAlgebra
 from sialg.families import corpus, matrix_algebra, nakayama_algebra, nsy_algebra
 from sialg.fields import QQ, Field
+from sialg.pipeline import prepare, run_spec
 from sialg.structure import canonical_decomposition, corner_basis
 
 
@@ -216,6 +218,70 @@ def test_delta_table_matches_act_left(monkeypatch):
         assert len(calls) == alg.dim  # one act_left per basis element
         for g, img in enumerate(x.delta()):
             assert img == act(alg.basis_element(g), x).coeffs
+
+
+def _small_spread_tensors():
+    """Each preset's spread tensor on every small-corpus algebra, and on
+    the small nsy shapes over GF(101), as fresh tensors with no caches."""
+    algebras = [e.algebra for e in corpus("small")] + [
+        nsy_algebra(*(e.provenance[k] for k in "nlm"), Field(101)).algebra
+        for e in corpus("small")
+        if e.provenance["family"] == "nsy"
+    ]
+    out = []
+    for alg in algebras:
+        ctx = prepare(alg)
+        for preset in PRESETS:
+            x = run_spec(ctx, preset).x
+            out.append(Tensor2(x.algebra, dict(x.coeffs)))
+    return out
+
+
+def _corrupted(x, rng):
+    """x with one coefficient changed, with one term dropped, and with one
+    term added."""
+    alg, d = x.algebra, x.algebra.dim
+    key = rng.choice(sorted(x.coeffs))
+    changed = dict(x.coeffs)
+    changed[key] = alg.field.normal(changed[key] + 1)
+    dropped = dict(x.coeffs)
+    del dropped[key]
+    added = dict(x.coeffs)
+    free = [(u, v) for u in range(d) for v in range(d) if (u, v) not in added]
+    if free:
+        added[rng.choice(free)] = alg.field.one
+    return [alg.tensor2(c) for c in (changed, dropped, added)]
+
+
+def _assert_actions_match_reference(x, rng):
+    alg, field, d = x.algebra, x.algebra.field, x.algebra.dim
+    acting = alg.basis() + [alg.unit] + [
+        alg.element({k: field.random(rng) for k in rng.sample(range(d), min(d, size))})
+        for size in (2, 3, d)
+    ]
+    for a in acting:
+        assert act_left(a, x).coeffs == dense.act_left(a, x)
+        assert act_right(x, a).coeffs == dense.act_right(x, a)
+
+
+def test_actions_match_term_by_term_reference():
+    rng = random.Random(23)
+    failing = 0
+    for x in _small_spread_tensors():
+        assert is_invariant(x) is None
+        _assert_actions_match_reference(x, rng)
+        for y in _corrupted(x, rng):
+            _assert_actions_match_reference(y, rng)
+            # is_invariant still names the lowest failing basis element
+            basis = y.algebra.basis()
+            lowest = next(
+                (g for g, b in enumerate(basis)
+                 if dense.act_left(b, y) != dense.act_right(y, b)),
+                None,
+            )
+            assert is_invariant(Tensor2(y.algebra, dict(y.coeffs))) == lowest
+            failing += lowest is not None
+    assert failing > 0
 
 
 def test_checks_agree_in_any_order():

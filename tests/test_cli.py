@@ -262,6 +262,38 @@ def test_generate_bad_params():
     assert run_cli("generate", "--family", "nsy", "--n", "2") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["generate"], "the following arguments are required: --family"),
+    (["generate", "--family", "torus"], "argument --family: invalid choice"),
+    (["analyze"], "the following arguments are required: --input"),
+    (["analyze", "--input", "a.json", "--seed", "x"], "argument --seed: invalid int value"),
+    (["comul", "--preset", "full"], "the following arguments are required: --input"),
+    (["comul", "--input", "a.json", "--preset", "none"], "argument --preset: invalid choice"),
+    (["verify", "--input"], "argument --input: expected one argument"),
+    (["verify", "--profile", "huge"], "argument --profile: invalid choice"),
+], ids=["no-command", "generate-required", "generate-choice", "analyze-required",
+        "analyze-type", "comul-required", "comul-choice", "verify-missing-value",
+        "verify-choice"])
+def test_usage_error_exit_code(capsys, argv, message):
+    # exit code 2 is reserved for a falsified statement, so a usage error
+    # exits 1 with argparse's usage line and message
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sialg")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["comul", "-h"]])
+def test_help_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sialg")
+
+
 def test_verify_small_profile_reports_findings(tmp_path, capsys):
     # the battery includes two checks that are falsified by exact
     # counterexamples (see README, "Verification findings"); the exit code

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from sialg import structure
 from sialg.algebra import multiply, permute_basis
 from sialg.amplify import amplify, lift
 from sialg.errors import NotSelfInjectiveLike, UnsupportedField
@@ -22,6 +23,7 @@ from sialg.structure import (
     PeirceCorners,
     basic_reduction,
     canonical_decomposition,
+    corner_span,
     duality_pattern,
     element_span,
     iso_witnesses,
@@ -289,24 +291,55 @@ _PEIRCE_INPUTS = [(e.key, e.algebra) for e in corpus("small")] + [
 ]
 
 
+def _ordered(span):
+    return [(piv, list(row.items())) for piv, row in span.rows.items()]
+
+
+def _built(alg, reps, monkeypatch):
+    """PeirceCorners(alg, reps), checked against `corner_span` down to the
+    order of rows and entries; e_j b_t is computed once per j, so the
+    build makes n d + n^2 d products."""
+    calls = []
+    product = structure.multiply
+
+    def counted(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(structure, "multiply", counted)
+    corners = PeirceCorners(alg, reps)
+    monkeypatch.setattr(structure, "multiply", product)
+    n, d = len(reps), alg.dim
+    assert len(calls) == n * d + n * n * d
+    for (j, i), span in corners.spans.items():
+        expected = corner_span(alg, reps[j], reps[i])
+        assert _ordered(span) == _ordered(expected)
+        assert [list(b.coeffs.items()) for b in corners.bases[(j, i)]] == [
+            list(row.items()) for row in expected.basis_vectors()
+        ]
+    return corners
+
+
 @pytest.mark.parametrize(
     "alg", [alg for _, alg in _PEIRCE_INPUTS], ids=[key for key, _ in _PEIRCE_INPUTS]
 )
-def test_peirce_corners_reassemble(alg):
+def test_peirce_corners_reassemble(alg, monkeypatch):
     rng = random.Random(97)
     a = analyze(alg)
     dec, dec_lam = a.dec, a.embedding.dec_lam
     # the input with one representative per class: e a e, e = 1 iff basic
     basic = all(v == 1 for v in dec.multiplicities)
-    _check_corners(PeirceCorners(alg, dec.reps), rng, basic)
+    _check_corners(_built(alg, dec.reps, monkeypatch), rng, basic)
+    _built(a.lam, a.corners.reps, monkeypatch)
     _check_corners(a.corners, rng, True)
     # the amplified model cut by every copy idempotent, then by one per class
     amp = amplify(a.corners, dec.multiplicities)
     copies = [
         [lift(amp, rep, t, t) for t in range(1, amp.m[i] + 1)] for i, rep in enumerate(dec_lam.reps)
     ]
-    _check_corners(PeirceCorners(amp.algebra, [e for cls in copies for e in cls]), rng, True)
-    _check_corners(PeirceCorners(amp.algebra, [cls[0] for cls in copies]), rng, basic)
+    every_copy = _built(amp.algebra, [e for cls in copies for e in cls], monkeypatch)
+    _check_corners(every_copy, rng, True)
+    _check_corners(_built(amp.algebra, [cls[0] for cls in copies], monkeypatch), rng, basic)
 
 
 def _find_iso_by_permutation(A, B):
