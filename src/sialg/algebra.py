@@ -386,6 +386,34 @@ def multiply(a: Element, b: Element) -> Element:
     return Element(a.algebra, out)
 
 
+def products(alg: FinDimAlgebra, xs, ys):
+    """Yield, for each coefficient dict x of `xs` in order, {t: coefficients
+    of x . ys[t]} over the t whose product is nonzero.
+
+    Only the structure pairs (i, j) with b_i b_j != 0 are visited, each
+    against the vectors of `ys` with a key j, so a batch over a sparse
+    table costs its nonzero terms rather than |xs| |ys| products.
+    """
+    rows = alg.rows
+    p = alg.field.p
+    by_key: dict = {}
+    for t, y in enumerate(ys):
+        for j, c in y.items():
+            by_key.setdefault(j, []).append((t, c))
+    meets = [[(by_key[j], row) for j, row in enumerate(line) if row and j in by_key]
+             for line in rows]
+    for x in xs:
+        acc: dict = {}
+        for i, ca in x.items():
+            for terms, row in meets[i]:
+                for t, cb in terms:
+                    c = ca * cb
+                    out = acc.setdefault(t, {})
+                    for k, ck in row.items():
+                        _accum(out, k, c * ck, p)
+        yield {t: out for t, out in acc.items() if out}
+
+
 def combination(alg: FinDimAlgebra, vectors, coeffs) -> Element:
     """sum_t c_t v_t for coeffs a dict {t: c_t} or a list parallel to
     `vectors`, accumulated into one dict."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import (
     Element,
@@ -29,7 +30,7 @@ from .algebra import (
     check_coassociativity,
     delta_rank,
     is_invariant,
-    multiply,
+    products,
 )
 from .errors import (
     AlgebraError,
@@ -76,21 +77,25 @@ class AmplifiedAlgebra:
         self.tuples = tuple(tuples)
         self.index = {tup: a for a, tup in enumerate(tuples)}
         labels = [f"a[{j}<-{i};{t}<-{s}].{b}" for (i, j, s, t, b) in tuples]
+        index = self.index
         structure = []
-        for (i1, j1, s1, t1, b1), a_idx in self.index.items():
-            q1 = bases[(j1, i1)][b1]
-            for (i2, j2, s2, t2, b2), b_idx in self.index.items():
-                if i1 != j2 or s1 != t2:
+        # a[j1<-i1;t1<-s1].b1 a[i1<-i2;s1<-s2].b2 = sum_k c_k a[j1<-i2;t1<-s2].k,
+        # with c the corner coordinates of q1 q2, found once per pair (q1, q2)
+        flat = [(j, i, b) for (j, i), corner in bases.items() for b in range(len(corner))]
+        vectors = [bases[(j, i)][b].coeffs for j, i, b in flat]
+        for (j1, i1, b1), row in zip(flat, products(base, vectors, vectors)):
+            for y, prod in row.items():
+                j2, i2, b2 = flat[y]
+                if j2 != i1:  # q1 e_i1 e_j2 q2 vanishes for orthogonal reps
                     continue
-                prod = multiply(q1, bases[(j2, i2)][b2])
-                if not prod.coeffs:
-                    continue
-                coords = corners.coordinates((j1, i2), prod.coeffs)
-                for k, c in enumerate(coords):
-                    if c:
-                        structure.append(
-                            (a_idx, b_idx, self.index[(i2, j1, s2, t1, k)], c)
-                        )
+                entries = [(k, c) for k, c in enumerate(corners.coordinates((j1, i2), prod)) if c]
+                for s1, t1, s2 in product(
+                    range(1, m[i1] + 1), range(1, m[j1] + 1), range(1, m[i2] + 1)
+                ):
+                    a_idx, b_idx = index[(i1, j1, s1, t1, b1)], index[(i2, i1, s2, s1, b2)]
+                    structure.extend(
+                        (a_idx, b_idx, index[(i2, j1, s2, t1, k)], c) for k, c in entries
+                    )
         unit = [field.zero] * len(tuples)
         for i in range(n):
             coords = corners.coordinates((i, i), reps[i].coeffs)

@@ -3,8 +3,10 @@
 Real inputs arrive in arbitrary bases, so the spread tensor is built on
 the amplified model End(P_1^m1 + ...) over the basic corner algebra and
 then carried back along an explicit isomorphism assembled from the
-projective-copy witnesses.  The isomorphism is verified to be a unital
-algebra isomorphism by full structure-constant comparison before use.
+projective-copy witnesses.  Before use the map is verified to be a
+unital algebra isomorphism: it keeps the unit, it is bijective, and
+phi(a) phi(b) = phi(ab) on every basis pair, with the products taken in
+the input algebra and only the nonzero ones on either side compared.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .algebra import (
     Tensor2,
     combination,
     multiply,
+    products,
 )
 from .amplify import (
     AmplifiedAlgebra,
@@ -140,12 +143,14 @@ class ModelIsomorphism:
             )
         if self.apply_element(amp_alg.unit) != alg.unit:
             raise AlgebraError("model map does not preserve the unit")
+        # phi(b_a) phi(b_b) = phi(b_a b_b) on every basis pair, multiplied
+        # in alg; a pair where both sides vanish needs no comparison
         d = amp_alg.dim
-        for a in range(d):
-            img_a = self.images[a]
+        vectors = [img.coeffs for img in self.images]
+        for a, prods in enumerate(products(alg, vectors, vectors)):
             row = amp_alg.rows[a]
-            for b in range(d):
-                if multiply(img_a, self.images[b]) != combination(alg, self.images, row[b]):
+            for b in sorted(prods.keys() | {b for b in range(d) if row[b]}):
+                if prods.get(b, {}) != combination(alg, self.images, row[b]).coeffs:
                     raise AlgebraError(
                         f"model map is not multiplicative at basis pair ({a},{b})"
                     )

@@ -26,6 +26,7 @@ from .algebra import (
     combination,
     minimal_polynomial,
     multiply,
+    products,
 )
 from .errors import (
     AlgebraError,
@@ -223,30 +224,29 @@ def radical(alg: FinDimAlgebra) -> RadicalData:
             f"radical over GF({field.p}) needs p > dim or a commutative algebra"
         )
     span = Span(field, kernel)
-    basis = [Element(alg, dict(row)) for row in span.basis_vectors()]
-    # nilpotency index: first power of the span that vanishes
+    vectors = span.basis_vectors()
+    basis = [Element(alg, dict(row)) for row in vectors]
+    # nilpotency index: first power of the span that vanishes; J^(k+1) is
+    # spanned by the nonzero products of J^k's basis with J's
     index = 1
     current = span
     while current.dim:
         nxt = Span(field)
-        for row in current.basis_vectors():
-            a = Element(alg, dict(row))
-            for r in basis:
-                prod = multiply(a, r)
-                if prod.coeffs:
-                    nxt.add(prod.coeffs)
+        for prods in products(alg, current.basis_vectors(), vectors):
+            for prod in prods.values():
+                nxt.add(prod)
         if nxt.dim >= current.dim and nxt.dim:
             raise AlgebraError("radical candidate is not nilpotent")
         current = nxt
         index += 1
         if index > alg.dim + 1:
             raise AlgebraError("radical candidate is not nilpotent")
-    for i in range(alg.dim):
-        b = alg.basis_element(i)
-        for r in basis:
-            if not span.contains(multiply(b, r).coeffs) or not span.contains(
-                multiply(r, b).coeffs
-            ):
+    # two-sided ideal: b_i r and r b_i lie in J for every basis element b_i
+    # and r in J's basis; a zero product does, so only nonzero ones are tested
+    units = [{i: field.one} for i in range(alg.dim)]
+    for xs, ys in ((units, vectors), (vectors, units)):
+        for prods in products(alg, xs, ys):
+            if not all(span.contains(prod) for prod in prods.values()):
                 raise AlgebraError("radical candidate is not an ideal")
     return RadicalData(basis, span, index)
 
@@ -280,8 +280,7 @@ def semisimple_quotient(alg: FinDimAlgebra, rad: RadicalData) -> QuotientData:
     structure = []
     for u_t, u in enumerate(complement):
         for v_t, v in enumerate(complement):
-            prod = multiply(alg.basis_element(u), alg.basis_element(v))
-            reduced = rad.span.reduce(prod.coeffs)
+            reduced = rad.span.reduce(alg.rows[u][v])
             for k, c in reduced.items():
                 structure.append((u_t, v_t, pos[k], c))
     unit_red = rad.span.reduce(alg.unit.coeffs)

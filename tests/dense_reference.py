@@ -1,17 +1,28 @@
 """Dense Gaussian elimination over a Field, kept apart from sialg.linalg,
-and term-by-term bimodule actions, kept apart from sialg.algebra.
+term-by-term bimodule actions, kept apart from sialg.algebra, and the
+per-pair radical and model-map loops, kept apart from algebra.products.
 
 A plain textbook reference for the tests: matrices are lists of rows of
 field scalars, pivots are chosen as the first nonzero entry of a column,
 the only division is ``field.inv``, and every computed entry passes
 through ``field.normal`` (over GF(p) scalars are ints reduced mod p).
-Nothing here uses
-``sialg.linalg``, so comparing against it checks ``Span`` and the dense
-``Matrix`` view over it with an independent implementation.  The actions
-walk every term of the tensor for every term of the acting element, with
-no grouping by leg, so comparing against them checks ``act_left`` and
-``act_right``.
+The elimination does not use ``sialg.linalg``, so comparing against it
+checks ``Span`` and the dense ``Matrix`` view over it with an
+independent implementation.  The actions walk every term of the tensor
+for every term of the acting element, with no grouping by leg, so
+comparing against them checks ``act_left`` and ``act_right``.  The
+radical and model-map loops multiply every pair of basis vectors with
+one ``multiply`` call each, so comparing against them checks
+``algebra.products`` and the checks batched over it; they keep ``Span``
+for membership and rank, since the elimination is not what they test.
+``single_constant_mutants`` gives the seeded corrupted tables that the
+differential tests feed to both sides.
 """
+
+from sialg.algebra import Element, FinDimAlgebra, combination, multiply
+from sialg.errors import AlgebraError
+from sialg.linalg import Span
+from sialg.structure import RadicalData
 
 
 def rref(field, rows, ncols):
@@ -148,3 +159,74 @@ def act_right(t, a):
                 else:
                     out.pop((alpha, k), None)
     return out
+
+
+def radical_checks(alg, kernel):
+    """RadicalData of the span of `kernel` by per-pair products: every
+    product of a power's basis with J's for the nilpotency index, then
+    b r and r b for every basis element b and every r for the ideal
+    check.  Raises AlgebraError as `structure.radical` does."""
+    field = alg.field
+    span = Span(field, kernel)
+    basis = [Element(alg, dict(row)) for row in span.basis_vectors()]
+    index = 1
+    current = span
+    while current.dim:
+        nxt = Span(field)
+        for row in current.basis_vectors():
+            a = Element(alg, dict(row))
+            for r in basis:
+                prod = multiply(a, r)
+                if prod.coeffs:
+                    nxt.add(prod.coeffs)
+        if nxt.dim >= current.dim and nxt.dim:
+            raise AlgebraError("radical candidate is not nilpotent")
+        current = nxt
+        index += 1
+        if index > alg.dim + 1:
+            raise AlgebraError("radical candidate is not nilpotent")
+    for i in range(alg.dim):
+        b = alg.basis_element(i)
+        for r in basis:
+            if not span.contains(multiply(b, r).coeffs) or not span.contains(
+                multiply(r, b).coeffs
+            ):
+                raise AlgebraError("radical candidate is not an ideal")
+    return RadicalData(basis, span, index)
+
+
+def model_map_failure(alg, model, images):
+    """The first message `ModelIsomorphism` gives for the map sending
+    model basis vector a to images[a] before its bijectivity check, or
+    None: the unit, then every basis pair (a, b) in order, multiplied in
+    `alg` one pair at a time."""
+    if combination(alg, images, model.unit.coeffs).coeffs != alg.unit.coeffs:
+        return "model map does not preserve the unit"
+    imgs = [Element(alg, img.coeffs) for img in images]
+    for a in range(model.dim):
+        for b in range(model.dim):
+            if multiply(imgs[a], imgs[b]) != combination(alg, images, model.rows[a][b]):
+                return f"model map is not multiplicative at basis pair ({a},{b})"
+    return None
+
+
+def single_constant_mutants(alg, rng, reps):
+    """`reps` rounds of three seeded corruptions of alg's structure
+    constants: one bumped by 1, one deleted, and one (i, j, k) -> 1 added
+    (the table is unchanged when (i, j, k) is already present)."""
+    d, one = alg.dim, alg.field.one
+    struct = [(i, j, k, c) for i in range(d) for j in range(d)
+              for k, c in sorted(alg.rows[i][j].items())]
+    unit = alg.unit.dense()
+    present = {(i, j, k) for i, j, k, _ in struct}
+    for _ in range(reps):
+        bumped = list(struct)
+        p = rng.randrange(len(bumped))
+        i, j, k, c = bumped[p]
+        bumped[p] = (i, j, k, c + one)
+        deleted = list(struct)
+        del deleted[rng.randrange(len(deleted))]
+        key = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
+        added = struct + ([] if key in present else [key + (one,)])
+        for s in (bumped, deleted, added):
+            yield FinDimAlgebra(alg.field, alg.labels, s, unit)

@@ -22,10 +22,11 @@ from sialg.algebra import (
     minimal_polynomial,
     multiply,
     permute_basis,
+    products,
 )
 from sialg.amplify import PRESETS
 from sialg.errors import BadParams, DimensionMismatch, InvalidAlgebra
-from sialg.families import corpus, matrix_algebra, nakayama_algebra, nsy_algebra
+from sialg.families import corpus, group_algebra, matrix_algebra, nakayama_algebra, nsy_algebra
 from sialg.fields import QQ, Field
 from sialg.pipeline import prepare, run_spec
 from sialg.structure import canonical_decomposition, corner_basis
@@ -101,26 +102,11 @@ def test_associativity_witness_matches_dense_reference():
     for entry in corpus("small"):
         alg = entry.algebra
         assert check_associativity(alg) is None
-        d = alg.dim
-        struct = [(i, j, k, c) for i in range(d) for j in range(d)
-                  for k, c in sorted(alg.rows[i][j].items())]
-        unit = alg.unit.dense()
-        present = {(i, j, k) for i, j, k, _ in struct}
-        for _ in range(3):
-            bumped = list(struct)
-            p = rng.randrange(len(bumped))
-            i, j, k, c = bumped[p]
-            bumped[p] = (i, j, k, c + alg.field.one)
-            deleted = list(struct)
-            del deleted[rng.randrange(len(deleted))]
-            key = (rng.randrange(d), rng.randrange(d), rng.randrange(d))
-            added = struct + ([] if key in present else [key + (alg.field.one,)])
-            for s in (bumped, deleted, added):
-                corrupt = FinDimAlgebra(alg.field, alg.labels, s, unit)
-                witness = check_associativity(corrupt)
-                assert witness == dense_associativity_witness(corrupt), entry.key
-                compared += 1
-                failing += witness is not None
+        for corrupt in dense.single_constant_mutants(alg, rng, 3):
+            witness = check_associativity(corrupt)
+            assert witness == dense_associativity_witness(corrupt), entry.key
+            compared += 1
+            failing += witness is not None
     # most single-constant corruptions break associativity
     assert failing >= compared // 2, (failing, compared)
 
@@ -136,6 +122,35 @@ def test_associativity_witness_with_one_zero_side():
     B = FinDimAlgebra(QQ, ["1", "a", "b"], unit_products + [(2, 1, 2, 1)], [1, 0, 0])
     assert check_unit(B) is None
     assert check_associativity(B) == dense_associativity_witness(B) == (2, 1, 1)
+
+
+def _products_cases():
+    for profile in ("small", "standard"):
+        for entry in corpus(profile):
+            yield entry.key, entry.algebra
+    # GF(p) shapes and group algebras, where every basis pair has a nonzero product
+    yield "nsy(2,2,(2,1)) GF(101)", nsy_algebra(2, 2, (2, 1), Field(101)).algebra
+    yield "nsy(3,2,(1,2,1)) GF(7)", nsy_algebra(3, 2, (1, 2, 1), Field(7)).algebra
+    for factors, field in (((2, 4), QQ), ((3, 3), Field(3)), ((2, 2, 2), Field(2))):
+        yield f"group {factors} {field!r}", group_algebra(factors, field)
+
+
+def test_products_match_per_pair_multiply():
+    rng = random.Random(20261018)
+    for key, alg in _products_cases():
+        field = alg.field
+        # basis vectors, dense random vectors and the zero vector on both sides
+        vectors = [{i: field.one} for i in range(alg.dim)]
+        vectors += [alg.element({i: field.random(rng) for i in range(alg.dim)}).coeffs
+                    for _ in range(2)]
+        vectors.append({})
+        elements = [alg.element(v) for v in vectors]
+        got = list(products(alg, vectors, vectors))
+        assert len(got) == len(vectors), key
+        for x, row in zip(elements, got):
+            want = {t: prod.coeffs for t, y in enumerate(elements) if (prod := x * y).coeffs}
+            assert row == want, key
+            assert all(row.values()), key  # zero products are left out
 
 
 def test_act_left_right_matrix_units():

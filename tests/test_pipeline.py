@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -6,7 +7,7 @@ import pytest
 import dense_reference as dense
 from sialg.algebra import is_invariant, permute_basis
 from sialg.amplify import SpreadSpec
-from sialg.errors import InvalidAlgebra, NotSelfInjectiveLike
+from sialg.errors import AlgebraError, InvalidAlgebra, NotSelfInjectiveLike
 from sialg.families import (
     corpus,
     group_algebra,
@@ -17,8 +18,14 @@ from sialg.families import (
 )
 from sialg.algebra import FinDimAlgebra, Functional
 from sialg.fields import Field
-from sialg.pipeline import analyze, comultiplication_pipeline, prepare, run_spec
-from sialg.structure import PeirceCorners
+from sialg.pipeline import (
+    ModelIsomorphism,
+    analyze,
+    comultiplication_pipeline,
+    prepare,
+    run_spec,
+)
+from sialg.structure import IsoWitness, PeirceCorners
 from sialg.verify import CorpusCache, check_pair_support, check_transported_pairs
 
 
@@ -154,6 +161,74 @@ def test_pair_checks_build_no_corners(monkeypatch):
     assert check_transported_pairs(cache).passed
     check_pair_support(cache)
     assert builds == []
+
+
+@pytest.fixture(scope="module")
+def small_contexts():
+    return [(entry, prepare(entry.algebra)) for entry in corpus("small")]
+
+
+def _model_map_outcome(alg, amp, emb, wit):
+    try:
+        ModelIsomorphism(alg, amp, emb, wit)
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def test_model_map_refuses_corrupted_input(small_contexts):
+    # the products are taken in the algebra the map is checked against, so
+    # every change to one structure constant of the input is refused
+    rng = random.Random(20261018)
+    refused = 0
+    for entry, ctx in small_contexts:
+        alg = entry.algebra
+        emb, wit = ctx.analysis.embedding, ctx.witnesses
+        assert _model_map_outcome(alg, ctx.amp, emb, wit) is None
+        for corrupt in dense.single_constant_mutants(alg, rng, 2):
+            if corrupt.structure_equal(alg):
+                continue
+            got = _model_map_outcome(corrupt, ctx.amp, emb, wit)
+            assert got is not None and "not multiplicative" in got, entry.key
+            assert got == dense.model_map_failure(corrupt, ctx.amp.algebra, ctx.model_map.images)
+            refused += 1
+    assert refused == 76
+
+
+def test_model_map_matches_per_pair_reference_on_mutants(small_contexts):
+    # a corrupted model structure constant or a corrupted copy witness: the
+    # batched check gives the per-pair loop's first failure, and accepts
+    # (or refuses as not bijective) exactly when the loop finds none
+    rng = random.Random(20261018)
+    outcomes = []
+    for entry, ctx in small_contexts:
+        alg, amp = entry.algebra, ctx.amp
+        emb, wit = ctx.analysis.embedding, ctx.witnesses
+        for model in dense.single_constant_mutants(amp.algebra, rng, 2):
+            fake = copy.copy(amp)
+            fake.algebra = model
+            got = _model_map_outcome(alg, fake, emb, wit)
+            want = dense.model_map_failure(alg, model, ctx.model_map.images)
+            assert got == want or (want is None and got == "model map is not bijective")
+            outcomes.append(got)
+        for _ in range(3):
+            side = rng.choice(("us", "vs"))
+            i = rng.randrange(len(wit.us))
+            s = rng.randrange(len(wit.us[i]))
+            lists = {"us": [list(u) for u in wit.us], "vs": [list(v) for v in wit.vs]}
+            lists[side][i][s] = lists[side][i][s] + alg.basis_element(rng.randrange(alg.dim))
+            bad = IsoWitness(lists["us"], lists["vs"])
+            images = [
+                bad.vs[j][t - 1] * emb.to_parent(amp.corners.bases[(j, i2)][b]) * bad.us[i2][s2 - 1]
+                for (i2, j, s2, t, b) in amp.tuples
+            ]
+            got = _model_map_outcome(alg, amp, emb, bad)
+            want = dense.model_map_failure(alg, amp.algebra, images)
+            assert got == want or (want is None and got == "model map is not bijective")
+            outcomes.append(got)
+    pairs = {o for o in outcomes if o and "basis pair" in o}
+    assert len(outcomes) == 14 * 9 and len(pairs) >= 10
+    assert "model map does not preserve the unit" in outcomes
 
 
 def test_decomposition_and_pipeline_deterministic():

@@ -3,10 +3,11 @@ from itertools import combinations
 
 import pytest
 
+import dense_reference as dense
 from sialg import structure
 from sialg.algebra import multiply, permute_basis
 from sialg.amplify import amplify, lift
-from sialg.errors import NotSelfInjectiveLike, UnsupportedField
+from sialg.errors import AlgebraError, NotSelfInjectiveLike, UnsupportedField
 from sialg.families import (
     corpus,
     field_product_algebra,
@@ -95,6 +96,42 @@ def test_radical_modular_group_algebras():
 def test_radical_unsupported_field():
     with pytest.raises(UnsupportedField):
         radical(matrix_algebra(2, Field(2)))
+
+
+def _radical_outcome(compute):
+    try:
+        rad = compute()
+    except UnsupportedField:
+        return None
+    except AlgebraError as exc:
+        return str(exc)
+    return ([b.coeffs for b in rad.basis], rad.span.rows, rad.nilpotency_index)
+
+
+def test_radical_matches_per_pair_reference_on_mutants():
+    # seeded single-constant corruptions: bump one, delete one, add one; the
+    # batched products must reach the same RadicalData or the same refusal
+    # as the per-pair loops on the same trace-form (or Frobenius-power) kernel
+    rng = random.Random(20261018)
+    outcomes = []
+    for entry in corpus("small"):
+        field, d = entry.algebra.field, entry.algebra.dim
+        for corrupt in dense.single_constant_mutants(entry.algebra, rng, 6):
+            got = _radical_outcome(lambda: radical(corrupt))
+            if got is None:  # refused before any product is taken
+                continue
+            if field.p is None or field.p > d:
+                kernel = structure._trace_form_kernel(corrupt)
+            else:
+                kernel = structure._frobenius_power_kernel(corrupt)
+            want = _radical_outcome(lambda: dense.radical_checks(corrupt, kernel))
+            assert got == want, entry.key
+            outcomes.append(got)
+    messages = [o for o in outcomes if isinstance(o, str)]
+    assert len(outcomes) >= 200
+    assert "radical candidate is not an ideal" in messages
+    assert "radical candidate is not nilpotent" in messages
+    assert len(messages) < len(outcomes)
 
 
 def test_quotient_of_radical_is_semisimple():
