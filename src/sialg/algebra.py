@@ -12,7 +12,7 @@ invariance checks may safely run concurrently if ever needed.
 from __future__ import annotations
 
 from .errors import BadParams, DimensionMismatch, InvalidAlgebra
-from .fields import Field, json_int
+from .fields import Field, json_int, json_list
 from .linalg import Span, sparse_rank
 
 
@@ -146,10 +146,13 @@ class FinDimAlgebra:
         try:
             field = Field.from_json(data["field"])
             dim = json_int(data["dim"], "dim")
-            labels = [str(x) for x in data["basis"]]
+            labels = [str(x) for x in json_list(data["basis"], "basis")]
             if len(labels) != dim:
                 raise BadParams("basis label count differs from dim")
-            unit = [field.parse(s) if isinstance(s, str) else field(s) for s in data["unit"]]
+            unit = [
+                field.parse(s) if isinstance(s, str) else field(s)
+                for s in json_list(data["unit"], "unit")
+            ]
             if len(unit) != dim:
                 raise BadParams("unit vector length differs from dim")
             structure = [
@@ -157,7 +160,7 @@ class FinDimAlgebra:
                     *(json_int(x, "structure index") for x in (i, j, k)),
                     field.parse(c) if isinstance(c, str) else field(c),
                 )
-                for i, j, k, c in data["structure"]
+                for i, j, k, c in json_list(data["structure"], "structure")
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise BadParams(f"malformed algebra JSON: {exc}") from exc

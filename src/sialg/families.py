@@ -60,6 +60,8 @@ class NsyPresentation:
 
 def nsy_algebra(n: int, l: int, m, field: Field = QQ) -> NsyPresentation:
     """Amplification of nakayama_algebra(n, l) by copy multiplicities m."""
+    if n < 1 or l < 1:
+        raise BadParams("need n >= 1 and l >= 1")
     m = tuple(json_int(v, "multiplicity") for v in m)
     if len(m) != n or any(v < 1 for v in m):
         raise BadParams("m must list n multiplicities >= 1")

@@ -79,6 +79,16 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """`value` if it is a JSON array; BadParams for anything else.
+
+    A string is iterable too, so "1001" would read as four scalars.
+    """
+    if type(value) is not list:
+        raise BadParams(f"{what} must be an array, got {type(value).__name__}")
+    return value
+
+
 def narrow(x):
     """An integral Fraction as the int it equals; any other scalar as is."""
     if type(x) is Fraction and x.denominator == 1:

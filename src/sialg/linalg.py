@@ -4,14 +4,22 @@
 ``{column_key: scalar}`` dicts with orderable keys in reduced echelon
 form, divides only through ``field.inv`` and brings every scalar it
 stores into the field's normal form (``Field.normal``: an integral
-rational as ``int``, a residue mod p in ``range(p)``).  The ``sparse_rank``,
+rational as ``int``, a residue mod p in ``range(p)``).  It skips work
+that cannot change a row: a remainder whose lead is 1 is stored as it
+is, and one whose lead is -1 is negated, with no ``field.inv`` (over QQ
+only when every entry is already an ``int``), and the pivots a vector
+meets come from one intersection of key sets.  The ``sparse_rank``,
 ``sparse_kernel`` and ``sparse_solve`` helpers are a few lines each over
 it; together they carry the large but very sparse systems (Peirce
-corners, socles, counit feasibility, comultiplication rank) that would be
-wasteful densely.  :class:`Matrix` is a dense view over the same
-elimination, used for the Gram matrix of a counit: its ``rref`` hands the
-nonzero entries of each row to a :class:`Span` and writes the reduced
-rows back out densely.
+corners, socles, counit feasibility, comultiplication rank) that would
+be wasteful densely.
+``sparse_rank`` first tries a certificate: nonempty rows with pairwise
+distinct least keys, each with a nonzero coefficient there, are already
+in echelon form, so their rank is their count and no :class:`Span` is
+built.  :class:`Matrix` is a dense view over the same elimination, used
+for the Gram matrix of a counit: its ``rref`` hands the nonzero entries
+of each row to a :class:`Span` and writes the reduced rows back out
+densely.
 """
 
 from __future__ import annotations
@@ -92,8 +100,17 @@ class Span:
             return False
         piv = min(row)
         field = self.field
-        inv, norm, p = field.inv(row[piv]), field.normal, field.p
-        row = {k: norm(v * inv) for k, v in row.items()}
+        p = field.p
+        lead, top = row[piv], p or 0
+        # reduce leaves residues in range(p) over GF(p), and a row of ints
+        # over QQ is in normal form too, so a lead of 1 needs no rescale and
+        # a lead of -1 (top - 1 in normal form) only a negation
+        if (lead == 1 or lead == top - 1) and (p or all(type(v) is int for v in row.values())):
+            if lead != 1:
+                row = {k: top - v for k, v in row.items()}
+        else:
+            inv, norm = field.inv(lead), field.normal
+            row = {k: norm(v * inv) for k, v in row.items()}
         for other in self.rows.values():
             c = other.get(piv)
             if c:
@@ -109,15 +126,15 @@ class Span:
         return True
 
     def reduce(self, coeffs: dict) -> dict:
-        """The remainder of `coeffs` modulo the span: a zero-free row whose
-        scalars are in the field's normal form over GF(p).
+        """The remainder of `coeffs` modulo the span: a new zero-free row
+        whose scalars are in the field's normal form over GF(p).
 
         Rows are kept fully reduced, so eliminating a pivot only brings in
         free keys; one pass over the pivots initially present is complete.
         """
         p = self.field.p
         row = dict(coeffs) if p is None else {k: w for k, v in coeffs.items() if (w := v % p)}
-        for piv in sorted(k for k in row if k in self.rows):
+        for piv in sorted(row.keys() & self.rows.keys()):
             c = row[piv]
             for k, v in self.rows[piv].items():
                 w = row.get(k, 0) - c * v
@@ -155,6 +172,25 @@ class Span:
 
 
 def sparse_rank(field, rows) -> int:
+    """Rank of a list or iterable of sparse rows.
+
+    Nonempty rows whose least keys are pairwise distinct, each with a
+    coefficient nonzero in the field there, are already in echelon form,
+    so their count is the rank; any other rows go through :class:`Span`.
+    """
+    rows = list(rows)
+    p = field.p
+    leads = set()
+    for row in rows:
+        if not row:
+            break
+        lead = min(row)
+        c = row[lead]
+        if lead in leads or not (c % p if p else c):
+            break
+        leads.add(lead)
+    else:
+        return len(rows)
     return Span(field, rows).dim
 
 

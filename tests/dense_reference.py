@@ -1,6 +1,7 @@
-"""Dense Gaussian elimination over a Field, kept apart from sialg.linalg,
-term-by-term bimodule actions, kept apart from sialg.algebra, and the
-per-pair radical and model-map loops, kept apart from algebra.products.
+"""Dense Gaussian elimination over a Field and a plain sparse echelon
+span, kept apart from sialg.linalg, term-by-term bimodule actions, kept
+apart from sialg.algebra, and the per-pair radical and model-map loops,
+kept apart from algebra.products.
 
 A plain textbook reference for the tests: matrices are lists of rows of
 field scalars, pivots are chosen as the first nonzero entry of a column,
@@ -8,15 +9,18 @@ the only division is ``field.inv``, and every computed entry passes
 through ``field.normal`` (over GF(p) scalars are ints reduced mod p).
 The elimination does not use ``sialg.linalg``, so comparing against it
 checks ``Span`` and the dense ``Matrix`` view over it with an
-independent implementation.  The actions walk every term of the tensor
-for every term of the acting element, with no grouping by leg, so
-comparing against them checks ``act_left`` and ``act_right``.  The
-radical and model-map loops multiply every pair of basis vectors with
-one ``multiply`` call each, so comparing against them checks
-``algebra.products`` and the checks batched over it; they keep ``Span``
-for membership and rank, since the elimination is not what they test.
-``single_constant_mutants`` gives the seeded corrupted tables that the
-differential tests feed to both sides.
+independent implementation.  ``SpanReference`` is ``Span`` without its
+fast paths: every remainder is rescaled through ``field.inv``, a lead of
+1 or -1 included, so comparing ``Span.rows`` with its rows checks those
+fast paths down to the type of each stored scalar.  The actions walk
+every term of the tensor for every term of the acting element, with no
+grouping by leg, so comparing against them checks ``act_left`` and
+``act_right``.  The radical and model-map loops multiply every pair of
+basis vectors with one ``multiply`` call each, so comparing against them
+checks ``algebra.products`` and the checks batched over it; they keep
+``Span`` for membership and rank, since the elimination is not what they
+test.  ``single_constant_mutants`` gives the seeded corrupted tables
+that the differential tests feed to both sides.
 """
 
 from sialg.algebra import Element, FinDimAlgebra, combination, multiply
@@ -105,6 +109,57 @@ def matmul(field, a, b):
 
 def apply(field, rows, vec):
     return [field.normal(sum((c * x for c, x in zip(row, vec)), field.zero)) for row in rows]
+
+
+class SpanReference:
+    """Reduced echelon rows {pivot: row}, inserted one vector at a time.
+
+    Each remainder is scaled by ``field.inv`` of its lead, then subtracted
+    from every stored row that has an entry at its pivot.
+    """
+
+    def __init__(self, field, vectors=()):
+        self.field = field
+        self.rows = {}
+        for v in vectors:
+            self.add(v)
+
+    def add(self, coeffs):
+        row = self.reduce(coeffs)
+        if not row:
+            return False
+        piv = min(row)
+        field = self.field
+        inv, norm, p = field.inv(row[piv]), field.normal, field.p
+        row = {k: norm(v * inv) for k, v in row.items()}
+        for other in self.rows.values():
+            c = other.get(piv)
+            if c:
+                for k, v in row.items():
+                    w = other.get(k, 0) - c * v
+                    if p:
+                        w %= p
+                    if w:
+                        other[k] = w
+                    else:
+                        other.pop(k, None)
+        self.rows[piv] = row
+        return True
+
+    def reduce(self, coeffs):
+        p = self.field.p
+        row = dict(coeffs) if p is None else {k: w for k, v in coeffs.items() if (w := v % p)}
+        for piv in sorted(k for k in row if k in self.rows):
+            c = row[piv]
+            for k, v in self.rows[piv].items():
+                w = row.get(k, 0) - c * v
+                if p:
+                    w %= p
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+        return row
 
 
 def left_multiplication(b):

@@ -426,6 +426,22 @@ def test_algebra_json_round_trip():
             Tensor2.from_json(A, [[index, 0, "1"]])
 
 
+@pytest.mark.parametrize("key, value", [
+    ("unit", "1001"),
+    ("basis", "abcd"),
+    ("structure", "0000"),
+    ("unit", {"0": "1", "3": "1"}),
+    ("structure", None),
+])
+def test_algebra_json_non_array_refused(key, value):
+    # a string iterates as its characters, so "unit": "1001" would read as
+    # the unit of M_2
+    data = matrix_algebra(2).to_json()
+    data[key] = value
+    with pytest.raises(BadParams, match=f"^{key} must be an array, got {type(value).__name__}$"):
+        FinDimAlgebra.from_json(data)
+
+
 def test_permute_basis_is_isomorphism():
     rng = random.Random(9)
     A = nsy_algebra(2, 2, (1, 2)).algebra

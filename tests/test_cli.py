@@ -258,8 +258,28 @@ def test_report_bytes_deterministic(tmp_path):
     assert sha256(out1) == DIAGONAL_NSY_2_2_22_COMUL_SHA256
 
 
+def test_string_unit_refused(tmp_path, capsys):
+    alg_path = tmp_path / "m2.json"
+    assert run_cli("generate", "--family", "matrix", "--m", "2", "-o", str(alg_path)) == 0
+    data = json.loads(alg_path.read_text())
+    data["unit"] = "1001"
+    alg_path.write_text(json.dumps(data))
+    assert run_cli("analyze", "--input", str(alg_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: BadParams: unit must be an array, got str\n"
+    assert captured.out == ""
+
+
 def test_generate_bad_params():
     assert run_cli("generate", "--family", "nsy", "--n", "2") == 1
+
+
+@pytest.mark.parametrize("l", ["0", "-1"])
+def test_generate_nsy_without_paths(capsys, l):
+    assert run_cli("generate", "--family", "nsy", "--n", "2", "--l", l, "--m", "1,1") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: BadParams: need n >= 1 and l >= 1\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, message", [

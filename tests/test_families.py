@@ -42,6 +42,13 @@ def test_nsy_dimension_and_cases():
     assert nsy_algebra(2, 3, (1, 1)).algebra.structure_equal(nakayama_algebra(2, 3))
 
 
+@pytest.mark.parametrize("n, l, m", [(2, 0, (1, 1)), (2, -1, (1, 1)), (0, 2, ())])
+def test_nsy_bad_shape_refused(n, l, m):
+    # l = 0 has no paths to index, so the unit lookup used to raise KeyError
+    with pytest.raises(BadParams, match="need n >= 1 and l >= 1"):
+        nsy_algebra(n, l, m)
+
+
 def test_nsy_m_one_equals_nakayama():
     for n, l in ((1, 2), (2, 2), (3, 2), (2, 3)):
         nsy = nsy_algebra(n, l, (1,) * n)

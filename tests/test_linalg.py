@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import dense_reference as dense
+from sialg import linalg
 from sialg.errors import SingularMatrix
 from sialg.fields import Field, QQ
 from sialg.linalg import Matrix, Span, sparse_kernel, sparse_rank, sparse_solve
@@ -188,3 +189,133 @@ def test_sparse_integer_rows_give_field_scalars():
     assert sparse_solve(gf3, [{0: -1}], [5], 1) == ({0: 1}, 0)
     for row in Span(gf3, [{0: 5, 1: -1}, {1: -2, 2: 4}]).rows.values():
         assert all(is_gf3_scalar(c) and c for c in row.values())
+
+
+def _typed(row):
+    """A row with each scalar's type beside its value: 2 and Fraction(2)
+    compare equal, and only this tells them apart."""
+    return {k: (type(v), v) for k, v in row.items()}
+
+
+def _typed_rows(rows):
+    return {piv: _typed(row) for piv, row in rows.items()}
+
+
+def _span_values(field):
+    """Scalars a caller may pass: over QQ leads of 1 and -1, Fractions and
+    the integral Fraction(4, 2); over GF(p) unreduced ints, among them
+    -1, p - 1 and entries that are 0 mod p."""
+    p = field.p
+    if p is None:
+        return [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2)]
+    return [1, -1, p - 1, p, 2 * p, p + 1, 2, -3]
+
+
+def _span_vectors(field, rng, count):
+    """Random rows over keys 0..5, a quarter of them repeating an earlier
+    row and a quarter combining two earlier ones.  Over QQ a combination
+    drops its zeros (rows are zero-free there) and may hold integral
+    Fractions; over GF(p) it is left unreduced."""
+    values = _span_values(field)
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if out and kind < 0.25:
+            out.append(dict(rng.choice(out)))
+        elif len(out) > 1 and kind < 0.5:
+            u, v = rng.sample(out, 2)
+            a, b = rng.choice(values), rng.choice(values)
+            row = {k: a * u.get(k, 0) + b * v.get(k, 0) for k in u.keys() | v.keys()}
+            out.append(row if field.p else {k: c for k, c in row.items() if c})
+        else:
+            keys = rng.sample(range(6), rng.randint(1, 4))
+            out.append({k: rng.choice(values) for k in keys})
+    return [row for row in out if row]
+
+
+def test_span_matches_reference_span():
+    # Span skips the rescale at a lead of 1, negates at a lead of -1 and
+    # meets only the pivots a row has; reduced echelon form is unique, so
+    # after every insertion its stored rows must equal the reference's,
+    # down to the type of each scalar
+    rng = random.Random(13)
+    for field in (QQ, Field(2), Field(3), Field(101)):
+        p = field.p
+        top = p or 0
+        if p is None:
+            cases = [
+                [{0: 1, 1: 2}, {0: 1, 1: 2}, {1: -1, 2: 3}, {0: 2, 1: 3, 2: 3}],
+                [{0: Fraction(1, 2), 1: 1}, {1: Fraction(4, 2), 2: -1}, {0: 1, 2: Fraction(4, 2)}],
+                [{0: -1, 1: Fraction(4, 2)}, {1: 1, 3: Fraction(1, 3)}, {0: -1, 3: 5}],
+            ]
+        else:
+            cases = [
+                [{0: 1, 1: p}, {0: p + 1, 1: 1}, {1: -1, 2: 2 * p}, {1: p - 1, 2: 1}],
+                [{0: p, 1: -1, 2: 1}, {1: 1, 2: p - 1}, {0: -1, 3: 2}, {0: 3 * p - 1}],
+            ]
+        cases += [_span_vectors(field, rng, rng.randint(1, 9)) for _ in range(150)]
+        leads = set()
+        for vectors in cases:
+            before = [_typed(v) for v in vectors]
+            span, ref = Span(field), dense.SpanReference(field)
+            for v in vectors:
+                rest = ref.reduce(v)
+                if rest:
+                    lead = rest[min(rest)]
+                    kind = "1" if lead == 1 else "-1" if lead == top - 1 else "other"
+                    if any(type(c) is Fraction for c in rest.values()):
+                        kind += " with Fractions"
+                    leads.add(kind)
+                assert span.add(v) == ref.add(v)
+                assert _typed_rows(span.rows) == _typed_rows(ref.rows)
+            for probe in _span_vectors(field, rng, 3):
+                assert _typed(span.reduce(probe)) == _typed(ref.reduce(probe))
+            # no caller dict is stored or changed, though later insertions
+            # back-substitute into the stored rows
+            assert [_typed(v) for v in vectors] == before
+            stored = {id(row) for row in span.rows.values()}
+            assert not stored & {id(v) for v in vectors}
+        # every branch of Span.add is met: GF(3) has no scalar but 1 and -1,
+        # GF(2) none but 1, and over QQ a lead of 1 or -1 beside a Fraction
+        # takes the rescale
+        assert leads == {
+            None: {"1", "-1", "other", "1 with Fractions", "-1 with Fractions",
+                   "other with Fractions"},
+            2: {"1"},
+            3: {"1", "-1"},
+            101: {"1", "-1", "other"},
+        }[p]
+
+
+def _dense_rows(rows):
+    cols = sorted({k for row in rows for k in row})
+    return [[row.get(k, 0) for k in cols] for row in rows]
+
+
+@pytest.mark.parametrize("field, rows, certified", [
+    (QQ, [{0: 1, 2: 3}, {1: 2, 2: 1}, {2: Fraction(1, 2)}], True),
+    (Field(101), [{(0, 1): 100, (2, 0): 5}, {(1, 0): 7}], True),
+    (Field(3), [{0: 4, 1: 1}, {1: 2}], True),
+    (QQ, [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}], False),
+    (QQ, [{0: 1, 1: 2}, {0: 1, 2: 1}], False),
+    (QQ, [{0: 1}, {}, {1: 1}], False),
+    # 3 = 0 mod 3: the first row's lead is at key 1, where the second has its
+    # lead too, so certifying key 0 would give rank 2
+    (Field(3), [{0: 3, 1: 1}, {1: 1}], False),
+], ids=["distinct-leads", "tuple-keys", "unreduced-lead", "repeated-lead",
+        "repeated-lead-independent", "empty-row", "lead-zero-mod-p"])
+def test_sparse_rank_certificate(monkeypatch, field, rows, certified):
+    # rows with distinct least keys and nonzero leads are counted without
+    # an elimination; any other rows build a Span
+    builds = []
+
+    class CountedSpan(Span):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(linalg, "Span", CountedSpan)
+    want = dense.rank(field, _dense_rows(rows))
+    assert sparse_rank(field, rows) == want
+    assert sparse_rank(field, (dict(row) for row in rows)) == want
+    assert len(builds) == (0 if certified else 2)

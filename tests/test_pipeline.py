@@ -5,6 +5,7 @@ import random
 import pytest
 
 import dense_reference as dense
+from sialg import linalg
 from sialg.algebra import is_invariant, permute_basis
 from sialg.amplify import SpreadSpec
 from sialg.errors import AlgebraError, InvalidAlgebra, NotSelfInjectiveLike
@@ -256,6 +257,41 @@ def test_pipeline_over_prime_fields():
     B5 = nsy_algebra(2, 2, (1, 1), Field(5)).algebra
     run2 = comultiplication_pipeline(B5, "singleton")
     assert run2.report.counital and run2.report.counit_built
+
+
+@pytest.mark.parametrize("make, certified", [
+    (lambda: group_algebra((4,), Field(3)), False),
+    (lambda: group_algebra((2, 4), Field(3)), False),
+    (lambda: nsy_algebra(2, 2, (1, 2)).algebra, True),
+], ids=["GF(3)[C4]", "GF(3)[C2xC4]", "nsy(2,2,(1,2))"])
+def test_delta_rank_matches_dense_rank(monkeypatch, make, certified):
+    # the comultiplication tables of these two group algebras repeat a least
+    # key, so their rank needs an elimination; the nsy tables are already in
+    # echelon form and their rank is their row count
+    ctx = prepare(make())
+    field = ctx.analysis.algebra.field
+    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    rng = random.Random(17)
+    specs = ["singleton", "diagonal", "full"]
+    specs += [SpreadSpec.random_nonempty(m, nak, rng) for _ in range(10)]
+    builds = []
+
+    class CountedSpan(linalg.Span):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(linalg, "Span", CountedSpan)
+    for spec in specs:
+        run = run_spec(ctx, spec)
+        table = [dict(row) for row in run.x.delta()]
+        want = dense.rank(field, dense.delta_matrix(run.x))
+        assert run.report.rank == want
+        builds.clear()
+        assert linalg.sparse_rank(field, run.x.delta()) == want
+        assert len(builds) == (0 if certified else 1)
+        # the cached table rows are the ones ranked, and stay as they were
+        assert run.x.delta() == table
 
 
 def test_unsupported_modular_field_rejected():
