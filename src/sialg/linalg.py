@@ -4,11 +4,7 @@
 ``{column_key: scalar}`` dicts with orderable keys in reduced echelon
 form, divides only through ``field.inv`` and brings every scalar it
 stores into the field's normal form (``Field.normal``: an integral
-rational as ``int``, a residue mod p in ``range(p)``).  It skips work
-that cannot change a row: a remainder whose lead is 1 is stored as it
-is, and one whose lead is -1 is negated, with no ``field.inv`` (over QQ
-only when every entry is already an ``int``), and the pivots a vector
-meets come from one intersection of key sets.  The ``sparse_rank``,
+rational as ``int``, a residue mod p in ``range(p)``).  The ``sparse_rank``,
 ``sparse_kernel`` and ``sparse_solve`` helpers are a few lines each over
 it; together they carry the large but very sparse systems (Peirce
 corners, socles, counit feasibility, comultiplication rank) that would
