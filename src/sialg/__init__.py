@@ -29,6 +29,7 @@ from .amplify import (
     SpreadSpec,
     build_counit,
     comultiplication_report,
+    copy_boxes,
     counit_solution_space,
     is_bijection_graph,
     is_incidence_invertible,
@@ -65,7 +66,6 @@ from .pipeline import (
     ModelIsomorphism,
     PipelineRun,
     analyze,
-    comultiplication_pipeline,
     prepare,
     run_spec,
 )

@@ -285,7 +285,8 @@ class Functional:
 
     @classmethod
     def from_json(cls, algebra, data):
-        return cls(algebra, [algebra.field.parse(s) for s in data])
+        parse = algebra.field.parse
+        return cls(algebra, [parse(s) for s in json_list(data, "functional")])
 
     def __repr__(self):
         return f"Functional({list(self.values)})"
@@ -349,7 +350,7 @@ class Tensor2:
     def from_json(cls, algebra, data):
         parse = algebra.field.parse
         out = {}
-        for a, b, c in data:
+        for a, b, c in json_list(data, "tensor"):
             a, b = json_int(a, "tensor index"), json_int(b, "tensor index")
             if not (0 <= a < algebra.dim and 0 <= b < algebra.dim):
                 raise BadParams(f"tensor index ({a},{b}) out of range")

@@ -27,7 +27,7 @@ from .families import (
     nsy_algebra,
 )
 from .fields import Field
-from .pipeline import analyze, comultiplication_pipeline, prepare, run_spec
+from .pipeline import analyze, prepare, run_spec
 from .structure import DEFAULT_SEED
 from .verify import run_verification
 
@@ -129,7 +129,7 @@ def cmd_comul(args) -> int:
 def cmd_verify(args) -> int:
     if args.input:
         alg = _load_algebra(args.input)
-        run = comultiplication_pipeline(alg, args.preset, args.seed)
+        run = run_spec(prepare(alg, args.seed), args.preset)
         _dump(run.report.to_json(), args.report or args.output)
         r = run.report
         ok = r.invariant and r.coassociative

@@ -69,10 +69,6 @@ class AnalysisResult:
     def lam(self) -> FinDimAlgebra:
         return self.corners.alg
 
-    @property
-    def multiplicities(self) -> tuple:
-        return self.dec.multiplicities
-
     def to_json(self) -> dict:
         fmt = self.algebra.field.format
         idempotents = [
@@ -90,16 +86,12 @@ class AnalysisResult:
         }
 
 
-def analyze(
-    alg: FinDimAlgebra, seed: int = DEFAULT_SEED, validate: bool = False
-) -> AnalysisResult:
+def analyze(alg: FinDimAlgebra, seed: int = DEFAULT_SEED) -> AnalysisResult:
     """Canonical decomposition, basic reduction and Nakayama permutation.
 
     The basic algebra keeps the parent's class order, so its Nakayama
     permutation indexes the same classes as the multiplicity vector.
     """
-    if validate:
-        alg.validate()
     rad = radical(alg)
     dec = canonical_decomposition(alg, seed, rad)
     lam, emb = basic_reduction(alg, dec)
@@ -230,8 +222,8 @@ class PipelineContext:
     model_map: ModelIsomorphism
 
 
-def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED, validate: bool = False):
-    analysis = analyze(alg, seed, validate)
+def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED):
+    analysis = analyze(alg, seed)
     pair = frobenius_pair(analysis.corners, analysis.nak, analysis.rad_lam, seed)
     wit = iso_witnesses(alg, analysis.dec, seed)
     amp = amplify(analysis.corners, analysis.dec.multiplicities)
@@ -242,9 +234,9 @@ def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED, validate: bool = False
 def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     """Spread one choice of subset data, transport it and report.
 
-    Invariance is checked once, on the transported tensor x: the model
-    map is a verified unital isomorphism, so x is invariant exactly when
-    the model tensor is.
+    Invariance and the constructed counit's two identities are checked
+    once, on the transported tensor x: the model map is a verified unital
+    isomorphism, so each holds there exactly when it holds on the model.
     """
     analysis, amp = ctx.analysis, ctx.amp
     m, nak = analysis.dec.multiplicities, analysis.nak
@@ -255,19 +247,10 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     flags = is_bijection_graph(spec, m, nak)
     built = None
     if all(flags):
-        built_model = build_counit(amp, spec, nak, ctx.pair.epsilon, x_model)
+        built_model = build_counit(amp, spec, nak, ctx.pair.epsilon)
         built = ctx.model_map.transport_functional(built_model)
     report = comultiplication_report(analysis.algebra, x, flags, built)
     return PipelineRun(
         analysis, ctx.pair, ctx.witnesses, amp, ctx.model_map, spec, x_model, x, report
     )
 
-
-def comultiplication_pipeline(
-    alg: FinDimAlgebra,
-    spec: SpreadSpec | str = "singleton",
-    seed: int = DEFAULT_SEED,
-    validate: bool = False,
-) -> PipelineRun:
-    """Full pipeline on one input algebra and one choice of subset data."""
-    return run_spec(prepare(alg, seed, validate), spec)

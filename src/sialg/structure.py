@@ -47,10 +47,6 @@ FLAG_NOT_SPLIT = "not-split-unverified"
 # -- spans and Peirce corners in the ambient coordinate space ------------------
 
 
-def element_span(field, elements) -> Span:
-    return Span(field, (e.coeffs for e in elements))
-
-
 def corner_span(alg: FinDimAlgebra, left: Element | None, right: Element | None) -> Span:
     """Span of left . b_t . right over the basis b_t; a None side skips
     that multiply, so one side gives a one-sided ideal e A or A e."""
@@ -89,8 +85,8 @@ class PeirceCorners:
         for j, left in enumerate(reps):
             lefts = [multiply(left, b) for b in alg.basis()]  # shared by row j's corners
             for i, right in enumerate(reps):
-                span = self.spans[(j, i)] = element_span(
-                    alg.field, (multiply(w, right) for w in lefts)
+                span = self.spans[(j, i)] = Span(
+                    alg.field, (multiply(w, right).coeffs for w in lefts)
                 )
                 self.bases[(j, i)] = [Element(alg, dict(row)) for row in span.basis_vectors()]
         self._basis_components: dict = {}  # basis index -> components, filled on demand
@@ -655,8 +651,8 @@ def _duality_holds(alg, dec, i: int, j: int, seed: int) -> bool:
     x_basis = corner_basis(alg, None, dec.reps[j])
     if len(u_basis) != len(x_basis):
         return False
-    u_span = element_span(alg.field, u_basis)
-    x_span = element_span(alg.field, x_basis)
+    u_span = Span(alg.field, (e.coeffs for e in u_basis))
+    x_span = Span(alg.field, (e.coeffs for e in x_basis))
     sols = _right_dual_intertwiners(alg, u_basis, u_span, x_basis, x_span)
     return _has_invertible_combination(alg.field, sols, len(u_basis), seed)
 

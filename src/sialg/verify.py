@@ -15,9 +15,11 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import FinDimAlgebra, Tensor2, act_right, permute_basis
 from .amplify import (
+    PRESETS,
     ComultiplicationReport,
     SpreadSpec,
     amplify,
+    copy_boxes,
     counit_solution_space,
     is_incidence_invertible,
     preset_spec,
@@ -39,7 +41,7 @@ from .frobenius import (
     transport_pair,
     verify_frobenius_pair,
 )
-from .pipeline import PipelineContext, prepare, run_spec
+from .pipeline import PipelineContext, analyze, prepare, run_spec
 from .structure import (
     DEFAULT_SEED,
     NakayamaData,
@@ -115,17 +117,14 @@ def check_reference_regression() -> CheckResult:
     failures = []
     count = 0
     for n, l in REFERENCE_SHAPES:
-        base = nakayama_algebra(n, l)
-        rad = radical(base)
-        dec = canonical_decomposition(base, DEFAULT_SEED, rad)
-        corners = PeirceCorners(base, dec.reps)
-        nak = nakayama(base, dec, rad)
-        pair = frobenius_pair(corners, nak, rad)
+        base = analyze(nakayama_algebra(n, l))
+        nak = base.nak
+        pair = frobenius_pair(base.corners, nak, base.rad_lam)
         for m in _m_vectors(n, 3):
             count += 1
             nsy = nsy_algebra(n, l, m)
-            amp = amplify(corners, m)
-            x_model = spread(amp, pair.y, SpreadSpec.singleton(n), nak)
+            amp = amplify(base.corners, m)
+            x_model = spread(amp, pair.y, preset_spec("singleton", m, nak), nak)
             # canonical identification of the model basis with the X basis
             expected = reference_delta_one(nsy)
             mapped: dict = {}
@@ -222,11 +221,7 @@ def check_singleton_injectivity(cache: CorpusCache) -> CheckResult:
 def _spec_sweep(cache: CorpusCache, idx: int):
     ctx = cache.context(idx)
     m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
-    specs = [
-        ("singleton", SpreadSpec.singleton(len(m))),
-        ("diagonal", SpreadSpec.diagonal(m, nak)),
-        ("full", SpreadSpec.full(m, nak)),
-    ]
+    specs = [(name, preset_spec(name, m, nak)) for name in PRESETS]
     rng = random.Random(cache.seed * 1000003 + idx)
     for t in range(RANDOM_SPECS_PER_ALGEBRA):
         specs.append((f"random{t}", SpreadSpec.random_nonempty(m, nak, rng)))
@@ -484,14 +479,7 @@ def check_negative_controls(seed: int = DEFAULT_SEED) -> CheckResult:
     # exhaustive subset-data sweep on the (1,2)-amplified algebra
     ctx = prepare(nsy_algebra(2, 2, (1, 2)).algebra, seed)
     m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
-    boxes = [
-        [
-            (s, s2)
-            for s in range(1, m[i] + 1)
-            for s2 in range(1, m[nak.nu_inverse(i)] + 1)
-        ]
-        for i in range(len(m))
-    ]
+    boxes = copy_boxes(m, nak)
 
     def subsets(box):
         out = [[]]
@@ -546,7 +534,8 @@ def check_round_trip(cache: CorpusCache) -> CheckResult:
         rng.shuffle(perm)
         palg = permute_basis(entry.algebra, perm)
         try:
-            ctx = prepare(palg, cache.seed, validate=True)
+            palg.validate()
+            ctx = prepare(palg, cache.seed)
         except AlgebraError as exc:
             failures.append(f"{entry.key} permuted: {type(exc).__name__}: {exc}")
             continue
@@ -563,7 +552,7 @@ def check_round_trip(cache: CorpusCache) -> CheckResult:
                 reports[spec] = run_spec(ctx, spec).report
             return reports[spec]
 
-        for preset in ("singleton", "diagonal", "full"):
+        for preset in PRESETS:
             runs += 1
             r = report(preset_spec(preset, m, nak))
             r0 = cache.report(idx, preset)

@@ -136,14 +136,15 @@ def test_criterion_9_permuted_round_trip(cache):
 
 def test_run_verification_prepares_each_input_once(monkeypatch):
     # 14 corpus contexts (shared by every check, the round trip included),
-    # 1 negative control and 14 permuted presentations (prepared with
-    # validate=True)
-    prepared, runs = [], []
+    # 1 negative control and 14 permuted presentations (the algebras that
+    # `permute_basis` returned)
+    prepared, runs, permuted_algs = [], [], []
     original_prepare, original_run_spec = verify.prepare, verify.run_spec
+    original_permute = verify.permute_basis
 
     def counting_prepare(*args, **kwargs):
         ctx = original_prepare(*args, **kwargs)
-        prepared.append((ctx, kwargs.get("validate", False)))
+        prepared.append(ctx)
         return ctx
 
     def counting_run_spec(ctx, spec):
@@ -151,15 +152,23 @@ def test_run_verification_prepares_each_input_once(monkeypatch):
         runs.append((id(ctx), run.spec))
         return run
 
+    def recording_permute(*args, **kwargs):
+        alg = original_permute(*args, **kwargs)
+        permuted_algs.append(alg)
+        return alg
+
     monkeypatch.setattr(verify, "prepare", counting_prepare)
     monkeypatch.setattr(verify, "run_spec", counting_run_spec)
+    monkeypatch.setattr(verify, "permute_basis", recording_permute)
     verify.run_verification("small")
     assert len(prepared) == 29
     # on the shared contexts each subset datum runs once, whether the
     # singleton check, the sweep or the round trip's base side asks for it;
     # the 14 permuted contexts ask for 5 subset data each (70 runs counted
     # in the report), of which 38 are distinct and run once
-    shared = {id(ctx) for ctx, validate in prepared if not validate}
+    permuted_ids = {id(alg) for alg in permuted_algs}
+    shared = {id(ctx) for ctx in prepared if id(ctx.analysis.algebra) not in permuted_ids}
+    assert len(permuted_algs) == 14 and len(shared) == 15
     base = [run for run in runs if run[0] in shared]
     assert len(base) == len(set(base)) == 61
     permuted = [run for run in runs if run[0] not in shared]

@@ -442,6 +442,15 @@ def test_algebra_json_non_array_refused(key, value):
         FinDimAlgebra.from_json(data)
 
 
+@pytest.mark.parametrize("cls, what", [(Functional, "functional"), (Tensor2, "tensor")])
+@pytest.mark.parametrize("value", ["10", {"0": "1"}])
+def test_functional_and_tensor_json_non_array_refused(cls, what, value):
+    # "10" would otherwise read as the functional [1, 0]
+    A = nakayama_algebra(1, 2)
+    with pytest.raises(BadParams, match=f"^{what} must be an array, got {type(value).__name__}$"):
+        cls.from_json(A, value)
+
+
 def test_permute_basis_is_isomorphism():
     rng = random.Random(9)
     A = nsy_algebra(2, 2, (1, 2)).algebra

@@ -6,6 +6,7 @@ import pytest
 
 import dense_reference as dense
 from sialg.algebra import (
+    Functional,
     act_left,
     apply_functional,
     check_associativity,
@@ -19,6 +20,7 @@ from sialg.amplify import (
     amplify,
     build_counit,
     comultiplication_report,
+    copy_boxes,
     counit_solution_space,
     is_bijection_graph,
     is_incidence_invertible,
@@ -169,12 +171,12 @@ def _rand(alg, rng):
 
 def test_spread_singleton_and_diagonal_m2():
     k, dec, nak, amp, pair = _scalar_amp()
-    xs = spread(amp, pair.y, SpreadSpec.singleton(1), nak)
+    xs = spread(amp, pair.y, preset_spec("singleton", amp.m, nak), nak)
     assert is_invariant(xs) is None
     ab = {amp.tuples[a][2:4] + amp.tuples[b][2:4] for (a, b) in xs.coeffs}
     # E11 (x) E11 + E21 (x) E12 in copy coordinates (s,t) x (s,t)
     assert ab == {(1, 1, 1, 1), (1, 2, 2, 1)}
-    xd = spread(amp, pair.y, SpreadSpec.diagonal(amp.m, nak), nak)
+    xd = spread(amp, pair.y, preset_spec("diagonal", amp.m, nak), nak)
     assert len(xd.coeffs) == 4
     assert is_invariant(xd) is None
 
@@ -185,13 +187,16 @@ def test_spread_rejects_bad_block_support():
     amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
     bad = B.tensor2({(0, 0): 1})  # e0 (x) e0 violates the block pattern
     with pytest.raises(BadBlockSupport):
-        spread(amp, bad, SpreadSpec.singleton(2), nak)
+        spread(amp, bad, preset_spec("singleton", amp.m, nak), nak)
 
 
 def test_spread_index_validation():
+    # the error names the lowest pair outside the box, whatever the set order
     k, dec, nak, amp, pair = _scalar_amp()
-    with pytest.raises(IndexOutOfRange):
-        spread(amp, pair.y, SpreadSpec((frozenset({(1, 3)}),)), nak)
+    bad = SpreadSpec((frozenset({(3, 1), (1, 3)}),))
+    with pytest.raises(IndexOutOfRange) as err:
+        spread(amp, pair.y, bad, nak)
+    assert str(err.value) == "pair (1,3) outside 1..2 x 1..2 for class 0"
 
 
 def test_is_bijection_graph_examples():
@@ -220,10 +225,10 @@ def test_is_incidence_invertible_examples():
     assert is_incidence_invertible(full, (2,), fix, QQ) == [False]
     # non-square blocks are never invertible; square singular ones neither
     swap = NakayamaData((1, 0), [[], []])
-    rect = SpreadSpec.full((1, 2), swap)
+    rect = preset_spec("full", (1, 2), swap)
     assert is_incidence_invertible(rect, (1, 2), swap, QQ) == [False, False]
     ident = NakayamaData((0, 1), [[], []])
-    single = SpreadSpec.singleton(2)
+    single = preset_spec("singleton", (1, 2), ident)
     assert is_incidence_invertible(single, (1, 2), ident, QQ) == [True, False]
 
 
@@ -236,16 +241,35 @@ def test_is_incidence_invertible_depends_on_the_field():
     assert is_incidence_invertible(spec, (3,), fix, Field(2)) == [False]
 
 
+def _assert_counit(eps, x):
+    unit = x.algebra.unit
+    assert apply_functional("left", eps, x) == unit
+    assert apply_functional("right", eps, x) == unit
+
+
 def test_build_counit_matrix_trace():
     k, dec, nak, amp, pair = _scalar_amp()
-    spec = SpreadSpec.diagonal(amp.m, nak)
+    spec = preset_spec("diagonal", amp.m, nak)
     x = spread(amp, pair.y, spec, nak)
     assert is_invariant(x) is None
-    eps = build_counit(amp, spec, nak, pair.epsilon, x)
+    eps = build_counit(amp, spec, nak, pair.epsilon)
+    _assert_counit(eps, x)
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
         assert eps.values[a] == (QQ(1) if s == t else QQ(0))
     with pytest.raises(NotBijection):
-        build_counit(amp, SpreadSpec.singleton(1), nak, pair.epsilon)
+        build_counit(amp, preset_spec("singleton", amp.m, nak), nak, pair.epsilon)
+
+
+def test_report_flags_a_wrong_built_counit():
+    # build_counit checks nothing; the report tests the counit it is handed
+    k, dec, nak, amp, pair = _scalar_amp()
+    spec = preset_spec("diagonal", amp.m, nak)
+    x = spread(amp, pair.y, spec, nak)
+    eps = build_counit(amp, spec, nak, pair.epsilon)
+    wrong = Functional(amp.algebra, [2 * v for v in eps.values])
+    rep = comultiplication_report(amp.algebra, x, is_bijection_graph(spec, amp.m, nak), wrong)
+    assert rep.counital and not rep.counit_built and rep.routes_consistent is False
+    assert rep.counit == eps  # the oracle's counit, not the wrong one
 
 
 def test_build_counit_m_equals_one_recovers_base():
@@ -253,10 +277,11 @@ def test_build_counit_m_equals_one_recovers_base():
     dec, nak, rad = _setup(B)
     amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
     pair = frobenius_pair(amp.corners, nak, rad)
-    spec = SpreadSpec.singleton(2)
+    spec = preset_spec("singleton", amp.m, nak)
     x = spread(amp, pair.y, spec, nak)
     assert is_invariant(x) is None
-    eps = build_counit(amp, spec, nak, pair.epsilon, x)
+    eps = build_counit(amp, spec, nak, pair.epsilon)
+    _assert_counit(eps, x)
     # under the canonical identification the counit restricts to the base one
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
         q = amp.corners.bases[(j, i)][b]
@@ -268,7 +293,7 @@ def test_build_counit_m_equals_one_recovers_base():
 
 def test_counit_oracle_m2_singleton_infeasible():
     k, dec, nak, amp, pair = _scalar_amp()
-    x = spread(amp, pair.y, SpreadSpec.singleton(1), nak)
+    x = spread(amp, pair.y, preset_spec("singleton", amp.m, nak), nak)
     assert is_invariant(x) is None
     # independent dense cross-check of the 8x4 system
     alg = amp.algebra
@@ -295,7 +320,7 @@ def test_counit_oracle_m2_singleton_infeasible():
 
 def test_counit_oracle_m2_diagonal_unique_trace():
     k, dec, nak, amp, pair = _scalar_amp()
-    x = spread(amp, pair.y, SpreadSpec.diagonal(amp.m, nak), nak)
+    x = spread(amp, pair.y, preset_spec("diagonal", amp.m, nak), nak)
     assert is_invariant(x) is None
     eps, nullity = counit_solution_space(amp.algebra, x)
     assert eps is not None and nullity == 0
@@ -370,7 +395,7 @@ def test_compatibility_square_singleton():
     m = (2, 2)
     amp = amplify(PeirceCorners(B, dec.reps), m)
     pair = frobenius_pair(amp.corners, nak, rad)
-    x = spread(amp, pair.y, SpreadSpec.singleton(2), nak)
+    x = spread(amp, pair.y, preset_spec("singleton", amp.m, nak), nak)
     assert is_invariant(x) is None
     rng = random.Random(29)
     reps = dec.reps
@@ -430,10 +455,11 @@ def test_build_counit_nsy_diagonal_socle_support():
     dec, nak, rad = _setup(B)
     amp = amplify(PeirceCorners(B, dec.reps), (2, 2))
     pair = frobenius_pair(amp.corners, nak, rad)
-    spec = SpreadSpec.diagonal(amp.m, nak)
+    spec = preset_spec("diagonal", amp.m, nak)
     x = spread(amp, pair.y, spec, nak)
     assert is_invariant(x) is None
-    eps = build_counit(amp, spec, nak, pair.epsilon, x)
+    eps = build_counit(amp, spec, nak, pair.epsilon)
+    _assert_counit(eps, x)
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
         v = eps.values[a]
         if v:
@@ -480,6 +506,33 @@ def test_preset_spec_names():
         frozenset({(1, 1), (2, 2)}),
         frozenset({(1, 1), (2, 2)}),
     )
+    # a square box under the identity permutation
+    fix = NakayamaData((0,), [[]])
+    assert copy_boxes((3,), fix) == [list(iter_product(range(1, 4), repeat=2))]
+    assert preset_spec("singleton", (3,), fix).classes == (frozenset({(1, 1)}),)
+    assert preset_spec("diagonal", (3,), fix).classes == (
+        frozenset({(1, 1), (2, 2), (3, 3)}),
+    )
+    assert preset_spec("full", (3,), fix).classes == (
+        frozenset(iter_product(range(1, 4), repeat=2)),
+    )
+    with pytest.raises(BadParams, match="unknown preset"):
+        preset_spec("square", (3,), fix)
+
+
+def test_random_nonempty_draws_repeat():
+    # the box order and the randint/sample call order fix every draw
+    swap = NakayamaData((1, 0), [[], []])
+    rng = random.Random(7)
+    draws = [SpreadSpec.random_nonempty((2, 3), swap, rng).classes for _ in range(3)]
+    assert draws == [
+        (frozenset({(1, 1), (1, 2), (2, 1)}), frozenset({(3, 1)})),
+        (frozenset({(1, 3)}), frozenset({(1, 1), (1, 2), (2, 1), (3, 1), (3, 2)})),
+        (
+            frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}),
+            frozenset({(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)}),
+        ),
+    ]
 
 
 def test_amplify_submodule_not_shadowed():

@@ -22,7 +22,6 @@ from sialg.fields import Field
 from sialg.pipeline import (
     ModelIsomorphism,
     analyze,
-    comultiplication_pipeline,
     prepare,
     run_spec,
 )
@@ -59,12 +58,12 @@ def test_validate_flag_rejects_corrupt():
     data["structure"][0] = [0, 0, 0, "2"]
     alg = FinDimAlgebra.from_json(data, validate=False)
     with pytest.raises(InvalidAlgebra):
-        analyze(alg, validate=True)
+        alg.validate()
 
 
 def test_pipeline_b32_singleton_matches_reference():
     nsy = nsy_algebra(3, 2, (1, 1, 1))
-    run = comultiplication_pipeline(nsy.algebra, "singleton")
+    run = run_spec(prepare(nsy.algebra), "singleton")
     assert run.x == reference_delta_one(nsy)
     r = run.report
     assert r.invariant and r.coassociative and r.injective and r.counital
@@ -72,7 +71,7 @@ def test_pipeline_b32_singleton_matches_reference():
 
 
 def test_pipeline_nsy_2_2_1_2_singleton():
-    run = comultiplication_pipeline(nsy_algebra(2, 2, (1, 2)).algebra, "singleton")
+    run = run_spec(prepare(nsy_algebra(2, 2, (1, 2)).algebra), "singleton")
     r = run.report
     assert r.invariant and r.coassociative
     assert r.rank == r.dim == 9
@@ -81,7 +80,7 @@ def test_pipeline_nsy_2_2_1_2_singleton():
 
 
 def test_pipeline_m2_diagonal_trace():
-    run = comultiplication_pipeline(matrix_algebra(2), "diagonal")
+    run = run_spec(prepare(matrix_algebra(2)), "diagonal")
     r = run.report
     assert r.counital and r.counit_built and r.solution_space_dim == 0
     # the transported counit is the matrix trace
@@ -115,8 +114,8 @@ def test_model_map_spec_json_paths():
 
 def test_pipeline_deterministic_json():
     alg = nsy_algebra(2, 2, (1, 2)).algebra
-    a = comultiplication_pipeline(alg, "singleton", seed=5).to_json()
-    b = comultiplication_pipeline(alg, "singleton", seed=5).to_json()
+    a = run_spec(prepare(alg, 5), "singleton").to_json()
+    b = run_spec(prepare(alg, 5), "singleton").to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -241,8 +240,8 @@ def test_decomposition_and_pipeline_deterministic():
     assert [[e.coeffs for e in cls] for cls in d1.classes] == [
         [e.coeffs for e in cls] for cls in d2.classes
     ]
-    x1 = comultiplication_pipeline(alg, "full", seed=5).x
-    x2 = comultiplication_pipeline(alg, "full", seed=5).x
+    x1 = run_spec(prepare(alg, 5), "full").x
+    x2 = run_spec(prepare(alg, 5), "full").x
     assert x1 == x2
 
 
@@ -251,11 +250,11 @@ def test_pipeline_over_prime_fields():
 
     # p > dim covers the trace-form radical over GF(p) end to end
     nsy = nsy_algebra(2, 2, (1, 2), Field(11))
-    run = comultiplication_pipeline(nsy.algebra, "singleton")
+    run = run_spec(prepare(nsy.algebra), "singleton")
     r = run.report
     assert r.invariant and r.coassociative and r.rank == 9 and not r.counital
     B5 = nsy_algebra(2, 2, (1, 1), Field(5)).algebra
-    run2 = comultiplication_pipeline(B5, "singleton")
+    run2 = run_spec(prepare(B5), "singleton")
     assert run2.report.counital and run2.report.counit_built
 
 

@@ -18,6 +18,7 @@ from sialg.families import (
     path_algebra_a2,
 )
 from sialg.fields import Field, QQ
+from sialg.linalg import Span
 from sialg.pipeline import analyze
 from sialg.structure import (
     NakayamaData,
@@ -26,7 +27,6 @@ from sialg.structure import (
     canonical_decomposition,
     corner_span,
     duality_pattern,
-    element_span,
     iso_witnesses,
     nakayama,
     radical,
@@ -49,7 +49,7 @@ def test_radical_b22_exhaustive_ideal_oracle():
     best = set()
     for size in range(1, B.dim + 1):
         for subset in combinations(range(B.dim), size):
-            span = element_span(B.field, [B.basis_element(i) for i in subset])
+            span = Span(B.field, (B.basis_element(i).coeffs for i in subset))
             ideal = all(
                 span.contains(multiply(B.basis_element(b), B.basis_element(v)).coeffs)
                 and span.contains(multiply(B.basis_element(v), B.basis_element(b)).coeffs)
@@ -77,7 +77,7 @@ def test_radical_b22_exhaustive_ideal_oracle():
     r = radical(B)
     assert r.dim == len(best) == 2
     assert r.nilpotency_index == 2
-    rad_span = element_span(B.field, r.basis)
+    rad_span = Span(B.field, (e.coeffs for e in r.basis))
     for i in best:
         assert rad_span.contains({i: B.field.one})
 
