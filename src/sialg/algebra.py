@@ -350,13 +350,16 @@ class Tensor2:
     def from_json(cls, algebra, data):
         parse = algebra.field.parse
         out = {}
-        for a, b, c in json_list(data, "tensor"):
-            a, b = json_int(a, "tensor index"), json_int(b, "tensor index")
-            if not (0 <= a < algebra.dim and 0 <= b < algebra.dim):
-                raise BadParams(f"tensor index ({a},{b}) out of range")
-            c = parse(c) if isinstance(c, str) else algebra.field(c)
-            if c:
-                _accum(out, (a, b), c, algebra.field.p)
+        try:
+            for a, b, c in json_list(data, "tensor"):
+                a, b = json_int(a, "tensor index"), json_int(b, "tensor index")
+                if not (0 <= a < algebra.dim and 0 <= b < algebra.dim):
+                    raise BadParams(f"tensor index ({a},{b}) out of range")
+                c = parse(c) if isinstance(c, str) else algebra.field(c)
+                if c:
+                    _accum(out, (a, b), c, algebra.field.p)
+        except (TypeError, ValueError) as exc:
+            raise BadParams(f"malformed tensor JSON: {exc}") from exc
         return cls(algebra, out)
 
     def __repr__(self):

@@ -28,7 +28,14 @@ from .algebra import (
     is_invariant,
     multiply,
 )
-from .errors import AlgebraError, NotFrobenius, NotInvertible, SingularGram, SingularMatrix
+from .errors import (
+    AlgebraError,
+    BadParams,
+    NotFrobenius,
+    NotInvertible,
+    SingularGram,
+    SingularMatrix,
+)
 from .linalg import Matrix, Span, sparse_rank, sparse_solve
 from .structure import DEFAULT_SEED, NakayamaData, PeirceCorners, RadicalData, annihilator
 
@@ -45,6 +52,11 @@ class FrobeniusPair:
 
     @classmethod
     def from_json(cls, algebra, data):
+        if type(data) is not dict:
+            raise BadParams(f"a Frobenius pair must be an object, got {type(data).__name__}")
+        missing = sorted({"epsilon", "y"} - data.keys())
+        if missing:
+            raise BadParams(f"a Frobenius pair needs the keys {missing}")
         return cls(
             Functional.from_json(algebra, data["epsilon"]),
             Tensor2.from_json(algebra, data["y"]),

@@ -114,6 +114,8 @@ class Span:
                     w = other.get(k, 0) - c * v
                     if p:
                         w %= p
+                    elif type(w) is not int and w.denominator == 1:
+                        w = w.numerator  # an integral Fraction, stored as int
                     if w:
                         other[k] = w
                     else:

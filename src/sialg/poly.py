@@ -5,11 +5,17 @@ Polynomials are normalized little-endian coefficient tuples over a
 routine takes the field first: results pass through ``normalize``, which
 reduces coefficients mod p over GF(p), and division inverts through
 ``Field.inv``.
-Over GF(p) factorization runs squarefree / distinct-degree /
-equal-degree splitting;
-over the rationals it reduces mod one large prime and recombines factor
-subsets (fine at the small degrees this pipeline produces, no attempt at
-industrial-strength factoring).
+A monic quadratic x^2 + bx + c is factored in closed form from its
+roots: over QQ the discriminant b^2 - 4c is tested for a rational square
+with ``math.isqrt`` on its numerator and denominator, over GF(p) with p
+odd by Euler's criterion and rooted by Tonelli-Shanks, and over GF(2)
+the roots are read off at 0 and 1.  Nearly every polynomial the pipeline
+factors is such a quadratic (an idempotent's x^2 - x in the idempotent
+splitting).  From degree 3 on, factorization over GF(p) runs squarefree
+/ distinct-degree / equal-degree splitting; over the rationals it
+reduces mod one large prime and recombines factor subsets (fine at the
+small degrees this pipeline produces, no attempt at industrial-strength
+factoring).
 """
 
 from __future__ import annotations
@@ -289,6 +295,65 @@ def _factor_squarefree_rational(f) -> list:
     return found
 
 
+# -- quadratics in closed form ------------------------------------------------
+
+
+def _sqrt_mod(a: int, p: int):
+    """A square root of the residue a mod the odd prime p, or None when a
+    is a non-residue (Euler's criterion); Tonelli-Shanks."""
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then i < s
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _sqrt_rational(a):
+    """The nonnegative rational square root of a, or None if it has none."""
+    if a < 0:
+        return None
+    num, den = a.numerator, a.denominator
+    s, t = isqrt(num), isqrt(den)
+    if s * s != num or t * t != den:
+        return None
+    return s * QQ.inv(t)
+
+
+def _factor_quadratic(field: Field, f) -> list:
+    """The factor list of a monic quadratic f from its roots in the field."""
+    c, b = f[0], f[1]
+    p, norm = field.p, field.normal
+    if p == 2:
+        roots = {r for r in (0, 1) if (r * r + b * r + c) % 2 == 0}
+    else:
+        disc = b * b - 4 * c
+        s = _sqrt_rational(disc) if p is None else _sqrt_mod(disc % p, p)
+        half = field.inv(2)
+        roots = set() if s is None else {norm((s - b) * half), norm((-s - b) * half)}
+    if not roots:
+        return [(tuple(norm(a) for a in f), 1)]
+    # the roots sum to -b, so one root in the field is a double root
+    mult = 2 if len(roots) == 1 else 1
+    return sorted(((norm(-r), field.one), mult) for r in roots)
+
+
 def factor(field: Field, f):
     """Factor f into monic irreducibles: returns (unit, [(factor, mult), ...]).
 
@@ -301,6 +366,8 @@ def factor(field: Field, f):
     f = monic(field, f)
     if degree(f) < 1:
         return unit, []
+    if degree(f) == 2:
+        return unit, _factor_quadratic(field, f)
     out = []
     for g, m in _squarefree(field, f):
         if field.p is None:

@@ -361,7 +361,8 @@ def _split_once(qalg: FinDimAlgebra, e: Element, corner: Span, rng, budget: int)
             power = multiply(power, z)
         if not eps.coeffs or eps == e:
             continue
-        assert multiply(eps, eps) == eps
+        if multiply(eps, eps) != eps:
+            raise AlgebraError("split produced a non-idempotent")
         return (eps, e - eps), attempts
     return None, attempts
 

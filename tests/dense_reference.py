@@ -115,7 +115,8 @@ class SpanReference:
     """Reduced echelon rows {pivot: row}, inserted one vector at a time.
 
     Each remainder is scaled by ``field.inv`` of its lead, then subtracted
-    from every stored row that has an entry at its pivot.
+    from every stored row that has an entry at its pivot; every stored
+    scalar is in the field's normal form.
     """
 
     def __init__(self, field, vectors=()):
@@ -130,15 +131,13 @@ class SpanReference:
             return False
         piv = min(row)
         field = self.field
-        inv, norm, p = field.inv(row[piv]), field.normal, field.p
+        inv, norm = field.inv(row[piv]), field.normal
         row = {k: norm(v * inv) for k, v in row.items()}
         for other in self.rows.values():
             c = other.get(piv)
             if c:
                 for k, v in row.items():
-                    w = other.get(k, 0) - c * v
-                    if p:
-                        w %= p
+                    w = norm(other.get(k, 0) - c * v)
                     if w:
                         other[k] = w
                     else:

@@ -5,7 +5,7 @@ import pytest
 import dense_reference as dense
 from sialg import frobenius
 from sialg.algebra import Functional, apply_functional, is_invariant, multiply
-from sialg.errors import NotFrobenius, NotInvertible, SingularGram
+from sialg.errors import BadParams, NotFrobenius, NotInvertible, SingularGram
 from sialg.families import (
     field_product_algebra,
     group_algebra,
@@ -252,3 +252,17 @@ def test_pair_json_round_trip():
     data = pair.to_json()
     back = FrobeniusPair.from_json(B, data)
     assert back.epsilon == pair.epsilon and back.y == pair.y
+
+
+@pytest.mark.parametrize("data, message", [
+    ("xy", "must be an object, got str"),
+    ({"epsilon": ["0", "1"]}, r"needs the keys \['y'\]"),
+    ({"epsilon": ["0", "1"], "y": [[0, 1]]}, "malformed tensor JSON: not enough values"),
+    ({"epsilon": ["0", "1"], "y": [[0, 1, "1", "x"]]}, "malformed tensor JSON: too many values"),
+    ({"epsilon": ["0", "1"], "y": [[0, 0, None]]}, "malformed tensor JSON"),
+    ({"epsilon": ["0", "1"], "y": [7]}, "malformed tensor JSON"),
+])
+def test_pair_json_malformed_refused(data, message):
+    # each of these once escaped as a bare TypeError, KeyError or ValueError
+    with pytest.raises(BadParams, match=message):
+        FrobeniusPair.from_json(nakayama_algebra(1, 2), data)

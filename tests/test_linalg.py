@@ -268,6 +268,12 @@ def test_span_matches_reference_span():
                     leads.add(kind)
                 assert span.add(v) == ref.add(v)
                 assert _typed_rows(span.rows) == _typed_rows(ref.rows)
+                # back-substitution keeps the normal form: over QQ a
+                # difference of Fractions that is integral is stored as int
+                assert all(
+                    type(c) is type(field.normal(c)) and c == field.normal(c)
+                    for row in span.rows.values() for c in row.values()
+                )
             for probe in _span_vectors(field, rng, 3):
                 assert _typed(span.reduce(probe)) == _typed(ref.reduce(probe))
             # no caller dict is stored or changed, though later insertions

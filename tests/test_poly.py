@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from sialg import poly
 from sialg.fields import Field, QQ
 
@@ -85,3 +87,59 @@ def test_xgcd_identity():
             assert poly.add(field, poly.mul(field, u, f), poly.mul(field, v, g)) == d
             if d:
                 assert poly.mod(field, f, d) == () and poly.mod(field, g, d) == ()
+
+
+def _general_factor(field, f):
+    """factor's route for degree >= 3, run on any f: Yun's squarefree step,
+    then the rational or modular splitting of each squarefree part."""
+    f = poly.normalize(field, [field(c) for c in f])
+    unit, f = f[-1], poly.monic(field, f)
+    out = []
+    for g, m in poly._squarefree(field, f):
+        if field.p is None:
+            parts = poly._factor_squarefree_rational(g)
+        else:
+            parts = poly._factor_squarefree_fp(field, g)
+        out.extend((h, m) for h in parts)
+    out.sort()
+    return unit, out
+
+
+def _is_normal(field, c):
+    return type(c) is type(field.normal(c)) and c == field.normal(c)
+
+
+def _quadratic(field, rng, kind):
+    """a (x - r)(x - s) with a != 0 for kind "split" (r, s drawn independently)
+    or "double" (s = r); any a x^2 + b x + c for kind "any"."""
+    if field.p is None:
+        def draw():
+            return Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4, 6]))
+        lead = rng.choice([1, -1, 2, Fraction(3, 2), Fraction(-2, 5), 7])
+    else:
+        def draw():
+            return rng.randrange(field.p)
+        lead = rng.randrange(1, field.p)
+    if kind == "any":
+        return [draw(), draw(), lead]
+    r = draw()
+    s = r if kind == "double" else draw()
+    return [lead * r * s, -lead * (r + s), lead]
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 101, 10007, 65537])
+def test_quadratic_closed_form_matches_general_route(p):
+    # 10007 = 3 (mod 4); 65537 - 1 = 2^16, so Tonelli-Shanks runs every loop
+    field = Field(p)
+    rng = random.Random(15 if p is None else p)
+    shapes = set()
+    for _ in range(400):
+        f = _quadratic(field, rng, rng.choice(["split", "double", "any"]))
+        if not field(f[2]):
+            continue
+        unit, factors = poly.factor(field, f)
+        assert (unit, factors) == _general_factor(field, f), f
+        assert all(_is_normal(field, c) for c in (unit, *(c for g, _ in factors for c in g)))
+        shapes.add(tuple(sorted((poly.degree(g), m) for g, m in factors)))
+    # two distinct roots, a double root and an irreducible quadratic
+    assert shapes == {((1, 1), (1, 1)), ((1, 2),), ((2, 1),)}

@@ -450,3 +450,19 @@ def test_witnesses_on_permuted_presentation():
         for s in range(len(cls)):
             assert wit.us[i][s] * wit.vs[i][s] == cls[0]
             assert wit.vs[i][s] * wit.us[i][s] == cls[s]
+
+
+def test_split_refuses_a_non_idempotent(monkeypatch):
+    # a wrong split (x - 2)(x + 1) of an idempotent's x^2 - x evaluates to
+    # eps = (z + 1)/3, which is no idempotent: the split raises, also
+    # under python -O
+    seen = []
+
+    def wrong_factor(field, f):
+        seen.append(f)
+        return 1, [((-2, 1), 1), ((1, 1), 1)]
+
+    monkeypatch.setattr(structure.poly, "factor", wrong_factor)
+    with pytest.raises(AlgebraError, match="split produced a non-idempotent"):
+        canonical_decomposition(matrix_algebra(2))
+    assert seen[-1] == (0, -1, 1)
