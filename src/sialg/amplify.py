@@ -1,25 +1,24 @@
 """Amplified algebras End(P_1^m1 + ... + P_n^mn) and spread comultiplications.
 
-The amplified basis is indexed by (source class i, target class j, source
-copy s, target copy t, corner basis element b); b indexes the basis of
-the Peirce corner (j <- i) in the base algebra's `PeirceCorners`.  The
-corners are passed in, not built: `amplify(corners, m)` keeps the object
-it is given as `amp.corners`, so the pipeline's counit and its amplified
-model read one Peirce decomposition.  Copy indices are 1-based here,
-matching the subset data S(i) in {1..m(i)} x {1..m(nu^-1 i)}.  The spreading operation cuts an
-invariant basic tensor into its corner blocks with
+The amplified algebra is `corners.copy_algebra(m)`, the builder that
+gives the basic reduction at every m(i) = 1: basis tuples (source class
+i, target class j, source copy s, target copy t, corner basis element b)
+in j-major corner order, labelled `a[j<-i;t<-s].b`.  The corners are
+passed in, not built: `amplify(corners, m)` keeps the object it is given
+as `amp.corners`, so the pipeline's counit and its amplified model read
+one Peirce decomposition.  Copy indices are 1-based, matching the subset
+data S(i) in {1..m(i)} x {1..m(nu^-1 i)}.  The spreading operation cuts
+an invariant basic tensor into its corner blocks with
 `amp.corners.tensor_components` and distributes each block over copies
-according to S(i), and the two counitality routes
-(direct construction for bijection graphs, and an independent linear
-feasibility oracle) are kept strictly separate so they can cross-check
-each other.
+according to S(i), and the two counitality routes (direct construction
+for bijection graphs, and an independent linear feasibility oracle) are
+kept strictly separate so they can cross-check each other.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .algebra import (
     Element,
@@ -30,7 +29,6 @@ from .algebra import (
     check_coassociativity,
     delta_rank,
     is_invariant,
-    products,
 )
 from .errors import (
     AlgebraError,
@@ -64,46 +62,8 @@ class AmplifiedAlgebra:
             raise BadParams("multiplicities must list one value >= 1 per class")
         self.m = m
         self.corners = corners
-        field = base.field
-        bases = corners.bases
-        tuples = []
-        for i in range(n):
-            for j in range(n):
-                corner = bases[(j, i)]
-                for s in range(1, m[i] + 1):
-                    for t in range(1, m[j] + 1):
-                        for b in range(len(corner)):
-                            tuples.append((i, j, s, t, b))
-        self.tuples = tuple(tuples)
-        self.index = {tup: a for a, tup in enumerate(tuples)}
-        labels = [f"a[{j}<-{i};{t}<-{s}].{b}" for (i, j, s, t, b) in tuples]
-        index = self.index
-        structure = []
-        # a[j1<-i1;t1<-s1].b1 a[i1<-i2;s1<-s2].b2 = sum_k c_k a[j1<-i2;t1<-s2].k,
-        # with c the corner coordinates of q1 q2, found once per pair (q1, q2)
-        flat = [(j, i, b) for (j, i), corner in bases.items() for b in range(len(corner))]
-        vectors = [bases[(j, i)][b].coeffs for j, i, b in flat]
-        for (j1, i1, b1), row in zip(flat, products(base, vectors, vectors)):
-            for y, prod in row.items():
-                j2, i2, b2 = flat[y]
-                if j2 != i1:  # q1 e_i1 e_j2 q2 vanishes for orthogonal reps
-                    continue
-                entries = [(k, c) for k, c in enumerate(corners.coordinates((j1, i2), prod)) if c]
-                for s1, t1, s2 in product(
-                    range(1, m[i1] + 1), range(1, m[j1] + 1), range(1, m[i2] + 1)
-                ):
-                    a_idx, b_idx = index[(i1, j1, s1, t1, b1)], index[(i2, i1, s2, s1, b2)]
-                    structure.extend(
-                        (a_idx, b_idx, index[(i2, j1, s2, t1, k)], c) for k, c in entries
-                    )
-        unit = [field.zero] * len(tuples)
-        for i in range(n):
-            coords = corners.coordinates((i, i), reps[i].coeffs)
-            for t in range(1, m[i] + 1):
-                for k, c in enumerate(coords):
-                    if c:
-                        unit[self.index[(i, i, t, t, k)]] = c
-        self.algebra = FinDimAlgebra(field, labels, structure, unit, validate=True)
+        self.tuples, self.algebra = corners.copy_algebra(m)
+        self.index = {tup: a for a, tup in enumerate(self.tuples)}
 
 
 def amplify(corners: PeirceCorners, m) -> AmplifiedAlgebra:

@@ -45,8 +45,12 @@ def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError:
+            raise
         except UnicodeDecodeError as exc:
             raise BadParams(f"{path} is not UTF-8 text: {exc}") from None
+        except (RecursionError, ValueError) as exc:  # too deep, or an int too long
+            raise BadParams(f"{path} is not readable JSON: {exc}") from None
 
 
 def _load_algebra(path: str) -> FinDimAlgebra:

@@ -63,24 +63,14 @@ class FrobeniusPair:
         )
 
 
-@dataclass
-class SmallSpaceData:
-    bases: list  # per class i, basis of the small part of e_{nu^-1 i} L e_i
-
-    def dims(self):
-        return [len(b) for b in self.bases]
-
-
-def small_spaces(corners: PeirceCorners, nak: NakayamaData, rad: RadicalData) -> SmallSpaceData:
-    """Per class i, the subspace of the corner e_{nu^-1(i),1} L e_{i,1} killed
-    by the radical on both sides; these span the morphisms factoring
-    through a simple module."""
-    return SmallSpaceData(
-        [
-            annihilator(corners.alg, corners.bases[(nak.nu_inverse(i), i)], rad.basis, rad.basis)
-            for i in range(len(corners.reps))
-        ]
-    )
+def small_spaces(corners: PeirceCorners, nak: NakayamaData, rad: RadicalData) -> list:
+    """Per class i, a basis of the subspace of the corner e_{nu^-1(i),1} L
+    e_{i,1} killed by the radical on both sides; these span the morphisms
+    factoring through a simple module."""
+    return [
+        annihilator(corners.alg, corners.bases[(nak.nu_inverse(i), i)], rad.basis, rad.basis)
+        for i in range(len(corners.reps))
+    ]
 
 
 def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
@@ -129,7 +119,7 @@ def construct_counit(
                 continue
             if j == nak.nu_inverse(i):
                 span = Span(field)
-                for z in small.bases[i]:
+                for z in small[i]:
                     span.add(z.coeffs)
                     small_slots.append(len(vectors))
                     vectors.append(z)
@@ -253,7 +243,7 @@ def verify_frobenius_pair(
             break
     small = small_spaces(corners, nak, rad)
     small_ok, small_witness = True, None
-    for i, basis in enumerate(small.bases):
+    for i, basis in enumerate(small):
         if not basis or not any(eps(z) for z in basis):
             small_ok, small_witness = False, i
             break

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from . import poly
 from .algebra import (
@@ -131,6 +132,49 @@ class PeirceCorners:
                             else:
                                 comp.pop((k1, k2), None)
         return {key: comp for key, comp in out.items() if comp}
+
+    def copy_algebra(self, m):
+        """End(+ (e_i A)^m(i)) on copies of the corner bases: (tuples, algebra).
+
+        Tuple (i, j, s, t, b), label `a[j<-i;t<-s].b`, is corner basis
+        element b of (j <- i) taken from copy s of class i to copy t of
+        class j.  Tuples run in j-major corner order, then s, t, b.  With
+        every m(i) = 1 this is the corner algebra e A e.
+        """
+        alg, bases = self.alg, self.bases
+        tuples = tuple(
+            (i, j, s, t, b)
+            for (j, i), corner in bases.items()
+            for s in range(1, m[i] + 1)
+            for t in range(1, m[j] + 1)
+            for b in range(len(corner))
+        )
+        index = {tup: a for a, tup in enumerate(tuples)}
+        structure = []
+        # a[j1<-i1;t1<-s1].b1 a[i1<-i2;s1<-s2].b2 = sum_k c_k a[j1<-i2;t1<-s2].k,
+        # with c the corner coordinates of q1 q2, found once per pair (q1, q2)
+        flat = [(j, i, b) for (j, i), corner in bases.items() for b in range(len(corner))]
+        vectors = [bases[(j, i)][b].coeffs for j, i, b in flat]
+        for (j1, i1, b1), row in zip(flat, products(alg, vectors, vectors)):
+            for y, prod in row.items():
+                j2, i2, b2 = flat[y]
+                if j2 != i1:  # q1 e_i1 e_j2 q2 vanishes for orthogonal reps
+                    continue
+                entries = [(k, c) for k, c in enumerate(self.coordinates((j1, i2), prod)) if c]
+                for s1, t1, s2 in product(
+                    range(1, m[i1] + 1), range(1, m[j1] + 1), range(1, m[i2] + 1)
+                ):
+                    a_idx, b_idx = index[(i1, j1, s1, t1, b1)], index[(i2, i1, s2, s1, b2)]
+                    structure.extend(
+                        (a_idx, b_idx, index[(i2, j1, s2, t1, k)], c) for k, c in entries
+                    )
+        unit = [alg.field.zero] * len(tuples)
+        for i, rep in enumerate(self.reps):
+            for k, c in enumerate(self.coordinates((i, i), rep.coeffs)):
+                for t in range(1, m[i] + 1):
+                    unit[index[(i, i, t, t, k)]] = c
+        labels = [f"a[{j}<-{i};{t}<-{s}].{b}" for (i, j, s, t, b) in tuples]
+        return tuples, FinDimAlgebra(alg.field, labels, structure, unit, validate=True)
 
 
 def _element_pow(a: Element, q: int) -> Element:
@@ -689,10 +733,13 @@ class BasicEmbedding:
 def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
     """Corner algebra e A e for e the sum of class representatives.
 
-    Its basis is the concatenation of the Peirce corner bases in j-major
-    order.  Returns (lam, embedding); lam's induced decomposition keeps the
-    parent's class order, so multiplicities and the Nakayama permutation
-    stay aligned across the reduction.
+    A basic input is its own reduction.  Otherwise lam is
+    `PeirceCorners(alg, reps).copy_algebra` at every multiplicity 1: its
+    basis is the Peirce corner bases in j-major order, and its class
+    idempotents are the unit's parts in the diagonal corners.  Returns
+    (lam, embedding); lam's induced decomposition keeps the parent's class
+    order, so multiplicities and the Nakayama permutation stay aligned
+    across the reduction.
     """
     reps = dec.reps
     if sum(reps[1:], reps[0]) == alg.unit:
@@ -700,36 +747,14 @@ def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
         dec_lam = decomposition_from_idempotents(alg, groups, dec.flags)
         return alg, BasicEmbedding(alg, dec_lam, alg, None)
     corners = PeirceCorners(alg, reps)
-    basis_elements, labels, offsets, corner_of_index = [], [], {}, []
-    for (j, i), basis in corners.bases.items():
-        offsets[(j, i)] = len(basis_elements)
-        basis_elements.extend(basis)
-        labels.extend(f"c[{j}<-{i}].{b}" for b in range(len(basis)))
-        corner_of_index.extend([(j, i)] * len(basis))
-    structure = []
-    for a_idx, qa in enumerate(basis_elements):
-        ja, ia = corner_of_index[a_idx]
-        for b_idx, qb in enumerate(basis_elements):
-            jb, ib = corner_of_index[b_idx]
-            if ia != jb:
-                continue
-            prod = multiply(qa, qb)
-            if prod.coeffs:
-                for k, c in enumerate(corners.coordinates((ja, ib), prod.coeffs)):
-                    if c:
-                        structure.append((a_idx, b_idx, offsets[(ja, ib)] + k, c))
-    # the reps, each in its own diagonal corner, sum to the unit e of eAe
-    images = []
-    unit = [alg.field.zero] * len(basis_elements)
-    for r in reps:
-        image = {}
-        for key, comp in corners.components(r).items():
-            for b, c in comp.items():
-                image[offsets[key] + b] = unit[offsets[key] + b] = c
-        images.append(image)
-    lam = FinDimAlgebra(alg.field, labels, structure, unit, validate=True)
-    dec_lam = decomposition_from_idempotents(lam, [[lam.element(im)] for im in images], dec.flags)
-    return lam, BasicEmbedding(lam, dec_lam, alg, basis_elements)
+    tuples, lam = corners.copy_algebra((1,) * len(reps))
+    # the unit's part in diagonal corner (i, i) is class i's idempotent
+    parts = [{} for _ in reps]
+    for a, c in lam.unit.coeffs.items():
+        parts[tuples[a][0]][a] = c
+    dec_lam = decomposition_from_idempotents(lam, [[lam.element(p)] for p in parts], dec.flags)
+    elements = [corners.bases[(j, i)][b] for (i, j, _, _, b) in tuples]
+    return lam, BasicEmbedding(lam, dec_lam, alg, elements)
 
 
 # -- isomorphism witnesses between projective copies ---------------------------

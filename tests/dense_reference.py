@@ -19,14 +19,17 @@ grouping by leg, so comparing against them checks ``act_left`` and
 basis vectors with one ``multiply`` call each, so comparing against them
 checks ``algebra.products`` and the checks batched over it; they keep
 ``Span`` for membership and rank, since the elimination is not what they
-test.  ``single_constant_mutants`` gives the seeded corrupted tables
-that the differential tests feed to both sides.
+test.  ``basic_reduction_reference`` builds the corner algebra e A e
+the same way, one ``multiply`` call per composable pair of corner basis
+vectors, so comparing against it checks ``PeirceCorners.copy_algebra``
+at every multiplicity 1.  ``single_constant_mutants`` gives the seeded
+corrupted tables that the differential tests feed to both sides.
 """
 
 from sialg.algebra import Element, FinDimAlgebra, combination, multiply
 from sialg.errors import AlgebraError
 from sialg.linalg import Span
-from sialg.structure import RadicalData
+from sialg.structure import PeirceCorners, RadicalData
 
 
 def rref(field, rows, ncols):
@@ -247,6 +250,43 @@ def radical_checks(alg, kernel):
             ):
                 raise AlgebraError("radical candidate is not an ideal")
     return RadicalData(basis, span, index)
+
+
+def basic_reduction_reference(alg, reps):
+    """(lam, class idempotents of lam, parent elements carrying lam's
+    basis) for the corner algebra e A e of orthogonal idempotents `reps`:
+    the corner bases concatenated in j-major order, b_a b_b computed by
+    one `multiply` call for every pair whose inner classes match, and the
+    unit read off the corner components of each rep."""
+    corners = PeirceCorners(alg, reps)
+    elements, offsets, corner_of = [], {}, []
+    for key, basis in corners.bases.items():
+        offsets[key] = len(elements)
+        elements.extend(basis)
+        corner_of.extend([key] * len(basis))
+    structure = []
+    for a, qa in enumerate(elements):
+        ja, ia = corner_of[a]
+        for b, qb in enumerate(elements):
+            jb, ib = corner_of[b]
+            if ia != jb:
+                continue
+            prod = multiply(qa, qb)
+            if prod.coeffs:
+                for k, c in enumerate(corners.coordinates((ja, ib), prod.coeffs)):
+                    if c:
+                        structure.append((a, b, offsets[(ja, ib)] + k, c))
+    unit = [alg.field.zero] * len(elements)
+    images = []
+    for r in reps:
+        image = {}
+        for key, comp in corners.components(r).items():
+            for b, c in comp.items():
+                image[offsets[key] + b] = unit[offsets[key] + b] = c
+        images.append(image)
+    labels = [str(a) for a in range(len(elements))]
+    lam = FinDimAlgebra(alg.field, labels, structure, unit, validate=True)
+    return lam, [lam.element(image) for image in images], elements
 
 
 def model_map_failure(alg, model, images):

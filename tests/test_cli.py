@@ -231,6 +231,30 @@ def test_non_utf8_file_refused(tmp_path, capsys, flag):
     assert captured.out == ""
 
 
+HUGE_INT = "9" * 5000  # past Python's int-string conversion limit of 4300 digits
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--input", "[" * 200_000),
+    ("--input", '{"field": "rational", "dim": %s}' % HUGE_INT),
+    ("--spec", '{"classes": [{"i": 1, "pairs": [[%s, 1]]}]}' % HUGE_INT),
+], ids=["deep-nesting", "huge-dim", "huge-copy-index"])
+def test_unreadable_json_refused(tmp_path, capsys, flag, text):
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", "nakayama", "--n", "2", "--l", "2", "-o", str(alg_path))
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(text)
+    command = "analyze" if flag == "--input" else "comul"
+    argv = [command, "--input", str(bad_path if flag == "--input" else alg_path)]
+    if flag == "--spec":
+        argv += ["--spec", str(bad_path)]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: BadParams: {bad_path} is not readable JSON")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_missing_file_is_operational_error(tmp_path):
     assert run_cli("analyze", "--input", str(tmp_path / "nope.json")) == 1
 

@@ -45,16 +45,16 @@ def test_small_spaces_kx2():
     A = nakayama_algebra(1, 2)
     corners, nak, rad = _setup(A)
     small = small_spaces(corners, nak, rad)
-    assert small.dims() == [1]
-    assert small.bases[0][0].coeffs == {1: QQ(1)}  # spanned by x
+    assert [len(b) for b in small] == [1]
+    assert small[0][0].coeffs == {1: QQ(1)}  # spanned by x
 
 
 def test_small_spaces_b22():
     B = nakayama_algebra(2, 2)
     corners, nak, rad = _setup(B)
     small = small_spaces(corners, nak, rad)
-    assert small.dims() == [1, 1]
-    for basis in small.bases:
+    assert [len(b) for b in small] == [1, 1]
+    for basis in small:
         (idx,) = basis[0].coeffs
         assert idx % 2 == 1  # the length-1 socle paths
 
@@ -63,7 +63,7 @@ def test_small_spaces_semisimple_whole_corner():
     M = matrix_algebra(2)
     corners, nak, rad = _setup(M)
     small = small_spaces(corners, nak, rad)
-    assert small.dims() == [1]  # corner e11 M e11, J = 0
+    assert [len(b) for b in small] == [1]  # corner e11 M e11, J = 0
 
 
 def test_construct_counit_kx2():

@@ -414,6 +414,26 @@ def test_basic_reduction_of_amplified_is_b22():
         assert emb.to_parent(a * b) == emb.to_parent(a) * emb.to_parent(b)
 
 
+_NON_BASIC_INPUTS = [(e.key, e.algebra) for e in corpus("standard")] + [
+    ("nsy n=2 l=2 m=[1, 2] field=101", nsy_algebra(2, 2, (1, 2), Field(101)).algebra)
+]
+
+
+def test_basic_reduction_matches_per_pair_reference():
+    compared = 0
+    for key, alg in _NON_BASIC_INPUTS:
+        dec = canonical_decomposition(alg)
+        if all(v == 1 for v in dec.multiplicities):
+            continue
+        lam, emb = basic_reduction(alg, dec)
+        ref, ref_reps, ref_elements = dense.basic_reduction_reference(alg, dec.reps)
+        assert lam.structure_equal(ref), key
+        assert [e.coeffs for e in emb.dec_lam.reps] == [e.coeffs for e in ref_reps], key
+        assert [e.coeffs for e in emb.elements] == [e.coeffs for e in ref_elements], key
+        compared += 1
+    assert compared == 76  # 75 of the 86 standard algebras, and the GF(101) one
+
+
 def test_iso_witnesses_m2():
     M = matrix_algebra(2)
     dec = canonical_decomposition(M)
