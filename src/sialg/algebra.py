@@ -33,7 +33,7 @@ class FinDimAlgebra:
 
     __slots__ = ("field", "dim", "labels", "rows", "_unit", "_unit_coeffs")
 
-    def __init__(self, field: Field, labels, structure, unit_coeffs, validate: bool = False):
+    def __init__(self, field: Field, labels, structure, unit_coeffs):
         """structure: iterable of (i, j, k, scalar) with b_i b_j = sum_k c b_k."""
         self.field = field
         self.labels = tuple(labels)
@@ -63,12 +63,11 @@ class FinDimAlgebra:
                 coeffs[k] = c
         self._unit_coeffs = coeffs
         self._unit = Element(self, coeffs)
-        if validate:
-            self.validate()
 
     def validate(self):
         """Raise InvalidAlgebra, with a witness, unless the unit and
-        associativity axioms hold."""
+        associativity axioms hold.  `pipeline.analyze` calls it on its input;
+        construction does not."""
         w = check_unit(self)
         if w is not None:
             raise InvalidAlgebra(f"unit axiom fails at basis index {w}", witness=w)
@@ -142,7 +141,7 @@ class FinDimAlgebra:
         }
 
     @classmethod
-    def from_json(cls, data: dict, validate: bool = True) -> "FinDimAlgebra":
+    def from_json(cls, data: dict) -> "FinDimAlgebra":
         try:
             field = Field.from_json(data["field"])
             dim = json_int(data["dim"], "dim")
@@ -164,7 +163,7 @@ class FinDimAlgebra:
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise BadParams(f"malformed algebra JSON: {exc}") from exc
-        return cls(field, labels, structure, unit, validate=validate)
+        return cls(field, labels, structure, unit)
 
     def structure_equal(self, other: "FinDimAlgebra") -> bool:
         """Same field, dimension, products and unit (labels ignored)."""

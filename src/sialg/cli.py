@@ -45,16 +45,10 @@ def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError:
-            raise
         except UnicodeDecodeError as exc:
             raise BadParams(f"{path} is not UTF-8 text: {exc}") from None
-        except (RecursionError, ValueError) as exc:  # too deep, or an int too long
+        except (RecursionError, ValueError) as exc:  # malformed, too deep, or an int too long
             raise BadParams(f"{path} is not readable JSON: {exc}") from None
-
-
-def _load_algebra(path: str) -> FinDimAlgebra:
-    return FinDimAlgebra.from_json(_load_json(path), validate=True)
 
 
 def _field_from_args(args) -> Field:
@@ -113,14 +107,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    alg = _load_algebra(args.input)
+    alg = FinDimAlgebra.from_json(_load_json(args.input))
     result = analyze(alg, args.seed)
     _dump(result.to_json(), args.report or args.output)
     return 0
 
 
 def cmd_comul(args) -> int:
-    alg = _load_algebra(args.input)
+    alg = FinDimAlgebra.from_json(_load_json(args.input))
     data = _load_json(args.spec) if args.spec else None
     ctx = prepare(alg, args.seed)
     # subset-data JSON needs the class count, so it is parsed after analysis
@@ -132,7 +126,7 @@ def cmd_comul(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.input:
-        alg = _load_algebra(args.input)
+        alg = FinDimAlgebra.from_json(_load_json(args.input))
         run = run_spec(prepare(alg, args.seed), args.preset)
         _dump(run.report.to_json(), args.report or args.output)
         r = run.report
@@ -228,7 +222,7 @@ def main(argv=None) -> int:
     except InvalidAlgebra as exc:
         print(f"error: invalid algebra: {exc} (witness: {exc.witness})", file=sys.stderr)
         return 1
-    except (AlgebraError, OSError, json.JSONDecodeError) as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

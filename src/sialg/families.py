@@ -2,9 +2,10 @@
 
 Covers cyclic Nakayama algebras B(n, l) with path basis p[i,k], their
 multiplicity amplifications with the four-index X basis, matrix algebras,
-products of fields, and small abelian group algebras.  Every generator
-validates associativity and the unit on construction; a failure there is
-a generator bug and raises immediately.
+products of fields, and small abelian group algebras.  The generators do
+not check the algebra axioms themselves: `pipeline.analyze` validates
+every input it is given, and the tests check the unit and associativity
+of every algebra the corpus and the benchmark sweeps build.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def nakayama_algebra(n: int, l: int, field: Field = QQ) -> FinDimAlgebra:
     unit = [field.zero] * (n * l)
     for i in range(n):
         unit[idx[(i, 0)]] = field.one
-    return FinDimAlgebra(field, labels, structure, unit, validate=True)
+    return FinDimAlgebra(field, labels, structure, unit)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def nsy_algebra(n: int, l: int, m, field: Field = QQ) -> NsyPresentation:
     for i in range(n):
         for r in range(m[i]):
             unit[index[(i, 0, r, r)]] = field.one
-    alg = FinDimAlgebra(field, labels, structure, unit, validate=True)
+    alg = FinDimAlgebra(field, labels, structure, unit)
     return NsyPresentation(n, l, m, alg, index, tuple(tuples))
 
 
@@ -118,7 +119,7 @@ def matrix_algebra(size: int, field: Field = QQ) -> FinDimAlgebra:
     unit = [field.zero] * (size * size)
     for u in range(size):
         unit[idx[(u, u)]] = field.one
-    return FinDimAlgebra(field, labels, structure, unit, validate=True)
+    return FinDimAlgebra(field, labels, structure, unit)
 
 
 def field_product_algebra(copies: int, field: Field = QQ) -> FinDimAlgebra:
@@ -128,7 +129,7 @@ def field_product_algebra(copies: int, field: Field = QQ) -> FinDimAlgebra:
     labels = [f"e[{i + 1}]" for i in range(copies)]
     structure = [(i, i, i, field.one) for i in range(copies)]
     unit = [field.one] * copies
-    return FinDimAlgebra(field, labels, structure, unit, validate=True)
+    return FinDimAlgebra(field, labels, structure, unit)
 
 
 def group_algebra(factors, field: Field = QQ) -> FinDimAlgebra:
@@ -146,7 +147,7 @@ def group_algebra(factors, field: Field = QQ) -> FinDimAlgebra:
             structure.append((a, b, index[gh], field.one))
     unit = [field.zero] * len(elements)
     unit[index[tuple(0 for _ in factors)]] = field.one
-    return FinDimAlgebra(field, labels, structure, unit, validate=True)
+    return FinDimAlgebra(field, labels, structure, unit)
 
 
 def path_algebra_a2(field: Field = QQ) -> FinDimAlgebra:
@@ -161,7 +162,7 @@ def path_algebra_a2(field: Field = QQ) -> FinDimAlgebra:
         (2, 1, 2, one),
     ]
     unit = [one, one, field.zero]
-    return FinDimAlgebra(field, labels, structure, unit, validate=True)
+    return FinDimAlgebra(field, labels, structure, unit)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
-    Element,
     FinDimAlgebra,
     Functional,
     Tensor2,
@@ -89,9 +88,12 @@ class AnalysisResult:
 def analyze(alg: FinDimAlgebra, seed: int = DEFAULT_SEED) -> AnalysisResult:
     """Canonical decomposition, basic reduction and Nakayama permutation.
 
-    The basic algebra keeps the parent's class order, so its Nakayama
-    permutation indexes the same classes as the multiplicity vector.
+    The input is validated first, and only here: every algebra derived
+    from it is a pullback of it (see `ModelIsomorphism`).  The basic
+    algebra keeps the parent's class order, so its Nakayama permutation
+    indexes the same classes as the multiplicity vector.
     """
+    alg.validate()
     rad = radical(alg)
     dec = canonical_decomposition(alg, seed, rad)
     lam, emb = basic_reduction(alg, dec)
@@ -107,6 +109,11 @@ class ModelIsomorphism:
     The basis element of the model carrying phi in corner (j <- i) with
     copies (t <- s) maps to v_{j,t} * phi * u_{i,s}, built from the
     copy-identification witnesses.
+
+    `_verify` proves phi a unital, multiplicative linear bijection onto
+    the input `analyze` validated, so the model, its pullback, is
+    associative and unital.  The model's copies (1 <- 1) span a corner
+    isomorphic to the basic reduction, which the same proof covers.
     """
 
     def __init__(
@@ -118,12 +125,12 @@ class ModelIsomorphism:
     ):
         self.alg = alg
         self.amp = amp
-        images = []
-        for (i, j, s, t, b) in amp.tuples:
-            q = emb.to_parent(amp.corners.bases[(j, i)][b])
-            img = multiply(multiply(wit.vs[j][t - 1], q), wit.us[i][s - 1])
-            images.append(img)
-        self.images = images
+        # one lift per corner basis element; the copies only pick u and v
+        lifted = {key: list(map(emb.to_parent, qs)) for key, qs in amp.corners.bases.items()}
+        self.images = [
+            multiply(multiply(wit.vs[j][t - 1], lifted[(j, i)][b]), wit.us[i][s - 1])
+            for (i, j, s, t, b) in amp.tuples
+        ]
         self._verify()
 
     def _verify(self):
@@ -133,7 +140,7 @@ class ModelIsomorphism:
             raise AlgebraError(
                 f"model dimension {amp_alg.dim} differs from input dimension {alg.dim}"
             )
-        if self.apply_element(amp_alg.unit) != alg.unit:
+        if combination(alg, self.images, amp_alg.unit.coeffs) != alg.unit:
             raise AlgebraError("model map does not preserve the unit")
         # phi(b_a) phi(b_b) = phi(b_a b_b) on every basis pair, multiplied
         # in alg; a pair where both sides vanish needs no comparison
@@ -159,9 +166,6 @@ class ModelIsomorphism:
             {key - d: c for key, c in row.items() if key >= d}
             for _, row in span.basis_items()
         ]
-
-    def apply_element(self, x: Element) -> Element:
-        return combination(self.alg, self.images, x.coeffs)
 
     def apply_tensor2(self, x: Tensor2) -> Tensor2:
         p = self.alg.field.p

@@ -174,7 +174,7 @@ class PeirceCorners:
                 for t in range(1, m[i] + 1):
                     unit[index[(i, i, t, t, k)]] = c
         labels = [f"a[{j}<-{i};{t}<-{s}].{b}" for (i, j, s, t, b) in tuples]
-        return tuples, FinDimAlgebra(alg.field, labels, structure, unit, validate=True)
+        return tuples, FinDimAlgebra(alg.field, labels, structure, unit)
 
 
 def _element_pow(a: Element, q: int) -> Element:

@@ -503,7 +503,7 @@ def check_negative_controls(seed: int = DEFAULT_SEED) -> CheckResult:
     good["structure"] = [row[:] for row in good["structure"]]
     good["structure"][0][3] = "2"
     try:
-        FinDimAlgebra.from_json(good, validate=True)
+        analyze(FinDimAlgebra.from_json(good), seed)
         failures.append("corrupted structure table accepted")
     except InvalidAlgebra as exc:
         if exc.witness is None:
@@ -534,7 +534,6 @@ def check_round_trip(cache: CorpusCache) -> CheckResult:
         rng.shuffle(perm)
         palg = permute_basis(entry.algebra, perm)
         try:
-            palg.validate()
             ctx = prepare(palg, cache.seed)
         except AlgebraError as exc:
             failures.append(f"{entry.key} permuted: {type(exc).__name__}: {exc}")

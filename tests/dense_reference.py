@@ -285,7 +285,8 @@ def basic_reduction_reference(alg, reps):
                 image[offsets[key] + b] = unit[offsets[key] + b] = c
         images.append(image)
     labels = [str(a) for a in range(len(elements))]
-    lam = FinDimAlgebra(alg.field, labels, structure, unit, validate=True)
+    lam = FinDimAlgebra(alg.field, labels, structure, unit)
+    lam.validate()
     return lam, [lam.element(image) for image in images], elements
 
 

@@ -68,22 +68,24 @@ def test_check_associativity_and_unit():
     # corrupt one structure constant of M2
     data = matrix_algebra(2).to_json()
     data["structure"][0] = [0, 0, 0, "2"]
-    corrupt = FinDimAlgebra.from_json(data, validate=False)
+    corrupt = FinDimAlgebra.from_json(data)
     assert check_associativity(corrupt) == (0, 0, 1)
     # E12 E21 = 2 E11 keeps the unit and breaks associativity
     data = matrix_algebra(2).to_json()
     data["structure"][2] = [1, 2, 0, "2"]
     with pytest.raises(InvalidAlgebra) as info:
-        FinDimAlgebra.from_json(data, validate=True)
+        FinDimAlgebra.from_json(data).validate()
     assert str(info.value) == "associativity fails at triple (1, 2, 1)"
     assert info.value.witness == (1, 2, 1)
     # broken unit vector reported with its index
     data = kx2().to_json()
     data["unit"] = ["0", "0"]
-    broken = FinDimAlgebra.from_json(data, validate=False)
+    broken = FinDimAlgebra.from_json(data)
     assert check_unit(broken) == 0
-    with pytest.raises(InvalidAlgebra):
-        FinDimAlgebra.from_json(data, validate=True)
+    with pytest.raises(InvalidAlgebra) as info:
+        broken.validate()
+    assert str(info.value) == "unit axiom fails at basis index 0"
+    assert info.value.witness == 0
 
 
 def dense_associativity_witness(alg):
@@ -483,7 +485,9 @@ def _over(alg, field):
         return alg
     data = alg.to_json()
     data["field"] = field.to_json()
-    return FinDimAlgebra.from_json(data, validate=True)
+    reduced = FinDimAlgebra.from_json(data)
+    reduced.validate()
+    return reduced
 
 
 def test_minimal_polynomial_differential():

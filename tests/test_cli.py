@@ -101,15 +101,25 @@ def test_comul_spec_file_duplicate_class(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_corrupted_input_exit_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["analyze", "comul", "verify"])
+@pytest.mark.parametrize("row, entry, message, witness", [
+    # E11 E11 = 2 E11 breaks the unit first
+    (0, [0, 0, 0, "2"], "unit axiom fails at basis index 0", "0"),
+    # E12 E21 = 2 E11 keeps the unit and breaks associativity
+    (2, [1, 2, 0, "2"], "associativity fails at triple (1, 2, 1)", "(1, 2, 1)"),
+], ids=["unit", "associativity"])
+def test_corrupted_input_exit_code(tmp_path, capsys, command, row, entry, message, witness):
+    # every command validates its input once, in analyze, before any layer
     alg_path = tmp_path / "bad.json"
     run_cli("generate", "--family", "matrix", "--m", "2", "-o", str(alg_path))
     data = json.loads(alg_path.read_text())
-    data["structure"][0] = [0, 0, 0, "2"]
+    data["structure"][row] = entry
     alg_path.write_text(json.dumps(data))
-    assert run_cli("analyze", "--input", str(alg_path)) == 1
-    err = capsys.readouterr().err
-    assert "witness" in err
+    capsys.readouterr()
+    assert run_cli(command, "--input", str(alg_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: invalid algebra: {message} (witness: {witness})\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("prime", [None, "5"])
@@ -238,7 +248,9 @@ HUGE_INT = "9" * 5000  # past Python's int-string conversion limit of 4300 digit
     ("--input", "[" * 200_000),
     ("--input", '{"field": "rational", "dim": %s}' % HUGE_INT),
     ("--spec", '{"classes": [{"i": 1, "pairs": [[%s, 1]]}]}' % HUGE_INT),
-], ids=["deep-nesting", "huge-dim", "huge-copy-index"])
+    ("--input", "{"),
+    ("--spec", "{"),
+], ids=["deep-nesting", "huge-dim", "huge-copy-index", "malformed-input", "malformed-spec"])
 def test_unreadable_json_refused(tmp_path, capsys, flag, text):
     alg_path = tmp_path / "a.json"
     run_cli("generate", "--family", "nakayama", "--n", "2", "--l", "2", "-o", str(alg_path))

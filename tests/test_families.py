@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import pytest
 
 from sialg.algebra import (
@@ -11,6 +13,7 @@ from sialg.algebra import (
 from sialg.amplify import amplify
 from sialg.errors import BadParams
 from sialg.families import (
+    STANDARD_NSY_SHAPES,
     corpus,
     group_algebra,
     nakayama_algebra,
@@ -193,14 +196,38 @@ def test_corpus_small_size_and_contract():
 
 
 def test_corpus_standard_size_and_bounds():
+    # the generators do not check themselves: analyze validates its input
     entries = corpus("standard")
     assert len(entries) == 86
+    for entry in entries:
+        assert check_associativity(entry.algebra) is None, entry.key
+        assert check_unit(entry.algebra) is None, entry.key
     dims = [e.algebra.dim for e in entries]
     assert max(dims) == 81 <= 3 * 3 * 9
     keys = [e.key for e in entries]
     assert len(set(keys)) == len(keys)
     with pytest.raises(BadParams):
         corpus("huge")
+
+
+def _gfp_sweep_inputs():
+    # the inputs of the benchmark's GF(p) sweep: nsy shapes over GF(101)
+    # and modular group algebras over GF(2) and GF(3)
+    for n, l in STANDARD_NSY_SHAPES:
+        for m in iter_product(range(1, 4), repeat=n):
+            yield f"nsy {n} {l} {m}", nsy_algebra(n, l, m, Field(101)).algebra
+    for p in (2, 3):
+        for factors in ((2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2)):
+            yield f"group {factors} mod {p}", group_algebra(factors, Field(p))
+
+
+def test_gfp_sweep_inputs_contract():
+    count = 0
+    for key, alg in _gfp_sweep_inputs():
+        assert check_associativity(alg) is None, key
+        assert check_unit(alg) is None, key
+        count += 1
+    assert count == 81 + 12
 
 
 def _amplify_b22(m):

@@ -56,9 +56,30 @@ def test_analyze_rejects_a2():
 def test_validate_flag_rejects_corrupt():
     data = matrix_algebra(2).to_json()
     data["structure"][0] = [0, 0, 0, "2"]
-    alg = FinDimAlgebra.from_json(data, validate=False)
+    alg = FinDimAlgebra.from_json(data)
     with pytest.raises(InvalidAlgebra):
         alg.validate()
+
+
+def test_analyze_refuses_what_validate_refuses():
+    # analyze validates its input before any other layer, so every seeded
+    # single-constant corruption that validate() refuses is refused there
+    # with the same message and witness
+    rng = random.Random(20261018)
+    refused = 0
+    for entry in corpus("small"):
+        for corrupt in dense.single_constant_mutants(entry.algebra, rng, 3):
+            try:
+                corrupt.validate()
+                continue
+            except InvalidAlgebra as exc:
+                want = exc
+            with pytest.raises(InvalidAlgebra) as info:
+                analyze(corrupt)
+            assert str(info.value) == str(want), entry.key
+            assert info.value.witness == want.witness, entry.key
+            refused += 1
+    assert refused == 114
 
 
 def test_pipeline_b32_singleton_matches_reference():
@@ -335,7 +356,7 @@ def _conjugate_basis(alg, T):
     for k, c in alg.unit.coeffs.items():
         for r in range(d):
             unit[r] = unit[r] + inv[k][r] * c
-    return FinDimAlgebra(field, [f"v{r}" for r in range(d)], entries, unit, validate=True)
+    return FinDimAlgebra(field, [f"v{r}" for r in range(d)], entries, unit)
 
 
 def test_pipeline_on_dense_change_of_basis():
