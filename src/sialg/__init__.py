@@ -81,7 +81,6 @@ from .structure import (
     iso_witnesses,
     nakayama,
     radical,
-    verify_nakayama_duality,
 )
 from .verify import CheckResult, run_verification
 

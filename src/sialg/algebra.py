@@ -284,8 +284,15 @@ class Functional:
 
     @classmethod
     def from_json(cls, algebra, data):
-        parse = algebra.field.parse
-        return cls(algebra, [parse(s) for s in json_list(data, "functional")])
+        field = algebra.field
+        try:
+            values = [
+                field.parse(c) if isinstance(c, str) else field(c)
+                for c in json_list(data, "functional")
+            ]
+        except (TypeError, ValueError) as exc:
+            raise BadParams(f"malformed functional JSON: {exc}") from exc
+        return cls(algebra, values)
 
     def __repr__(self):
         return f"Functional({list(self.values)})"

@@ -36,7 +36,6 @@ from .errors import (
     BadParams,
     BlockMismatch,
     IndexOutOfRange,
-    NotBasic,
     NotBijection,
 )
 from .fields import json_int
@@ -52,13 +51,9 @@ class AmplifiedAlgebra:
     """
 
     def __init__(self, corners: PeirceCorners, m):
-        base, reps = corners.alg, corners.reps
-        n = len(reps)
-        # one idempotent per class exactly when the class reps sum to 1
-        if sum(reps[1:], reps[0]) != base.unit:
-            raise NotBasic("amplification needs a basic decomposition")
+        corners.require_sum_one()
         m = tuple(json_int(v, "multiplicity") for v in m)
-        if len(m) != n or any(v < 1 for v in m):
+        if len(m) != len(corners.reps) or any(v < 1 for v in m):
             raise BadParams("multiplicities must list one value >= 1 per class")
         self.m = m
         self.corners = corners
@@ -321,7 +316,6 @@ class ComultiplicationReport:
     counital: bool
     counit: Functional | None
     counit_built: bool
-    feasible: bool
     solution_space_dim: int
     routes_consistent: bool | None
 
@@ -340,7 +334,7 @@ class ComultiplicationReport:
             "counital": self.counital,
             "counit": self.counit.to_json() if self.counit else None,
             "counit_built": self.counit_built,
-            "counit_feasible": self.feasible,
+            "counit_feasible": self.counital,
             "solution_space_dim": self.solution_space_dim,
             "routes_consistent": self.routes_consistent,
         }
@@ -386,7 +380,6 @@ def comultiplication_report(
         counital=oracle is not None,
         counit=counit,
         counit_built=built_counit is not None and bool(built_ok),
-        feasible=oracle is not None,
         solution_space_dim=nullity,
         routes_consistent=routes,
     )

@@ -36,7 +36,6 @@ from .frobenius import FrobeniusPair, frobenius_pair
 from .linalg import Span
 from .structure import (
     DEFAULT_SEED,
-    BasicEmbedding,
     CanonicalDecomposition,
     IsoWitness,
     NakayamaData,
@@ -52,15 +51,16 @@ from .structure import (
 
 @dataclass
 class AnalysisResult:
-    """`corners` is the basic algebra's Peirce decomposition by
-    `embedding.dec_lam.reps`, built once in `analyze` and read by every
-    later layer; `lam` is `corners.alg`."""
+    """`corners` is the basic algebra's Peirce decomposition by its class
+    idempotents, built once in `analyze` and read by every later layer;
+    `lam` is `corners.alg`.  `elements` are the input elements carrying
+    lam's basis, None when the input is basic and lam is the input."""
 
     algebra: FinDimAlgebra
     rad: RadicalData
     dec: CanonicalDecomposition
     corners: PeirceCorners
-    embedding: BasicEmbedding
+    elements: list | None
     rad_lam: RadicalData
     nak: NakayamaData
 
@@ -96,11 +96,11 @@ def analyze(alg: FinDimAlgebra, seed: int = DEFAULT_SEED) -> AnalysisResult:
     alg.validate()
     rad = radical(alg)
     dec = canonical_decomposition(alg, seed, rad)
-    lam, emb = basic_reduction(alg, dec)
+    lam, reps, elements = basic_reduction(alg, dec)
     rad_lam = rad if lam is alg else radical(lam)
-    nak = nakayama(lam, emb.dec_lam, rad_lam)
-    corners = PeirceCorners(lam, emb.dec_lam.reps)
-    return AnalysisResult(alg, rad, dec, corners, emb, rad_lam, nak)
+    corners = PeirceCorners(lam, reps)
+    nak = nakayama(corners, rad_lam)
+    return AnalysisResult(alg, rad, dec, corners, elements, rad_lam, nak)
 
 
 class ModelIsomorphism:
@@ -108,7 +108,8 @@ class ModelIsomorphism:
 
     The basis element of the model carrying phi in corner (j <- i) with
     copies (t <- s) maps to v_{j,t} * phi * u_{i,s}, built from the
-    copy-identification witnesses.
+    copy-identification witnesses, with phi lifted to the input along
+    `elements` (see `AnalysisResult`).
 
     `_verify` proves phi a unital, multiplicative linear bijection onto
     the input `analyze` validated, so the model, its pullback, is
@@ -120,13 +121,17 @@ class ModelIsomorphism:
         self,
         alg: FinDimAlgebra,
         amp: AmplifiedAlgebra,
-        emb: BasicEmbedding,
+        elements: list | None,
         wit: IsoWitness,
     ):
         self.alg = alg
         self.amp = amp
-        # one lift per corner basis element; the copies only pick u and v
-        lifted = {key: list(map(emb.to_parent, qs)) for key, qs in amp.corners.bases.items()}
+        # one lift per corner basis element, along the input elements that
+        # carry the basic algebra's basis; the copies only pick u and v
+        lifted = {
+            key: qs if elements is None else [combination(alg, elements, q.coeffs) for q in qs]
+            for key, qs in amp.corners.bases.items()
+        }
         self.images = [
             multiply(multiply(wit.vs[j][t - 1], lifted[(j, i)][b]), wit.us[i][s - 1])
             for (i, j, s, t, b) in amp.tuples
@@ -194,28 +199,6 @@ class ModelIsomorphism:
 
 
 @dataclass
-class PipelineRun:
-    analysis: AnalysisResult
-    pair: FrobeniusPair
-    witnesses: IsoWitness
-    amp: AmplifiedAlgebra
-    model_map: ModelIsomorphism
-    spec: SpreadSpec
-    x_model: Tensor2
-    x: Tensor2
-    report: object
-
-    def to_json(self) -> dict:
-        return {
-            "analysis": self.analysis.to_json(),
-            "frobenius_pair": self.pair.to_json(),
-            "spec": self.spec.to_json(),
-            "tensor": self.x.to_json(),
-            "report": self.report.to_json(),
-        }
-
-
-@dataclass
 class PipelineContext:
     """Everything spec-independent: reusable across subset-data sweeps."""
 
@@ -226,12 +209,30 @@ class PipelineContext:
     model_map: ModelIsomorphism
 
 
+@dataclass
+class PipelineRun:
+    ctx: PipelineContext
+    spec: SpreadSpec
+    x_model: Tensor2
+    x: Tensor2
+    report: object
+
+    def to_json(self) -> dict:
+        return {
+            "analysis": self.ctx.analysis.to_json(),
+            "frobenius_pair": self.ctx.pair.to_json(),
+            "spec": self.spec.to_json(),
+            "tensor": self.x.to_json(),
+            "report": self.report.to_json(),
+        }
+
+
 def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED):
     analysis = analyze(alg, seed)
     pair = frobenius_pair(analysis.corners, analysis.nak, analysis.rad_lam, seed)
     wit = iso_witnesses(alg, analysis.dec, seed)
     amp = amplify(analysis.corners, analysis.dec.multiplicities)
-    model_map = ModelIsomorphism(alg, amp, analysis.embedding, wit)
+    model_map = ModelIsomorphism(alg, amp, analysis.elements, wit)
     return PipelineContext(analysis, pair, wit, amp, model_map)
 
 
@@ -254,7 +255,5 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
         built_model = build_counit(amp, spec, nak, ctx.pair.epsilon)
         built = ctx.model_map.transport_functional(built_model)
     report = comultiplication_report(analysis.algebra, x, flags, built)
-    return PipelineRun(
-        analysis, ctx.pair, ctx.witnesses, amp, ctx.model_map, spec, x_model, x, report
-    )
+    return PipelineRun(ctx, spec, x_model, x, report)
 

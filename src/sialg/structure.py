@@ -10,7 +10,8 @@ inside the quotient factors minimal polynomials of swept corner elements.
 All randomized searches take an explicit seed and are reproducible.
 `PeirceCorners` is the one Peirce decomposition: each corner e_j A e_i of
 the class representatives is computed once, and every projection of an
-element or tensor onto the corners goes through it.
+element or tensor onto the corners, and every one-sided ideal e_i A or
+A e_i, goes through it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .algebra import (
 )
 from .errors import (
     AlgebraError,
+    NotBasic,
     NotSelfInjectiveLike,
     UnsupportedField,
     WitnessNotFound,
@@ -48,21 +50,12 @@ FLAG_NOT_SPLIT = "not-split-unverified"
 # -- spans and Peirce corners in the ambient coordinate space ------------------
 
 
-def corner_span(alg: FinDimAlgebra, left: Element | None, right: Element | None) -> Span:
-    """Span of left . b_t . right over the basis b_t; a None side skips
-    that multiply, so one side gives a one-sided ideal e A or A e."""
-    span = Span(alg.field)
-    for t in range(alg.dim):
-        w = alg.basis_element(t)
-        if left is not None:
-            w = multiply(left, w)
-        if right is not None:
-            w = multiply(w, right)
-        span.add(w.coeffs)
-    return span
+def corner_span(alg: FinDimAlgebra, left: Element, right: Element) -> Span:
+    """Span of left . b_t . right over the basis b_t."""
+    return Span(alg.field, (multiply(multiply(left, b), right).coeffs for b in alg.basis()))
 
 
-def corner_basis(alg: FinDimAlgebra, left: Element | None, right: Element | None) -> list:
+def corner_basis(alg: FinDimAlgebra, left: Element, right: Element) -> list:
     """Echelon basis elements of `corner_span`."""
     span = corner_span(alg, left, right)
     return [Element(alg, dict(row)) for row in span.basis_vectors()]
@@ -75,7 +68,8 @@ class PeirceCorners:
     order, from the left products e_j b_t computed once per j;
     `bases[(j, i)]` and `spans[(j, i)]` hold them.  Components are
     given in corner coordinates, the indices into `bases[(j, i)]`.  When
-    the reps sum to e, the components of a reassemble e a e.
+    the reps sum to e, the components of a reassemble e a e.  When they
+    sum to 1, `one_sided` gives e_i A and A e_i from the corners.
     """
 
     def __init__(self, alg: FinDimAlgebra, reps):
@@ -91,6 +85,23 @@ class PeirceCorners:
                 )
                 self.bases[(j, i)] = [Element(alg, dict(row)) for row in span.basis_vectors()]
         self._basis_components: dict = {}  # basis index -> components, filled on demand
+
+    def require_sum_one(self):
+        """Raise NotBasic unless the reps sum to 1; on a basic algebra,
+        unless there is one idempotent per class."""
+        reps = self.reps
+        if sum(reps[1:], reps[0]) != self.alg.unit:
+            raise NotBasic("the class representatives do not sum to 1")
+
+    def one_sided(self, i: int, left: bool) -> list:
+        """Echelon basis of e_i A, the sum of the corners (i, k), if `left`,
+        else of A e_i, the sum of the corners (k, i).  The corner bases are
+        reduced together, so this is the reduced echelon basis of the span
+        of e_i b_t (or b_t e_i) over the basis b_t, row for row."""
+        self.require_sum_one()
+        keys = [(i, k) if left else (k, i) for k in range(len(self.reps))]
+        span = Span(self.alg.field, (q.coeffs for key in keys for q in self.bases[key]))
+        return [Element(self.alg, dict(row)) for row in span.basis_vectors()]
 
     def coordinates(self, corner, coeffs: dict) -> list:
         """Coordinates of `coeffs` in the corner's echelon basis."""
@@ -352,12 +363,6 @@ class CanonicalDecomposition:
     def reps(self) -> list:
         return [cls[0] for cls in self.classes]
 
-    def class_idempotent(self, i: int) -> Element:
-        e = self.classes[i][0]
-        for extra in self.classes[i][1:]:
-            e = e + extra
-        return e
-
     def all_idempotents(self) -> list:
         return [e for cls in self.classes for e in cls]
 
@@ -529,25 +534,6 @@ def canonical_decomposition(
     return CanonicalDecomposition(classes, flags)
 
 
-def decomposition_from_idempotents(
-    alg: FinDimAlgebra, classes: list, flags: list
-) -> CanonicalDecomposition:
-    """Wrap externally supplied idempotent groups after exact re-checks."""
-    all_idems = [e for cls in classes for e in cls]
-    total = alg.zero()
-    for e in all_idems:
-        if multiply(e, e) != e:
-            raise AlgebraError("supplied element is not idempotent")
-        total = total + e
-    if total != alg.unit:
-        raise AlgebraError("supplied idempotents do not sum to 1")
-    for u in range(len(all_idems)):
-        for v in range(len(all_idems)):
-            if u != v and multiply(all_idems[u], all_idems[v]).coeffs:
-                raise AlgebraError("supplied idempotents are not orthogonal")
-    return CanonicalDecomposition([list(cls) for cls in classes], list(flags))
-
-
 # -- right modules, socles, Nakayama permutation -------------------------------
 
 
@@ -574,29 +560,23 @@ class NakayamaData:
         return self.nu.index(i)
 
 
-def nakayama(
-    alg: FinDimAlgebra,
-    dec: CanonicalDecomposition,
-    rad: RadicalData | None = None,
-) -> NakayamaData:
-    """Permutation nu with soc(P_i) isomorphic to top(P_{nu(i)}).
+def nakayama(corners: PeirceCorners, rad: RadicalData) -> NakayamaData:
+    """Permutation nu with soc(P_i) isomorphic to top(P_{nu(i)}), read off
+    the projectives e_i A of a basic algebra with one rep e_i per class.
 
-    Requires each socle soc(e_{i1} A) to be concentrated in exactly one
-    class (right multiplication by the class idempotents); otherwise the
-    input is rejected as not self-injective-like.
+    Requires each socle soc(e_i A) to be concentrated in exactly one
+    class (right multiplication by the reps); otherwise the input is
+    rejected as not self-injective-like.
     """
-    if rad is None:
-        rad = radical(alg)
-    class_idems = [dec.class_idempotent(k) for k in range(dec.n)]
+    alg, reps = corners.alg, corners.reps
     nu = []
     socles = []
-    for i in range(dec.n):
-        module = corner_basis(alg, dec.reps[i], None)
-        soc = annihilator(alg, module, [], rad.basis)
+    for i in range(len(reps)):
+        soc = annihilator(alg, corners.one_sided(i, True), [], rad.basis)
         if not soc:
             raise NotSelfInjectiveLike(f"socle of projective class {i} is zero")
         hits = set()
-        for k, ek in enumerate(class_idems):
+        for k, ek in enumerate(reps):
             if any(multiply(s, ek).coeffs for s in soc):
                 hits.add(k)
         if len(hits) != 1:
@@ -605,7 +585,7 @@ def nakayama(
             )
         nu.append(hits.pop())
         socles.append(soc)
-    if sorted(nu) != list(range(dec.n)):
+    if sorted(nu) != list(range(len(reps))):
         raise NotSelfInjectiveLike(f"socle pattern {nu} is not a permutation")
     return NakayamaData(tuple(nu), socles)
 
@@ -677,23 +657,10 @@ def _has_invertible_combination(field, sols, size: int, seed: int) -> bool:
     return False
 
 
-def verify_nakayama_duality(
-    alg: FinDimAlgebra,
-    dec: CanonicalDecomposition,
-    nak: NakayamaData,
-    seed: int = DEFAULT_SEED,
-) -> bool:
-    """Check e_{i1}A isomorphic to (A e_{nu(i),1})^* for every class, by
-    solving the intertwiner equations and exhibiting an invertible one."""
-    for i in range(dec.n):
-        if not _duality_holds(alg, dec, i, nak.nu[i], seed):
-            return False
-    return True
-
-
-def _duality_holds(alg, dec, i: int, j: int, seed: int) -> bool:
-    u_basis = corner_basis(alg, dec.reps[i], None)
-    x_basis = corner_basis(alg, None, dec.reps[j])
+def _duality_holds(corners: PeirceCorners, i: int, j: int, seed: int) -> bool:
+    alg = corners.alg
+    u_basis = corners.one_sided(i, True)
+    x_basis = corners.one_sided(j, False)
     if len(u_basis) != len(x_basis):
         return False
     u_span = Span(alg.field, (e.coeffs for e in u_basis))
@@ -702,59 +669,39 @@ def _duality_holds(alg, dec, i: int, j: int, seed: int) -> bool:
     return _has_invertible_combination(alg.field, sols, len(u_basis), seed)
 
 
-def duality_pattern(
-    alg: FinDimAlgebra, dec: CanonicalDecomposition, seed: int = DEFAULT_SEED
-) -> list:
-    """For each class i, the set of classes j with e_{i1}A = (A e_{j1})^*."""
-    return [
-        {j for j in range(dec.n) if _duality_holds(alg, dec, i, j, seed)}
-        for i in range(dec.n)
-    ]
+def duality_pattern(corners: PeirceCorners, seed: int = DEFAULT_SEED) -> list:
+    """For each class i, the set of classes j with e_i A = (A e_j)^*, by
+    solving the intertwiner equations and exhibiting an invertible one."""
+    n = len(corners.reps)
+    return [{j for j in range(n) if _duality_holds(corners, i, j, seed)} for i in range(n)]
 
 
 # -- basic reduction -----------------------------------------------------------
 
 
-class BasicEmbedding:
-    """Inclusion data for the basic corner eAe inside its parent algebra."""
-
-    def __init__(self, lam, dec_lam, parent, elements):
-        self.lam = lam
-        self.dec_lam = dec_lam
-        self.parent = parent
-        self.elements = elements  # parent elements carrying the basic basis
-
-    def to_parent(self, x: Element) -> Element:
-        if self.elements is None:
-            return x
-        return combination(self.parent, self.elements, x.coeffs)
-
-
 def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
     """Corner algebra e A e for e the sum of class representatives.
 
-    A basic input is its own reduction.  Otherwise lam is
+    Returns (lam, reps, elements): lam's class idempotents, one per class
+    in the parent's class order, so multiplicities and the Nakayama
+    permutation stay aligned across the reduction, and the parent elements
+    carrying lam's basis.  A basic input is its own reduction, with its
+    own reps and `elements` None.  Otherwise lam is
     `PeirceCorners(alg, reps).copy_algebra` at every multiplicity 1: its
     basis is the Peirce corner bases in j-major order, and its class
-    idempotents are the unit's parts in the diagonal corners.  Returns
-    (lam, embedding); lam's induced decomposition keeps the parent's class
-    order, so multiplicities and the Nakayama permutation stay aligned
-    across the reduction.
+    idempotents are the unit's parts in the diagonal corners.
     """
     reps = dec.reps
     if sum(reps[1:], reps[0]) == alg.unit:
-        groups = [[cls[0]] for cls in dec.classes]
-        dec_lam = decomposition_from_idempotents(alg, groups, dec.flags)
-        return alg, BasicEmbedding(alg, dec_lam, alg, None)
+        return alg, reps, None
     corners = PeirceCorners(alg, reps)
     tuples, lam = corners.copy_algebra((1,) * len(reps))
     # the unit's part in diagonal corner (i, i) is class i's idempotent
     parts = [{} for _ in reps]
     for a, c in lam.unit.coeffs.items():
         parts[tuples[a][0]][a] = c
-    dec_lam = decomposition_from_idempotents(lam, [[lam.element(p)] for p in parts], dec.flags)
     elements = [corners.bases[(j, i)][b] for (i, j, _, _, b) in tuples]
-    return lam, BasicEmbedding(lam, dec_lam, alg, elements)
+    return lam, [lam.element(p) for p in parts], elements
 
 
 # -- isomorphism witnesses between projective copies ---------------------------

@@ -259,9 +259,9 @@ def check_spread_family(cache: CorpusCache):
                     f" coassociative={r.coassociative}"
                 )
             bij = all(r.bijection_per_class)
-            if r.feasible != bij or r.routes_consistent is not True:
+            if r.counital != bij or r.routes_consistent is not True:
                 counit_failures.append(
-                    f"{entry.key} [{spec_name}]: feasible={r.feasible}"
+                    f"{entry.key} [{spec_name}]: feasible={r.counital}"
                     f" bijection={bij} consistent={r.routes_consistent}"
                 )
             if bij and not r.counit_built:
@@ -269,11 +269,11 @@ def check_spread_family(cache: CorpusCache):
                     f"{entry.key} [{spec_name}]: constructed counit missing"
                 )
             inv = all(is_incidence_invertible(spec, m, nak, field))
-            if r.feasible != inv or (
+            if r.counital != inv or (
                 bij and not (r.counit_built and r.routes_consistent is True)
             ):
                 corrected_failures.append(
-                    f"{entry.key} [{spec_name}]: feasible={r.feasible}"
+                    f"{entry.key} [{spec_name}]: feasible={r.counital}"
                     f" invertible={inv} bijection={bij} built={r.counit_built}"
                     f" consistent={r.routes_consistent}"
                 )
@@ -428,10 +428,9 @@ def check_nakayama_crosscheck(cache: CorpusCache) -> CheckResult:
     checked = 0
     for _, entry, ctx in _basic_contexts(cache):
         checked += 1
-        alg = ctx.analysis.algebra
         dec = ctx.analysis.dec
         nu = ctx.analysis.nak.nu
-        pattern = duality_pattern(alg, dec, cache.seed)
+        pattern = duality_pattern(ctx.analysis.corners, cache.seed)
         if pattern != [{nu[i]} for i in range(dec.n)]:
             failures.append(f"{entry.key}: duality pattern {pattern} vs nu {nu}")
         prov = entry.provenance
@@ -464,12 +463,12 @@ def check_negative_controls(seed: int = DEFAULT_SEED) -> CheckResult:
     a2 = path_algebra_a2()
     rad = radical(a2)
     dec = canonical_decomposition(a2, DEFAULT_SEED, rad)
+    corners = PeirceCorners(a2, dec.reps)
     try:
-        nakayama(a2, dec, rad)
+        nakayama(corners, rad)
         failures.append("path algebra A2 accepted by the socle test")
     except NotSelfInjectiveLike:
         pass
-    corners = PeirceCorners(a2, dec.reps)
     for nu in ((0, 1), (1, 0)):
         try:
             construct_counit(corners, NakayamaData(nu, [[], []]), rad, seed)
@@ -559,7 +558,7 @@ def check_round_trip(cache: CorpusCache) -> CheckResult:
                 r.invariant
                 and r.coassociative
                 and r.rank == r0.rank
-                and r.feasible == r0.feasible
+                and r.counital == r0.counital
                 and (not all(r.bijection_per_class) or r.counit_built)
             )
             if preset == "singleton":

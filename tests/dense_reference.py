@@ -22,14 +22,18 @@ checks ``algebra.products`` and the checks batched over it; they keep
 test.  ``basic_reduction_reference`` builds the corner algebra e A e
 the same way, one ``multiply`` call per composable pair of corner basis
 vectors, so comparing against it checks ``PeirceCorners.copy_algebra``
-at every multiplicity 1.  ``single_constant_mutants`` gives the seeded
+at every multiplicity 1.  ``one_sided_reference`` spans e A or A e by
+one ``multiply`` call per basis element, so comparing against it checks
+``PeirceCorners.one_sided``, and ``nakayama_reference`` reads the socles
+and the permutation off those spans, so comparing against it checks
+``nakayama``.  ``single_constant_mutants`` gives the seeded
 corrupted tables that the differential tests feed to both sides.
 """
 
 from sialg.algebra import Element, FinDimAlgebra, combination, multiply
-from sialg.errors import AlgebraError
+from sialg.errors import AlgebraError, NotSelfInjectiveLike
 from sialg.linalg import Span
-from sialg.structure import PeirceCorners, RadicalData
+from sialg.structure import PeirceCorners, RadicalData, annihilator
 
 
 def rref(field, rows, ncols):
@@ -288,6 +292,30 @@ def basic_reduction_reference(alg, reps):
     lam = FinDimAlgebra(alg.field, labels, structure, unit)
     lam.validate()
     return lam, [lam.element(image) for image in images], elements
+
+
+def one_sided_reference(alg, rep, left):
+    """Echelon basis of rep A if `left`, else of A rep: the span of
+    rep . b_t (or b_t . rep) over the basis b_t."""
+    span = Span(alg.field)
+    for b in alg.basis():
+        span.add((multiply(rep, b) if left else multiply(b, rep)).coeffs)
+    return [Element(alg, dict(row)) for row in span.basis_vectors()]
+
+
+def nakayama_reference(alg, reps, rad):
+    """(nu, socles) for a basic algebra with one rep per class: soc(e_i A)
+    is the right annihilator of the radical in the reference span of e_i A,
+    and nu(i) the one class k with soc(e_i A) e_k != 0."""
+    nu, socles = [], []
+    for i, rep in enumerate(reps):
+        soc = annihilator(alg, one_sided_reference(alg, rep, True), [], rad.basis)
+        hits = [k for k, ek in enumerate(reps) if any(multiply(s, ek).coeffs for s in soc)]
+        if len(hits) != 1:
+            raise NotSelfInjectiveLike(f"socle of class {i} meets classes {hits}")
+        nu.append(hits[0])
+        socles.append(soc)
+    return tuple(nu), socles
 
 
 def model_map_failure(alg, model, images):

@@ -453,6 +453,19 @@ def test_functional_and_tensor_json_non_array_refused(cls, what, value):
         cls.from_json(A, value)
 
 
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=["QQ", "GF7"])
+def test_functional_json_scalar_entries(field):
+    # a JSON integer reads as a scalar, as in tensor JSON; any other entry
+    # that is not a scalar string is refused as BadParams
+    A = nakayama_algebra(1, 2, field)
+    assert Functional.from_json(A, [1, 0]) == Functional.from_json(A, ["1", "0"])
+    for bad in ([None, "1"], [[1], "0"]):
+        with pytest.raises(BadParams, match="^malformed functional JSON: "):
+            Functional.from_json(A, bad)
+    with pytest.raises(BadParams, match="is not exact"):
+        Functional.from_json(A, [1.5, 0])
+
+
 def test_permute_basis_is_isomorphism():
     rng = random.Random(9)
     A = nsy_algebra(2, 2, (1, 2)).algebra

@@ -56,7 +56,7 @@ from sialg.structure import (
 def _setup(alg):
     rad = radical(alg)
     dec = canonical_decomposition(alg, rad=rad)
-    nak = nakayama(alg, dec, rad)
+    nak = nakayama(PeirceCorners(alg, dec.reps), rad)
     return dec, nak, rad
 
 

@@ -33,8 +33,7 @@ def test_nakayama_algebra_examples():
     assert k.dim == 1 and k.unit == k.basis_element(0)
     B = nakayama_algebra(2, 2)
     assert B.dim == 4
-    dec = canonical_decomposition(B)
-    nak = nakayama(B, dec)
+    nak = nakayama(PeirceCorners(B, canonical_decomposition(B).reps), radical(B))
     assert sorted(nak.nu) == [0, 1] and nak.nu != (0, 1)  # the transposition
 
 

@@ -25,6 +25,7 @@ from sialg.frobenius import (
     verify_frobenius_pair,
 )
 from sialg.linalg import Matrix
+from sialg.pipeline import analyze
 from sialg.structure import (
     NakayamaData,
     PeirceCorners,
@@ -36,9 +37,8 @@ from sialg.structure import (
 
 def _setup(alg):
     rad = radical(alg)
-    dec = canonical_decomposition(alg, rad=rad)
-    nak = nakayama(alg, dec, rad)
-    return PeirceCorners(alg, dec.reps), nak, rad
+    corners = PeirceCorners(alg, canonical_decomposition(alg, rad=rad).reps)
+    return corners, nakayama(corners, rad), rad
 
 
 def test_small_spaces_kx2():
@@ -60,9 +60,11 @@ def test_small_spaces_b22():
 
 
 def test_small_spaces_semisimple_whole_corner():
+    # nakayama reads a basic algebra, so nu comes from M's basic reduction
     M = matrix_algebra(2)
-    corners, nak, rad = _setup(M)
-    small = small_spaces(corners, nak, rad)
+    rad = radical(M)
+    corners = PeirceCorners(M, canonical_decomposition(M, rad=rad).reps)
+    small = small_spaces(corners, analyze(M).nak, rad)
     assert [len(b) for b in small] == [1]  # corner e11 M e11, J = 0
 
 
@@ -261,6 +263,8 @@ def test_pair_json_round_trip():
     ({"epsilon": ["0", "1"], "y": [[0, 1, "1", "x"]]}, "malformed tensor JSON: too many values"),
     ({"epsilon": ["0", "1"], "y": [[0, 0, None]]}, "malformed tensor JSON"),
     ({"epsilon": ["0", "1"], "y": [7]}, "malformed tensor JSON"),
+    ({"epsilon": [None, "1"], "y": []}, "malformed functional JSON"),
+    ({"epsilon": [[1], "0"], "y": []}, "malformed functional JSON"),
 ])
 def test_pair_json_malformed_refused(data, message):
     # each of these once escaped as a bare TypeError, KeyError or ValueError

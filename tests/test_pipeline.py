@@ -6,7 +6,7 @@ import pytest
 
 import dense_reference as dense
 from sialg import linalg
-from sialg.algebra import is_invariant, permute_basis
+from sialg.algebra import combination, is_invariant, permute_basis
 from sialg.amplify import SpreadSpec
 from sialg.errors import AlgebraError, InvalidAlgebra, NotSelfInjectiveLike
 from sialg.families import (
@@ -96,7 +96,7 @@ def test_pipeline_nsy_2_2_1_2_singleton():
     r = run.report
     assert r.invariant and r.coassociative
     assert r.rank == r.dim == 9
-    assert not r.counital and not r.feasible
+    assert not r.counital and r.to_json()["counit_feasible"] is False
     assert r.routes_consistent
 
 
@@ -145,7 +145,7 @@ def test_context_reuse_across_specs():
     r1 = run_spec(ctx, "singleton").report
     r2 = run_spec(ctx, "diagonal").report
     assert r1.rank == r2.rank == 8
-    assert not r1.feasible and r2.feasible
+    assert not r1.counital and r2.counital
 
 
 def _count_corner_builds(monkeypatch):
@@ -189,9 +189,9 @@ def small_contexts():
     return [(entry, prepare(entry.algebra)) for entry in corpus("small")]
 
 
-def _model_map_outcome(alg, amp, emb, wit):
+def _model_map_outcome(alg, amp, elements, wit):
     try:
-        ModelIsomorphism(alg, amp, emb, wit)
+        ModelIsomorphism(alg, amp, elements, wit)
     except AlgebraError as exc:
         return str(exc)
     return None
@@ -204,12 +204,12 @@ def test_model_map_refuses_corrupted_input(small_contexts):
     refused = 0
     for entry, ctx in small_contexts:
         alg = entry.algebra
-        emb, wit = ctx.analysis.embedding, ctx.witnesses
-        assert _model_map_outcome(alg, ctx.amp, emb, wit) is None
+        elements, wit = ctx.analysis.elements, ctx.witnesses
+        assert _model_map_outcome(alg, ctx.amp, elements, wit) is None
         for corrupt in dense.single_constant_mutants(alg, rng, 2):
             if corrupt.structure_equal(alg):
                 continue
-            got = _model_map_outcome(corrupt, ctx.amp, emb, wit)
+            got = _model_map_outcome(corrupt, ctx.amp, elements, wit)
             assert got is not None and "not multiplicative" in got, entry.key
             assert got == dense.model_map_failure(corrupt, ctx.amp.algebra, ctx.model_map.images)
             refused += 1
@@ -224,11 +224,15 @@ def test_model_map_matches_per_pair_reference_on_mutants(small_contexts):
     outcomes = []
     for entry, ctx in small_contexts:
         alg, amp = entry.algebra, ctx.amp
-        emb, wit = ctx.analysis.embedding, ctx.witnesses
+        elements, wit = ctx.analysis.elements, ctx.witnesses
+
+        def embed(q):
+            return q if elements is None else combination(alg, elements, q.coeffs)
+
         for model in dense.single_constant_mutants(amp.algebra, rng, 2):
             fake = copy.copy(amp)
             fake.algebra = model
-            got = _model_map_outcome(alg, fake, emb, wit)
+            got = _model_map_outcome(alg, fake, elements, wit)
             want = dense.model_map_failure(alg, model, ctx.model_map.images)
             assert got == want or (want is None and got == "model map is not bijective")
             outcomes.append(got)
@@ -240,10 +244,10 @@ def test_model_map_matches_per_pair_reference_on_mutants(small_contexts):
             lists[side][i][s] = lists[side][i][s] + alg.basis_element(rng.randrange(alg.dim))
             bad = IsoWitness(lists["us"], lists["vs"])
             images = [
-                bad.vs[j][t - 1] * emb.to_parent(amp.corners.bases[(j, i2)][b]) * bad.us[i2][s2 - 1]
+                bad.vs[j][t - 1] * embed(amp.corners.bases[(j, i2)][b]) * bad.us[i2][s2 - 1]
                 for (i2, j, s2, t, b) in amp.tuples
             ]
-            got = _model_map_outcome(alg, amp, emb, bad)
+            got = _model_map_outcome(alg, amp, elements, bad)
             want = dense.model_map_failure(alg, amp.algebra, images)
             assert got == want or (want is None and got == "model map is not bijective")
             outcomes.append(got)
@@ -391,7 +395,7 @@ def test_pipeline_on_dense_change_of_basis():
             r = run_spec(ctx, preset).report
             r0 = run_spec(base, preset).report
             assert r.invariant and r.coassociative
-            assert r.rank == r0.rank and r.feasible == r0.feasible
+            assert r.rank == r0.rank and r.counital == r0.counital
 
 
 def test_transport_functional_matches_dense_solve():
@@ -430,8 +434,8 @@ def _stored_scalars(ctx, runs):
     for name, alg in (("input", a.algebra), ("basic", a.lam), ("model", ctx.amp.algebra)):
         sparse += [(f"{name} rows", row) for line in alg.rows for row in line]
         sparse.append((f"{name} unit", alg.unit.coeffs))
-    for name, dec in (("input", a.dec), ("basic", a.embedding.dec_lam)):
-        for e in dec.all_idempotents():
+    for name, idempotents in (("input", a.dec.all_idempotents()), ("basic", a.corners.reps)):
+        for e in idempotents:
             sparse += [(f"{name} idempotent", e.coeffs), (f"{name} -idempotent", (-e).coeffs)]
     for name, rad in (("input", a.rad), ("basic", a.rad_lam)):
         sparse += [(f"{name} radical span", row) for row in rad.span.rows.values()]
@@ -487,7 +491,7 @@ def test_base_change_to_gf101_keeps_invariants(entry):
     assert analysis_facts(ctx_p) == analysis_facts(ctx_q)
     for preset in PRESETS:
         facts = [
-            (r.rank, r.injective, r.invariant, r.coassociative, r.feasible)
+            (r.rank, r.injective, r.invariant, r.coassociative, r.counital)
             for r in (run_spec(ctx, preset).report for ctx in (ctx_q, ctx_p))
         ]
         assert facts[0] == facts[1], preset

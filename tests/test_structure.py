@@ -5,9 +5,9 @@ import pytest
 
 import dense_reference as dense
 from sialg import structure
-from sialg.algebra import multiply, permute_basis
+from sialg.algebra import combination, multiply, permute_basis
 from sialg.amplify import amplify, lift
-from sialg.errors import AlgebraError, NotSelfInjectiveLike, UnsupportedField
+from sialg.errors import AlgebraError, NotBasic, NotSelfInjectiveLike, UnsupportedField
 from sialg.families import (
     corpus,
     field_product_algebra,
@@ -21,7 +21,6 @@ from sialg.fields import Field, QQ
 from sialg.linalg import Span
 from sialg.pipeline import analyze
 from sialg.structure import (
-    NakayamaData,
     PeirceCorners,
     basic_reduction,
     canonical_decomposition,
@@ -30,7 +29,6 @@ from sialg.structure import (
     iso_witnesses,
     nakayama,
     radical,
-    verify_nakayama_duality,
 )
 
 
@@ -192,30 +190,33 @@ def test_decomposition_invariants_random_algebras():
                     assert multiply(idems[a], idems[b]).is_zero()
 
 
+def _corners_and_rad(alg):
+    """The Peirce corners of a basic algebra by its class reps, and its radical."""
+    rad = radical(alg)
+    return PeirceCorners(alg, canonical_decomposition(alg, rad=rad).reps), rad
+
+
 def test_nakayama_examples():
     for l in (1, 2, 3):
-        A = nakayama_algebra(1, l)
-        nak = nakayama(A, canonical_decomposition(A))
+        nak = nakayama(*_corners_and_rad(nakayama_algebra(1, l)))
         assert nak.nu == (0,)
     # cyclic shift on B(n, l): nu(i) = i + l - 1, via the vertex identification
     for n, l in ((2, 2), (3, 2), (2, 3), (3, 3)):
         B = nakayama_algebra(n, l)
+        corners, rad = _corners_and_rad(B)
         dec = canonical_decomposition(B)
-        nak = nakayama(B, dec)
+        nak = nakayama(corners, rad)
         vertex = [next(iter(rep.coeffs)) // l for rep in dec.reps]
         cls_of_vertex = {v: c for c, v in enumerate(vertex)}
         assert nak.nu == tuple(
             cls_of_vertex[(vertex[c] + l - 1) % n] for c in range(dec.n)
         )
-    g2 = group_algebra([2], Field(2))
-    nak = nakayama(g2, canonical_decomposition(g2))
+    nak = nakayama(*_corners_and_rad(group_algebra([2], Field(2))))
     assert nak.nu == (0,)
 
 
 def test_nakayama_socles():
-    B = nakayama_algebra(2, 2)
-    dec = canonical_decomposition(B)
-    nak = nakayama(B, dec)
+    nak = nakayama(*_corners_and_rad(nakayama_algebra(2, 2)))
     for i, soc in enumerate(nak.socles):
         assert len(soc) == 1
         # socle of e_i B is spanned by the length-1 path at its vertex
@@ -224,56 +225,51 @@ def test_nakayama_socles():
 
 
 def test_nakayama_rejects_a2():
-    a2 = path_algebra_a2()
     with pytest.raises(NotSelfInjectiveLike):
-        nakayama(a2, canonical_decomposition(a2))
+        nakayama(*_corners_and_rad(path_algebra_a2()))
 
 
 def test_duality_examples():
-    B = nakayama_algebra(2, 2)
-    dec = canonical_decomposition(B)
-    nak = nakayama(B, dec)
-    from sialg.structure import corner_basis
-
+    corners, rad = _corners_and_rad(nakayama_algebra(2, 2))
+    nak = nakayama(corners, rad)
     for i in range(2):
-        assert len(corner_basis(B, dec.reps[i], None)) == 2
-    assert verify_nakayama_duality(B, dec, nak)
-    kx3 = nakayama_algebra(1, 3)
-    dec3 = canonical_decomposition(kx3)
-    assert verify_nakayama_duality(kx3, dec3, nakayama(kx3, dec3))
+        assert len(corners.one_sided(i, True)) == 2
+    assert duality_pattern(corners) == [{nak.nu[i]} for i in range(2)]
+    corners3, rad3 = _corners_and_rad(nakayama_algebra(1, 3))
+    assert duality_pattern(corners3) == [set(nakayama(corners3, rad3).nu)]
 
 
 def test_duality_fails_on_a2():
-    a2 = path_algebra_a2()
-    dec = canonical_decomposition(a2)
-    # nakayama() rejects A2, so feed the duality check a hand-made permutation
-    assert not verify_nakayama_duality(a2, dec, NakayamaData((1, 0), [[], []]))
-    assert not verify_nakayama_duality(a2, dec, NakayamaData((0, 1), [[], []]))
-    pattern = duality_pattern(a2, dec)
+    # nakayama() rejects A2, so test both permutations against the pattern
+    corners, _ = _corners_and_rad(path_algebra_a2())
+    pattern = duality_pattern(corners)
+    for nu in ((1, 0), (0, 1)):
+        assert not all(nu[i] in pattern[i] for i in range(2))
     assert [len(s) for s in pattern] != [1, 1] or pattern[0] == pattern[1]
 
 
 def test_duality_pattern_matches_nu():
     for alg in (nakayama_algebra(2, 2), nakayama_algebra(3, 2), group_algebra([2])):
-        dec = canonical_decomposition(alg)
-        nak = nakayama(alg, dec)
-        assert duality_pattern(alg, dec) == [{nak.nu[i]} for i in range(dec.n)]
+        corners, rad = _corners_and_rad(alg)
+        nak = nakayama(corners, rad)
+        assert duality_pattern(corners) == [{v} for v in nak.nu]
 
 
 def test_basic_reduction_m2():
     M = matrix_algebra(2)
     dec = canonical_decomposition(M)
-    lam, emb = basic_reduction(M, dec)
+    lam, reps, elements = basic_reduction(M, dec)
     assert lam.dim == 1
-    assert emb.dec_lam.multiplicities == (1,)
+    assert reps == [lam.unit]
+    assert elements == [dec.reps[0]]
 
 
 def test_basic_reduction_identity_on_basic():
     B = nakayama_algebra(2, 2)
     dec = canonical_decomposition(B)
-    lam, emb = basic_reduction(B, dec)
+    lam, reps, elements = basic_reduction(B, dec)
     assert lam is B
-    assert emb.to_parent(B.basis_element(1)) == B.basis_element(1)
+    assert reps == dec.reps and elements is None
 
 
 def _outer(alg, terms):
@@ -363,7 +359,7 @@ def _built(alg, reps, monkeypatch):
 def test_peirce_corners_reassemble(alg, monkeypatch):
     rng = random.Random(97)
     a = analyze(alg)
-    dec, dec_lam = a.dec, a.embedding.dec_lam
+    dec = a.dec
     # the input with one representative per class: e a e, e = 1 iff basic
     basic = all(v == 1 for v in dec.multiplicities)
     _check_corners(_built(alg, dec.reps, monkeypatch), rng, basic)
@@ -372,7 +368,7 @@ def test_peirce_corners_reassemble(alg, monkeypatch):
     # the amplified model cut by every copy idempotent, then by one per class
     amp = amplify(a.corners, dec.multiplicities)
     copies = [
-        [lift(amp, rep, t, t) for t in range(1, amp.m[i] + 1)] for i, rep in enumerate(dec_lam.reps)
+        [lift(amp, rep, t, t) for t in range(1, amp.m[i] + 1)] for i, rep in enumerate(a.corners.reps)
     ]
     every_copy = _built(amp.algebra, [e for cls in copies for e in cls], monkeypatch)
     _check_corners(every_copy, rng, True)
@@ -402,16 +398,20 @@ def _find_iso_by_permutation(A, B):
 def test_basic_reduction_of_amplified_is_b22():
     A = nsy_algebra(2, 2, (1, 2)).algebra
     dec = canonical_decomposition(A)
-    lam, emb = basic_reduction(A, dec)
+    lam, reps, elements = basic_reduction(A, dec)
     assert lam.dim == 4
-    assert emb.dec_lam.multiplicities == (1, 1)
+    assert len(reps) == 2 and reps[0] + reps[1] == lam.unit
     assert _find_iso_by_permutation(lam, nakayama_algebra(2, 2)) is not None
-    # embedding is multiplicative on the corner
+    # the embedding along `elements` is multiplicative on the corner
     rng = random.Random(4)
+
+    def embed(x):
+        return combination(A, elements, x.coeffs)
+
     for _ in range(10):
         a = lam.element({i: QQ(rng.randint(-2, 2)) for i in range(lam.dim)})
         b = lam.element({i: QQ(rng.randint(-2, 2)) for i in range(lam.dim)})
-        assert emb.to_parent(a * b) == emb.to_parent(a) * emb.to_parent(b)
+        assert embed(a * b) == embed(a) * embed(b)
 
 
 _NON_BASIC_INPUTS = [(e.key, e.algebra) for e in corpus("standard")] + [
@@ -425,13 +425,43 @@ def test_basic_reduction_matches_per_pair_reference():
         dec = canonical_decomposition(alg)
         if all(v == 1 for v in dec.multiplicities):
             continue
-        lam, emb = basic_reduction(alg, dec)
+        lam, reps, elements = basic_reduction(alg, dec)
         ref, ref_reps, ref_elements = dense.basic_reduction_reference(alg, dec.reps)
         assert lam.structure_equal(ref), key
-        assert [e.coeffs for e in emb.dec_lam.reps] == [e.coeffs for e in ref_reps], key
-        assert [e.coeffs for e in emb.elements] == [e.coeffs for e in ref_elements], key
+        assert [e.coeffs for e in reps] == [e.coeffs for e in ref_reps], key
+        assert [e.coeffs for e in elements] == [e.coeffs for e in ref_elements], key
         compared += 1
     assert compared == 76  # 75 of the 86 standard algebras, and the GF(101) one
+
+
+def _rows(elements):
+    return [list(e.coeffs.items()) for e in elements]
+
+
+def test_one_sided_and_nakayama_match_reference():
+    # e_i A and A e_i re-echelonized from the corners equal the span of
+    # e_i b_t (b_t e_i) row for row, entry order included, and nakayama
+    # reads the same permutation and socles off them
+    for key, alg in _NON_BASIC_INPUTS:
+        a = analyze(alg)
+        corners, lam = a.corners, a.lam
+        for i, rep in enumerate(corners.reps):
+            for left in (True, False):
+                assert _rows(corners.one_sided(i, left)) == _rows(
+                    dense.one_sided_reference(lam, rep, left)
+                ), (key, i, left)
+        nu, socles = dense.nakayama_reference(lam, corners.reps, a.rad_lam)
+        assert a.nak.nu == nu, key
+        assert [_rows(soc) for soc in a.nak.socles] == [_rows(soc) for soc in socles], key
+
+
+def test_one_sided_needs_reps_summing_to_one():
+    M = matrix_algebra(2)
+    corners = PeirceCorners(M, canonical_decomposition(M).reps)
+    with pytest.raises(NotBasic):
+        corners.one_sided(0, True)
+    with pytest.raises(NotBasic):
+        nakayama(corners, radical(M))
 
 
 def test_iso_witnesses_m2():
