@@ -1,7 +1,8 @@
 """Structure-constant algebras, elements, functionals and sparse tensors.
 
-A :class:`FinDimAlgebra` stores the products of basis pairs as sparse
-rows, so every operation here reduces to exact sparse accumulation.  All
+A :class:`FinDimAlgebra` stores only the nonzero products of basis
+pairs, as sparse rows that are their own index of nonzero pairs, so
+every operation here reduces to exact sparse accumulation.  All
 values are immutable after construction and all checks return ``None``
 on success or a lowest-index witness on failure, so a failing report can
 always point at concrete data.  Everything is pure; the associativity
@@ -34,28 +35,29 @@ class FinDimAlgebra:
     __slots__ = ("field", "dim", "labels", "rows", "_unit", "_unit_coeffs")
 
     def __init__(self, field: Field, labels, structure, unit_coeffs):
-        """structure: iterable of (i, j, k, scalar) with b_i b_j = sum_k c b_k."""
+        """structure: iterable of (i, j, k, scalar) with b_i b_j = sum_k c b_k,
+        each (i, j, k) at most once, whatever its scalar."""
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         d = self.dim
         if d == 0:
             raise BadParams("algebra dimension must be positive")
-        rows = [[None] * d for _ in range(d)]
+        rows = [{} for _ in range(d)]
         for i, j, k, c in structure:
             if not (0 <= i < d and 0 <= j < d and 0 <= k < d):
                 raise BadParams(f"structure index out of range: {(i, j, k)}")
-            c = field(c)
-            if not c:
-                continue
-            row = rows[i][j]
-            if row is None:
-                row = rows[i][j] = {}
-            if k in row:
+            prod = rows[i].setdefault(j, {})
+            if k in prod:
                 raise BadParams(f"duplicate structure entry {(i, j, k)}")
-            row[k] = c
-        empty = {}
-        self.rows = [[r if r is not None else empty for r in line] for line in rows]
+            prod[k] = field(c)
+        # rows[i] = {j: {k: c}} over the nonzero products b_i b_j only, in
+        # increasing j: the table is its own index of nonzero pairs
+        self.rows = [
+            {j: nz for j, prod in sorted(row.items())
+             if (nz := {k: c for k, c in prod.items() if c})}
+            for row in rows
+        ]
         coeffs = {}
         for k, c in enumerate(unit_coeffs):
             c = field(c)
@@ -113,21 +115,20 @@ class FinDimAlgebra:
         return Tensor2(self, out)
 
     def is_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.rows[i][j] != self.rows[j][i]:
-                    return False
-        return True
+        rows = self.rows
+        return all(
+            rows[j].get(i) == prod for i, row in enumerate(rows) for j, prod in row.items()
+        )
 
     def same_space(self, other) -> bool:
         return self is other or (self.dim == other.dim and self.field == other.field)
 
     def to_json(self) -> dict:
         struct = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in sorted(self.rows[i][j]):
-                    struct.append([i, j, k, self.field.format(self.rows[i][j][k])])
+        for i, row in enumerate(self.rows):
+            for j, prod in row.items():
+                for k in sorted(prod):
+                    struct.append([i, j, k, self.field.format(prod[k])])
         unit = [
             self.field.format(self._unit_coeffs.get(k, self.field.zero))
             for k in range(self.dim)
@@ -319,15 +320,15 @@ class Tensor2:
 
     def legs(self) -> tuple:
         """(by_left, by_right): the terms c u_alpha (x) v_beta grouped by
-        left leg, [(alpha, [(beta, c), ...])], and by right leg,
-        [(beta, [(alpha, c), ...])].  Computed on first use."""
+        left leg, {alpha: [(beta, c), ...]}, and by right leg,
+        {beta: [(alpha, c), ...]}.  Computed on first use."""
         if self._legs is None:
             by_left: dict = {}
             by_right: dict = {}
             for (alpha, beta), c in self.coeffs.items():
                 by_left.setdefault(alpha, []).append((beta, c))
                 by_right.setdefault(beta, []).append((alpha, c))
-            self._legs = (list(by_left.items()), list(by_right.items()))
+            self._legs = (by_left, by_right)
         return self._legs
 
     def delta(self) -> list:
@@ -387,8 +388,11 @@ def multiply(a: Element, b: Element) -> Element:
     for i, ca in a.coeffs.items():
         row_i = rows[i]
         for j, cb in b.coeffs.items():
+            prod = row_i.get(j)
+            if prod is None:
+                continue
             c = ca * cb
-            for k, ck in row_i[j].items():
+            for k, ck in prod.items():
                 w = out.get(k, 0) + c * ck
                 if p:
                     w %= p
@@ -413,12 +417,13 @@ def products(alg: FinDimAlgebra, xs, ys):
     for t, y in enumerate(ys):
         for j, c in y.items():
             by_key.setdefault(j, []).append((t, c))
-    meets = [[(by_key[j], row) for j, row in enumerate(line) if row and j in by_key]
-             for line in rows]
     for x in xs:
         acc: dict = {}
         for i, ca in x.items():
-            for terms, row in meets[i]:
+            for j, row in rows[i].items():
+                terms = by_key.get(j)
+                if terms is None:
+                    continue
                 for t, cb in terms:
                     c = ca * cb
                     out = acc.setdefault(t, {})
@@ -460,30 +465,27 @@ def check_associativity(alg: FinDimAlgebra):
     order, so the witness is the lowest failing triple.
     """
     rows = alg.rows
-    d = alg.dim
     p = alg.field.p
-    nonzero = [[k for k in range(d) if rows_l[k]] for rows_l in rows]
-    producers: list = [[] for _ in range(d)]  # l -> (j, k) with b_l in supp(b_j b_k)
-    for j in range(d):
-        for k in nonzero[j]:
-            for l in rows[j][k]:
+    producers: list = [[] for _ in rows]  # l -> (j, k) with b_l in supp(b_j b_k)
+    for j, rows_j in enumerate(rows):
+        for k, prod in rows_j.items():
+            for l in prod:
                 producers[l].append((j, k))
-    for i in range(d):
-        rows_i = rows[i]
+    for i, rows_i in enumerate(rows):
         pairs = set()
-        for j in nonzero[i]:
-            for l in rows_i[j]:
-                pairs.update((j, k) for k in nonzero[l])
-        for l in nonzero[i]:
+        for j, prod in rows_i.items():
+            for l in prod:
+                pairs.update((j, k) for k in rows[l])
+        for l in rows_i:
             pairs.update(producers[l])
         for j, k in sorted(pairs):
             left: dict = {}
-            for l, c in rows_i[j].items():
-                for m, c2 in rows[l][k].items():
+            for l, c in rows_i.get(j, {}).items():
+                for m, c2 in rows[l].get(k, {}).items():
                     _accum(left, m, c * c2, p)
             right: dict = {}
-            for l, c in rows[j][k].items():
-                for m, c2 in rows_i[l].items():
+            for l, c in rows[j].get(k, {}).items():
+                for m, c2 in rows_i.get(l, {}).items():
                     _accum(right, m, c * c2, p)
             if left != right:
                 return (i, j, k)
@@ -503,10 +505,9 @@ def act_left(a: Element, t: Tensor2) -> Tensor2:
     by_left = t.legs()[0]
     out: dict = {}
     for i, ca in a.coeffs.items():
-        rows_i = rows[i]
-        for alpha, terms in by_left:
-            prod = rows_i[alpha]
-            if not prod:
+        for alpha, prod in rows[i].items():
+            terms = by_left.get(alpha)
+            if terms is None:
                 continue
             for k, ck in prod.items():
                 cc = ca * ck
@@ -522,31 +523,40 @@ def act_left(a: Element, t: Tensor2) -> Tensor2:
     return Tensor2(t.algebra, out)
 
 
-def act_right(t: Tensor2, a: Element) -> Tensor2:
-    """(u (x) v) . a = u (x) (v a), extended bilinearly, visiting only the
-    right legs beta with b_beta b_j != 0 for the acting b_j."""
-    if not a.algebra.same_space(t.algebra):
-        raise DimensionMismatch("action across algebras")
+def right_images(t: Tensor2) -> list:
+    """Entry g holds the coefficients of t . b_g.  All are built in one walk
+    of each right leg beta against the nonzero products b_beta b_g of its
+    row, so no pair (beta, g) with b_beta b_g = 0 is visited."""
     rows = t.algebra.rows
     p = t.algebra.field.p
-    by_right = t.legs()[1]
-    out: dict = {}
-    for j, ca in a.coeffs.items():
-        for beta, terms in by_right:
-            prod = rows[beta][j]
-            if not prod:
-                continue
+    images: list = [{} for _ in rows]
+    for beta, terms in t.legs()[1].items():
+        for g, prod in rows[beta].items():
+            out = images[g]
             for k, ck in prod.items():
-                cc = ck * ca
                 for alpha, c in terms:
                     key = (alpha, k)
-                    w = out.get(key, 0) + c * cc
+                    w = out.get(key, 0) + c * ck
                     if p:
                         w %= p
                     if w:
                         out[key] = w
                     else:
                         out.pop(key, None)
+    return images
+
+
+def act_right(t: Tensor2, a: Element) -> Tensor2:
+    """(u (x) v) . a = u (x) (v a), extended bilinearly: the combination
+    sum_j a_j (t . b_j) of the right images."""
+    if not a.algebra.same_space(t.algebra):
+        raise DimensionMismatch("action across algebras")
+    images = right_images(t)
+    p = t.algebra.field.p
+    out: dict = {}
+    for j, ca in a.coeffs.items():
+        for key, c in images[j].items():
+            _accum(out, key, c * ca, p)
     return Tensor2(t.algebra, out)
 
 
@@ -556,9 +566,8 @@ def is_invariant(t: Tensor2):
     Invariance is linear in the acting element, so checking the basis is
     exhaustive for the whole algebra.
     """
-    alg = t.algebra
-    for g, img in enumerate(t.delta()):
-        if img != act_right(t, alg.basis_element(g)).coeffs:
+    for g, (left, right) in enumerate(zip(t.delta(), right_images(t))):
+        if left != right:
             return g
     return None
 
@@ -635,9 +644,9 @@ def permute_basis(alg: FinDimAlgebra, perm) -> FinDimAlgebra:
     for r, i in enumerate(perm):
         inv[i] = r
     structure = []
-    for i in range(d):
-        for j in range(d):
-            for k, c in alg.rows[i][j].items():
+    for i, row in enumerate(alg.rows):
+        for j, prod in row.items():
+            for k, c in prod.items():
                 structure.append((inv[i], inv[j], inv[k], c))
     unit = [alg.field.zero] * d
     for k, c in alg._unit_coeffs.items():

@@ -312,12 +312,12 @@ class ComultiplicationReport:
     coassociative_witness: tuple | None
     rank: int
     injective: bool
-    bijection_per_class: list | None
+    bijection_per_class: list
     counital: bool
     counit: Functional | None
     counit_built: bool
     solution_space_dim: int
-    routes_consistent: bool | None
+    routes_consistent: bool
 
     def to_json(self):
         return {
@@ -343,7 +343,7 @@ class ComultiplicationReport:
 def comultiplication_report(
     alg: FinDimAlgebra,
     x: Tensor2,
-    bijection_per_class: list | None = None,
+    bijection_per_class: list,
     built_counit: Functional | None = None,
 ) -> ComultiplicationReport:
     """Exact verification of one comultiplication tensor.
@@ -351,23 +351,22 @@ def comultiplication_report(
     Counitality is decided by the independent linear oracle; when a
     constructed counit is supplied, it must satisfy the identities (and
     hence solve the oracle's system), which cross-checks the two routes.
+    The routes are consistent when the oracle finds a counit exactly on
+    bijection-graph data (`bijection_per_class` all true) and a supplied
+    counit satisfies both identities.
     """
     inv_w = is_invariant(x)
     coa_w = check_coassociativity(x)
     rk = delta_rank(x)
     oracle, nullity = counit_solution_space(alg, x)
-    built_ok = None
+    built_ok = built_counit is not None and (
+        apply_functional("left", built_counit, x) == alg.unit
+        and apply_functional("right", built_counit, x) == alg.unit
+    )
+    counit = built_counit if built_ok else oracle
+    routes = (oracle is not None) == all(bijection_per_class)
     if built_counit is not None:
-        built_ok = (
-            apply_functional("left", built_counit, x) == alg.unit
-            and apply_functional("right", built_counit, x) == alg.unit
-        )
-    counit = built_counit if (built_counit is not None and built_ok) else oracle
-    routes = None
-    if bijection_per_class is not None:
-        routes = (oracle is not None) == all(bijection_per_class)
-        if built_counit is not None:
-            routes = routes and bool(built_ok)
+        routes = routes and built_ok
     return ComultiplicationReport(
         dim=alg.dim,
         invariant=inv_w is None,
@@ -379,7 +378,7 @@ def comultiplication_report(
         bijection_per_class=bijection_per_class,
         counital=oracle is not None,
         counit=counit,
-        counit_built=built_counit is not None and bool(built_ok),
+        counit_built=built_ok,
         solution_space_dim=nullity,
         routes_consistent=routes,
     )

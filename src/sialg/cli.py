@@ -130,7 +130,7 @@ def cmd_verify(args) -> int:
         run = run_spec(prepare(alg, args.seed), args.preset)
         _dump(run.report.to_json(), args.report or args.output)
         r = run.report
-        ok = r.invariant and r.coassociative
+        ok = r.invariant and r.coassociative and r.injective
         print("PASS" if ok else "FAIL", "single-input verification")
         return 0 if ok else 2
     results = run_verification(args.profile, args.seed)

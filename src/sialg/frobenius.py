@@ -78,16 +78,15 @@ def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
     field = lam.field
     vals = eps.values
     rows = []
-    for a in range(d):
-        row_a = lam.rows[a]
-        out = []
-        for b in range(d):
+    for row in lam.rows:
+        out = [field.zero] * d
+        for b, prod in row.items():
             acc = field.zero
-            for k, c in row_a[b].items():
+            for k, c in prod.items():
                 v = vals[k]
                 if v:
                     acc = acc + c * v
-            out.append(field.normal(acc))
+            out[b] = field.normal(acc)
         rows.append(out)
     return Matrix(field, rows)
 
@@ -156,9 +155,8 @@ def dual_basis_tensor(lam: FinDimAlgebra, eps: Functional) -> Tensor2:
     except SingularMatrix as exc:
         raise SingularGram("Gram matrix of the counit is singular") from exc
     coeffs = {}
-    for a in range(lam.dim):
-        for g in range(lam.dim):
-            c = ginv.rows[a][g]
+    for a, row in enumerate(ginv.rows):
+        for g, c in enumerate(row):
             if c:
                 coeffs[(a, g)] = c
     y = Tensor2(lam, coeffs)

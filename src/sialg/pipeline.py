@@ -153,8 +153,8 @@ class ModelIsomorphism:
         vectors = [img.coeffs for img in self.images]
         for a, prods in enumerate(products(alg, vectors, vectors)):
             row = amp_alg.rows[a]
-            for b in sorted(prods.keys() | {b for b in range(d) if row[b]}):
-                if prods.get(b, {}) != combination(alg, self.images, row[b]).coeffs:
+            for b in sorted(prods.keys() | row.keys()):
+                if prods.get(b, {}) != combination(alg, self.images, row.get(b, {})).coeffs:
                     raise AlgebraError(
                         f"model map is not multiplicative at basis pair ({a},{b})"
                     )

@@ -215,25 +215,22 @@ class RadicalData:
 
 
 def _trace_form_kernel(alg: FinDimAlgebra):
-    d = alg.dim
     field = alg.field
     p = field.p
     traces = []
-    for k in range(d):
+    for row in alg.rows:
         acc = field.zero
-        row = alg.rows[k]
-        for a in range(d):
-            c = row[a].get(a)
+        for a, prod in row.items():
+            c = prod.get(a)
             if c:
                 acc = acc + c
         traces.append(acc % p if p else acc)
     form = []
-    for i in range(d):
-        row_i = alg.rows[i]
+    for row in alg.rows:
         form_row = {}
-        for j in range(d):
+        for j, prod in row.items():
             acc = field.zero
-            for k, c in row_i[j].items():
+            for k, c in prod.items():
                 if traces[k]:
                     acc = acc + c * traces[k]
             if p:
@@ -241,7 +238,7 @@ def _trace_form_kernel(alg: FinDimAlgebra):
             if acc:
                 form_row[j] = acc
         form.append(form_row)
-    return sparse_kernel(field, form, d)
+    return sparse_kernel(field, form, alg.dim)
 
 
 def _frobenius_power_kernel(alg: FinDimAlgebra):
@@ -330,10 +327,10 @@ def semisimple_quotient(alg: FinDimAlgebra, rad: RadicalData) -> QuotientData:
     pos = {idx: t for t, idx in enumerate(complement)}
     structure = []
     for u_t, u in enumerate(complement):
-        for v_t, v in enumerate(complement):
-            reduced = rad.span.reduce(alg.rows[u][v])
-            for k, c in reduced.items():
-                structure.append((u_t, v_t, pos[k], c))
+        for v, prod in alg.rows[u].items():
+            if v in pos:
+                for k, c in rad.span.reduce(prod).items():
+                    structure.append((u_t, pos[v], pos[k], c))
     unit_red = rad.span.reduce(alg.unit.coeffs)
     unit = [field.zero] * len(complement)
     for k, c in unit_red.items():

@@ -27,7 +27,11 @@ one ``multiply`` call per basis element, so comparing against it checks
 ``PeirceCorners.one_sided``, and ``nakayama_reference`` reads the socles
 and the permutation off those spans, so comparing against it checks
 ``nakayama``.  ``single_constant_mutants`` gives the seeded
-corrupted tables that the differential tests feed to both sides.
+corrupted tables that the differential tests feed to both sides.  These
+references read a structure constant one basis pair at a time, as
+``rows[i].get(j, {})`` (the stored rows hold only the nonzero products),
+and never walk the rows as an index of nonzero pairs the way
+``sialg.algebra`` does.
 """
 
 from sialg.algebra import Element, FinDimAlgebra, combination, multiply
@@ -193,7 +197,7 @@ def act_left(a, t):
     out = {}
     for (alpha, beta), c in t.coeffs.items():
         for i, ca in a.coeffs.items():
-            for k, ck in rows[i][alpha].items():
+            for k, ck in rows[i].get(alpha, {}).items():
                 w = out.get((k, beta), 0) + ca * c * ck
                 if p:
                     w %= p
@@ -211,7 +215,7 @@ def act_right(t, a):
     out = {}
     for (alpha, beta), c in t.coeffs.items():
         for j, ca in a.coeffs.items():
-            for k, ck in rows[beta][j].items():
+            for k, ck in rows[beta].get(j, {}).items():
                 w = out.get((alpha, k), 0) + c * ca * ck
                 if p:
                     w %= p
@@ -328,7 +332,7 @@ def model_map_failure(alg, model, images):
     imgs = [Element(alg, img.coeffs) for img in images]
     for a in range(model.dim):
         for b in range(model.dim):
-            if multiply(imgs[a], imgs[b]) != combination(alg, images, model.rows[a][b]):
+            if multiply(imgs[a], imgs[b]) != combination(alg, images, model.rows[a].get(b, {})):
                 return f"model map is not multiplicative at basis pair ({a},{b})"
     return None
 
@@ -339,7 +343,7 @@ def single_constant_mutants(alg, rng, reps):
     (the table is unchanged when (i, j, k) is already present)."""
     d, one = alg.dim, alg.field.one
     struct = [(i, j, k, c) for i in range(d) for j in range(d)
-              for k, c in sorted(alg.rows[i][j].items())]
+              for k, c in sorted(alg.rows[i].get(j, {}).items())]
     unit = alg.unit.dense()
     present = {(i, j, k) for i, j, k, _ in struct}
     for _ in range(reps):

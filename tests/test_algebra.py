@@ -26,7 +26,14 @@ from sialg.algebra import (
 )
 from sialg.amplify import PRESETS
 from sialg.errors import BadParams, DimensionMismatch, InvalidAlgebra
-from sialg.families import corpus, group_algebra, matrix_algebra, nakayama_algebra, nsy_algebra
+from sialg.families import (
+    corpus,
+    group_algebra,
+    matrix_algebra,
+    nakayama_algebra,
+    nsy_algebra,
+    path_algebra_a2,
+)
 from sialg.fields import QQ, Field
 from sialg.pipeline import prepare, run_spec
 from sialg.structure import canonical_decomposition, corner_basis
@@ -426,6 +433,37 @@ def test_algebra_json_round_trip():
     for index in (0.5, True, "0"):
         with pytest.raises(BadParams, match="tensor index must be an integer"):
             Tensor2.from_json(A, [[index, 0, "1"]])
+
+
+@pytest.mark.parametrize("values", [("1", "0"), ("0", "1"), ("0", "0"), ("1", "1")])
+def test_duplicate_structure_entry_refused(values):
+    # a repeated (i, j, k) is refused whatever its scalars: a zero is not
+    # skipped before the duplicate check, so ("1", "0") does not read as 1
+    data = kx2().to_json()
+    data["structure"] += [[1, 1, 0, c] for c in values]
+    with pytest.raises(BadParams, match=r"^duplicate structure entry \(1, 1, 0\)$"):
+        FinDimAlgebra.from_json(data)
+
+
+def test_rows_hold_only_nonzero_products():
+    # rows[i] = {j: {k: c}} over the pairs with b_i b_j != 0, in increasing
+    # j; a zero scalar stores nothing, not even an empty product dict
+    A = FinDimAlgebra(QQ, ["1", "x"], [(1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0, 1),
+                                       (1, 1, 0, 0), (1, 1, 1, "0")], [1, 0])
+    assert A.rows == [{0: {0: 1}, 1: {1: 1}}, {0: {1: 1}}]
+    assert [list(row) for row in A.rows] == [[0, 1], [0]]
+    assert A.structure_equal(kx2())
+    M = matrix_algebra(2)
+    assert sum(len(row) for row in M.rows) == 8
+    assert all(prod for row in M.rows for prod in row.values())
+
+
+def test_is_commutative():
+    assert kx2().is_commutative() and group_algebra([2, 2]).is_commutative()
+    # e1 a = a but a e1 = 0: a product present on one side only
+    assert not path_algebra_a2().is_commutative()
+    # E11 E12 = E12 but E12 E11 = 0, and E12 E21 = E11 != E22 = E21 E12
+    assert not matrix_algebra(2).is_commutative()
 
 
 @pytest.mark.parametrize("key, value", [

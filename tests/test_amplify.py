@@ -80,8 +80,8 @@ def test_amplify_scalar_gives_matrix_algebra():
         emap[a] = (t - 1) * 2 + (s - 1)
     for a in range(4):
         for b in range(4):
-            got = {emap[k_]: c for k_, c in amp.algebra.rows[a][b].items()}
-            assert got == dict(M.rows[emap[a]][emap[b]])
+            got = {emap[k_]: c for k_, c in amp.algebra.rows[a].get(b, {}).items()}
+            assert got == M.rows[emap[a]].get(emap[b], {})
 
 
 def test_amplify_identity_multiplicities():
@@ -99,8 +99,8 @@ def test_amplify_identity_multiplicities():
     assert sorted(emap.values()) == list(range(B.dim))
     for a in range(B.dim):
         for b in range(B.dim):
-            got = {emap[k_]: c for k_, c in amp.algebra.rows[a][b].items()}
-            assert got == dict(B.rows[emap[a]][emap[b]])
+            got = {emap[k_]: c for k_, c in amp.algebra.rows[a].get(b, {}).items()}
+            assert got == B.rows[emap[a]].get(emap[b], {})
 
 
 def test_amplify_dimension_formula():

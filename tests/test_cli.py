@@ -278,7 +278,21 @@ def test_verify_single_input(tmp_path):
     out = tmp_path / "v.json"
     assert run_cli("verify", "--input", str(alg_path), "--report", str(out)) == 0
     report = json.loads(out.read_text())
-    assert report["invariant"] and report["coassociative"]
+    assert report["invariant"] and report["coassociative"] and report["injective"]
+
+
+def test_verify_single_input_requires_injectivity(tmp_path, monkeypatch, capsys):
+    # an invariant, coassociative tensor whose comultiplication has rank
+    # below dim falsifies the claim: FAIL and exit 2
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", "nakayama", "--n", "3", "--l", "2",
+            "-o", str(alg_path))
+    monkeypatch.setattr("sialg.amplify.delta_rank", lambda x: x.algebra.dim - 1)
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--input", str(alg_path), "--report", str(out)) == 2
+    assert capsys.readouterr().out == "FAIL single-input verification\n"
+    report = json.loads(out.read_text())
+    assert report["invariant"] and report["coassociative"] and not report["injective"]
 
 
 def test_report_bytes_deterministic(tmp_path):

@@ -84,8 +84,8 @@ def test_nsy_isomorphic_to_amplified_nakayama(n, l, m):
     assert sorted(emap.values()) == list(range(nsy.algebra.dim))
     for a in range(amp.algebra.dim):
         for b in range(amp.algebra.dim):
-            got = {emap[k]: c for k, c in amp.algebra.rows[a][b].items()}
-            assert got == dict(nsy.algebra.rows[emap[a]][emap[b]])
+            got = {emap[k]: c for k, c in amp.algebra.rows[a].get(b, {}).items()}
+            assert got == nsy.algebra.rows[emap[a]].get(emap[b], {})
     unit_mapped = {emap[k]: c for k, c in amp.algebra.unit.coeffs.items()}
     assert unit_mapped == dict(nsy.algebra.unit.coeffs)
 

@@ -343,7 +343,7 @@ def _conjugate_basis(alg, T):
                 for b, cb in enumerate(T[j]):
                     if not cb:
                         continue
-                    for k, c in alg.rows[a][b].items():
+                    for k, c in alg.rows[a].get(b, {}).items():
                         prod[k] = prod.get(k, field.zero) + ca * cb * c
             for k, c in prod.items():
                 if not c:
@@ -428,11 +428,14 @@ GF101_NSY_SHAPES = (
 
 def _stored_scalars(ctx, runs):
     """(where, scalars of one zero-free dict) for everything the pipeline
-    stores sparsely, and (where, dense values) for its functionals."""
+    stores sparsely, and (where, dense values) for its functionals.  The
+    structure rows hold only nonzero products, so none is an empty dict."""
     a = ctx.analysis
     sparse, dense_values = [], []
     for name, alg in (("input", a.algebra), ("basic", a.lam), ("model", ctx.amp.algebra)):
-        sparse += [(f"{name} rows", row) for line in alg.rows for row in line]
+        prods = [prod for row in alg.rows for prod in row.values()]
+        assert all(prods), f"{name} rows store an empty product"
+        sparse += [(f"{name} rows", prod) for prod in prods]
         sparse.append((f"{name} unit", alg.unit.coeffs))
     for name, idempotents in (("input", a.dec.all_idempotents()), ("basic", a.corners.reps)):
         for e in idempotents:

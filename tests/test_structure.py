@@ -384,8 +384,8 @@ def _find_iso_by_permutation(A, B):
         ok = True
         for i in range(A.dim):
             for j in range(A.dim):
-                image = {perm[k]: c for k, c in A.rows[i][j].items()}
-                if image != dict(B.rows[perm[i]][perm[j]]):
+                image = {perm[k]: c for k, c in A.rows[i].get(j, {}).items()}
+                if image != B.rows[perm[i]].get(perm[j], {}):
                     ok = False
                     break
             if not ok:
