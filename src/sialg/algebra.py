@@ -356,15 +356,19 @@ class Tensor2:
     @classmethod
     def from_json(cls, algebra, data):
         parse = algebra.field.parse
-        out = {}
+        out, seen = {}, set()
         try:
             for a, b, c in json_list(data, "tensor"):
                 a, b = json_int(a, "tensor index"), json_int(b, "tensor index")
                 if not (0 <= a < algebra.dim and 0 <= b < algebra.dim):
                     raise BadParams(f"tensor index ({a},{b}) out of range")
+                # a repeated pair is refused whatever its scalars, zeros too
+                if (a, b) in seen:
+                    raise BadParams(f"duplicate tensor entry {(a, b)}")
+                seen.add((a, b))
                 c = parse(c) if isinstance(c, str) else algebra.field(c)
                 if c:
-                    _accum(out, (a, b), c, algebra.field.p)
+                    out[(a, b)] = c
         except (TypeError, ValueError) as exc:
             raise BadParams(f"malformed tensor JSON: {exc}") from exc
         return cls(algebra, out)
@@ -629,6 +633,12 @@ def apply_functional(side: str, f: Functional, t: Tensor2) -> Element:
     else:
         raise BadParams("side must be 'left' or 'right'")
     return Element(t.algebra, out)
+
+
+def is_counit(f: Functional, t: Tensor2) -> bool:
+    """The counit identities (f (x) id)t = 1 = (id (x) f)t."""
+    unit = t.algebra.unit
+    return apply_functional("left", f, t) == unit and apply_functional("right", f, t) == unit
 
 
 # -- basis permutations -------------------------------------------------------

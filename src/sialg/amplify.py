@@ -25,9 +25,9 @@ from .algebra import (
     FinDimAlgebra,
     Functional,
     Tensor2,
-    apply_functional,
     check_coassociativity,
     delta_rank,
+    is_counit,
     is_invariant,
 )
 from .errors import (
@@ -292,10 +292,7 @@ def counit_solution_space(alg: FinDimAlgebra, x: Tensor2):
     for k, c in sol.items():
         values[k] = c
     eps = Functional(alg, values)
-    if (
-        apply_functional("left", eps, x) != alg.unit
-        or apply_functional("right", eps, x) != alg.unit
-    ):
+    if not is_counit(eps, x):
         raise AlgebraError("oracle produced an inexact counit")
     return eps, nullity
 
@@ -359,10 +356,7 @@ def comultiplication_report(
     coa_w = check_coassociativity(x)
     rk = delta_rank(x)
     oracle, nullity = counit_solution_space(alg, x)
-    built_ok = built_counit is not None and (
-        apply_functional("left", built_counit, x) == alg.unit
-        and apply_functional("right", built_counit, x) == alg.unit
-    )
+    built_ok = built_counit is not None and is_counit(built_counit, x)
     counit = built_counit if built_ok else oracle
     routes = (oracle is not None) == all(bijection_per_class)
     if built_counit is not None:

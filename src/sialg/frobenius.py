@@ -24,7 +24,7 @@ from .algebra import (
     FinDimAlgebra,
     Functional,
     Tensor2,
-    apply_functional,
+    is_counit,
     is_invariant,
     multiply,
 )
@@ -162,10 +162,7 @@ def dual_basis_tensor(lam: FinDimAlgebra, eps: Functional) -> Tensor2:
     y = Tensor2(lam, coeffs)
     if is_invariant(y) is not None:
         raise AlgebraError("dual-basis tensor failed the invariance check")
-    if (
-        apply_functional("left", eps, y) != lam.unit
-        or apply_functional("right", eps, y) != lam.unit
-    ):
+    if not is_counit(eps, y):
         raise AlgebraError("dual-basis tensor failed the counit identities")
     return y
 
@@ -225,10 +222,7 @@ def verify_frobenius_pair(
     lam, n = corners.alg, len(corners.reps)
     eps, y = pair.epsilon, pair.y
     invariant = is_invariant(y) is None
-    counital = (
-        apply_functional("left", eps, y) == lam.unit
-        and apply_functional("right", eps, y) == lam.unit
-    )
+    counital = is_counit(eps, y)
     support_ok, support_witness = True, None
     for i in range(n):
         for j in range(n):

@@ -8,10 +8,12 @@ Idempotents are lifted from the semisimple quotient with the cubic
 iteration a -> 3a^2 - 2a^3 and orthogonalized sequentially; splitting
 inside the quotient factors minimal polynomials of swept corner elements.
 All randomized searches take an explicit seed and are reproducible.
-`PeirceCorners` is the one Peirce decomposition: each corner e_j A e_i of
-the class representatives is computed once, and every projection of an
-element or tensor onto the corners, and every one-sided ideal e_i A or
-A e_i, goes through it.
+`PeirceCorners` is the one Peirce decomposition and the only code that
+computes a sandwich e_j v e_i.  It gives the corners of the class
+representatives, of the copies within a class (for the copy witnesses),
+of the quotient images (for the class grouping) and of each idempotent
+the quotient split visits; every projection of an element or tensor onto
+the corners, and every one-sided ideal e_i A or A e_i, goes through it.
 """
 
 from __future__ import annotations
@@ -47,29 +49,35 @@ FLAG_SPLIT = "split"
 FLAG_NOT_SPLIT = "not-split-unverified"
 
 
-# -- spans and Peirce corners in the ambient coordinate space ------------------
+# -- Peirce corners in the ambient coordinate space ---------------------------
 
 
-def corner_span(alg: FinDimAlgebra, left: Element, right: Element) -> Span:
-    """Span of left . b_t . right over the basis b_t."""
-    return Span(alg.field, (multiply(multiply(left, b), right).coeffs for b in alg.basis()))
-
-
-def corner_basis(alg: FinDimAlgebra, left: Element, right: Element) -> list:
-    """Echelon basis elements of `corner_span`."""
-    span = corner_span(alg, left, right)
-    return [Element(alg, dict(row)) for row in span.basis_vectors()]
+def _sandwiches(alg: FinDimAlgebra, reps, vectors) -> dict:
+    """{(j, i): the nonzero e_j v e_i over v in `vectors`, in order}, for
+    the reps e_j, e_i in j-major order: one `products` walk gives every
+    e_j v, then one walk per j gives every (e_j v) e_i."""
+    rep_vectors = [e.coeffs for e in reps]
+    out = {}
+    for j, lefts in enumerate(products(alg, rep_vectors, vectors)):
+        rows = [[] for _ in reps]
+        for prods in products(alg, [lefts[t] for t in sorted(lefts)], rep_vectors):
+            for i, w in prods.items():
+                rows[i].append(w)
+        out.update(((j, i), row) for i, row in enumerate(rows))
+    return out
 
 
 class PeirceCorners:
     """The Peirce corners e_j A e_i of orthogonal idempotents `reps`.
 
     Each corner's Span and echelon basis is computed once, in j-major
-    order, from the left products e_j b_t computed once per j;
-    `bases[(j, i)]` and `spans[(j, i)]` hold them.  Components are
-    given in corner coordinates, the indices into `bases[(j, i)]`.  When
-    the reps sum to e, the components of a reassemble e a e.  When they
-    sum to 1, `one_sided` gives e_i A and A e_i from the corners.
+    order, from the sandwiches e_j b_t e_i of the basis b_t, and
+    `bases[(j, i)]` and `spans[(j, i)]` hold them.  Every sandwich
+    e_j v e_i, of the basis here and of an element in `components`, comes
+    from n + 1 `products` walks over the n reps.  Components are given in
+    corner coordinates, the indices into `bases[(j, i)]`.  When the reps
+    sum to e, the components of a reassemble e a e.  When they sum to 1,
+    `one_sided` gives e_i A and A e_i from the corners.
     """
 
     def __init__(self, alg: FinDimAlgebra, reps):
@@ -77,13 +85,10 @@ class PeirceCorners:
         self.reps = reps
         self.spans: dict = {}
         self.bases: dict = {}
-        for j, left in enumerate(reps):
-            lefts = [multiply(left, b) for b in alg.basis()]  # shared by row j's corners
-            for i, right in enumerate(reps):
-                span = self.spans[(j, i)] = Span(
-                    alg.field, (multiply(w, right).coeffs for w in lefts)
-                )
-                self.bases[(j, i)] = [Element(alg, dict(row)) for row in span.basis_vectors()]
+        basis = [{t: alg.field.one} for t in range(alg.dim)]
+        for key, rows in _sandwiches(alg, reps, basis).items():
+            span = self.spans[key] = Span(alg.field, rows)
+            self.bases[key] = [Element(alg, dict(row)) for row in span.basis_vectors()]
         self._basis_components: dict = {}  # basis index -> components, filled on demand
 
     def require_sum_one(self):
@@ -113,11 +118,10 @@ class PeirceCorners:
     def components(self, a: Element) -> dict:
         """Nonzero corner components {(j, i): {b: c}} of e_j a e_i."""
         out = {}
-        for (j, i) in self.spans:
-            w = multiply(multiply(self.reps[j], a), self.reps[i]).coeffs
-            if w:
-                coords = self.coordinates((j, i), w)
-                out[(j, i)] = {b: c for b, c in enumerate(coords) if c}
+        for key, rows in _sandwiches(self.alg, self.reps, [a.coeffs]).items():
+            if rows:
+                coords = self.coordinates(key, rows[0])
+                out[key] = {b: c for b, c in enumerate(coords) if c}
         return out
 
     def tensor_components(self, y: Tensor2) -> dict:
@@ -368,11 +372,11 @@ class CanonicalDecomposition:
         return FLAG_SPLIT in self.flags
 
 
-def _split_once(qalg: FinDimAlgebra, e: Element, corner: Span, rng, budget: int):
-    """Try to write e as a sum of two orthogonal idempotents; None if the
-    budget runs out.  Returns ((e1, e2), attempts_used) on success."""
+def _split_once(qalg: FinDimAlgebra, e: Element, corner_elems: list, rng, budget: int):
+    """Try to write e as a sum of two orthogonal idempotents, sweeping the
+    basis `corner_elems` of e Q e; None if the budget runs out.  Returns
+    ((e1, e2), attempts_used) on success."""
     field = qalg.field
-    corner_elems = [Element(qalg, dict(row)) for row in corner.basis_vectors()]
     attempts = 0
 
     def candidates():
@@ -429,8 +433,8 @@ def _primitive_idempotents_semisimple(quot: QuotientData, seed: int):
     work = [qalg.unit]
     while work:
         e = work.pop()
-        corner = corner_span(qalg, e, e)
-        if corner.dim == 1:
+        corner = PeirceCorners(qalg, [e]).bases[(0, 0)]
+        if len(corner) == 1:
             done.append(e)
             continue
         split, used = _split_once(qalg, e, corner, rng, budget)
@@ -497,16 +501,12 @@ def canonical_decomposition(
         for v in range(len(lifted)):
             if u != v and multiply(lifted[u], lifted[v]).coeffs:
                 raise AlgebraError("lifted idempotents are not orthogonal")
-    # group by the semisimple pairing test on the quotient images
-    images = [quot.project(e) for e in lifted]
-    qbasis = [quot.algebra.basis_element(i) for i in range(quot.algebra.dim)]
+    # group by the semisimple pairing test on the quotient images: e_u and
+    # e_v cut out isomorphic projectives iff the corner e_u Q e_v is nonzero
+    qcorners = PeirceCorners(quot.algebra, [quot.project(e) for e in lifted])
 
     def paired(u: int, v: int) -> bool:
-        eu, ev = images[u], images[v]
-        for b in qbasis:
-            if multiply(multiply(eu, b), ev).coeffs:
-                return True
-        return False
+        return bool(qcorners.bases[(u, v)])
 
     unassigned = list(range(len(lifted)))
     groups = []
@@ -721,7 +721,6 @@ def iso_witnesses(
     combinations); v solves the linear equation u v = e_{i1} inside the
     opposite corner, and v u = e_{is} is then asserted exactly.
     """
-    field = alg.field
     rng = random.Random(seed)
     budget = WITNESS_BUDGET_FACTOR * alg.dim
     us, vs = [], []
@@ -729,10 +728,10 @@ def iso_witnesses(
         e1 = cls[0]
         row_u = [e1]
         row_v = [e1]
+        corners = PeirceCorners(alg, cls) if len(cls) > 1 else None
         for s in range(1, len(cls)):
             es = cls[s]
-            c1 = corner_basis(alg, e1, es)
-            c2 = corner_basis(alg, es, e1)
+            c1, c2 = corners.bases[(0, s)], corners.bases[(s, 0)]
             pair = _find_witness_pair(alg, e1, es, c1, c2, rng, budget)
             if pair is None:
                 raise WitnessNotFound(

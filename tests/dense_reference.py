@@ -26,7 +26,12 @@ at every multiplicity 1.  ``one_sided_reference`` spans e A or A e by
 one ``multiply`` call per basis element, so comparing against it checks
 ``PeirceCorners.one_sided``, and ``nakayama_reference`` reads the socles
 and the permutation off those spans, so comparing against it checks
-``nakayama``.  ``single_constant_mutants`` gives the seeded
+``nakayama``.  ``corner_span_reference`` spans left . b_t . right by two
+``multiply`` calls per basis element, and ``components_reference`` and
+``paired_reference`` sandwich one element, or every basis element, the
+same way, so comparing against them checks every corner, every
+component and the class grouping that ``PeirceCorners`` batches over
+``algebra.products``.  ``single_constant_mutants`` gives the seeded
 corrupted tables that the differential tests feed to both sides.  These
 references read a structure constant one basis pair at a time, as
 ``rows[i].get(j, {})`` (the stored rows hold only the nonzero products),
@@ -305,6 +310,27 @@ def one_sided_reference(alg, rep, left):
     for b in alg.basis():
         span.add((multiply(rep, b) if left else multiply(b, rep)).coeffs)
     return [Element(alg, dict(row)) for row in span.basis_vectors()]
+
+
+def corner_span_reference(alg, left, right):
+    """Span of left . b_t . right over the basis b_t, added in basis order."""
+    return Span(alg.field, (multiply(multiply(left, b), right).coeffs for b in alg.basis()))
+
+
+def components_reference(corners, a):
+    """{(j, i): {b: c}}, the nonzero corner coordinates of e_j a e_i."""
+    out = {}
+    for (j, i) in corners.spans:
+        w = multiply(multiply(corners.reps[j], a), corners.reps[i]).coeffs
+        if w:
+            coords = corners.spans[(j, i)].coordinates(w)
+            out[(j, i)] = {b: c for b, c in enumerate(coords) if c}
+    return out
+
+
+def paired_reference(qalg, eu, ev):
+    """True iff eu . b . ev != 0 for some basis element b of qalg."""
+    return any(multiply(multiply(eu, b), ev).coeffs for b in qalg.basis())
 
 
 def nakayama_reference(alg, reps, rad):

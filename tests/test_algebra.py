@@ -36,7 +36,7 @@ from sialg.families import (
 )
 from sialg.fields import QQ, Field
 from sialg.pipeline import prepare, run_spec
-from sialg.structure import canonical_decomposition, corner_basis
+from sialg.structure import PeirceCorners, canonical_decomposition
 
 
 def kx2():
@@ -445,6 +445,14 @@ def test_duplicate_structure_entry_refused(values):
         FinDimAlgebra.from_json(data)
 
 
+@pytest.mark.parametrize("values", [("1", "-1"), ("0", "3"), ("0", "0"), ("1", "1")])
+def test_duplicate_tensor_entry_refused(values):
+    # a repeated (a, b) is refused whatever its scalars: the entries are not
+    # added up, so ("1", "-1") does not read as zero nor ("0", "3") as 3
+    with pytest.raises(BadParams, match=r"^duplicate tensor entry \(0, 1\)$"):
+        Tensor2.from_json(kx2(), [[0, 1, c] for c in values])
+
+
 def test_rows_hold_only_nonzero_products():
     # rows[i] = {j: {k: c}} over the pairs with b_i b_j != 0, in increasing
     # j; a zero scalar stores nothing, not even an empty product dict
@@ -555,7 +563,7 @@ def test_minimal_polynomial_differential():
                 for _ in range(3)
             ]
             for e in canonical_decomposition(alg).all_idempotents():
-                corner = corner_basis(alg, e, e)
+                corner = PeirceCorners(alg, [e]).bases[(0, 0)]
                 combo = alg.zero()
                 for q in corner:
                     combo = combo + q.scaled(f.random(rng))

@@ -153,7 +153,7 @@ def _count_corner_builds(monkeypatch):
     original = PeirceCorners.__init__
 
     def counting(self, alg, reps):
-        builds.append(alg)
+        builds.append((alg, reps))
         original(self, alg, reps)
 
     monkeypatch.setattr(PeirceCorners, "__init__", counting)
@@ -161,17 +161,25 @@ def _count_corner_builds(monkeypatch):
 
 
 def test_one_peirce_decomposition_per_context(monkeypatch):
-    # the basic algebra's corners are built once, in `analyze`, and shared by
-    # the counit and the amplified model; a non-basic input adds the one
-    # build of its own corners inside the basic reduction
+    # the basic algebra's corners by its reps are built once, in `analyze`,
+    # and shared by the counit and the amplified model; a non-basic input
+    # adds the one build of its own corners by its reps inside the basic
+    # reduction.  The other builds cut single idempotents and copies.
     builds = _count_corner_builds(monkeypatch)
     for entry in corpus("small"):
         builds.clear()
         ctx = prepare(entry.algebra)
-        basic = all(v == 1 for v in ctx.analysis.dec.multiplicities)
-        assert len(builds) == (1 if basic else 2), entry.key
-        assert ctx.amp.corners is ctx.analysis.corners
-        assert ctx.analysis.lam is ctx.analysis.corners.alg
+        an = ctx.analysis
+        basic = all(v == 1 for v in an.dec.multiplicities)
+        on_reps = [
+            alg
+            for alg, reps in builds
+            if (alg is an.lam and reps == an.corners.reps)
+            or (alg is an.algebra and reps == an.dec.reps)
+        ]
+        assert len(on_reps) == (1 if basic else 2), entry.key
+        assert ctx.amp.corners is an.corners
+        assert an.lam is an.corners.alg
 
 
 def test_pair_checks_build_no_corners(monkeypatch):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -21,14 +21,15 @@ from sialg.fields import Field, QQ
 from sialg.linalg import Span
 from sialg.pipeline import analyze
 from sialg.structure import (
+    DEFAULT_SEED,
     PeirceCorners,
     basic_reduction,
     canonical_decomposition,
-    corner_span,
     duality_pattern,
     iso_witnesses,
     nakayama,
     radical,
+    semisimple_quotient,
 )
 
 
@@ -297,6 +298,7 @@ def _check_corners(corners, rng, complete):
 
     for _ in range(3):
         a = alg.element({k: field.random(rng) for k in range(d)})
+        assert corners.components(a) == dense.components_reference(corners, a)
         got = alg.zero()
         for key, comp in corners.components(a).items():
             for b, c in comp.items():
@@ -325,32 +327,49 @@ _PEIRCE_INPUTS = [(e.key, e.algebra) for e in corpus("small")] + [
 
 
 def _ordered(span):
-    return [(piv, list(row.items())) for piv, row in span.rows.items()]
+    return [(piv, sorted(row.items())) for piv, row in span.rows.items()]
+
+
+def _matches_reference(corners):
+    """Every corner of `corners` equals the per-basis double-`multiply`
+    reference row for row, down to the order the pivots were found in."""
+    for (j, i), span in corners.spans.items():
+        expected = dense.corner_span_reference(corners.alg, corners.reps[j], corners.reps[i])
+        assert _ordered(span) == _ordered(expected)
+        assert [b.coeffs for b in corners.bases[(j, i)]] == expected.basis_vectors()
 
 
 def _built(alg, reps, monkeypatch):
-    """PeirceCorners(alg, reps), checked against `corner_span` down to the
-    order of rows and entries; e_j b_t is computed once per j, so the
-    build makes n d + n^2 d products."""
-    calls = []
-    product = structure.multiply
+    """PeirceCorners(alg, reps), checked against the reference; the build
+    makes no `multiply` call and n + 1 `products` walks."""
+    calls = {"multiply": 0, "products": 0}
+    with monkeypatch.context() as m:
+        for name in calls:
 
-    def counted(x, y):
-        calls.append(1)
-        return product(x, y)
+            def counted(*args, _name=name, _original=getattr(structure, name)):
+                calls[_name] += 1
+                return _original(*args)
 
-    monkeypatch.setattr(structure, "multiply", counted)
-    corners = PeirceCorners(alg, reps)
-    monkeypatch.setattr(structure, "multiply", product)
-    n, d = len(reps), alg.dim
-    assert len(calls) == n * d + n * n * d
-    for (j, i), span in corners.spans.items():
-        expected = corner_span(alg, reps[j], reps[i])
-        assert _ordered(span) == _ordered(expected)
-        assert [list(b.coeffs.items()) for b in corners.bases[(j, i)]] == [
-            list(row.items()) for row in expected.basis_vectors()
-        ]
+            m.setattr(structure, name, counted)
+        corners = PeirceCorners(alg, reps)
+    assert calls == {"multiply": 0, "products": len(reps) + 1}
+    _matches_reference(corners)
     return corners
+
+
+def _recorded(monkeypatch, fn, *args):
+    """(fn(*args), every PeirceCorners built during the call, in order)."""
+    built = []
+    original = PeirceCorners.__init__
+
+    def recording(self, alg, reps):
+        original(self, alg, reps)
+        built.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(PeirceCorners, "__init__", recording)
+        out = fn(*args)
+    return out, built
 
 
 @pytest.mark.parametrize(
@@ -373,6 +392,56 @@ def test_peirce_corners_reassemble(alg, monkeypatch):
     every_copy = _built(amp.algebra, [e for cls in copies for e in cls], monkeypatch)
     _check_corners(every_copy, rng, True)
     _check_corners(_built(amp.algebra, [cls[0] for cls in copies], monkeypatch), rng, basic)
+
+
+# the standard corpus, and the group algebras of the sweep-gfp benchmark
+_DECOMPOSED = [(e.key, e.algebra) for e in corpus("standard")] + [
+    (f"group {list(factors)} gf{p}", group_algebra(factors, Field(p)))
+    for p in (2, 3)
+    for factors in ((2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2))
+]
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for _, alg in _DECOMPOSED], ids=[key for key, _ in _DECOMPOSED]
+)
+def test_decomposition_corners_match_reference(alg, monkeypatch):
+    # every corner the decomposition reads: e Q e for each idempotent the
+    # quotient split visits, then the corners of the quotient images that
+    # group the classes
+    rad = radical(alg)
+    dec, built = _recorded(monkeypatch, canonical_decomposition, alg, DEFAULT_SEED, rad)
+    *visited, grouping = built
+    assert visited and all(len(c.reps) == 1 for c in visited)
+    assert len(grouping.reps) == len(dec.all_idempotents())
+    for corners in built:
+        _matches_reference(corners)
+    # the classes are the reference pairing's classes, on every pair
+    quot = semisimple_quotient(alg, rad)
+    images = [quot.project(e) for e in dec.all_idempotents()]
+    cls_of = [c for c, cls in enumerate(dec.classes) for _ in cls]
+    for u, v in product(range(len(images)), repeat=2):
+        paired = dense.paired_reference(quot.algebra, images[u], images[v])
+        assert paired == (cls_of[u] == cls_of[v])
+
+
+_NON_BASIC = [
+    (key, alg)
+    for key, alg in _DECOMPOSED
+    if any(v > 1 for v in canonical_decomposition(alg).multiplicities)
+]
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for _, alg in _NON_BASIC], ids=[key for key, _ in _NON_BASIC]
+)
+def test_copy_corners_match_reference(alg, monkeypatch):
+    # one build per class with more than one copy, on all of its copies
+    dec = canonical_decomposition(alg)
+    _, built = _recorded(monkeypatch, iso_witnesses, alg, dec)
+    assert [c.reps for c in built] == [cls for cls in dec.classes if len(cls) > 1]
+    for corners in built:
+        _matches_reference(corners)
 
 
 def _find_iso_by_permutation(A, B):
