@@ -52,7 +52,6 @@ from .families import (
 from .fields import Field, Fp, QQ, is_prime
 from .frobenius import (
     FrobeniusPair,
-    construct_counit,
     dual_basis_tensor,
     frobenius_pair,
     small_spaces,

@@ -109,7 +109,7 @@ def cmd_generate(args) -> int:
 def cmd_analyze(args) -> int:
     alg = FinDimAlgebra.from_json(_load_json(args.input))
     result = analyze(alg, args.seed)
-    _dump(result.to_json(), args.report or args.output)
+    _dump(result.to_json(), args.report)
     return 0
 
 
@@ -120,7 +120,7 @@ def cmd_comul(args) -> int:
     # subset-data JSON needs the class count, so it is parsed after analysis
     spec = SpreadSpec.from_json(data, ctx.analysis.dec.n) if args.spec else args.preset
     run = run_spec(ctx, spec)
-    _dump(run.to_json(), args.report or args.output)
+    _dump(run.to_json(), args.report)
     return 0
 
 
@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
     if args.input:
         alg = FinDimAlgebra.from_json(_load_json(args.input))
         run = run_spec(prepare(alg, args.seed), args.preset)
-        _dump(run.report.to_json(), args.report or args.output)
+        _dump(run.report.to_json(), args.report)
         r = run.report
         ok = r.invariant and r.coassociative and r.injective
         print("PASS" if ok else "FAIL", "single-input verification")
@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="canonical decomposition and Nakayama data")
     ana.add_argument("--input", required=True)
     ana.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ana.add_argument("--output", "-o")
     ana.add_argument("--report")
 
     com = sub.add_parser("comul", help="build and verify a spread comultiplication")
@@ -196,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     com.add_argument("--preset", default="singleton", choices=list(PRESETS))
     com.add_argument("--spec", help="path to subset-data JSON (overrides --preset)")
     com.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    com.add_argument("--output", "-o")
     com.add_argument("--report")
 
     ver = sub.add_parser("verify", help="run the verification battery")
@@ -204,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--input", help="verify one algebra file instead of the corpus")
     ver.add_argument("--preset", default="singleton", choices=list(PRESETS))
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ver.add_argument("--output", "-o")
     ver.add_argument("--report")
     return top
 

@@ -2,11 +2,13 @@
 
 The counit is supported on the corners e_{nu^{-1}(i)} L e_i only, takes
 value 1 on the canonical basis vector of each small morphism space (the
-corner elements killed by J on both sides), and is accepted once the
-Gram matrix G[a][b] = eps(b_a b_b) is invertible.  The dual-basis tensor
-is assembled from the Gram inverse with duals multiplying on the left
-inside eps, and every produced pair is re-verified exactly: invariance,
-both counit identities, and the two support clauses.
+corner elements killed by J on both sides).  An attempt is accepted
+when its Gram matrix G[a][b] = eps(b_a b_b) inverts: the inverse that
+gives the dual-basis tensor is the acceptance test, so G is built and
+eliminated once per attempt.  The dual-basis tensor is assembled from
+the Gram inverse with duals multiplying on the left inside eps, and
+every produced pair is re-verified exactly: invariance, both counit
+identities, and the two support clauses.
 
 Every function here takes the basic algebra's Peirce decomposition, a
 `structure.PeirceCorners` built once per context (`analyze` keeps it as
@@ -91,19 +93,15 @@ def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
     return Matrix(field, rows)
 
 
-def _functional_from_targets(lam: FinDimAlgebra, vectors, targets) -> Functional:
-    sol, _ = sparse_solve(lam.field, [v.coeffs for v in vectors], targets, lam.dim)
-    return Functional(lam, [sol.get(k, lam.field.zero) for k in range(lam.dim)])
-
-
-def construct_counit(
+def frobenius_pair(
     corners: PeirceCorners, nak: NakayamaData, rad: RadicalData, seed: int = DEFAULT_SEED
-) -> Functional:
-    """Counit supported on the allowed corners with an invertible Gram.
+) -> FrobeniusPair:
+    """Counit supported on the allowed corners, with its dual-basis tensor.
 
     Values are 1 on the canonical small-space basis vectors and 0 on a
     fixed complement; seeded nonzero retries cover small spaces of
-    dimension > 1.  Raises NotFrobenius when the budget is exhausted.
+    dimension > 1.  The first attempt whose Gram matrix inverts is kept;
+    raises NotFrobenius when the budget is exhausted.
     """
     lam = corners.alg
     field = lam.field
@@ -129,14 +127,19 @@ def construct_counit(
                 vectors.extend(corner)
     if len(vectors) != lam.dim:
         raise AlgebraError("Peirce corners do not span; decomposition corrupt")
+    rows = [v.coeffs for v in vectors]
     rng = random.Random(seed)
     for attempt in range(COUNIT_RETRY_BUDGET):
         targets = [field.zero] * lam.dim
         for slot in small_slots:
             targets[slot] = field.one if attempt == 0 else field.random_nonzero(rng)
-        eps = _functional_from_targets(lam, vectors, targets)
-        if gram_matrix(lam, eps).rank() == lam.dim:
-            return eps
+        sol, _ = sparse_solve(field, rows, targets, lam.dim)
+        eps = Functional(lam, [sol.get(k, field.zero) for k in range(lam.dim)])
+        try:
+            y = dual_basis_tensor(lam, eps)
+        except SingularGram:
+            continue
+        return FrobeniusPair(eps, y)
     raise NotFrobenius(
         "no counit with the required corner support has an invertible Gram"
         f" matrix after {COUNIT_RETRY_BUDGET} seeded attempts"
@@ -165,13 +168,6 @@ def dual_basis_tensor(lam: FinDimAlgebra, eps: Functional) -> Tensor2:
     if not is_counit(eps, y):
         raise AlgebraError("dual-basis tensor failed the counit identities")
     return y
-
-
-def frobenius_pair(
-    corners: PeirceCorners, nak: NakayamaData, rad: RadicalData, seed: int = DEFAULT_SEED
-) -> FrobeniusPair:
-    eps = construct_counit(corners, nak, rad, seed)
-    return FrobeniusPair(eps, dual_basis_tensor(corners.alg, eps))
 
 
 @dataclass

@@ -13,9 +13,9 @@ be wasteful densely.
 distinct least keys, each with a nonzero coefficient there, are already
 in echelon form, so their rank is their count and no :class:`Span` is
 built.  :class:`Matrix` is a dense view over the same elimination, used
-for the Gram matrix of a counit: its ``rref`` hands the nonzero entries
-of each row to a :class:`Span` and writes the reduced rows back out
-densely.
+only to invert the Gram matrix of a counit: its ``rref`` hands the
+nonzero entries of each row to a :class:`Span` and writes the reduced
+rows back out densely.
 """
 
 from __future__ import annotations
@@ -50,9 +50,6 @@ class Matrix:
             rows.append(dense)
         rows.extend([z] * self.ncols for _ in range(self.nrows - span.dim))
         return Matrix(self.field, rows), tuple(sorted(span.rows))
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def inverse(self):
         n = self.nrows

@@ -213,7 +213,6 @@ class PipelineContext:
 class PipelineRun:
     ctx: PipelineContext
     spec: SpreadSpec
-    x_model: Tensor2
     x: Tensor2
     report: object
 
@@ -247,13 +246,12 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     m, nak = analysis.dec.multiplicities, analysis.nak
     if isinstance(spec, str):
         spec = preset_spec(spec, m, nak)
-    x_model = spread(amp, ctx.pair.y, spec, nak)
-    x = ctx.model_map.apply_tensor2(x_model)
+    x = ctx.model_map.apply_tensor2(spread(amp, ctx.pair.y, spec, nak))
     flags = is_bijection_graph(spec, m, nak)
     built = None
     if all(flags):
         built_model = build_counit(amp, spec, nak, ctx.pair.epsilon)
         built = ctx.model_map.transport_functional(built_model)
     report = comultiplication_report(analysis.algebra, x, flags, built)
-    return PipelineRun(ctx, spec, x_model, x, report)
+    return PipelineRun(ctx, spec, x, report)
 

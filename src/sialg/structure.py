@@ -311,12 +311,6 @@ class QuotientData:
     algebra: FinDimAlgebra
     complement: list  # ambient indices carrying the section
     parent: FinDimAlgebra
-    rad_span: Span
-
-    def project(self, a: Element) -> Element:
-        reduced = self.rad_span.reduce(a.coeffs)
-        pos = {idx: t for t, idx in enumerate(self.complement)}
-        return Element(self.algebra, {pos[i]: c for i, c in reduced.items()})
 
     def lift(self, abar: Element) -> Element:
         return Element(
@@ -341,7 +335,7 @@ def semisimple_quotient(alg: FinDimAlgebra, rad: RadicalData) -> QuotientData:
         unit[pos[k]] = c
     labels = [alg.labels[i] + "~" for i in complement]
     qalg = FinDimAlgebra(field, labels, structure, unit)
-    return QuotientData(qalg, complement, alg, rad.span)
+    return QuotientData(qalg, complement, alg)
 
 
 # -- canonical decomposition ---------------------------------------------------
@@ -372,19 +366,21 @@ class CanonicalDecomposition:
         return FLAG_SPLIT in self.flags
 
 
+def _sweep(alg: FinDimAlgebra, basis: list, rng):
+    """The elements of `basis`, then seeded random combinations of them
+    without end."""
+    yield from basis
+    while True:
+        yield combination(alg, basis, [alg.field.random(rng) for _ in basis])
+
+
 def _split_once(qalg: FinDimAlgebra, e: Element, corner_elems: list, rng, budget: int):
     """Try to write e as a sum of two orthogonal idempotents, sweeping the
     basis `corner_elems` of e Q e; None if the budget runs out.  Returns
     ((e1, e2), attempts_used) on success."""
     field = qalg.field
     attempts = 0
-
-    def candidates():
-        yield from corner_elems
-        while True:
-            yield combination(qalg, corner_elems, [field.random(rng) for _ in corner_elems])
-
-    for z in candidates():
+    for z in _sweep(qalg, corner_elems, rng):
         if attempts >= budget:
             return None, attempts
         attempts += 1
@@ -495,15 +491,14 @@ def canonical_decomposition(
             e = _lift_idempotent(alg, a, steps)
         lifted.append(e)
         partial = partial + e
-    if partial != alg.unit:
-        raise AlgebraError("lifted idempotents do not sum to 1")
     for u in range(len(lifted)):
         for v in range(len(lifted)):
             if u != v and multiply(lifted[u], lifted[v]).coeffs:
                 raise AlgebraError("lifted idempotents are not orthogonal")
-    # group by the semisimple pairing test on the quotient images: e_u and
-    # e_v cut out isomorphic projectives iff the corner e_u Q e_v is nonzero
-    qcorners = PeirceCorners(quot.algebra, [quot.project(e) for e in lifted])
+    # group by the semisimple pairing test on the quotient images, which are
+    # the qidems each e was lifted from: e_u and e_v cut out isomorphic
+    # projectives iff the corner e_u Q e_v is nonzero
+    qcorners = PeirceCorners(quot.algebra, qidems)
 
     def paired(u: int, v: int) -> bool:
         return bool(qcorners.bases[(u, v)])
@@ -521,10 +516,6 @@ def canonical_decomposition(
                 rest.append(v)
         unassigned = rest
         groups.append(cls)
-    for a_idx, ga in enumerate(groups):
-        for gb in groups[a_idx + 1 :]:
-            if paired(ga[0], gb[0]):
-                raise AlgebraError("class grouping is not well separated")
     classes = [sorted((lifted[u] for u in g), key=lambda e: e.dense(), reverse=True) for g in groups]
     classes.sort(key=lambda cls: cls[0].dense(), reverse=True)
     flags = [FLAG_SPLIT] if certified else [FLAG_NOT_SPLIT]
@@ -747,13 +738,7 @@ def iso_witnesses(
 def _find_witness_pair(alg, e1, es, c1, c2, rng, budget):
     field = alg.field
     attempts = 0
-
-    def candidates():
-        yield from c1
-        while True:
-            yield combination(alg, c1, [field.random(rng) for _ in c1])
-
-    for u in candidates():
+    for u in _sweep(alg, c1, rng):
         if attempts >= budget:
             return None
         attempts += 1

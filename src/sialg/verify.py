@@ -35,7 +35,6 @@ from .families import (
     reference_delta_one,
 )
 from .frobenius import (
-    construct_counit,
     frobenius_pair,
     is_unit,
     transport_pair,
@@ -464,7 +463,7 @@ def check_negative_controls(seed: int = DEFAULT_SEED) -> CheckResult:
         pass
     for nu in ((0, 1), (1, 0)):
         try:
-            construct_counit(corners, NakayamaData(nu, [[], []]), rad, seed)
+            frobenius_pair(corners, NakayamaData(nu, [[], []]), rad, seed)
             failures.append(f"path algebra A2 produced a counit for nu={nu}")
         except NotFrobenius:
             pass

@@ -26,7 +26,15 @@ at every multiplicity 1.  ``one_sided_reference`` spans e A or A e by
 one ``multiply`` call per basis element, so comparing against it checks
 ``PeirceCorners.one_sided``, and ``nakayama_reference`` reads the socles
 and the permutation off those spans, so comparing against it checks
-``nakayama``.  ``corner_span_reference`` spans left . b_t . right by two
+``nakayama``.  ``project_reference`` reduces an element modulo the
+radical's span and reindexes it on the quotient's complement, so
+comparing against it checks that the class grouping reads the quotient
+idempotents the lifts came from.  ``frobenius_pair_reference`` takes
+the counit in two passes, accepting the first seeded attempt whose Gram
+matrix has full rank under the dense elimination here and only then
+inverting it through ``dual_basis_tensor``, so comparing against it
+checks that ``frobenius_pair`` accepts the same attempt by inverting
+once.  ``corner_span_reference`` spans left . b_t . right by two
 ``multiply`` calls per basis element, and ``components_reference`` and
 ``paired_reference`` sandwich one element, or every basis element, the
 same way, so comparing against them checks every corner, every
@@ -39,10 +47,19 @@ and never walk the rows as an index of nonzero pairs the way
 ``sialg.algebra`` does.
 """
 
-from sialg.algebra import Element, FinDimAlgebra, combination, multiply
-from sialg.errors import AlgebraError, NotSelfInjectiveLike
-from sialg.linalg import Span
-from sialg.structure import PeirceCorners, RadicalData, annihilator
+import random
+
+from sialg.algebra import Element, FinDimAlgebra, Functional, combination, multiply
+from sialg.errors import AlgebraError, NotFrobenius, NotSelfInjectiveLike
+from sialg.frobenius import (
+    COUNIT_RETRY_BUDGET,
+    FrobeniusPair,
+    dual_basis_tensor,
+    gram_matrix,
+    small_spaces,
+)
+from sialg.linalg import Span, sparse_solve
+from sialg.structure import DEFAULT_SEED, PeirceCorners, RadicalData, annihilator
 
 
 def rref(field, rows, ncols):
@@ -326,6 +343,53 @@ def components_reference(corners, a):
             coords = corners.spans[(j, i)].coordinates(w)
             out[(j, i)] = {b: c for b, c in enumerate(coords) if c}
     return out
+
+
+def project_reference(quot, rad, a):
+    """The image of `a` in the semisimple quotient: its remainder modulo
+    rad.span, reindexed on the complement that carries the quotient."""
+    pos = {idx: t for t, idx in enumerate(quot.complement)}
+    return Element(quot.algebra, {pos[i]: c for i, c in rad.span.reduce(a.coeffs).items()})
+
+
+def frobenius_pair_reference(corners, nak, rad, seed=DEFAULT_SEED):
+    """The Frobenius pair in two passes: the counit of the first seeded
+    attempt whose Gram matrix has full rank, then `dual_basis_tensor`,
+    which builds and eliminates that Gram matrix a second time.  The
+    attempts are `frobenius_pair`'s: the small-space basis first in each
+    corner (nu^-1(i), i), then a complement from the corner basis, every
+    other corner whole; targets 1 on the small slots at attempt 0, seeded
+    nonzero scalars after.  Raises NotFrobenius with its message."""
+    lam = corners.alg
+    field = lam.field
+    n = len(corners.reps)
+    small = small_spaces(corners, nak, rad)
+    vectors, small_slots = [], []
+    for i in range(n):
+        for j in range(n):
+            corner = corners.bases[(j, i)]
+            if j != nak.nu_inverse(i):
+                vectors.extend(corner)
+                continue
+            span = Span(field)
+            for z in small[i]:
+                span.add(z.coeffs)
+                small_slots.append(len(vectors))
+                vectors.append(z)
+            vectors.extend(q for q in corner if span.add(q.coeffs))
+    rng = random.Random(seed)
+    for attempt in range(COUNIT_RETRY_BUDGET):
+        targets = [field.zero] * lam.dim
+        for slot in small_slots:
+            targets[slot] = field.one if attempt == 0 else field.random_nonzero(rng)
+        sol, _ = sparse_solve(field, [v.coeffs for v in vectors], targets, lam.dim)
+        eps = Functional(lam, [sol.get(k, field.zero) for k in range(lam.dim)])
+        if rank(field, gram_matrix(lam, eps).rows) == lam.dim:
+            return FrobeniusPair(eps, dual_basis_tensor(lam, eps))
+    raise NotFrobenius(
+        "no counit with the required corner support has an invertible Gram"
+        f" matrix after {COUNIT_RETRY_BUDGET} seeded attempts"
+    )
 
 
 def paired_reference(qalg, eu, ev):

@@ -9,6 +9,16 @@ from sialg.cli import main
 DIAGONAL_NSY_2_2_22_COMUL_SHA256 = (
     "03d228b6e637381dec85aa3ab26f2fc75efe01927dbadb2ca8cf2c79e96475af"
 )
+# nsy(3, 2, (2, 1, 3)): every box of m is non-square, so the diagonal
+# preset is the full block and the two presets give the same report
+NSY_3_2_213_COMUL_SHA256 = {
+    "singleton": "d62cdf141271833d12b52fdc82b8bec212b49b455aedf3473b252860ce279d1e",
+    "diagonal": "7cbb0484d6870617a53f3a6c2637b6de002a64e4270e5e3a90f07452828e619d",
+    "full": "7cbb0484d6870617a53f3a6c2637b6de002a64e4270e5e3a90f07452828e619d",
+}
+NSY_3_2_213_ANALYZE_SHA256 = (
+    "0385e5c046a5c9310b5b257fedbf4e67fdae584b83d791455fbdef55f3750684"
+)
 VERIFY_SMALL_REPORT_SHA256 = (
     "6448049195ca15288cc6f801c70dc9f67876f7780742dfa3f8005f3298d84d3e"
 )
@@ -308,6 +318,20 @@ def test_report_bytes_deterministic(tmp_path):
     assert sha256(out1) == DIAGONAL_NSY_2_2_22_COMUL_SHA256
 
 
+def test_nsy_3_2_213_report_bytes(tmp_path):
+    alg_path = tmp_path / "a.json"
+    assert run_cli("generate", "--family", "nsy", "--n", "3", "--l", "2",
+                   "--m", "2,1,3", "-o", str(alg_path)) == 0
+    out = tmp_path / "analysis.json"
+    assert run_cli("analyze", "--input", str(alg_path), "--report", str(out)) == 0
+    assert sha256(out) == NSY_3_2_213_ANALYZE_SHA256
+    for preset, digest in NSY_3_2_213_COMUL_SHA256.items():
+        out = tmp_path / f"{preset}.json"
+        assert run_cli("comul", "--input", str(alg_path), "--preset", preset,
+                       "--report", str(out)) == 0
+        assert sha256(out) == digest, preset
+
+
 def test_string_unit_refused(tmp_path, capsys):
     alg_path = tmp_path / "m2.json"
     assert run_cli("generate", "--family", "matrix", "--m", "2", "-o", str(alg_path)) == 0
@@ -342,9 +366,10 @@ def test_generate_nsy_without_paths(capsys, l):
     (["comul", "--input", "a.json", "--preset", "none"], "argument --preset: invalid choice"),
     (["verify", "--input"], "argument --input: expected one argument"),
     (["verify", "--profile", "huge"], "argument --profile: invalid choice"),
+    (["verify", "--profile", "small", "-o", "x.json"], "unrecognized arguments: -o x.json"),
 ], ids=["no-command", "generate-required", "generate-choice", "analyze-required",
         "analyze-type", "comul-required", "comul-choice", "verify-missing-value",
-        "verify-choice"])
+        "verify-choice", "verify-output"])
 def test_usage_error_exit_code(capsys, argv, message):
     # exit code 2 is reserved for a falsified statement, so a usage error
     # exits 1 with argparse's usage line and message

@@ -20,7 +20,7 @@ def test_rank_examples():
         ([[QQ.zero] * 2] * 2, 0),
         (q([[1, 2], [2, 4]]), 1),
     ):
-        assert Matrix(QQ, rows).rank() == dense.rank(QQ, rows) == rank
+        assert len(Matrix(QQ, rows).rref()[1]) == dense.rank(QQ, rows) == rank
         assert sparse_rank(QQ, _dense_to_rows(rows)) == rank
 
 
@@ -79,7 +79,7 @@ def test_rank_nullity_random():
             nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
             rows = random_rows(field, rng, nrows, ncols)
             kern = dense.kernel(field, rows, ncols)
-            assert Matrix(field, rows).rank() + len(kern) == ncols
+            assert len(Matrix(field, rows).rref()[1]) + len(kern) == ncols
             assert len(sparse_kernel(field, _dense_to_rows(rows), ncols)) == len(kern)
             for v in kern:
                 assert all(not e for e in dense.apply(field, rows, v))

@@ -418,7 +418,9 @@ def test_decomposition_corners_match_reference(alg, monkeypatch):
         _matches_reference(corners)
     # the classes are the reference pairing's classes, on every pair
     quot = semisimple_quotient(alg, rad)
-    images = [quot.project(e) for e in dec.all_idempotents()]
+    images = [dense.project_reference(quot, rad, e) for e in dec.all_idempotents()]
+    # the grouping reads the quotient idempotents the lifts came from
+    assert sorted(e.dense() for e in grouping.reps) == sorted(e.dense() for e in images)
     cls_of = [c for c, cls in enumerate(dec.classes) for _ in cls]
     for u, v in product(range(len(images)), repeat=2):
         paired = dense.paired_reference(quot.algebra, images[u], images[v])
