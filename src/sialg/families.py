@@ -2,10 +2,12 @@
 
 Covers cyclic Nakayama algebras B(n, l) with path basis p[i,k], their
 multiplicity amplifications with the four-index X basis, matrix algebras,
-products of fields, and small abelian group algebras.  The generators do
-not check the algebra axioms themselves: `pipeline.analyze` validates
-every input it is given, and the tests check the unit and associativity
-of every algebra the corpus and the benchmark sweeps build.
+products of fields, and small abelian group algebras.  The path, X and
+matrix-unit bases each state their product rule and emit only the
+nonzero products, in basis-pair order.  The generators do not check the
+algebra axioms themselves: `pipeline.analyze` validates every input it
+is given, and the tests check the unit and associativity of every
+algebra the corpus and the benchmark sweeps build.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ def nakayama_algebra(n: int, l: int, field: Field = QQ) -> FinDimAlgebra:
         raise BadParams("need n >= 1 and l >= 1")
     idx = {(i, k): i * l + k for i in range(n) for k in range(l)}
     labels = [f"p[{i},{k}]" for i in range(n) for k in range(l)]
-    structure = []
-    for (i, k), a in idx.items():
-        for (i2, k2), b in idx.items():
-            if i2 == (i + k) % n and k + k2 <= l - 1:
-                structure.append((a, b, idx[(i, k + k2)], field.one))
+    # p[i,k] p[i+k,k2] = p[i,k+k2] for k + k2 < l; every other product is 0
+    structure = [
+        (a, idx[((i + k) % n, k2)], idx[(i, k + k2)], field.one)
+        for (i, k), a in idx.items()
+        for k2 in range(l - k)
+    ]
     unit = [field.zero] * (n * l)
     for i in range(n):
         unit[idx[(i, 0)]] = field.one
@@ -74,11 +77,14 @@ def nsy_algebra(n: int, l: int, m, field: Field = QQ) -> NsyPresentation:
                     tuples.append((i, k, r, s))
     index = {t: a for a, t in enumerate(tuples)}
     labels = [f"X[{i},{k};{r},{s}]" for (i, k, r, s) in tuples]
-    structure = []
-    for (i, k, r, s), a in index.items():
-        for (i2, k2, r2, s2), b in index.items():
-            if i2 == (i + k) % n and r2 == s and k + k2 <= l - 1:
-                structure.append((a, b, index[(i, k + k2, r, s2)], field.one))
+    # X[i,k;r,s] X[i+k,k2;s,s2] = X[i,k+k2;r,s2] for k + k2 < l; every
+    # other product is 0
+    structure = [
+        (a, index[((i + k) % n, k2, s, s2)], index[(i, k + k2, r, s2)], field.one)
+        for (i, k, r, s), a in index.items()
+        for k2 in range(l - k)
+        for s2 in range(m[(i + k + k2) % n])
+    ]
     unit = [field.zero] * len(tuples)
     for i in range(n):
         for r in range(m[i]):
@@ -111,11 +117,10 @@ def matrix_algebra(size: int, field: Field = QQ) -> FinDimAlgebra:
         raise BadParams("size must be >= 1")
     idx = {(u, v): u * size + v for u in range(size) for v in range(size)}
     labels = [f"E[{u + 1},{v + 1}]" for u in range(size) for v in range(size)]
-    structure = []
-    for (u, v), a in idx.items():
-        for (w, z), b in idx.items():
-            if v == w:
-                structure.append((a, b, idx[(u, z)], field.one))
+    # E[u,v] E[v,z] = E[u,z]; every other product is 0
+    structure = [
+        (a, idx[(v, z)], idx[(u, z)], field.one) for (u, v), a in idx.items() for z in range(size)
+    ]
     unit = [field.zero] * (size * size)
     for u in range(size):
         unit[idx[(u, u)]] = field.one

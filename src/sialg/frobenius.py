@@ -4,11 +4,12 @@ The counit is supported on the corners e_{nu^{-1}(i)} L e_i only, takes
 value 1 on the canonical basis vector of each small morphism space (the
 corner elements killed by J on both sides).  An attempt is accepted
 when its Gram matrix G[a][b] = eps(b_a b_b) inverts: the inverse that
-gives the dual-basis tensor is the acceptance test, so G is built and
-eliminated once per attempt.  The dual-basis tensor is assembled from
-the Gram inverse with duals multiplying on the left inside eps, and
-every produced pair is re-verified exactly: invariance, both counit
-identities, and the two support clauses.
+gives the dual-basis tensor is the acceptance test, so G is built, as
+sparse rows over the nonzero products b_a b_b, and inverted by
+`linalg.Matrix.inverse` once per attempt.  The rows of the inverse are
+read straight into the dual-basis tensor, with duals multiplying on the
+left inside eps, and every produced pair is re-verified exactly:
+invariance, both counit identities, and the two support clauses.
 
 Every function here takes the basic algebra's Peirce decomposition, a
 `structure.PeirceCorners` built once per context (`analyze` keeps it as
@@ -76,21 +77,23 @@ def small_spaces(corners: PeirceCorners, nak: NakayamaData, rad: RadicalData) ->
 
 
 def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
-    d = lam.dim
+    """G[a][b] = eps(b_a b_b), as sparse rows over the nonzero products."""
     field = lam.field
     vals = eps.values
     rows = []
     for row in lam.rows:
-        out = [field.zero] * d
+        out = {}
         for b, prod in row.items():
             acc = field.zero
             for k, c in prod.items():
                 v = vals[k]
                 if v:
                     acc = acc + c * v
-            out[b] = field.normal(acc)
+            acc = field.normal(acc)
+            if acc:
+                out[b] = acc
         rows.append(out)
-    return Matrix(field, rows)
+    return Matrix(field, rows, lam.dim)
 
 
 def frobenius_pair(
@@ -157,12 +160,10 @@ def dual_basis_tensor(lam: FinDimAlgebra, eps: Functional) -> Tensor2:
         ginv = gram.inverse()
     except SingularMatrix as exc:
         raise SingularGram("Gram matrix of the counit is singular") from exc
-    coeffs = {}
-    for a, row in enumerate(ginv.rows):
-        for g, c in enumerate(row):
-            if c:
-                coeffs[(a, g)] = c
-    y = Tensor2(lam, coeffs)
+    # terms in basis order, as the basis is read everywhere else
+    y = Tensor2(
+        lam, {(a, g): c for a, row in enumerate(ginv.rows) for g, c in sorted(row.items())}
+    )
     if is_invariant(y) is not None:
         raise AlgebraError("dual-basis tensor failed the invariance check")
     if not is_counit(eps, y):

@@ -12,10 +12,11 @@ be wasteful densely.
 ``sparse_rank`` first tries a certificate: nonempty rows with pairwise
 distinct least keys, each with a nonzero coefficient there, are already
 in echelon form, so their rank is their count and no :class:`Span` is
-built.  :class:`Matrix` is a dense view over the same elimination, used
-only to invert the Gram matrix of a counit: its ``rref`` hands the
-nonzero entries of each row to a :class:`Span` and writes the reduced
-rows back out densely.
+built.  :class:`Matrix` holds sparse rows over a fixed number of columns
+and is the one inversion: ``inverse`` tags row t with the column n + t and
+reads the inverse off one ``rref``, a :class:`Span` of the tagged rows.
+It inverts the Gram matrix of a counit and the model map of the
+pipeline.
 """
 
 from __future__ import annotations
@@ -24,48 +25,38 @@ from .errors import DimensionMismatch, SingularMatrix
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Matrix of zero-free sparse rows ``{column: scalar}`` over the
+    columns ``range(ncols)``; the rows are kept, not copied."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "ncols")
 
-    def __init__(self, field, rows):
-        rows = [list(r) for r in rows]
+    def __init__(self, field, rows, ncols: int):
+        rows = list(rows)
+        for r in rows:
+            if r and (min(r) < 0 or max(r) >= ncols):
+                raise DimensionMismatch(f"row entry outside columns 0..{ncols - 1}")
         self.field = field
         self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != self.ncols:
-                raise DimensionMismatch("ragged rows")
+        self.ncols = ncols
 
     def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column tuple)."""
-        span = Span(self.field, ({j: x for j, x in enumerate(r) if x} for r in self.rows))
-        z = self.field.zero
-        rows = []
-        for _, row in span.basis_items():
-            dense = [z] * self.ncols
-            for j, x in row.items():
-                dense[j] = x
-            rows.append(dense)
-        rows.extend([z] * self.ncols for _ in range(self.nrows - span.dim))
-        return Matrix(self.field, rows), tuple(sorted(span.rows))
+        """(nonzero reduced rows in pivot order, pivot column tuple)."""
+        span = Span(self.field, self.rows)
+        return span.basis_vectors(), tuple(sorted(span.rows))
 
-    def inverse(self):
-        n = self.nrows
-        if n != self.ncols:
+    def inverse(self) -> Matrix:
+        """Row t is tagged by column n + t; the tags are independent, so the
+        matrix inverts exactly when it is square and no pivot is a tag, and
+        the reduced row at pivot k then spells row k of the inverse in its
+        tag columns."""
+        n, one = self.ncols, self.field.one
+        if len(self.rows) != n:
             raise SingularMatrix("not square")
-        z, o = self.field.zero, self.field.one
-        aug = Matrix(
-            self.field,
-            [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(self.rows)],
-        )
-        # the identity block gives the augmented matrix rank n, so the left
-        # block is invertible exactly when no pivot falls in the right block
-        reduced, pivots = aug.rref()
+        tagged = Matrix(self.field, ({**r, n + t: one} for t, r in enumerate(self.rows)), 2 * n)
+        reduced, pivots = tagged.rref()
         if any(p >= n for p in pivots):
             raise SingularMatrix("rank deficient")
-        return Matrix(self.field, [r[n:] for r in reduced.rows])
+        return Matrix(self.field, ({j - n: c for j, c in r.items() if j >= n} for r in reduced), n)
 
 
 # -- sparse rows -------------------------------------------------------------

@@ -7,6 +7,9 @@ projective-copy witnesses.  Before use the map is verified to be a
 unital algebra isomorphism: it keeps the unit, it is bijective, and
 phi(a) phi(b) = phi(ab) on every basis pair, with the products taken in
 the input algebra and only the nonzero ones on either side compared.
+The matrix of the images is inverted by `linalg.Matrix.inverse`, the
+same sparse inversion the Gram matrix of a counit goes through, and its
+rows are the preimages that carry a functional back to the input.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .amplify import (
     preset_spec,
     spread,
 )
-from .errors import AlgebraError
+from .errors import AlgebraError, SingularMatrix
 from .frobenius import FrobeniusPair, frobenius_pair
-from .linalg import Span
+from .linalg import Matrix
 from .structure import (
     DEFAULT_SEED,
     CanonicalDecomposition,
@@ -158,19 +161,13 @@ class ModelIsomorphism:
                     raise AlgebraError(
                         f"model map is not multiplicative at basis pair ({a},{b})"
                     )
-        # row t carries the image of basis vector t tagged by key d + t; the
-        # map is bijective exactly when every pivot is an input key, and the
-        # row at pivot k then spells phi^-1(b_k) in its tag keys
-        field = alg.field
-        span = Span(
-            field, ({**img.coeffs, d + t: field.one} for t, img in enumerate(self.images))
-        )
-        if any(piv >= d for piv in span.rows):
-            raise AlgebraError("model map is not bijective")
-        self.preimages = [
-            {key - d: c for key, c in row.items() if key >= d}
-            for _, row in span.basis_items()
-        ]
+        # phi is bijective exactly when the matrix of its images inverts,
+        # and row k of the inverse spells phi^-1(b_k)
+        try:
+            inverse = Matrix(alg.field, vectors, d).inverse()
+        except SingularMatrix as exc:
+            raise AlgebraError("model map is not bijective") from exc
+        self.preimages = inverse.rows
 
     def apply_tensor2(self, x: Tensor2) -> Tensor2:
         p = self.alg.field.p

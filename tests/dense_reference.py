@@ -8,11 +8,12 @@ field scalars, pivots are chosen as the first nonzero entry of a column,
 the only division is ``field.inv``, and every computed entry passes
 through ``field.normal`` (over GF(p) scalars are ints reduced mod p).
 The elimination does not use ``sialg.linalg``, so comparing against it
-checks ``Span`` and the dense ``Matrix`` view over it with an
-independent implementation.  ``SpanReference`` is ``Span`` without its
-fast paths: every remainder is rescaled through ``field.inv``, a lead of
-1 or -1 included, so comparing ``Span.rows`` with its rows checks those
-fast paths down to the type of each stored scalar.  The actions walk
+checks ``Span`` and the sparse ``Matrix`` over it with an independent
+implementation; ``densify`` writes sparse rows out densely for that.
+``SpanReference`` is ``Span`` without its fast paths: every remainder is
+rescaled through ``field.inv``, a lead of 1 or -1 included, so comparing
+``Span.rows`` with its rows checks those fast paths down to the type of
+each stored scalar.  The actions walk
 every term of the tensor for every term of the acting element, with no
 grouping by leg, so comparing against them checks ``act_left`` and
 ``act_right``.  The radical and model-map loops multiply every pair of
@@ -81,6 +82,11 @@ def rref(field, rows, ncols):
                 rows[r] = [norm(x - c * y) for x, y in zip(rows[r], rows[rank])]
         pivots.append(col)
     return rows, pivots
+
+
+def densify(field, rows, ncols):
+    """Dense rows of the zero-free sparse rows {column: scalar}."""
+    return [[row.get(j, field.zero) for j in range(ncols)] for row in rows]
 
 
 def rank(field, rows):
@@ -384,7 +390,8 @@ def frobenius_pair_reference(corners, nak, rad, seed=DEFAULT_SEED):
             targets[slot] = field.one if attempt == 0 else field.random_nonzero(rng)
         sol, _ = sparse_solve(field, [v.coeffs for v in vectors], targets, lam.dim)
         eps = Functional(lam, [sol.get(k, field.zero) for k in range(lam.dim)])
-        if rank(field, gram_matrix(lam, eps).rows) == lam.dim:
+        gram = gram_matrix(lam, eps)
+        if rank(field, densify(field, gram.rows, gram.ncols)) == lam.dim:
             return FrobeniusPair(eps, dual_basis_tensor(lam, eps))
     raise NotFrobenius(
         "no counit with the required corner support has an invertible Gram"
@@ -447,3 +454,58 @@ def single_constant_mutants(alg, rng, reps):
         added = struct + ([] if key in present else [key + (one,)])
         for s in (bumped, deleted, added):
             yield FinDimAlgebra(alg.field, alg.labels, s, unit)
+
+
+def nakayama_algebra_reference(n, l, field):
+    """`families.nakayama_algebra` by a scan of all d^2 basis pairs, each
+    tested against the composition rule of paths."""
+    idx = {(i, k): i * l + k for i in range(n) for k in range(l)}
+    labels = [f"p[{i},{k}]" for i in range(n) for k in range(l)]
+    structure = []
+    for (i, k), a in idx.items():
+        for (i2, k2), b in idx.items():
+            if i2 == (i + k) % n and k + k2 <= l - 1:
+                structure.append((a, b, idx[(i, k + k2)], field.one))
+    unit = [field.zero] * (n * l)
+    for i in range(n):
+        unit[idx[(i, 0)]] = field.one
+    return FinDimAlgebra(field, labels, structure, unit)
+
+
+def nsy_algebra_reference(n, l, m, field):
+    """`families.nsy_algebra(...).algebra` by a scan of all d^2 basis
+    pairs, each tested against the composition rule of the X basis."""
+    tuples = [
+        (i, k, r, s)
+        for i in range(n)
+        for k in range(l)
+        for r in range(m[i])
+        for s in range(m[(i + k) % n])
+    ]
+    index = {t: a for a, t in enumerate(tuples)}
+    labels = [f"X[{i},{k};{r},{s}]" for (i, k, r, s) in tuples]
+    structure = []
+    for (i, k, r, s), a in index.items():
+        for (i2, k2, r2, s2), b in index.items():
+            if i2 == (i + k) % n and r2 == s and k + k2 <= l - 1:
+                structure.append((a, b, index[(i, k + k2, r, s2)], field.one))
+    unit = [field.zero] * len(tuples)
+    for i in range(n):
+        for r in range(m[i]):
+            unit[index[(i, 0, r, r)]] = field.one
+    return FinDimAlgebra(field, labels, structure, unit)
+
+
+def matrix_algebra_reference(size, field):
+    """`families.matrix_algebra` by a scan of all d^2 basis pairs."""
+    idx = {(u, v): u * size + v for u in range(size) for v in range(size)}
+    labels = [f"E[{u + 1},{v + 1}]" for u in range(size) for v in range(size)]
+    structure = []
+    for (u, v), a in idx.items():
+        for (w, z), b in idx.items():
+            if v == w:
+                structure.append((a, b, idx[(u, z)], field.one))
+    unit = [field.zero] * (size * size)
+    for u in range(size):
+        unit[idx[(u, u)]] = field.one
+    return FinDimAlgebra(field, labels, structure, unit)

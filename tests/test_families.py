@@ -2,6 +2,7 @@ from itertools import product as iter_product
 
 import pytest
 
+import dense_reference as dense
 from sialg.algebra import (
     act_left,
     act_right,
@@ -16,6 +17,7 @@ from sialg.families import (
     STANDARD_NSY_SHAPES,
     corpus,
     group_algebra,
+    matrix_algebra,
     nakayama_algebra,
     nsy_algebra,
     reference_delta_one,
@@ -35,6 +37,36 @@ def test_nakayama_algebra_examples():
     assert B.dim == 4
     nak = nakayama(PeirceCorners(B, canonical_decomposition(B).reps), radical(B))
     assert sorted(nak.nu) == [0, 1] and nak.nu != (0, 1)  # the transposition
+
+
+# the generators emit only the nonzero products; the d^2 scans of the
+# reference give the same algebra, down to the order of its products
+_GENERATOR_GRID = (
+    [("nakayama", n, l) for n in range(1, 5) for l in range(1, 5)]
+    + [
+        ("nsy", n, l, m)
+        for n in range(1, 4)
+        for l in range(1, 5)
+        for m in iter_product((1, 2, 3), repeat=n)
+    ]
+    + [("nsy", 4, l, m) for l in range(1, 5) for m in ((1, 1, 2, 3), (3, 3, 3, 3))]
+    + [("matrix", size) for size in range(1, 6)]
+)
+
+
+def test_generators_match_pair_scan():
+    builds = {
+        "nakayama": (nakayama_algebra, dense.nakayama_algebra_reference),
+        "nsy": (lambda *a: nsy_algebra(*a).algebra, dense.nsy_algebra_reference),
+        "matrix": (matrix_algebra, dense.matrix_algebra_reference),
+    }
+    compared = 0
+    for field in (QQ, Field(101)):
+        for kind, *args in _GENERATOR_GRID:
+            build, reference = builds[kind]
+            assert build(*args, field).to_json() == reference(*args, field).to_json(), args
+            compared += 1
+    assert compared == 370
 
 
 def test_nsy_dimension_and_cases():

@@ -1,6 +1,7 @@
 import ast
 import random
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,36 @@ def test_primality():
     for n in [0, 1, 4, 9, 100, 7917, 104730]:
         assert not is_prime(n)
     assert next_prime(14) == 17
+
+
+# OEIS A014233: psi_k is the least odd composite that is a strong
+# pseudoprime to each of the first k prime bases
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+
+
+def test_primality_exact_below_psi13():
+    # the 13 bases up to 41 refuse every psi_k with k <= 12; the 12 bases
+    # up to 37 accepted psi_12 = 399165290221 * 798330580441
+    assert 399165290221 * 798330580441 == PSI[-1]
+    for psi in PSI:
+        assert not is_prime(psi), psi
+    with pytest.raises(BadParams):
+        Field(PSI[-1])
+    for n in range(20000):
+        assert is_prime(n) == (n > 1 and all(n % q for q in range(2, isqrt(n) + 1))), n
 
 
 def test_prime_field_requires_prime():

@@ -5,7 +5,7 @@ import pytest
 
 import dense_reference as dense
 from sialg import linalg
-from sialg.errors import SingularMatrix
+from sialg.errors import DimensionMismatch, SingularMatrix
 from sialg.fields import Field, QQ
 from sialg.linalg import Matrix, Span, sparse_kernel, sparse_rank, sparse_solve
 
@@ -20,8 +20,9 @@ def test_rank_examples():
         ([[QQ.zero] * 2] * 2, 0),
         (q([[1, 2], [2, 4]]), 1),
     ):
-        assert len(Matrix(QQ, rows).rref()[1]) == dense.rank(QQ, rows) == rank
-        assert sparse_rank(QQ, _dense_to_rows(rows)) == rank
+        sparse = _dense_to_rows(rows)
+        assert len(Matrix(QQ, sparse, 2).rref()[1]) == dense.rank(QQ, rows) == rank
+        assert sparse_rank(QQ, sparse) == rank
 
 
 def test_solve_examples():
@@ -45,15 +46,27 @@ def test_solve_examples():
 
 def test_invert_examples():
     eye = dense.identity(QQ, 3)
-    assert Matrix(QQ, eye).inverse().rows == eye == dense.inverse(QQ, eye)
-    swap = q([[0, 1], [1, 0]])
-    assert Matrix(QQ, swap).inverse().rows == swap
-    shear = q([[1, 1], [0, 1]])
-    assert Matrix(QQ, shear).inverse().rows == q([[1, -1], [0, 1]]) == dense.inverse(QQ, shear)
-    singular = q([[1, 2], [2, 4]])
-    assert dense.inverse(QQ, singular) is None
-    with pytest.raises(SingularMatrix):
-        Matrix(QQ, singular).inverse()
+    inv = Matrix(QQ, _dense_to_rows(eye), 3).inverse()
+    assert inv.rows == [{0: 1}, {1: 1}, {2: 1}] and inv.ncols == 3
+    assert dense.densify(QQ, inv.rows, 3) == eye == dense.inverse(QQ, eye)
+    swap = [{1: 1}, {0: 1}]
+    assert Matrix(QQ, swap, 2).inverse().rows == swap
+    # the inverse's rows are zero-free: (1 1; 0 1) inverts to (1 -1; 0 1)
+    shear = Matrix(QQ, [{0: 1, 1: 1}, {1: 1}], 2).inverse().rows
+    assert shear == [{0: 1, 1: -1}, {1: 1}]
+    assert dense.densify(QQ, shear, 2) == dense.inverse(QQ, q([[1, 1], [0, 1]]))
+    assert dense.inverse(QQ, q([[1, 2], [2, 4]])) is None
+    for rows, ncols in (([{0: 1, 1: 2}, {0: 2, 1: 4}], 2), ([{}, {}], 2), ([{0: 1}], 2)):
+        with pytest.raises(SingularMatrix):
+            Matrix(QQ, rows, ncols).inverse()
+
+
+def test_matrix_entry_outside_columns_refused():
+    # a row is a zero-free dict over the columns 0..ncols-1
+    for row in ({2: 1}, {0: 1, -1: 1}):
+        with pytest.raises(DimensionMismatch):
+            Matrix(QQ, [{0: 1}, row], 2)
+    assert Matrix(QQ, [{}, {1: 3}], 2).rref() == ([{1: 1}], (1,))
 
 
 def random_rows(field, rng, nrows, ncols):
@@ -79,7 +92,7 @@ def test_rank_nullity_random():
             nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
             rows = random_rows(field, rng, nrows, ncols)
             kern = dense.kernel(field, rows, ncols)
-            assert len(Matrix(field, rows).rref()[1]) + len(kern) == ncols
+            assert len(Matrix(field, _dense_to_rows(rows), ncols).rref()[1]) + len(kern) == ncols
             assert len(sparse_kernel(field, _dense_to_rows(rows), ncols)) == len(kern)
             for v in kern:
                 assert all(not e for e in dense.apply(field, rows, v))
@@ -93,14 +106,15 @@ def test_inverse_random():
             rows = random_rows(field, rng, n, n)
             if dense.rank(field, rows) < n:
                 continue
-            inv = Matrix(field, rows).inverse().rows
+            inv = dense.densify(field, Matrix(field, _dense_to_rows(rows), n).inverse().rows, n)
             assert dense.matmul(field, inv, rows) == dense.identity(field, n)
             assert dense.matmul(field, rows, inv) == dense.identity(field, n)
 
 
 def test_matrix_view_matches_dense_reference():
     # Matrix.rref and Matrix.inverse run through Span; reduced echelon form
-    # is unique, so both must equal the textbook elimination exactly
+    # is unique, so both must equal the textbook elimination exactly, with
+    # the zero rows left out and no zero stored in a row
     rng = random.Random(12)
     shapes = 0
     for field in (QQ, Field(5)):
@@ -110,21 +124,26 @@ def test_matrix_view_matches_dense_reference():
                 nrows = ncols  # square, so the inverse is tested often
             make = low_rank_rows if trial % 2 else random_rows
             rows = make(field, rng, nrows, ncols)
-            reduced, pivots = Matrix(field, rows).rref()
+            matrix = Matrix(field, _dense_to_rows(rows), ncols)
+            reduced, pivots = matrix.rref()
             want_rows, want_pivots = dense.rref(field, rows, ncols)
-            assert (reduced.rows, list(pivots)) == (want_rows, want_pivots)
-            assert (reduced.nrows, reduced.ncols) == (nrows, ncols)
+            rank = len(want_pivots)
+            assert list(pivots) == want_pivots
+            assert dense.densify(field, reduced, ncols) == want_rows[:rank]
+            assert all(not x for row in want_rows[rank:] for x in row)
+            assert all(c for row in reduced for c in row.values())
             want_inv = dense.inverse(field, rows)
             if want_inv is None:
                 with pytest.raises(SingularMatrix):
-                    Matrix(field, rows).inverse()
+                    matrix.inverse()
             else:
-                assert Matrix(field, rows).inverse().rows == want_inv
+                inv = matrix.inverse().rows
+                assert dense.densify(field, inv, ncols) == want_inv
+                assert all(c for row in inv for c in row.values())
             shapes += 1
-        zero = [[field.zero] * 3 for _ in range(2)]
-        assert Matrix(field, zero).rref()[0].rows == zero
+        assert Matrix(field, [{}, {}], 3).rref() == ([], ())
         with pytest.raises(SingularMatrix):
-            Matrix(field, [[field.zero] * 2 for _ in range(2)]).inverse()
+            Matrix(field, [{}, {}], 2).inverse()
     assert shapes == 120
 
 

@@ -19,6 +19,7 @@ from sialg.families import (
 )
 from sialg.algebra import FinDimAlgebra, Functional
 from sialg.fields import Field
+from sialg.frobenius import gram_matrix
 from sialg.pipeline import (
     ModelIsomorphism,
     analyze,
@@ -421,6 +422,34 @@ def test_transport_functional_matches_dense_solve():
             psi = model_map.transport_functional(f)
             assert [psi(img) for img in images] == list(f.values)
             assert list(psi.values) == dense.solve(field, rows, f.values, d)
+
+
+# the standard corpus, and the sweep-gfp benchmark's group algebras that
+# prepare accepts: GF(2)[C3 x C3] has no counit and is refused before its
+# model map is built
+_INVERTED = [(e.key, e.algebra) for e in corpus("standard")] + [
+    (f"group {list(factors)} gf{p}", group_algebra(factors, Field(p)))
+    for p in (2, 3)
+    for factors in ((2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2))
+    if (p, factors) != (2, (3, 3))
+]
+
+
+def test_inversions_match_dense_reference():
+    # the model map and the Gram matrix of the counit are both inverted by
+    # Matrix.inverse; an inverse is unique, so each must equal the
+    # textbook inverse of its dense matrix
+    for key, alg in _INVERTED:
+        ctx = prepare(alg)
+        field, d = alg.field, alg.dim
+        images = dense.densify(field, [img.coeffs for img in ctx.model_map.images], d)
+        preimages = dense.densify(field, ctx.model_map.preimages, d)
+        assert preimages == dense.inverse(field, images), key
+        lam = ctx.analysis.lam
+        gram = gram_matrix(lam, ctx.pair.epsilon)
+        ginv = dense.densify(field, gram.inverse().rows, lam.dim)
+        assert ginv == dense.inverse(field, dense.densify(field, gram.rows, lam.dim)), key
+    assert len(_INVERTED) == 86 + 11
 
 
 PRESETS = ("singleton", "diagonal", "full")

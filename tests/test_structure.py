@@ -9,6 +9,7 @@ from sialg.algebra import combination, multiply, permute_basis
 from sialg.amplify import amplify, lift
 from sialg.errors import AlgebraError, NotBasic, NotSelfInjectiveLike, UnsupportedField
 from sialg.families import (
+    STANDARD_NSY_SHAPES,
     corpus,
     field_product_algebra,
     group_algebra,
@@ -178,17 +179,33 @@ def test_decomposition_invariants_random_algebras():
         perm = list(range(alg.dim))
         rng.shuffle(perm)
         palg = permute_basis(alg, perm)
-        dec = canonical_decomposition(palg)
-        idems = dec.all_idempotents()
-        total = palg.zero()
-        for e in idems:
-            assert multiply(e, e) == e
-            total = total + e
-        assert total == palg.unit
-        for a in range(len(idems)):
-            for b in range(len(idems)):
-                if a != b:
-                    assert multiply(idems[a], idems[b]).is_zero()
+        _assert_complete_orthogonal(palg, canonical_decomposition(palg).all_idempotents())
+
+
+def _assert_complete_orthogonal(alg, idems):
+    """The idempotents are idempotent, pairwise orthogonal and sum to 1."""
+    total = alg.zero()
+    for e in idems:
+        assert multiply(e, e) == e
+        total = total + e
+    assert total == alg.unit
+    for a in range(len(idems)):
+        for b in range(len(idems)):
+            if a != b:
+                assert multiply(idems[a], idems[b]).is_zero()
+
+
+def test_decomposition_idempotents_across_sweeps():
+    # canonical_decomposition checks none of this itself: each lift is an
+    # idempotent of (1 - p) A (1 - p), p the sum of the lifts before it
+    algs = [alg for _, alg in _DECOMPOSED] + [
+        nsy_algebra(n, l, m, Field(101)).algebra
+        for n, l in STANDARD_NSY_SHAPES
+        for m in product((1, 2, 3), repeat=n)
+    ]
+    for alg in algs:
+        _assert_complete_orthogonal(alg, canonical_decomposition(alg).all_idempotents())
+    assert len(algs) == 86 + 12 + 81
 
 
 def _corners_and_rad(alg):
