@@ -54,7 +54,6 @@ from .frobenius import (
     FrobeniusPair,
     dual_basis_tensor,
     frobenius_pair,
-    small_spaces,
     transport_pair,
     verify_frobenius_pair,
 )

@@ -135,10 +135,15 @@ class SpreadSpec:
                     raise BadParams(f"class index {row['i']} out of range")
                 if classes[idx] is not None:
                     raise BadParams(f"class index {row['i']} given twice")
-                classes[idx] = frozenset(
-                    (json_int(s, "copy index"), json_int(s2, "copy index"))
-                    for s, s2 in row["pairs"]
-                )
+                chosen = set()
+                for s, s2 in row["pairs"]:
+                    pair = (json_int(s, "copy index"), json_int(s2, "copy index"))
+                    if pair in chosen:
+                        raise BadParams(
+                            f"pair ({pair[0]},{pair[1]}) given twice for class {row['i']}"
+                        )
+                    chosen.add(pair)
+                classes[idx] = frozenset(chosen)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadParams(f"malformed subset data: {exc}") from exc
         return cls(tuple(frozenset() if c is None else c for c in classes))

@@ -30,7 +30,8 @@ class NotSelfInjectiveLike(AlgebraError):
 
 
 class WitnessNotFound(AlgebraError):
-    """A seeded search exhausted its budget; signals an upstream grouping bug."""
+    """No basis element of a copy corner is an isomorphism; signals an
+    upstream grouping bug."""
 
 
 class NotFrobenius(AlgebraError):

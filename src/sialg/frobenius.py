@@ -2,14 +2,20 @@
 
 The counit is supported on the corners e_{nu^{-1}(i)} L e_i only, takes
 value 1 on the canonical basis vector of each small morphism space (the
-corner elements killed by J on both sides).  An attempt is accepted
-when its Gram matrix G[a][b] = eps(b_a b_b) inverts: the inverse that
-gives the dual-basis tensor is the acceptance test, so G is built, as
-sparse rows over the nonzero products b_a b_b, and inverted by
-`linalg.Matrix.inverse` once per attempt.  The rows of the inverse are
-read straight into the dual-basis tensor, with duals multiplying on the
-left inside eps, and every produced pair is re-verified exactly:
-invariance, both counit identities, and the two support clauses.
+corner elements killed by J on both sides).  That space is the socle of
+e_k L for k = nu^{-1}(i), which `nakayama` computes as `nak.socles[k]`:
+the socle lies in the corner (k, i) by the definition of nu, and on a
+self-injective algebra the left and right socles agree, so J kills it on
+the left as well as on the right.
+
+An attempt is accepted when its Gram matrix G[a][b] = eps(b_a b_b)
+inverts: the inverse that gives the dual-basis tensor is the acceptance
+test, so G is built, as sparse rows over the nonzero products b_a b_b,
+and inverted by `linalg.Matrix.inverse` once per attempt.  The rows of
+the inverse are read straight into the dual-basis tensor, with duals
+multiplying on the left inside eps, and every produced pair is
+re-verified exactly: invariance, both counit identities, and the two
+support clauses.
 
 Every function here takes the basic algebra's Peirce decomposition, a
 `structure.PeirceCorners` built once per context (`analyze` keeps it as
@@ -40,7 +46,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import Matrix, Span, sparse_rank, sparse_solve
-from .structure import DEFAULT_SEED, NakayamaData, PeirceCorners, RadicalData, annihilator
+from .structure import DEFAULT_SEED, NakayamaData, PeirceCorners
 
 COUNIT_RETRY_BUDGET = 32
 
@@ -66,16 +72,6 @@ class FrobeniusPair:
         )
 
 
-def small_spaces(corners: PeirceCorners, nak: NakayamaData, rad: RadicalData) -> list:
-    """Per class i, a basis of the subspace of the corner e_{nu^-1(i),1} L
-    e_{i,1} killed by the radical on both sides; these span the morphisms
-    factoring through a simple module."""
-    return [
-        annihilator(corners.alg, corners.bases[(nak.nu_inverse(i), i)], rad.basis, rad.basis)
-        for i in range(len(corners.reps))
-    ]
-
-
 def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
     """G[a][b] = eps(b_a b_b), as sparse rows over the nonzero products."""
     field = lam.field
@@ -97,11 +93,12 @@ def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
 
 
 def frobenius_pair(
-    corners: PeirceCorners, nak: NakayamaData, rad: RadicalData, seed: int = DEFAULT_SEED
+    corners: PeirceCorners, nak: NakayamaData, seed: int = DEFAULT_SEED
 ) -> FrobeniusPair:
     """Counit supported on the allowed corners, with its dual-basis tensor.
 
-    Values are 1 on the canonical small-space basis vectors and 0 on a
+    Values are 1 on the canonical small-space basis vectors, the socle
+    basis `nak.socles[nu^-1(i)]` in each corner (nu^-1(i), i), and 0 on a
     fixed complement; seeded nonzero retries cover small spaces of
     dimension > 1.  The first attempt whose Gram matrix inverts is kept;
     raises NotFrobenius when the budget is exhausted.
@@ -109,7 +106,6 @@ def frobenius_pair(
     lam = corners.alg
     field = lam.field
     n = len(corners.reps)
-    small = small_spaces(corners, nak, rad)
     vectors = []
     small_slots = []  # indices into `vectors` carrying small basis entries
     for i in range(n):
@@ -119,7 +115,7 @@ def frobenius_pair(
                 continue
             if j == nak.nu_inverse(i):
                 span = Span(field)
-                for z in small[i]:
+                for z in nak.socles[j]:
                     span.add(z.coeffs)
                     small_slots.append(len(vectors))
                     vectors.append(z)
@@ -206,10 +202,11 @@ class FrobeniusPairReport:
 
 
 def verify_frobenius_pair(
-    corners: PeirceCorners, pair: FrobeniusPair, nak: NakayamaData, rad: RadicalData
+    corners: PeirceCorners, pair: FrobeniusPair, nak: NakayamaData
 ) -> FrobeniusPairReport:
     """Exact checks: invariance, counit laws, corner support of eps, block
-    support of y, and nondegeneracy of eps on every small space.
+    support of y, and nondegeneracy of eps on every small space, the socle
+    `nak.socles[nu^-1(i)]` of class i.
 
     On a basic algebra each small space is a division ring, where a
     functional induces a nondegenerate pairing iff it is nonzero; that is
@@ -230,9 +227,9 @@ def verify_frobenius_pair(
                 break
         if not support_ok:
             break
-    small = small_spaces(corners, nak, rad)
     small_ok, small_witness = True, None
-    for i, basis in enumerate(small):
+    for i in range(n):
+        basis = nak.socles[nak.nu_inverse(i)]
         if not basis or not any(eps(z) for z in basis):
             small_ok, small_witness = False, i
             break

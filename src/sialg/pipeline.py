@@ -64,7 +64,6 @@ class AnalysisResult:
     dec: CanonicalDecomposition
     corners: PeirceCorners
     elements: list | None
-    rad_lam: RadicalData
     nak: NakayamaData
 
     @property
@@ -100,10 +99,9 @@ def analyze(alg: FinDimAlgebra, seed: int = DEFAULT_SEED) -> AnalysisResult:
     rad = radical(alg)
     dec = canonical_decomposition(alg, seed, rad)
     lam, reps, elements = basic_reduction(alg, dec)
-    rad_lam = rad if lam is alg else radical(lam)
     corners = PeirceCorners(lam, reps)
-    nak = nakayama(corners, rad_lam)
-    return AnalysisResult(alg, rad, dec, corners, elements, rad_lam, nak)
+    nak = nakayama(corners, rad if lam is alg else radical(lam))
+    return AnalysisResult(alg, rad, dec, corners, elements, nak)
 
 
 class ModelIsomorphism:
@@ -225,8 +223,8 @@ class PipelineRun:
 
 def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED):
     analysis = analyze(alg, seed)
-    pair = frobenius_pair(analysis.corners, analysis.nak, analysis.rad_lam, seed)
-    wit = iso_witnesses(alg, analysis.dec, seed)
+    pair = frobenius_pair(analysis.corners, analysis.nak, seed)
+    wit = iso_witnesses(alg, analysis.dec)
     amp = amplify(analysis.corners, analysis.dec.multiplicities)
     model_map = ModelIsomorphism(alg, amp, analysis.elements, wit)
     return PipelineContext(analysis, pair, wit, amp, model_map)

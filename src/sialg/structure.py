@@ -7,7 +7,10 @@ kernel of a high Frobenius power, which covers modular group algebras.
 Idempotents are lifted from the semisimple quotient with the cubic
 iteration a -> 3a^2 - 2a^3 and orthogonalized sequentially; splitting
 inside the quotient factors minimal polynomials of swept corner elements.
-All randomized searches take an explicit seed and are reproducible.
+Two searches are randomized, the quotient split here and the counit
+retry of `frobenius_pair`; both take an explicit seed and are
+reproducible.  The copy witnesses and the duality pattern are decided on
+a basis, with no draw.
 `PeirceCorners` is the one Peirce decomposition and the only code that
 computes a sandwich e_j v e_i.  It gives the corners of the class
 representatives, of the copies within a class (for the copy witnesses),
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, count, product
 
 from . import poly
 from .algebra import (
@@ -43,7 +46,6 @@ from .linalg import Span, sparse_kernel, sparse_rank, sparse_solve
 
 DEFAULT_SEED = 271828
 SPLIT_BUDGET_FACTOR = 32
-WITNESS_BUDGET_FACTOR = 32
 
 FLAG_SPLIT = "split"
 FLAG_NOT_SPLIT = "not-split-unverified"
@@ -365,21 +367,18 @@ class CanonicalDecomposition:
         return FLAG_SPLIT in self.flags
 
 
-def _sweep(alg: FinDimAlgebra, basis: list, rng):
-    """The elements of `basis`, then seeded random combinations of them
-    without end."""
-    yield from basis
-    while True:
-        yield combination(alg, basis, [alg.field.random(rng) for _ in basis])
-
-
 def _split_once(qalg: FinDimAlgebra, e: Element, corner_elems: list, rng, budget: int):
     """Try to write e as a sum of two orthogonal idempotents, sweeping the
-    basis `corner_elems` of e Q e; None if the budget runs out.  Returns
-    ((e1, e2), attempts_used) on success."""
+    basis `corner_elems` of e Q e, then seeded random combinations of it;
+    None if the budget runs out.  Returns ((e1, e2), attempts_used) on
+    success."""
     field = qalg.field
+    draws = (
+        combination(qalg, corner_elems, [field.random(rng) for _ in corner_elems])
+        for _ in count()
+    )
     attempts = 0
-    for z in _sweep(qalg, corner_elems, rng):
+    for z in chain(corner_elems, draws):
         if attempts >= budget:
             return None, attempts
         attempts += 1
@@ -610,37 +609,25 @@ def _right_dual_intertwiners(alg, u_basis, u_span, x_basis, x_span):
     return sparse_kernel(field, eq_rows, nu_ * nx)
 
 
-def _has_invertible_combination(field, sols, size: int, seed: int) -> bool:
-    if not sols:
-        return False
-
-    def invertible(vec: dict) -> bool:
-        rows = [{} for _ in range(size)]
-        for key, c in vec.items():
-            rows[key // size][key % size] = c
-        return sparse_rank(field, rows) == size
-
-    for vec in sols:
-        if invertible(vec):
-            return True
-    rng = random.Random(seed)
-    for _ in range(64):
-        combo: dict = {}
-        for vec in sols:
-            c = field.random(rng, -3, 3)
-            if c:
-                for k, v in vec.items():
-                    w = field.normal(combo.get(k, field.zero) + c * v)
-                    if w:
-                        combo[k] = w
-                    else:
-                        combo.pop(k, None)
-        if combo and invertible(combo):
-            return True
-    return False
+def _is_invertible(field, vec: dict, size: int) -> bool:
+    """The size x size coordinate matrix `vec` of an intertwiner has full rank."""
+    rows = [{} for _ in range(size)]
+    for key, c in vec.items():
+        rows[key // size][key % size] = c
+    return sparse_rank(field, rows) == size
 
 
-def _duality_holds(corners: PeirceCorners, i: int, j: int, seed: int) -> bool:
+def _duality_holds(corners: PeirceCorners, i: int, j: int) -> bool:
+    """Some intertwiner e_i A -> (A e_j)^* is invertible; decided on a
+    basis of the solution space S.
+
+    Proof, for e_i primitive in a self-injective algebra, so that e_i A
+    has a simple socle: the socle is essential, so an intertwiner is
+    injective, and then invertible (the dimensions agree), exactly when
+    it does not kill the socle.  The intertwiners that kill it form a
+    linear subspace K of S.  If some element of S is invertible, K is a
+    proper subspace, and a basis of S has a vector outside K.
+    """
     alg = corners.alg
     u_basis = corners.one_sided(i, True)
     x_basis = corners.one_sided(j, False)
@@ -649,14 +636,15 @@ def _duality_holds(corners: PeirceCorners, i: int, j: int, seed: int) -> bool:
     u_span = Span(alg.field, (e.coeffs for e in u_basis))
     x_span = Span(alg.field, (e.coeffs for e in x_basis))
     sols = _right_dual_intertwiners(alg, u_basis, u_span, x_basis, x_span)
-    return _has_invertible_combination(alg.field, sols, len(u_basis), seed)
+    return any(_is_invertible(alg.field, vec, len(u_basis)) for vec in sols)
 
 
-def duality_pattern(corners: PeirceCorners, seed: int = DEFAULT_SEED) -> list:
+def duality_pattern(corners: PeirceCorners) -> list:
     """For each class i, the set of classes j with e_i A = (A e_j)^*, by
-    solving the intertwiner equations and exhibiting an invertible one."""
+    solving the intertwiner equations and exhibiting an invertible basis
+    solution (see `_duality_holds` for why a basis suffices)."""
     n = len(corners.reps)
-    return [{j for j in range(n) if _duality_holds(corners, i, j, seed)} for i in range(n)]
+    return [{j for j in range(n) if _duality_holds(corners, i, j)} for i in range(n)]
 
 
 # -- basic reduction -----------------------------------------------------------
@@ -696,19 +684,22 @@ class IsoWitness:
     vs: list  # vs[i][s] in e_{is} A e_{i1}
 
 
-def iso_witnesses(
-    alg: FinDimAlgebra,
-    dec: CanonicalDecomposition,
-    seed: int = DEFAULT_SEED,
-) -> IsoWitness:
+def iso_witnesses(alg: FinDimAlgebra, dec: CanonicalDecomposition) -> IsoWitness:
     """Elements u, v with u v = e_{i1} and v u = e_{is} for every copy.
 
-    u is swept over the corner e_{i1} A e_{is} (basis first, then seeded
-    combinations); v solves the linear equation u v = e_{i1} inside the
-    opposite corner, and v u = e_{is} is then asserted exactly.
+    u runs over the basis of the corner e_{i1} A e_{is}; v solves the
+    linear equation u v = e_{i1} inside the opposite corner, and v u =
+    e_{is} is then checked exactly.
+
+    Proof that the basis suffices, for primitive e_{i1} and e_{is} that
+    cut out isomorphic projectives: the corner is Hom(e_{is} A, e_{i1} A),
+    and an isomorphism in it does not lie in J, so the corner does not
+    lie in J and neither does some basis element u.  Such a u induces a
+    nonzero morphism of the simple tops, an isomorphism by Schur's lemma,
+    so u is an isomorphism of the projectives by Nakayama's lemma and the
+    solve succeeds.  When no basis element gives one, the copies are not
+    isomorphic, and WitnessNotFound names the class and the copy.
     """
-    rng = random.Random(seed)
-    budget = WITNESS_BUDGET_FACTOR * alg.dim
     us, vs = [], []
     for i, cls in enumerate(dec.classes):
         e1 = cls[0]
@@ -718,10 +709,11 @@ def iso_witnesses(
         for s in range(1, len(cls)):
             es = cls[s]
             c1, c2 = corners.bases[(0, s)], corners.bases[(s, 0)]
-            pair = _find_witness_pair(alg, e1, es, c1, c2, rng, budget)
+            pair = _find_witness_pair(alg, e1, es, c1, c2)
             if pair is None:
                 raise WitnessNotFound(
-                    f"no invertible morphism between copies 0 and {s} of class {i}"
+                    f"no basis element of the corner between copies 0 and {s} of"
+                    f" class {i} is an isomorphism"
                 )
             row_u.append(pair[0])
             row_v.append(pair[1])
@@ -730,15 +722,11 @@ def iso_witnesses(
     return IsoWitness(us, vs)
 
 
-def _find_witness_pair(alg, e1, es, c1, c2, rng, budget):
+def _find_witness_pair(alg, e1, es, c1, c2):
+    """(u, v) for the first u in the basis `c1` with a v in span(c2)
+    solving u v = e1, or None."""
     field = alg.field
-    attempts = 0
-    for u in _sweep(alg, c1, rng):
-        if attempts >= budget:
-            return None
-        attempts += 1
-        if not u.coeffs:
-            continue
+    for u in c1:
         # solve u * (sum_t y_t c2_t) = e1
         per_coord: dict = {}
         for t, w in enumerate(c2):

@@ -45,6 +45,7 @@ from .structure import (
     DEFAULT_SEED,
     NakayamaData,
     PeirceCorners,
+    annihilator,
     canonical_decomposition,
     duality_pattern,
     nakayama,
@@ -118,7 +119,7 @@ def check_reference_regression() -> CheckResult:
     for n, l in REFERENCE_SHAPES:
         base = analyze(nakayama_algebra(n, l))
         nak = base.nak
-        pair = frobenius_pair(base.corners, nak, base.rad_lam)
+        pair = frobenius_pair(base.corners, nak)
         for m in _m_vectors(n, 3):
             count += 1
             nsy = nsy_algebra(n, l, m)
@@ -306,7 +307,7 @@ def _transports(ctx: PipelineContext, draw):
     a = ctx.analysis
     pair, b = ctx.pair, None
     for t in range(TRANSPORTS_PER_ALGEBRA + 1):
-        yield t, b, verify_frobenius_pair(a.corners, pair, a.nak, a.rad_lam)
+        yield t, b, verify_frobenius_pair(a.corners, pair, a.nak)
         if t < TRANSPORTS_PER_ALGEBRA:
             b = draw()
             pair = transport_pair(a.lam, pair, b)
@@ -422,7 +423,7 @@ def check_nakayama_crosscheck(cache: CorpusCache) -> CheckResult:
         checked += 1
         dec = ctx.analysis.dec
         nu = ctx.analysis.nak.nu
-        pattern = duality_pattern(ctx.analysis.corners, cache.seed)
+        pattern = duality_pattern(ctx.analysis.corners)
         if pattern != [{nu[i]} for i in range(dec.n)]:
             failures.append(f"{entry.key}: duality pattern {pattern} vs nu {nu}")
         prov = entry.provenance
@@ -462,8 +463,14 @@ def check_negative_controls(seed: int = DEFAULT_SEED) -> CheckResult:
     except NotSelfInjectiveLike:
         pass
     for nu in ((0, 1), (1, 0)):
+        # A2 has no Nakayama data; in its place, the corner elements
+        # (k, nu(k)) killed by J on both sides, which the counit reads
+        socles = [
+            annihilator(a2, corners.bases[(k, v)], rad.basis, rad.basis)
+            for k, v in enumerate(nu)
+        ]
         try:
-            frobenius_pair(corners, NakayamaData(nu, [[], []]), rad, seed)
+            frobenius_pair(corners, NakayamaData(nu, socles), seed)
             failures.append(f"path algebra A2 produced a counit for nu={nu}")
         except NotFrobenius:
             pass

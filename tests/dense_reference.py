@@ -35,7 +35,14 @@ the counit in two passes, accepting the first seeded attempt whose Gram
 matrix has full rank under the dense elimination here and only then
 inverting it through ``dual_basis_tensor``, so comparing against it
 checks that ``frobenius_pair`` accepts the same attempt by inverting
-once.  ``corner_span_reference`` spans left . b_t . right by two
+once.  It takes the small spaces by ``small_spaces_reference``, the
+corner elements killed by J on both sides, so the comparison also checks
+that ``frobenius_pair`` reads them as the socles ``nakayama`` computes.
+``iso_witnesses_reference`` sweeps each copy corner's basis and then
+seeded random combinations of it, and ``duality_pattern_reference``
+tries the basis of the intertwiner solutions and then 64 seeded
+combinations, so comparing against them checks that the basis alone
+decides both.  ``corner_span_reference`` spans left . b_t . right by two
 ``multiply`` calls per basis element, and ``components_reference`` and
 ``paired_reference`` sandwich one element, or every basis element, the
 same way, so comparing against them checks every corner, every
@@ -51,16 +58,17 @@ and never walk the rows as an index of nonzero pairs the way
 import random
 
 from sialg.algebra import Element, FinDimAlgebra, Functional, combination, multiply
-from sialg.errors import AlgebraError, NotFrobenius, NotSelfInjectiveLike
-from sialg.frobenius import (
-    COUNIT_RETRY_BUDGET,
-    FrobeniusPair,
-    dual_basis_tensor,
-    gram_matrix,
-    small_spaces,
+from sialg.errors import AlgebraError, NotFrobenius, NotSelfInjectiveLike, WitnessNotFound
+from sialg.frobenius import COUNIT_RETRY_BUDGET, FrobeniusPair, dual_basis_tensor, gram_matrix
+from sialg.linalg import Span, sparse_rank, sparse_solve
+from sialg.structure import (
+    DEFAULT_SEED,
+    IsoWitness,
+    PeirceCorners,
+    RadicalData,
+    _right_dual_intertwiners,
+    annihilator,
 )
-from sialg.linalg import Span, sparse_solve
-from sialg.structure import DEFAULT_SEED, PeirceCorners, RadicalData, annihilator
 
 
 def rref(field, rows, ncols):
@@ -358,6 +366,15 @@ def project_reference(quot, rad, a):
     return Element(quot.algebra, {pos[i]: c for i, c in rad.span.reduce(a.coeffs).items()})
 
 
+def small_spaces_reference(corners, nak, rad):
+    """Per class i, the elements of the corner (nu^-1(i), i) killed by the
+    radical on both sides, by the two-sided annihilator."""
+    return [
+        annihilator(corners.alg, corners.bases[(nak.nu_inverse(i), i)], rad.basis, rad.basis)
+        for i in range(len(corners.reps))
+    ]
+
+
 def frobenius_pair_reference(corners, nak, rad, seed=DEFAULT_SEED):
     """The Frobenius pair in two passes: the counit of the first seeded
     attempt whose Gram matrix has full rank, then `dual_basis_tensor`,
@@ -369,7 +386,7 @@ def frobenius_pair_reference(corners, nak, rad, seed=DEFAULT_SEED):
     lam = corners.alg
     field = lam.field
     n = len(corners.reps)
-    small = small_spaces(corners, nak, rad)
+    small = small_spaces_reference(corners, nak, rad)
     vectors, small_slots = [], []
     for i in range(n):
         for j in range(n):
@@ -397,6 +414,97 @@ def frobenius_pair_reference(corners, nak, rad, seed=DEFAULT_SEED):
         "no counit with the required corner support has an invertible Gram"
         f" matrix after {COUNIT_RETRY_BUDGET} seeded attempts"
     )
+
+
+def iso_witnesses_reference(alg, dec, seed=DEFAULT_SEED, budget_factor=32):
+    """IsoWitness by a seeded sweep: u runs over the basis of e_{i1} A e_{is},
+    then over seeded random combinations of it, until u v = e_{i1} has a
+    solution v in the opposite corner, within budget_factor * dim tries
+    per copy; one seeded generator serves every copy."""
+    rng = random.Random(seed)
+    field = alg.field
+    us, vs = [], []
+    for i, cls in enumerate(dec.classes):
+        e1 = cls[0]
+        row_u, row_v = [e1], [e1]
+        corners = PeirceCorners(alg, cls)
+        for s in range(1, len(cls)):
+            c1, c2 = corners.bases[(0, s)], corners.bases[(s, 0)]
+            found = None
+            for t in range(budget_factor * alg.dim):
+                if t < len(c1):
+                    u = c1[t]
+                else:
+                    u = combination(alg, c1, [field.random(rng) for _ in c1])
+                if not u.coeffs:
+                    continue
+                per_coord = {}
+                for col, w in enumerate(c2):
+                    for k, c in multiply(u, w).coeffs.items():
+                        per_coord.setdefault(k, {})[col] = c
+                keys = sorted(set(per_coord) | set(e1.coeffs))
+                sol, _ = sparse_solve(
+                    field,
+                    [per_coord.get(k, {}) for k in keys],
+                    [e1.coeffs.get(k, field.zero) for k in keys],
+                    len(c2),
+                )
+                if sol is not None:
+                    found = u, combination(alg, c2, sol)
+                    break
+            if found is None:
+                raise WitnessNotFound(f"no witness for copy {s} of class {i}")
+            row_u.append(found[0])
+            row_v.append(found[1])
+        us.append(row_u)
+        vs.append(row_v)
+    return IsoWitness(us, vs)
+
+
+def duality_pattern_reference(corners, seed=DEFAULT_SEED):
+    """For each class i, the classes j with an invertible intertwiner
+    e_i A -> (A e_j)^*, tried on the basis of the solutions, then on 64
+    seeded combinations of it with coefficients in -3..3."""
+    alg = corners.alg
+    field = alg.field
+    n = len(corners.reps)
+
+    def invertible(vec, size):
+        rows = [{} for _ in range(size)]
+        for key, c in vec.items():
+            rows[key // size][key % size] = c
+        return sparse_rank(field, rows) == size
+
+    def holds(i, j):
+        u_basis = corners.one_sided(i, True)
+        x_basis = corners.one_sided(j, False)
+        size = len(u_basis)
+        if size != len(x_basis):
+            return False
+        sols = _right_dual_intertwiners(
+            alg,
+            u_basis,
+            Span(field, (e.coeffs for e in u_basis)),
+            x_basis,
+            Span(field, (e.coeffs for e in x_basis)),
+        )
+        if any(invertible(vec, size) for vec in sols):
+            return True
+        if not sols:
+            return False
+        rng = random.Random(seed)
+        for _ in range(64):
+            combo = {}
+            for vec in sols:
+                c = field.random(rng, -3, 3)
+                for k, v in vec.items():
+                    combo[k] = field.normal(combo.get(k, field.zero) + c * v)
+            combo = {k: v for k, v in combo.items() if v}
+            if combo and invertible(combo, size):
+                return True
+        return False
+
+    return [{j for j in range(n) if holds(i, j)} for i in range(n)]
 
 
 def paired_reference(qalg, eu, ev):

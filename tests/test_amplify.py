@@ -57,14 +57,14 @@ def _setup(alg):
     rad = radical(alg)
     dec = canonical_decomposition(alg, rad=rad)
     nak = nakayama(PeirceCorners(alg, dec.reps), rad)
-    return dec, nak, rad
+    return dec, nak
 
 
 def _scalar_amp():
     k = field_product_algebra(1)
-    dec, nak, rad = _setup(k)
+    dec, nak = _setup(k)
     amp = amplify(PeirceCorners(k, dec.reps), (2,))
-    pair = frobenius_pair(amp.corners, nak, rad)
+    pair = frobenius_pair(amp.corners, nak)
     return k, dec, nak, amp, pair
 
 
@@ -89,7 +89,7 @@ def test_amplify_identity_multiplicities():
     # each corner is one-dimensional here, so the corner basis elements give
     # the identification directly
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
     assert amp.algebra.dim == B.dim
     emap = {}
@@ -105,7 +105,7 @@ def test_amplify_identity_multiplicities():
 
 def test_amplify_dimension_formula():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     amp = amplify(PeirceCorners(B, dec.reps), (1, 2))
     assert amp.algebra.dim == 9  # (m0 + m1)^2 with all corners 1-dim
     with pytest.raises(NotBasic):
@@ -131,7 +131,7 @@ def test_lift_examples():
     e21 = lift(amp, k.unit, 1, 2)
     assert list(e21.coeffs) == [amp.index[(0, 0, 1, 2, 0)]]
     B = nakayama_algebra(2, 2)
-    decb, nakb, radb = _setup(B)
+    decb, nakb = _setup(B)
     ampb = amplify(PeirceCorners(B, decb.reps), (2, 2))
     for i, rep in enumerate(decb.reps):
         for t in (1, 2):
@@ -145,7 +145,7 @@ def test_lift_examples():
 
 def test_lift_composition_rule():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     amp = amplify(PeirceCorners(B, dec.reps), (2, 2))
     rng = random.Random(23)
     # phi in corner(j <- mid), psi in corner(mid <- i): composition matches
@@ -183,7 +183,7 @@ def test_spread_singleton_and_diagonal_m2():
 
 def test_spread_rejects_bad_block_support():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
     bad = B.tensor2({(0, 0): 1})  # e0 (x) e0 violates the block pattern
     with pytest.raises(BadBlockSupport):
@@ -201,7 +201,7 @@ def test_spread_index_validation():
 
 def test_is_bijection_graph_examples():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     m22 = (2, 2)
     spec = SpreadSpec((frozenset({(1, 1), (2, 2)}), frozenset({(1, 1), (2, 2)})))
     assert is_bijection_graph(spec, m22, nak) == [True, True]
@@ -274,9 +274,9 @@ def test_report_flags_a_wrong_built_counit():
 
 def test_build_counit_m_equals_one_recovers_base():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
-    pair = frobenius_pair(amp.corners, nak, rad)
+    pair = frobenius_pair(amp.corners, nak)
     spec = preset_spec("singleton", amp.m, nak)
     x = spread(amp, pair.y, spec, nak)
     assert is_invariant(x) is None
@@ -350,9 +350,9 @@ def test_exhaustive_nonempty_specs_small_multiplicities():
     for alg_m in (((1, 2), (2,)), ((2, 2), (1, 2))):
         (n, l), m = alg_m
         B = nakayama_algebra(n, l)
-        dec, nak, rad = _setup(B)
+        dec, nak = _setup(B)
         amp = amplify(PeirceCorners(B, dec.reps), m)
-        pair = frobenius_pair(amp.corners, nak, rad)
+        pair = frobenius_pair(amp.corners, nak)
         boxes = [
             [
                 (s, s2)
@@ -377,9 +377,9 @@ def test_exhaustive_nonempty_specs_small_multiplicities():
 
 def test_empty_class_flagged_noninjective():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
-    pair = frobenius_pair(amp.corners, nak, rad)
+    pair = frobenius_pair(amp.corners, nak)
     spec = SpreadSpec((frozenset(), frozenset({(1, 1)})))
     x = spread(amp, pair.y, spec, nak)
     rep = comultiplication_report(amp.algebra, x, is_bijection_graph(spec, amp.m, nak))
@@ -391,10 +391,10 @@ def test_compatibility_square_singleton():
     # the comultiplication of a lifted morphism is the (t<-1) (x) (1<-s)
     # lift of the base comultiplication, block by block
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     m = (2, 2)
     amp = amplify(PeirceCorners(B, dec.reps), m)
-    pair = frobenius_pair(amp.corners, nak, rad)
+    pair = frobenius_pair(amp.corners, nak)
     x = spread(amp, pair.y, preset_spec("singleton", amp.m, nak), nak)
     assert is_invariant(x) is None
     rng = random.Random(29)
@@ -452,9 +452,9 @@ def test_build_counit_nsy_diagonal_socle_support():
     # basis elements with equal copy superscripts: X[i, l-1; r, r]
     nsy = nsy_algebra(2, 2, (2, 2))
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     amp = amplify(PeirceCorners(B, dec.reps), (2, 2))
-    pair = frobenius_pair(amp.corners, nak, rad)
+    pair = frobenius_pair(amp.corners, nak)
     spec = preset_spec("diagonal", amp.m, nak)
     x = spread(amp, pair.y, spec, nak)
     assert is_invariant(x) is None
@@ -488,7 +488,7 @@ def test_spread_spec_json_duplicate_class_rejected():
 
 def test_preset_spec_names():
     B = nakayama_algebra(2, 2)
-    dec, nak, rad = _setup(B)
+    dec, nak = _setup(B)
     assert preset_spec("singleton", (1, 1), nak).classes == (
         frozenset({(1, 1)}),
         frozenset({(1, 1)}),

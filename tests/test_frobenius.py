@@ -20,7 +20,6 @@ from sialg.frobenius import (
     dual_basis_tensor,
     frobenius_pair,
     gram_matrix,
-    small_spaces,
     transport_pair,
     verify_frobenius_pair,
 )
@@ -29,6 +28,7 @@ from sialg.pipeline import analyze
 from sialg.structure import (
     NakayamaData,
     PeirceCorners,
+    annihilator,
     canonical_decomposition,
     nakayama,
     radical,
@@ -41,10 +41,17 @@ def _setup(alg):
     return corners, nakayama(corners, rad), rad
 
 
+def _small_spaces(corners, nak):
+    """The small space of each class i, as frobenius_pair reads it: the
+    socle nak.socles[nu^-1(i)]."""
+    return [nak.socles[nak.nu_inverse(i)] for i in range(len(corners.reps))]
+
+
 def test_small_spaces_kx2():
     A = nakayama_algebra(1, 2)
     corners, nak, rad = _setup(A)
-    small = small_spaces(corners, nak, rad)
+    small = _small_spaces(corners, nak)
+    assert small == dense.small_spaces_reference(corners, nak, rad)
     assert [len(b) for b in small] == [1]
     assert small[0][0].coeffs == {1: QQ(1)}  # spanned by x
 
@@ -52,7 +59,8 @@ def test_small_spaces_kx2():
 def test_small_spaces_b22():
     B = nakayama_algebra(2, 2)
     corners, nak, rad = _setup(B)
-    small = small_spaces(corners, nak, rad)
+    small = _small_spaces(corners, nak)
+    assert small == dense.small_spaces_reference(corners, nak, rad)
     assert [len(b) for b in small] == [1, 1]
     for basis in small:
         (idx,) = basis[0].coeffs
@@ -60,18 +68,19 @@ def test_small_spaces_b22():
 
 
 def test_small_spaces_semisimple_whole_corner():
-    # nakayama reads a basic algebra, so nu comes from M's basic reduction
-    M = matrix_algebra(2)
-    rad = radical(M)
-    corners = PeirceCorners(M, canonical_decomposition(M, rad=rad).reps)
-    small = small_spaces(corners, analyze(M).nak, rad)
-    assert [len(b) for b in small] == [1]  # corner e11 M e11, J = 0
+    # M's basic reduction is the corner e11 M e11; J = 0 there, so its
+    # small space is the whole one-dimensional corner
+    a = analyze(matrix_algebra(2))
+    small = _small_spaces(a.corners, a.nak)
+    assert small == dense.small_spaces_reference(a.corners, a.nak, radical(a.lam))
+    assert [len(b) for b in small] == [1]
+    assert small[0][0].coeffs == a.corners.bases[(0, 0)][0].coeffs
 
 
 def test_construct_counit_kx2():
     A = nakayama_algebra(1, 2)
     corners, nak, rad = _setup(A)
-    eps = frobenius_pair(corners, nak, rad).epsilon
+    eps = frobenius_pair(corners, nak).epsilon
     assert eps.values == (QQ(0), QQ(1))
 
 
@@ -79,7 +88,7 @@ def test_construct_counit_bnl_socle_paths():
     for n, l in ((2, 2), (3, 2), (2, 3)):
         B = nakayama_algebra(n, l, QQ)
         corners, nak, rad = _setup(B)
-        eps = frobenius_pair(corners, nak, rad).epsilon
+        eps = frobenius_pair(corners, nak).epsilon
         for i in range(n):
             for k in range(l):
                 expected = QQ(1) if k == l - 1 else QQ(0)
@@ -90,14 +99,14 @@ def test_construct_counit_bnl_socle_paths():
 def test_construct_counit_product():
     P = field_product_algebra(2)
     corners, nak, rad = _setup(P)
-    eps = frobenius_pair(corners, nak, rad).epsilon
+    eps = frobenius_pair(corners, nak).epsilon
     assert eps.values == (QQ(1), QQ(1))
 
 
 def test_dual_basis_tensor_examples():
     A = nakayama_algebra(1, 2)
     corners, nak, rad = _setup(A)
-    eps = frobenius_pair(corners, nak, rad).epsilon
+    eps = frobenius_pair(corners, nak).epsilon
     y = dual_basis_tensor(A, eps)
     assert y.coeffs == {(0, 1): QQ(1), (1, 0): QQ(1)}
     one_dim = field_product_algebra(1)
@@ -108,7 +117,7 @@ def test_dual_basis_tensor_examples():
 def test_dual_basis_tensor_b22_reference_value():
     B = nakayama_algebra(2, 2)
     corners, nak, rad = _setup(B)
-    pair = frobenius_pair(corners, nak, rad)
+    pair = frobenius_pair(corners, nak)
     idx = {(i, k): i * 2 + k for i in range(2) for k in range(2)}
     expected = {
         (idx[(0, 0)], idx[(1, 1)]): QQ(1),
@@ -141,24 +150,24 @@ def test_pair_core_laws_across_corpus():
         field_product_algebra(2),
     ):
         corners, nak, rad = _setup(alg)
-        pair = frobenius_pair(corners, nak, rad)
+        pair = frobenius_pair(corners, nak)
         assert is_invariant(pair.y) is None
         assert apply_functional("left", pair.epsilon, pair.y) == alg.unit
         assert apply_functional("right", pair.epsilon, pair.y) == alg.unit
-        rep = verify_frobenius_pair(corners, pair, nak, rad)
+        rep = verify_frobenius_pair(corners, pair, nak)
         assert rep.all_ok
 
 
 def test_verify_detects_corrupted_counit():
     B = nakayama_algebra(3, 2)
     corners, nak, rad = _setup(B)
-    pair = frobenius_pair(corners, nak, rad)
+    pair = frobenius_pair(corners, nak)
     # move mass onto a diagonal corner e_i L e_i, which is forbidden since
     # the permutation has no fixed point here
     values = list(pair.epsilon.values)
     values[0] = QQ(1)
     bad = FrobeniusPair(Functional(B, values), pair.y)
-    rep = verify_frobenius_pair(corners, bad, nak, rad)
+    rep = verify_frobenius_pair(corners, bad, nak)
     assert not rep.support_ok
     assert rep.support_witness is not None
 
@@ -166,7 +175,7 @@ def test_verify_detects_corrupted_counit():
 def test_transport_identity_and_kx2():
     A = nakayama_algebra(1, 2)
     corners, nak, rad = _setup(A)
-    pair = frobenius_pair(corners, nak, rad)
+    pair = frobenius_pair(corners, nak)
     same = transport_pair(A, pair, A.unit)
     assert same.epsilon == pair.epsilon and same.y == pair.y
     moved = transport_pair(A, pair, A.element([1, 1]))
@@ -197,11 +206,11 @@ def test_corner_diagonal_transports_preserve_support():
     rng = random.Random(17)
     for alg in (nakayama_algebra(2, 3), nakayama_algebra(3, 2), nakayama_algebra(2, 2)):
         corners, nak, rad = _setup(alg)
-        pair = frobenius_pair(corners, nak, rad)
+        pair = frobenius_pair(corners, nak)
         for _ in range(6):
             b = _random_corner_diagonal_unit(alg, corners, rng)
             pair = transport_pair(alg, pair, b)
-            rep = verify_frobenius_pair(corners, pair, nak, rad)
+            rep = verify_frobenius_pair(corners, pair, nak)
             assert rep.all_ok
 
 
@@ -211,13 +220,13 @@ def test_offdiagonal_transport_breaks_support_finding():
     # identities) that violates both support clauses
     B = nakayama_algebra(2, 2)
     corners, nak, rad = _setup(B)
-    pair = frobenius_pair(corners, nak, rad)
+    pair = frobenius_pair(corners, nak)
     b = B.unit + B.basis_element(1)  # 1 + p[0,1]
     moved = transport_pair(B, pair, b)
     assert is_invariant(moved.y) is None
     assert apply_functional("left", moved.epsilon, moved.y) == B.unit
     assert apply_functional("right", moved.epsilon, moved.y) == B.unit
-    rep = verify_frobenius_pair(corners, moved, nak, rad)
+    rep = verify_frobenius_pair(corners, moved, nak)
     assert rep.invariant and rep.counital
     assert not rep.support_ok and rep.support_witness == (0, 0)
     # the lowest offending corner quadruple (j, i, u, v)
@@ -228,7 +237,7 @@ def test_uniqueness_up_to_transport():
     rng = random.Random(19)
     for alg in (nakayama_algebra(2, 2), nakayama_algebra(1, 3)):
         corners, nak, rad = _setup(alg)
-        pair = frobenius_pair(corners, nak, rad)
+        pair = frobenius_pair(corners, nak)
         b0 = _random_corner_diagonal_unit(alg, corners, rng)
         other = transport_pair(alg, pair, b0)
         # recover the transport element from the two counits: G b = eps'
@@ -241,13 +250,27 @@ def test_uniqueness_up_to_transport():
         assert again.epsilon == other.epsilon and again.y == other.y
 
 
-def test_not_frobenius_on_a2():
+def _a2_nakayama(nu):
+    """A2's corners and radical, and in place of the Nakayama data it has
+    none of, nu with the corner elements (k, nu(k)) killed by J on both
+    sides as the socles, the small spaces frobenius_pair reads."""
     a2 = path_algebra_a2()
     rad = radical(a2)
     corners = PeirceCorners(a2, canonical_decomposition(a2, rad=rad).reps)
+    socles = [
+        annihilator(a2, corners.bases[(k, v)], rad.basis, rad.basis) for k, v in enumerate(nu)
+    ]
+    return corners, NakayamaData(nu, socles), rad
+
+
+def test_not_frobenius_on_a2():
     for nu in ((0, 1), (1, 0)):
+        corners, nak, _ = _a2_nakayama(nu)
+        # J kills no diagonal corner element on both sides, so only the
+        # swap gives a nonzero candidate counit
+        assert any(nak.socles) == (nu == (1, 0))
         with pytest.raises(NotFrobenius):
-            frobenius_pair(corners, NakayamaData(nu, [[], []]), rad)
+            frobenius_pair(corners, nak)
 
 
 def _pair_or_refusal(build, *args):
@@ -272,28 +295,27 @@ _PAIR_INPUTS = [(e.key, e.algebra) for e in corpus("standard")] + [
 )
 def test_frobenius_pair_matches_two_pass_reference(alg):
     # one Gram inversion per attempt accepts the attempt a rank test would
+    # and reads the small spaces off the socles: the reference takes them
+    # by the two-sided annihilator
     analysis = analyze(alg)
-    args = (analysis.corners, analysis.nak, analysis.rad_lam)
-    assert _pair_or_refusal(frobenius_pair, *args) == _pair_or_refusal(
-        dense.frobenius_pair_reference, *args
+    corners, nak = analysis.corners, analysis.nak
+    assert _pair_or_refusal(frobenius_pair, corners, nak) == _pair_or_refusal(
+        dense.frobenius_pair_reference, corners, nak, radical(analysis.lam)
     )
 
 
 def test_frobenius_pair_matches_two_pass_reference_on_a2():
-    a2 = path_algebra_a2()
-    rad = radical(a2)
-    corners = PeirceCorners(a2, canonical_decomposition(a2, rad=rad).reps)
     for nu in ((0, 1), (1, 0)):
-        args = (corners, NakayamaData(nu, [[], []]), rad)
-        got = _pair_or_refusal(frobenius_pair, *args)
-        assert got == _pair_or_refusal(dense.frobenius_pair_reference, *args)
+        corners, nak, rad = _a2_nakayama(nu)
+        got = _pair_or_refusal(frobenius_pair, corners, nak)
+        assert got == _pair_or_refusal(dense.frobenius_pair_reference, corners, nak, rad)
         assert got.startswith("no counit with the required corner support")
 
 
 def test_pair_json_round_trip():
     B = nakayama_algebra(2, 2)
     corners, nak, rad = _setup(B)
-    pair = frobenius_pair(corners, nak, rad)
+    pair = frobenius_pair(corners, nak)
     data = pair.to_json()
     back = FrobeniusPair.from_json(B, data)
     assert back.epsilon == pair.epsilon and back.y == pair.y

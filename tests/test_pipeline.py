@@ -26,7 +26,7 @@ from sialg.pipeline import (
     prepare,
     run_spec,
 )
-from sialg.structure import IsoWitness, PeirceCorners
+from sialg.structure import IsoWitness, PeirceCorners, radical
 from sialg.verify import CorpusCache, check_pair_support, check_transported_pairs
 
 
@@ -477,7 +477,7 @@ def _stored_scalars(ctx, runs):
     for name, idempotents in (("input", a.dec.all_idempotents()), ("basic", a.corners.reps)):
         for e in idempotents:
             sparse += [(f"{name} idempotent", e.coeffs), (f"{name} -idempotent", (-e).coeffs)]
-    for name, rad in (("input", a.rad), ("basic", a.rad_lam)):
+    for name, rad in (("input", a.rad), ("basic", radical(a.lam))):
         sparse += [(f"{name} radical span", row) for row in rad.span.rows.values()]
     sparse.append(("Frobenius tensor", ctx.pair.y.coeffs))
     dense_values.append(("Frobenius counit", ctx.pair.epsilon.values))

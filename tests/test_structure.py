@@ -7,7 +7,13 @@ import dense_reference as dense
 from sialg import structure
 from sialg.algebra import combination, multiply, permute_basis
 from sialg.amplify import amplify, lift
-from sialg.errors import AlgebraError, NotBasic, NotSelfInjectiveLike, UnsupportedField
+from sialg.errors import (
+    AlgebraError,
+    NotBasic,
+    NotSelfInjectiveLike,
+    UnsupportedField,
+    WitnessNotFound,
+)
 from sialg.families import (
     STANDARD_NSY_SHAPES,
     corpus,
@@ -23,6 +29,7 @@ from sialg.linalg import Span
 from sialg.pipeline import analyze
 from sialg.structure import (
     DEFAULT_SEED,
+    CanonicalDecomposition,
     PeirceCorners,
     basic_reduction,
     canonical_decomposition,
@@ -538,7 +545,7 @@ def test_one_sided_and_nakayama_match_reference():
                 assert _rows(corners.one_sided(i, left)) == _rows(
                     dense.one_sided_reference(lam, rep, left)
                 ), (key, i, left)
-        nu, socles = dense.nakayama_reference(lam, corners.reps, a.rad_lam)
+        nu, socles = dense.nakayama_reference(lam, corners.reps, radical(lam))
         assert a.nak.nu == nu, key
         assert [_rows(soc) for soc in a.nak.socles] == [_rows(soc) for soc in socles], key
 
@@ -588,6 +595,59 @@ def test_witnesses_on_permuted_presentation():
         for s in range(len(cls)):
             assert wit.us[i][s] * wit.vs[i][s] == cls[0]
             assert wit.vs[i][s] * wit.us[i][s] == cls[s]
+
+
+def test_iso_witnesses_refuses_copies_that_are_not_isomorphic():
+    # the two idempotents of k x k put in one class: the copy corner
+    # e_1 A e_2 is zero, so no basis element of it is an isomorphism
+    P = field_product_algebra(2)
+    dec = canonical_decomposition(P)
+    wrong = CanonicalDecomposition([dec.all_idempotents()], dec.flags)
+    with pytest.raises(WitnessNotFound, match="copies 0 and 1 of class 0 "):
+        iso_witnesses(P, wrong)
+
+
+# The abelian groups of ROADMAP item 1's closed-form grid: C2 ... C15 and
+# five products.  Over QQ, C11, C13, C14 and C15 are left out for time:
+# `analyze` spends 4 to 40 s on each, because the quotient split burns its
+# whole budget on a cyclotomic field corner it cannot split (item 1).
+_GRID_GROUPS = tuple((n,) for n in range(2, 16)) + ((2, 2), (2, 4), (3, 3), (2, 6), (4, 4))
+_GRID_SLOW_OVER_QQ = ((11,), (13,), (14,), (15,))
+_BASIS_ROUTE_INPUTS = (
+    [(e.key, e.algebra) for e in corpus("standard")]
+    + [
+        (f"nsy n={n} l={l} m={list(m)} gf101", nsy_algebra(n, l, m, Field(101)).algebra)
+        for n, l in STANDARD_NSY_SHAPES
+        for m in product(range(1, 4), repeat=n)
+    ]
+    + [
+        (f"group {list(factors)} {field}", group_algebra(factors, field))
+        for field in (QQ, Field(2), Field(3), Field(5))
+        for factors in _GRID_GROUPS
+        if field.p or factors not in _GRID_SLOW_OVER_QQ
+    ]
+    # the one sweep-gfp group algebra outside the grid
+    + [(f"group [2, 2, 2] {Field(p)}", group_algebra((2, 2, 2), Field(p))) for p in (2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for _, alg in _BASIS_ROUTE_INPUTS], ids=[key for key, _ in _BASIS_ROUTE_INPUTS]
+)
+def test_basis_routes_match_seeded_searches(alg):
+    # the copy witnesses and the duality pattern are decided on a basis and
+    # the small spaces are read off the socles; the references keep the
+    # seeded sweep, the 64 seeded draws and the two-sided annihilator
+    a = analyze(alg)
+    wit, ref = iso_witnesses(alg, a.dec), dense.iso_witnesses_reference(alg, a.dec)
+    assert [_rows(row) for row in wit.us] == [_rows(row) for row in ref.us]
+    assert [_rows(row) for row in wit.vs] == [_rows(row) for row in ref.vs]
+    assert duality_pattern(a.corners) == dense.duality_pattern_reference(a.corners)
+    small = [a.nak.socles[a.nak.nu_inverse(i)] for i in range(a.dec.n)]
+    reference = dense.small_spaces_reference(a.corners, a.nak, radical(a.lam))
+    assert [[z.coeffs for z in basis] for basis in small] == [
+        [z.coeffs for z in basis] for basis in reference
+    ]
 
 
 def test_split_refuses_a_non_idempotent(monkeypatch):
