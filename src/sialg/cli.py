@@ -56,9 +56,10 @@ def _field_from_args(args) -> Field:
 
 
 def _parse_ints(text: str, count: int | None = None):
-    """Comma-separated integers; exactly `count` of them when given."""
+    """Comma-separated integers, no item empty; exactly `count` of them
+    when given."""
     try:
-        values = [int(v) for v in text.split(",") if v.strip() != ""]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         raise BadParams(f"expected comma-separated integers, got {text!r}") from None
     if count is not None and len(values) != count:

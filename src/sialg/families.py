@@ -56,7 +56,6 @@ class NsyPresentation:
     m: tuple
     algebra: FinDimAlgebra
     index: dict
-    tuples: tuple
 
     def x(self, i, k, r, s) -> int:
         return self.index[(i % self.n, k, r, s)]
@@ -90,7 +89,7 @@ def nsy_algebra(n: int, l: int, m, field: Field = QQ) -> NsyPresentation:
         for r in range(m[i]):
             unit[index[(i, 0, r, r)]] = field.one
     alg = FinDimAlgebra(field, labels, structure, unit)
-    return NsyPresentation(n, l, m, alg, index, tuple(tuples))
+    return NsyPresentation(n, l, m, alg, index)
 
 
 def reference_delta_one(nsy: NsyPresentation) -> Tensor2:

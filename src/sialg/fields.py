@@ -1,13 +1,17 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Over QQ a scalar is a Python ``int`` when it is integral and a
-``fractions.Fraction`` otherwise; over GF(p) it is an ``int`` reduced
-into ``range(p)``.  Scalars are plain Python numbers, so generic code
-adds and multiplies them without branching on the field kind; over GF(p)
-every site that stores a scalar, or tests one for zero or equality,
-first reduces it with ``% p`` (:meth:`Field.normal`).  The one division
-in the package is :meth:`Field.inv`, so no float can arise from exact
-inputs; a float or bool offered as a scalar is refused.
+Over QQ a scalar is a Python ``int`` or a ``fractions.Fraction``:
+``Field.__call__``, :meth:`Field.normal`, :meth:`Field.inv` and the
+``Span`` echelon forms narrow an integral value to ``int``, while the
+inline accumulation kernels add without narrowing and may keep an
+integral ``Fraction``; ``==``, ``hash`` and :meth:`Field.format` treat
+both alike, so no report byte depends on it.  Over GF(p) a scalar is an
+``int`` reduced into ``range(p)``.  Scalars are plain Python numbers, so
+generic code adds and multiplies them without branching on the field
+kind; over GF(p) every site that stores a scalar, or tests one for zero
+or equality, first reduces it with ``% p`` (:meth:`Field.normal`).  The
+one division in the package is :meth:`Field.inv`, so no float can arise
+from exact inputs; a float or bool offered as a scalar is refused.
 """
 
 from __future__ import annotations

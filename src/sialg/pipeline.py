@@ -55,15 +55,17 @@ from .structure import (
 @dataclass
 class AnalysisResult:
     """`corners` is the basic algebra's Peirce decomposition by its class
-    idempotents, built once in `analyze` and read by every later layer;
-    `lam` is `corners.alg`.  `elements` are the input elements carrying
-    lam's basis, None when the input is basic and lam is the input."""
+    idempotents, built once and read by every later layer; `lam` is
+    `corners.alg`.  `input_corners` is the input's Peirce decomposition
+    by the class reps, whose corner basis element `bases[(j, i)][b]`
+    carries the basic algebra's; it is `corners` when the input is
+    basic."""
 
     algebra: FinDimAlgebra
     rad: RadicalData
     dec: CanonicalDecomposition
+    input_corners: PeirceCorners
     corners: PeirceCorners
-    elements: list | None
     nak: NakayamaData
 
     @property
@@ -98,10 +100,9 @@ def analyze(alg: FinDimAlgebra, seed: int = DEFAULT_SEED) -> AnalysisResult:
     alg.validate()
     rad = radical(alg)
     dec = canonical_decomposition(alg, seed, rad)
-    lam, reps, elements = basic_reduction(alg, dec)
-    corners = PeirceCorners(lam, reps)
-    nak = nakayama(corners, rad if lam is alg else radical(lam))
-    return AnalysisResult(alg, rad, dec, corners, elements, nak)
+    input_corners, corners = basic_reduction(alg, dec)
+    nak = nakayama(corners, rad if corners is input_corners else radical(corners.alg))
+    return AnalysisResult(alg, rad, dec, input_corners, corners, nak)
 
 
 class ModelIsomorphism:
@@ -109,8 +110,10 @@ class ModelIsomorphism:
 
     The basis element of the model carrying phi in corner (j <- i) with
     copies (t <- s) maps to v_{j,t} * phi * u_{i,s}, built from the
-    copy-identification witnesses, with phi lifted to the input along
-    `elements` (see `AnalysisResult`).
+    copy-identification witnesses, with phi read as the input's corner
+    basis element `input_corners.bases[(j, i)][b]` (see `basic_reduction`).
+    `alg` is the algebra the map is checked against, given apart from
+    `input_corners.alg`.
 
     `_verify` proves phi a unital, multiplicative linear bijection onto
     the input `analyze` validated, so the model, its pullback, is
@@ -122,19 +125,14 @@ class ModelIsomorphism:
         self,
         alg: FinDimAlgebra,
         amp: AmplifiedAlgebra,
-        elements: list | None,
+        input_corners: PeirceCorners,
         wit: IsoWitness,
     ):
         self.alg = alg
         self.amp = amp
-        # one lift per corner basis element, along the input elements that
-        # carry the basic algebra's basis; the copies only pick u and v
-        lifted = {
-            key: qs if elements is None else [combination(alg, elements, q.coeffs) for q in qs]
-            for key, qs in amp.corners.bases.items()
-        }
+        bases = input_corners.bases
         self.images = [
-            multiply(multiply(wit.vs[j][t - 1], lifted[(j, i)][b]), wit.us[i][s - 1])
+            multiply(multiply(wit.vs[j][t - 1], bases[(j, i)][b]), wit.us[i][s - 1])
             for (i, j, s, t, b) in amp.tuples
         ]
         self._verify()
@@ -226,7 +224,7 @@ def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED):
     pair = frobenius_pair(analysis.corners, analysis.nak, seed)
     wit = iso_witnesses(alg, analysis.dec)
     amp = amplify(analysis.corners, analysis.dec.multiplicities)
-    model_map = ModelIsomorphism(alg, amp, analysis.elements, wit)
+    model_map = ModelIsomorphism(alg, amp, analysis.input_corners, wit)
     return PipelineContext(analysis, pair, wit, amp, model_map)
 
 

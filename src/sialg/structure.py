@@ -17,6 +17,8 @@ representatives, of the copies within a class (for the copy witnesses),
 of the quotient images (for the class grouping) and of each idempotent
 the quotient split visits; every projection of an element or tensor onto
 the corners, and every one-sided ideal e_i A or A e_i, goes through it.
+`basic_reduction` hands on the input's corners with those of the basic
+algebra e A e, which they carry basis element for basis element.
 """
 
 from __future__ import annotations
@@ -307,19 +309,10 @@ def radical(alg: FinDimAlgebra) -> RadicalData:
 # -- semisimple quotient -------------------------------------------------------
 
 
-@dataclass
-class QuotientData:
-    algebra: FinDimAlgebra
-    complement: list  # ambient indices carrying the section
-    parent: FinDimAlgebra
-
-    def lift(self, abar: Element) -> Element:
-        return Element(
-            self.parent, {self.complement[t]: c for t, c in abar.coeffs.items()}
-        )
-
-
-def semisimple_quotient(alg: FinDimAlgebra, rad: RadicalData) -> QuotientData:
+def semisimple_quotient(alg: FinDimAlgebra, rad: RadicalData):
+    """(A/J, complement): the quotient on the ambient indices `complement`
+    that are not pivots of J's echelon basis, each product reduced
+    modulo J; basis element t of A/J is the class of b_complement[t]."""
     field = alg.field
     pivots = set(rad.span.rows)
     complement = [i for i in range(alg.dim) if i not in pivots]
@@ -335,8 +328,7 @@ def semisimple_quotient(alg: FinDimAlgebra, rad: RadicalData) -> QuotientData:
     for k, c in unit_red.items():
         unit[pos[k]] = c
     labels = [alg.labels[i] + "~" for i in complement]
-    qalg = FinDimAlgebra(field, labels, structure, unit)
-    return QuotientData(qalg, complement, alg)
+    return FinDimAlgebra(field, labels, structure, unit), complement
 
 
 # -- canonical decomposition ---------------------------------------------------
@@ -411,17 +403,16 @@ def _split_once(qalg: FinDimAlgebra, e: Element, corner_elems: list, rng, budget
     return None, attempts
 
 
-def _primitive_idempotents_semisimple(quot: QuotientData, seed: int):
-    """Split the quotient unit into primitive orthogonal idempotents.
+def _primitive_idempotents_semisimple(qalg: FinDimAlgebra, seed: int, budget: int):
+    """Split the unit of the semisimple `qalg` into primitive orthogonal
+    idempotents, in at most `budget` attempts of `_split_once` in all.
 
     Returns (idempotents, split_certified).  Primitivity is certified by
     corner dimension 1, which is exact for split semisimple algebras;
     corners of larger dimension that resist the seeded splitting budget
     are kept whole and flagged.
     """
-    qalg = quot.algebra
     rng = random.Random(seed)
-    budget = SPLIT_BUDGET_FACTOR * quot.parent.dim
     done = []
     stuck = []
     work = [qalg.unit]
@@ -461,14 +452,20 @@ def canonical_decomposition(
 
     Classes and copies are ordered by reverse-lexicographic comparison of
     the idempotent coordinate vectors, so the output is reproducible.
+
+    The quotient A/J is split with no second radical, because `radical`
+    returns J exactly, so A/J is semisimple.  Its kernel contains J: for
+    r in J and any b, b r is nilpotent, so tr L_{br} = 0 and r lies in
+    the trace form's kernel; over GF(p) the Frobenius-power kernel is the
+    nilradical, which is J for a commutative algebra.  And `radical`
+    raises unless that kernel is a nilpotent ideal, so it lies in J.
     """
     if rad is None:
         rad = radical(alg)
-    quot = semisimple_quotient(alg, rad)
-    qrad = radical(quot.algebra)
-    if qrad.dim != 0:
-        raise AlgebraError("semisimple quotient still has a radical")
-    qidems, certified = _primitive_idempotents_semisimple(quot, seed)
+    quot, complement = semisimple_quotient(alg, rad)
+    qidems, certified = _primitive_idempotents_semisimple(
+        quot, seed, SPLIT_BUDGET_FACTOR * alg.dim
+    )
     qidems.sort(key=lambda e: e.dense(), reverse=True)
     # lift sequentially; the final idempotent is the exact complement.  By
     # induction the sum p of the lifts so far is idempotent: the next lift is
@@ -483,7 +480,7 @@ def canonical_decomposition(
         if t == len(qidems) - 1:
             e = alg.unit - partial
         else:
-            a = quot.lift(ebar)
+            a = Element(alg, {complement[k]: c for k, c in ebar.coeffs.items()})
             mask = alg.unit - partial
             a = multiply(multiply(mask, a), mask)
             e = _lift_idempotent(alg, a, steps)
@@ -491,25 +488,17 @@ def canonical_decomposition(
         partial = partial + e
     # group by the semisimple pairing test on the quotient images, which are
     # the qidems each e was lifted from: e_u and e_v cut out isomorphic
-    # projectives iff the corner e_u Q e_v is nonzero
-    qcorners = PeirceCorners(quot.algebra, qidems)
-
-    def paired(u: int, v: int) -> bool:
-        return bool(qcorners.bases[(u, v)])
-
-    unassigned = list(range(len(lifted)))
+    # projectives iff the corner e_u Q e_v is nonzero.  Each lift joins the
+    # first class whose head it pairs with, or else heads a new class
+    qcorners = PeirceCorners(quot, qidems)
     groups = []
-    while unassigned:
-        head = unassigned.pop(0)
-        cls = [head]
-        rest = []
-        for v in unassigned:
-            if paired(head, v):
-                cls.append(v)
-            else:
-                rest.append(v)
-        unassigned = rest
-        groups.append(cls)
+    for v in range(len(lifted)):
+        for g in groups:
+            if qcorners.bases[(g[0], v)]:
+                g.append(v)
+                break
+        else:
+            groups.append([v])
     classes = [sorted((lifted[u] for u in g), key=lambda e: e.dense(), reverse=True) for g in groups]
     classes.sort(key=lambda cls: cls[0].dense(), reverse=True)
     flags = [FLAG_SPLIT] if certified else [FLAG_NOT_SPLIT]
@@ -653,26 +642,28 @@ def duality_pattern(corners: PeirceCorners) -> list:
 def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
     """Corner algebra e A e for e the sum of class representatives.
 
-    Returns (lam, reps, elements): lam's class idempotents, one per class
-    in the parent's class order, so multiplicities and the Nakayama
-    permutation stay aligned across the reduction, and the parent elements
-    carrying lam's basis.  A basic input is its own reduction, with its
-    own reps and `elements` None.  Otherwise lam is
-    `PeirceCorners(alg, reps).copy_algebra` at every multiplicity 1: its
-    basis is the Peirce corner bases in j-major order, and its class
-    idempotents are the unit's parts in the diagonal corners.
+    Returns (input_corners, corners): the input's `PeirceCorners` on the
+    class reps, and the basic algebra's `PeirceCorners` on its class
+    idempotents, one per class in the parent's class order, so
+    multiplicities and the Nakayama permutation stay aligned across the
+    reduction.  A basic input is its own reduction, and both are the same
+    object.  Otherwise the basic algebra is `input_corners.copy_algebra`
+    at every multiplicity 1, its basis tuple (i, j, 1, 1, b) being
+    `input_corners.bases[(j, i)][b]`, and its class idempotents are the
+    unit's parts in the diagonal corners.  Its corner (j, i) has the unit
+    vectors of those tuples as its basis, in order, so
+    `input_corners.bases[key][b]` carries `corners.bases[key][b]`.
     """
     reps = dec.reps
+    input_corners = PeirceCorners(alg, reps)
     if sum(reps[1:], reps[0]) == alg.unit:
-        return alg, reps, None
-    corners = PeirceCorners(alg, reps)
-    tuples, lam = corners.copy_algebra((1,) * len(reps))
+        return input_corners, input_corners
+    tuples, lam = input_corners.copy_algebra((1,) * len(reps))
     # the unit's part in diagonal corner (i, i) is class i's idempotent
     parts = [{} for _ in reps]
     for a, c in lam.unit.coeffs.items():
         parts[tuples[a][0]][a] = c
-    elements = [corners.bases[(j, i)][b] for (i, j, _, _, b) in tuples]
-    return lam, [lam.element(p) for p in parts], elements
+    return input_corners, PeirceCorners(lam, [lam.element(p) for p in parts])
 
 
 # -- isomorphism witnesses between projective copies ---------------------------

@@ -359,11 +359,11 @@ def components_reference(corners, a):
     return out
 
 
-def project_reference(quot, rad, a):
-    """The image of `a` in the semisimple quotient: its remainder modulo
-    rad.span, reindexed on the complement that carries the quotient."""
-    pos = {idx: t for t, idx in enumerate(quot.complement)}
-    return Element(quot.algebra, {pos[i]: c for i, c in rad.span.reduce(a.coeffs).items()})
+def project_reference(quot, complement, rad, a):
+    """The image of `a` in the semisimple quotient `quot`: its remainder
+    modulo rad.span, reindexed on the `complement` that carries it."""
+    pos = {idx: t for t, idx in enumerate(complement)}
+    return Element(quot, {pos[i]: c for i, c in rad.span.reduce(a.coeffs).items()})
 
 
 def small_spaces_reference(corners, nak, rad):

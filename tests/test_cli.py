@@ -241,7 +241,12 @@ def test_comul_spec_file_non_integral_pair(tmp_path, capsys):
     (("nsy", "--n", "2", "--l", "2", "--m", "1,x"),
      "expected comma-separated integers, got '1,x'"),
     (("matrix", "--m", "2,3"), "expected 1 integer(s), got '2,3'"),
-], ids=["non-integer-m", "two-sizes"])
+    # an empty item is refused, not skipped into m = (1, 2) or C2 x C3
+    (("nsy", "--n", "2", "--l", "2", "--m", "1,,2"),
+     "expected comma-separated integers, got '1,,2'"),
+    (("group", "--factors", ",2,,3,"),
+     "expected comma-separated integers, got ',2,,3,'"),
+], ids=["non-integer-m", "two-sizes", "empty-item-m", "empty-item-factors"])
 def test_generate_malformed_integers(capsys, family_args, message):
     assert run_cli("generate", "--family", *family_args) == 1
     captured = capsys.readouterr()

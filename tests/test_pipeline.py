@@ -198,9 +198,9 @@ def small_contexts():
     return [(entry, prepare(entry.algebra)) for entry in corpus("small")]
 
 
-def _model_map_outcome(alg, amp, elements, wit):
+def _model_map_outcome(alg, amp, input_corners, wit):
     try:
-        ModelIsomorphism(alg, amp, elements, wit)
+        ModelIsomorphism(alg, amp, input_corners, wit)
     except AlgebraError as exc:
         return str(exc)
     return None
@@ -213,12 +213,13 @@ def test_model_map_refuses_corrupted_input(small_contexts):
     refused = 0
     for entry, ctx in small_contexts:
         alg = entry.algebra
-        elements, wit = ctx.analysis.elements, ctx.witnesses
-        assert _model_map_outcome(alg, ctx.amp, elements, wit) is None
+        input_corners, wit = ctx.analysis.input_corners, ctx.witnesses
+        assert _model_map_outcome(alg, ctx.amp, input_corners, wit) is None
         for corrupt in dense.single_constant_mutants(alg, rng, 2):
             if corrupt.structure_equal(alg):
                 continue
-            got = _model_map_outcome(corrupt, ctx.amp, elements, wit)
+            # the corners stay the real input's; only `alg` is corrupted
+            got = _model_map_outcome(corrupt, ctx.amp, input_corners, wit)
             assert got is not None and "not multiplicative" in got, entry.key
             assert got == dense.model_map_failure(corrupt, ctx.amp.algebra, ctx.model_map.images)
             refused += 1
@@ -233,15 +234,19 @@ def test_model_map_matches_per_pair_reference_on_mutants(small_contexts):
     outcomes = []
     for entry, ctx in small_contexts:
         alg, amp = entry.algebra, ctx.amp
-        elements, wit = ctx.analysis.elements, ctx.witnesses
+        input_corners, wit = ctx.analysis.input_corners, ctx.witnesses
+        # the reference lifts each basic corner element along the input's
+        # corner bases in j-major order, as a combination
+        basic = input_corners is ctx.analysis.corners
+        elements = [q for qs in input_corners.bases.values() for q in qs]
 
         def embed(q):
-            return q if elements is None else combination(alg, elements, q.coeffs)
+            return q if basic else combination(alg, elements, q.coeffs)
 
         for model in dense.single_constant_mutants(amp.algebra, rng, 2):
             fake = copy.copy(amp)
             fake.algebra = model
-            got = _model_map_outcome(alg, fake, elements, wit)
+            got = _model_map_outcome(alg, fake, input_corners, wit)
             want = dense.model_map_failure(alg, model, ctx.model_map.images)
             assert got == want or (want is None and got == "model map is not bijective")
             outcomes.append(got)
@@ -256,7 +261,7 @@ def test_model_map_matches_per_pair_reference_on_mutants(small_contexts):
                 bad.vs[j][t - 1] * embed(amp.corners.bases[(j, i2)][b]) * bad.us[i2][s2 - 1]
                 for (i2, j, s2, t, b) in amp.tuples
             ]
-            got = _model_map_outcome(alg, amp, elements, bad)
+            got = _model_map_outcome(alg, amp, input_corners, bad)
             want = dense.model_map_failure(alg, amp.algebra, images)
             assert got == want or (want is None and got == "model map is not bijective")
             outcomes.append(got)

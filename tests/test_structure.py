@@ -26,7 +26,7 @@ from sialg.families import (
 )
 from sialg.fields import Field, QQ
 from sialg.linalg import Span
-from sialg.pipeline import analyze
+from sialg.pipeline import analyze, prepare
 from sialg.structure import (
     DEFAULT_SEED,
     CanonicalDecomposition,
@@ -142,13 +142,14 @@ def test_radical_matches_per_pair_reference_on_mutants():
 
 
 def test_quotient_of_radical_is_semisimple():
-    from sialg.structure import semisimple_quotient
-
-    for alg in (nakayama_algebra(2, 2), nsy_algebra(2, 2, (1, 2)).algebra,
-                group_algebra([3], Field(3))):
+    # canonical_decomposition splits A/J with no second radical: `radical`
+    # returns J itself, so the quotient's radical is zero on every algebra
+    # the decomposition is run on across the sweeps
+    for alg in _SWEPT:
         rad = radical(alg)
-        quot = semisimple_quotient(alg, rad)
-        assert radical(quot.algebra).dim == 0
+        quot, complement = semisimple_quotient(alg, rad)
+        assert radical(quot).dim == 0
+        assert quot.dim == len(complement) == alg.dim - rad.dim
 
 
 def test_canonical_decomposition_m2():
@@ -205,14 +206,9 @@ def _assert_complete_orthogonal(alg, idems):
 def test_decomposition_idempotents_across_sweeps():
     # canonical_decomposition checks none of this itself: each lift is an
     # idempotent of (1 - p) A (1 - p), p the sum of the lifts before it
-    algs = [alg for _, alg in _DECOMPOSED] + [
-        nsy_algebra(n, l, m, Field(101)).algebra
-        for n, l in STANDARD_NSY_SHAPES
-        for m in product((1, 2, 3), repeat=n)
-    ]
-    for alg in algs:
+    for alg in _SWEPT:
         _assert_complete_orthogonal(alg, canonical_decomposition(alg).all_idempotents())
-    assert len(algs) == 86 + 12 + 81
+    assert len(_SWEPT) == 86 + 12 + 81
 
 
 def _corners_and_rad(alg):
@@ -280,21 +276,28 @@ def test_duality_pattern_matches_nu():
         assert duality_pattern(corners) == [{v} for v in nak.nu]
 
 
+def _carriers(input_corners):
+    """The input's corner basis elements in j-major corner order: element a
+    carries the basic algebra's basis tuple a."""
+    return [q for qs in input_corners.bases.values() for q in qs]
+
+
 def test_basic_reduction_m2():
     M = matrix_algebra(2)
     dec = canonical_decomposition(M)
-    lam, reps, elements = basic_reduction(M, dec)
-    assert lam.dim == 1
-    assert reps == [lam.unit]
-    assert elements == [dec.reps[0]]
+    input_corners, corners = basic_reduction(M, dec)
+    assert corners.alg.dim == 1
+    assert corners.reps == [corners.alg.unit]
+    assert input_corners.alg is M and input_corners.reps == dec.reps
+    assert _carriers(input_corners) == [dec.reps[0]]
 
 
 def test_basic_reduction_identity_on_basic():
     B = nakayama_algebra(2, 2)
     dec = canonical_decomposition(B)
-    lam, reps, elements = basic_reduction(B, dec)
-    assert lam is B
-    assert reps == dec.reps and elements is None
+    input_corners, corners = basic_reduction(B, dec)
+    assert corners is input_corners
+    assert corners.alg is B and corners.reps == dec.reps
 
 
 def _outer(alg, terms):
@@ -424,6 +427,12 @@ _DECOMPOSED = [(e.key, e.algebra) for e in corpus("standard")] + [
     for p in (2, 3)
     for factors in ((2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2))
 ]
+# ... and the GF(101) nsy shapes of the sweep-gfp benchmark
+_SWEPT = [alg for _, alg in _DECOMPOSED] + [
+    nsy_algebra(n, l, m, Field(101)).algebra
+    for n, l in STANDARD_NSY_SHAPES
+    for m in product((1, 2, 3), repeat=n)
+]
 
 
 @pytest.mark.parametrize(
@@ -441,13 +450,13 @@ def test_decomposition_corners_match_reference(alg, monkeypatch):
     for corners in built:
         _matches_reference(corners)
     # the classes are the reference pairing's classes, on every pair
-    quot = semisimple_quotient(alg, rad)
-    images = [dense.project_reference(quot, rad, e) for e in dec.all_idempotents()]
+    quot, complement = semisimple_quotient(alg, rad)
+    images = [dense.project_reference(quot, complement, rad, e) for e in dec.all_idempotents()]
     # the grouping reads the quotient idempotents the lifts came from
     assert sorted(e.dense() for e in grouping.reps) == sorted(e.dense() for e in images)
     cls_of = [c for c, cls in enumerate(dec.classes) for _ in cls]
     for u, v in product(range(len(images)), repeat=2):
-        paired = dense.paired_reference(quot.algebra, images[u], images[v])
+        paired = dense.paired_reference(quot, images[u], images[v])
         assert paired == (cls_of[u] == cls_of[v])
 
 
@@ -493,12 +502,14 @@ def _find_iso_by_permutation(A, B):
 def test_basic_reduction_of_amplified_is_b22():
     A = nsy_algebra(2, 2, (1, 2)).algebra
     dec = canonical_decomposition(A)
-    lam, reps, elements = basic_reduction(A, dec)
+    input_corners, corners = basic_reduction(A, dec)
+    lam, reps = corners.alg, corners.reps
     assert lam.dim == 4
     assert len(reps) == 2 and reps[0] + reps[1] == lam.unit
     assert _find_iso_by_permutation(lam, nakayama_algebra(2, 2)) is not None
-    # the embedding along `elements` is multiplicative on the corner
+    # the embedding along the input's corner bases is multiplicative
     rng = random.Random(4)
+    elements = _carriers(input_corners)
 
     def embed(x):
         return combination(A, elements, x.coeffs)
@@ -507,6 +518,53 @@ def test_basic_reduction_of_amplified_is_b22():
         a = lam.element({i: QQ(rng.randint(-2, 2)) for i in range(lam.dim)})
         b = lam.element({i: QQ(rng.randint(-2, 2)) for i in range(lam.dim)})
         assert embed(a * b) == embed(a) * embed(b)
+
+
+def test_input_corners_carry_the_basic_corners():
+    # the model map reads input_corners.bases[key][b] for the basic
+    # algebra's corner basis element corners.bases[key][b]: that is its
+    # lift along the input elements carrying the basic algebra's basis
+    lifted = 0
+    for alg in _SWEPT:
+        an = analyze(alg)
+        if an.lam is alg:
+            assert an.input_corners is an.corners
+            continue
+        elements = _carriers(an.input_corners)
+        assert an.corners.bases.keys() == an.input_corners.bases.keys()
+        for key, qs in an.corners.bases.items():
+            assert len(qs) == len(an.input_corners.bases[key])
+            for q, image in zip(qs, an.input_corners.bases[key]):
+                assert combination(alg, elements, q.coeffs) == image
+                lifted += 1
+    assert lifted == 965  # over the 149 non-basic algebras of the 179
+
+
+def test_seed_reaches_only_the_noncommutative_split():
+    # with a commutative semisimple quotient the split is decided without
+    # the seed, so prepare gives the same analysis and Frobenius pair, or
+    # the same refusal, at every seed
+    def outcome(alg, seed):
+        try:
+            ctx = prepare(alg, seed)
+        except AlgebraError as exc:
+            return str(exc)
+        return ctx.analysis.to_json(), ctx.pair.to_json()
+
+    firsts = []
+    for alg in _SWEPT:
+        quot, _ = semisimple_quotient(alg, radical(alg))
+        if not quot.is_commutative():
+            continue
+        first = outcome(alg, DEFAULT_SEED)
+        assert all(outcome(alg, seed) == first for seed in (1, 2))
+        firsts.append(first)
+    assert len(firsts) == 30
+    # GF(2)[C3 x C3] is among them, refused alike at every seed
+    assert [f for f in firsts if isinstance(f, str)] == [
+        "no counit with the required corner support has an invertible Gram"
+        " matrix after 32 seeded attempts"
+    ]
 
 
 _NON_BASIC_INPUTS = [(e.key, e.algebra) for e in corpus("standard")] + [
@@ -520,10 +578,11 @@ def test_basic_reduction_matches_per_pair_reference():
         dec = canonical_decomposition(alg)
         if all(v == 1 for v in dec.multiplicities):
             continue
-        lam, reps, elements = basic_reduction(alg, dec)
+        input_corners, corners = basic_reduction(alg, dec)
         ref, ref_reps, ref_elements = dense.basic_reduction_reference(alg, dec.reps)
-        assert lam.structure_equal(ref), key
-        assert [e.coeffs for e in reps] == [e.coeffs for e in ref_reps], key
+        assert corners.alg.structure_equal(ref), key
+        assert [e.coeffs for e in corners.reps] == [e.coeffs for e in ref_reps], key
+        elements = _carriers(input_corners)
         assert [e.coeffs for e in elements] == [e.coeffs for e in ref_elements], key
         compared += 1
     assert compared == 76  # 75 of the 86 standard algebras, and the GF(101) one
