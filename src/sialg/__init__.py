@@ -28,6 +28,7 @@ from .amplify import (
     ComultiplicationReport,
     SpreadSpec,
     build_counit,
+    certify_family,
     comultiplication_report,
     copy_boxes,
     counit_solution_space,

@@ -29,6 +29,7 @@ from .amplify import (
     SpreadSpec,
     amplify,
     build_counit,
+    certify_family,
     comultiplication_report,
     is_bijection_graph,
     preset_spec,
@@ -193,13 +194,15 @@ class ModelIsomorphism:
 
 @dataclass
 class PipelineContext:
-    """Everything spec-independent: reusable across subset-data sweeps."""
+    """Everything spec-independent: reusable across subset-data sweeps.
+    `certified` is `certify_family(pair.y)`."""
 
     analysis: AnalysisResult
     pair: FrobeniusPair
     witnesses: IsoWitness
     amp: AmplifiedAlgebra
     model_map: ModelIsomorphism
+    certified: bool
 
 
 @dataclass
@@ -225,15 +228,19 @@ def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED):
     wit = iso_witnesses(alg, analysis.dec)
     amp = amplify(analysis.corners, analysis.dec.multiplicities)
     model_map = ModelIsomorphism(alg, amp, analysis.input_corners, wit)
-    return PipelineContext(analysis, pair, wit, amp, model_map)
+    return PipelineContext(analysis, pair, wit, amp, model_map, certify_family(pair.y))
 
 
 def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     """Spread one choice of subset data, transport it and report.
 
-    Invariance and the constructed counit's two identities are checked
-    once, on the transported tensor x: the model map is a verified unital
-    isomorphism, so each holds there exactly when it holds on the model.
+    When the context is certified and every S(i) is nonempty, the report
+    takes invariance, coassociativity and injectivity from
+    `certify_family`; otherwise it checks them directly on the
+    transported tensor x.  The counit oracle and the constructed
+    counit's two identities run on x for every spec: the model map is a
+    verified unital isomorphism, so each holds there exactly when it
+    holds on the model.
     """
     analysis, amp = ctx.analysis, ctx.amp
     m, nak = analysis.dec.multiplicities, analysis.nak
@@ -245,6 +252,7 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     if all(flags):
         built_model = build_counit(amp, spec, nak, ctx.pair.epsilon)
         built = ctx.model_map.transport_functional(built_model)
-    report = comultiplication_report(analysis.algebra, x, flags, built)
+    certified = ctx.certified and all(spec.classes)
+    report = comultiplication_report(analysis.algebra, x, flags, built, certified)
     return PipelineRun(ctx, spec, x, report)
 

@@ -196,7 +196,7 @@ def test_spread_index_validation():
     bad = SpreadSpec((frozenset({(3, 1), (1, 3)}),))
     with pytest.raises(IndexOutOfRange) as err:
         spread(amp, pair.y, bad, nak)
-    assert str(err.value) == "pair (1,3) outside 1..2 x 1..2 for class 0"
+    assert str(err.value) == "pair (1,3) outside 1..2 x 1..2 for class 1"
 
 
 def test_is_bijection_graph_examples():

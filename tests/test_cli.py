@@ -124,6 +124,45 @@ def test_comul_spec_file_duplicate_pair(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_comul_spec_file_pair_outside_box(tmp_path, capsys):
+    # the refusal names the class 1-based, as the JSON "i" does
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", "nsy", "--n", "2", "--l", "2", "--m", "1,2",
+            "-o", str(alg_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"classes": [{"i": 1, "pairs": [[1, 1]]}, {"i": 2, "pairs": [[3, 1]]}]}
+    ))
+    assert run_cli("comul", "--input", str(alg_path), "--spec", str(spec_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: IndexOutOfRange: pair (3,1) outside 1..2 x 1..1 for class 2\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("classes, rank", [
+    ([], 0),
+    ([{"i": 1, "pairs": [[1, 1]]}], 7),
+    ([{"i": 2, "pairs": [[1, 1]]}], 7),
+], ids=["no-class", "class-2-empty", "class-1-empty"])
+def test_comul_spec_file_empty_class(tmp_path, classes, rank):
+    # an empty S(i) is outside the family certificate, so the report comes
+    # from the direct checks: still invariant and coassociative, not injective
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", "nsy", "--n", "2", "--l", "2", "--m", "1,2",
+            "-o", str(alg_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"classes": classes}))
+    out = tmp_path / "r.json"
+    assert run_cli("comul", "--input", str(alg_path), "--spec", str(spec_path),
+                   "--report", str(out)) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["dim"] == 9 and report["delta_rank"] == rank
+    assert report["invariant"] and report["coassociative"]
+    assert not report["injective"] and not report["counital"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "comul", "verify"])
 @pytest.mark.parametrize("row, entry, message, witness", [
     # E11 E11 = 2 E11 breaks the unit first

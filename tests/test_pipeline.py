@@ -1,13 +1,20 @@
 import copy
 import json
 import random
+from itertools import combinations, product
 
 import pytest
 
 import dense_reference as dense
 from sialg import linalg
 from sialg.algebra import combination, is_invariant, permute_basis
-from sialg.amplify import SpreadSpec
+from sialg.amplify import (
+    SpreadSpec,
+    build_counit,
+    comultiplication_report,
+    copy_boxes,
+    is_bijection_graph,
+)
 from sialg.errors import AlgebraError, InvalidAlgebra, NotSelfInjectiveLike
 from sialg.families import (
     corpus,
@@ -27,7 +34,12 @@ from sialg.pipeline import (
     run_spec,
 )
 from sialg.structure import IsoWitness, PeirceCorners, radical
-from sialg.verify import CorpusCache, check_pair_support, check_transported_pairs
+from sialg.verify import (
+    CorpusCache,
+    _spec_sweep,
+    check_pair_support,
+    check_transported_pairs,
+)
 
 
 def test_analyze_m2():
@@ -540,3 +552,94 @@ def test_base_change_to_gf101_keeps_invariants(entry):
             for r in (run_spec(ctx, preset).report for ctx in (ctx_q, ctx_p))
         ]
         assert facts[0] == facts[1], preset
+
+
+# -- the family certificate against the direct checks ---------------------------
+
+
+def _direct_report(ctx, run):
+    """The report on run.x with invariance, coassociativity and rank
+    checked directly, and the counit built as `run_spec` builds it."""
+    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    flags = is_bijection_graph(run.spec, m, nak)
+    built = None
+    if all(flags):
+        eps = build_counit(ctx.amp, run.spec, nak, ctx.pair.epsilon)
+        built = ctx.model_map.transport_functional(eps)
+    return comultiplication_report(ctx.analysis.algebra, run.x, flags, built)
+
+
+def _record_certified(monkeypatch):
+    """The `certified` verdict of every report `run_spec` asks for."""
+    seen = []
+    original = comultiplication_report
+
+    def recording(alg, x, flags, built=None, certified=False):
+        seen.append(certified)
+        return original(alg, x, flags, built, certified)
+
+    monkeypatch.setattr("sialg.pipeline.comultiplication_report", recording)
+    return seen
+
+
+def test_certified_reports_equal_direct_checks_on_standard_corpus(monkeypatch):
+    # every subset datum `sialg verify --profile standard` sweeps: the
+    # certificate decides each run, and its report is the direct one
+    seen = _record_certified(monkeypatch)
+    cache = CorpusCache("standard")
+    runs = 0
+    for idx, entry in cache.items():
+        ctx, specs = _spec_sweep(cache, idx)
+        assert ctx.certified, entry.key
+        for name, spec in specs:
+            run = run_spec(ctx, spec)
+            assert run.report.to_json() == _direct_report(ctx, run).to_json(), (
+                entry.key, name
+            )
+            runs += 1
+    assert runs == 86 * 13
+    assert seen == [True] * runs
+
+
+def _all_subset_data(ctx):
+    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    per_class = [
+        [frozenset(c) for r in range(len(box) + 1) for c in combinations(box, r)]
+        for box in copy_boxes(m, nak)
+    ]
+    return [SpreadSpec(classes) for classes in product(*per_class)]
+
+
+@pytest.mark.parametrize("m, count", [((1, 2), 16), ((2, 2), 256)],
+                         ids=["nsy(2,2,(1,2))", "nsy(2,2,(2,2))"])
+def test_certified_exactly_when_no_class_is_empty(monkeypatch, m, count):
+    # every subset datum, empty classes included: a run is certified exactly
+    # when every S(i) is nonempty, and its report is the direct one; an
+    # empty class costs injectivity, so the certificate's condition is tight
+    ctx = prepare(nsy_algebra(2, 2, m).algebra)
+    specs = _all_subset_data(ctx)
+    assert ctx.certified and len(specs) == count
+    seen = _record_certified(monkeypatch)
+    for spec in specs:
+        run = run_spec(ctx, spec)
+        assert run.report.to_json() == _direct_report(ctx, run).to_json(), spec
+        assert seen.pop() == all(spec.classes) == run.report.injective, spec
+
+
+def test_failed_certificate_falls_back_to_direct_checks(monkeypatch):
+    # a Lambda check that fails is no verdict: run_spec checks x directly
+    # and reports the direct check's witness
+    checked = []
+
+    def failing(x):
+        checked.append(x)
+        return (0, 1, 2)
+
+    monkeypatch.setattr("sialg.amplify.check_coassociativity", failing)
+    ctx = prepare(nsy_algebra(2, 2, (1, 2)).algebra)
+    assert not ctx.certified and checked == [ctx.pair.y]
+    run = run_spec(ctx, "full")
+    assert checked[1] is run.x
+    r = run.report.to_json()
+    assert not r["coassociative"] and r["coassociative_witness"] == [0, 1, 2]
+    assert r["invariant"] and r["delta_rank"] == 9 and r["injective"]
