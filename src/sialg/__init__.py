@@ -55,6 +55,7 @@ from .frobenius import (
     FrobeniusPair,
     dual_basis_tensor,
     frobenius_pair,
+    tensor_blocks,
     transport_pair,
     verify_frobenius_pair,
 )

@@ -7,12 +7,13 @@ in j-major corner order, labelled `a[j<-i;t<-s].b`.  The corners are
 passed in, not built: `amplify(corners, m)` keeps the object it is given
 as `amp.corners`, so the pipeline's counit and its amplified model read
 one Peirce decomposition.  Copy indices are 1-based, matching the subset
-data S(i) in {1..m(i)} x {1..m(nu^-1 i)}.  The spreading operation cuts
-an invariant basic tensor into its corner blocks with
-`amp.corners.tensor_components` and distributes each block over copies
-according to S(i), and the two counitality routes (direct construction
-for bijection graphs, and an independent linear feasibility oracle) are
-kept strictly separate so they can cross-check each other.
+data S(i) in {1..m(i)} x {1..m(nu^-1 i)}.  The spreading operation
+takes the corner blocks of an invariant basic tensor, cut once per
+context by `frobenius.tensor_blocks`, and only distributes each block
+over copies according to S(i).  The two counitality routes (direct
+construction for bijection graphs, and an independent linear
+feasibility oracle) are kept strictly separate so they can cross-check
+each other.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .algebra import (
 )
 from .errors import (
     AlgebraError,
-    BadBlockSupport,
     BadParams,
     BlockMismatch,
     IndexOutOfRange,
@@ -173,40 +173,27 @@ def preset_spec(name: str, m, nak: NakayamaData) -> SpreadSpec:
 # -- spreading -------------------------------------------------------------------
 
 
-def spread(
-    amp: AmplifiedAlgebra, y: Tensor2, spec: SpreadSpec, nak: NakayamaData
-) -> Tensor2:
-    """Distribute each corner block of y over projective copies via S(i).
+def spread(amp: AmplifiedAlgebra, blocks: dict, spec: SpreadSpec, nak: NakayamaData) -> Tensor2:
+    """Distribute the corner blocks of y over projective copies via S(i).
 
-    For a block component phi (x) psi with phi in corner(j<-i), the output
-    collects phi^{t<-s} (x) psi^{s'<-t} over t = 1..m(j) and (s, s') in
-    S(i).  Raises BadBlockSupport unless y lies in the sum of
-    corner(j<-i) (x) corner(nu^-1(i)<-j).  The result is invariant in the
-    amplified bimodule when y is invariant in the basic one (see
-    `certify_family`).
+    `blocks` are the components {(j, i, u, v): {(b1, b2): c}} of y that
+    `frobenius.tensor_blocks` cut and found on the block support, so
+    u = nu^-1(i) and v = j.  For a block component phi (x) psi with phi in
+    corner(j<-i), the output holds phi^{t<-s} (x) psi^{s'<-t} over
+    t = 1..m(j) and (s, s') in S(i).  Each coefficient is written once:
+    (block, t, (s, s'), (b1, b2)) is read back off the two model basis
+    tuples (i, j, s, t, b1) and (j, u, t, s', b2).  The result is
+    invariant in the amplified bimodule when y is invariant in the basic
+    one (see `certify_family`).
     """
     spec.validate(amp.m, nak)
-    blocks = amp.corners.tensor_components(y)
-    p = amp.algebra.field.p
+    index = amp.index
     coeffs: dict = {}
-    for (j, i, u, v), grid in blocks.items():
-        if v != j or u != nak.nu_inverse(i):
-            raise BadBlockSupport(
-                f"tensor has a component in corners ({j}<-{i}) (x) ({u}<-{v})"
-            )
+    for (j, i, u, _), grid in blocks.items():
         for t in range(1, amp.m[j] + 1):
             for s, s2 in spec.classes[i]:
                 for (b1, b2), c in grid.items():
-                    k1 = amp.index[(i, j, s, t, b1)]
-                    k2 = amp.index[(j, u, t, s2, b2)]
-                    key = (k1, k2)
-                    w = coeffs.get(key, 0) + c
-                    if p:
-                        w %= p
-                    if w:
-                        coeffs[key] = w
-                    else:
-                        coeffs.pop(key, None)
+                    coeffs[(index[(i, j, s, t, b1)], index[(j, u, t, s2, b2)])] = c
     return Tensor2(amp.algebra, coeffs)
 
 
@@ -214,9 +201,10 @@ def certify_family(y: Tensor2) -> bool:
     """True when y proves every spread x_S with no empty S(i) invariant,
     coassociative and injective, on the model and on the input.
 
-    y comes from `dual_basis_tensor`, which proved it invariant, and
-    `spread` refuses it off the block support, so only coassociativity
-    and rank dim Lambda are checked here.  Proof: the model's basis
+    y comes from `dual_basis_tensor`, which proved it invariant, and its
+    block support is checked by the cut `prepare` makes with
+    `frobenius.tensor_blocks`, so only coassociativity and rank
+    dim Lambda are checked here.  Proof: the model's basis
     elements are matrix units, a^{t<-s} b^{t'<-s'} = delta_{s t'}
     (ab)^{t<-s'}, and x_S lifts each term phi (x) psi of y, phi in
     corner(j<-i), to phi^{t<-s} (x) psi^{s'<-t} over t and (s, s') in S(i).

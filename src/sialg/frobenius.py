@@ -213,46 +213,42 @@ def verify_frobenius_pair(
     the small-space criterion tested here (for split inputs the space is
     one-dimensional and this is exactly invertibility of its Gram).
     """
-    lam, n = corners.alg, len(corners.reps)
+    n, nu_inverse = len(corners.reps), nak.nu_inverse
     eps, y = pair.epsilon, pair.y
-    invariant = is_invariant(y) is None
-    counital = is_counit(eps, y)
-    support_ok, support_witness = True, None
-    for i in range(n):
-        for j in range(n):
-            if j == nak.nu_inverse(i):
-                continue
-            if any(eps(q) for q in corners.bases[(j, i)]):
-                support_ok, support_witness = False, (j, i)
-                break
-        if not support_ok:
-            break
-    small_ok, small_witness = True, None
-    for i in range(n):
-        basis = nak.socles[nak.nu_inverse(i)]
-        if not basis or not any(eps(z) for z in basis):
-            small_ok, small_witness = False, i
-            break
-    block_ok, block_witness = _block_support(y, corners, nak)
+    # the lowest corner (j, i), i-major, off the support with eps nonzero
+    # on it, and the lowest class whose small space eps kills
+    support_witness = next(
+        (
+            (j, i)
+            for i in range(n)
+            for j in range(n)
+            if j != nu_inverse(i) and any(eps(q) for q in corners.bases[(j, i)])
+        ),
+        None,
+    )
+    small_witness = next(
+        (i for i in range(n) if not any(eps(z) for z in nak.socles[nu_inverse(i)])), None
+    )
+    _, block_witness = tensor_blocks(corners, y, nak)
     return FrobeniusPairReport(
-        invariant,
-        counital,
-        support_ok,
+        is_invariant(y) is None,
+        is_counit(eps, y),
+        support_witness is None,
         support_witness,
-        block_ok,
+        block_witness is None,
         block_witness,
-        small_ok,
+        small_witness is None,
         small_witness,
     )
 
 
-def _block_support(y: Tensor2, corners: PeirceCorners, nak):
-    """y must live in the sum of L_{j<-i} (x) L_{nu^-1(i)<-j}; the witness
-    is the lowest offending corner quadruple (j, i, u, v)."""
-    for jt, isrc, ut, vsrc in sorted(corners.tensor_components(y)):
-        if vsrc != jt or ut != nak.nu_inverse(isrc):
-            return False, (jt, isrc, ut, vsrc)
-    return True, None
+def tensor_blocks(corners: PeirceCorners, y: Tensor2, nak: NakayamaData):
+    """(blocks, witness): `corners.tensor_components(y)`, and the lowest
+    corner quadruple (j, i, u, v) among them off the block support, the
+    sum of L_{j<-i} (x) L_{nu^-1(i)<-j}, or None.  The one rule for it."""
+    blocks = corners.tensor_components(y)
+    off = [(j, i, u, v) for j, i, u, v in blocks if v != j or u != nak.nu_inverse(i)]
+    return blocks, min(off, default=None)
 
 
 def is_unit(lam: FinDimAlgebra, b: Element) -> bool:

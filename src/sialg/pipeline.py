@@ -35,8 +35,8 @@ from .amplify import (
     preset_spec,
     spread,
 )
-from .errors import AlgebraError, SingularMatrix
-from .frobenius import FrobeniusPair, frobenius_pair
+from .errors import AlgebraError, BadBlockSupport, SingularMatrix
+from .frobenius import FrobeniusPair, frobenius_pair, tensor_blocks
 from .linalg import Matrix
 from .structure import (
     DEFAULT_SEED,
@@ -195,13 +195,15 @@ class ModelIsomorphism:
 @dataclass
 class PipelineContext:
     """Everything spec-independent: reusable across subset-data sweeps.
-    `certified` is `certify_family(pair.y)`."""
+    `blocks` are the corner blocks of `pair.y` that `tensor_blocks` cut,
+    and `certified` is `certify_family(pair.y)`."""
 
     analysis: AnalysisResult
     pair: FrobeniusPair
     witnesses: IsoWitness
     amp: AmplifiedAlgebra
     model_map: ModelIsomorphism
+    blocks: dict
     certified: bool
 
 
@@ -223,12 +225,18 @@ class PipelineRun:
 
 
 def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED):
+    """The spec-independent context; y is cut into its corner blocks here,
+    once, and `BadBlockSupport` names the lowest block off its support."""
     analysis = analyze(alg, seed)
     pair = frobenius_pair(analysis.corners, analysis.nak, seed)
+    blocks, witness = tensor_blocks(analysis.corners, pair.y, analysis.nak)
+    if witness is not None:
+        j, i, u, v = witness
+        raise BadBlockSupport(f"tensor has a component in corners ({j}<-{i}) (x) ({u}<-{v})")
     wit = iso_witnesses(alg, analysis.dec)
     amp = amplify(analysis.corners, analysis.dec.multiplicities)
     model_map = ModelIsomorphism(alg, amp, analysis.input_corners, wit)
-    return PipelineContext(analysis, pair, wit, amp, model_map, certify_family(pair.y))
+    return PipelineContext(analysis, pair, wit, amp, model_map, blocks, certify_family(pair.y))
 
 
 def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
@@ -246,7 +254,7 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     m, nak = analysis.dec.multiplicities, analysis.nak
     if isinstance(spec, str):
         spec = preset_spec(spec, m, nak)
-    x = ctx.model_map.apply_tensor2(spread(amp, ctx.pair.y, spec, nak))
+    x = ctx.model_map.apply_tensor2(spread(amp, ctx.blocks, spec, nak))
     flags = is_bijection_graph(spec, m, nak)
     built = None
     if all(flags):

@@ -57,16 +57,18 @@ FLAG_NOT_SPLIT = "not-split-unverified"
 
 
 def _sandwiches(alg: FinDimAlgebra, reps, vectors) -> dict:
-    """{(j, i): the nonzero e_j v e_i over v in `vectors`, in order}, for
-    the reps e_j, e_i in j-major order: one `products` walk gives every
-    e_j v, then one walk per j gives every (e_j v) e_i."""
+    """{(j, i): {t: e_j v_t e_i} over the v_t in `vectors` where it is
+    nonzero, in t order}, for the reps e_j, e_i in j-major order: one
+    `products` walk gives every e_j v, then one walk per j gives every
+    (e_j v) e_i."""
     rep_vectors = [e.coeffs for e in reps]
     out = {}
     for j, lefts in enumerate(products(alg, rep_vectors, vectors)):
-        rows = [[] for _ in reps]
-        for prods in products(alg, [lefts[t] for t in sorted(lefts)], rep_vectors):
+        rows = [{} for _ in reps]
+        ts = sorted(lefts)
+        for t, prods in zip(ts, products(alg, [lefts[t] for t in ts], rep_vectors)):
             for i, w in prods.items():
-                rows[i].append(w)
+                rows[i][t] = w
         out.update(((j, i), row) for i, row in enumerate(rows))
     return out
 
@@ -77,11 +79,12 @@ class PeirceCorners:
     Each corner's Span and echelon basis is computed once, in j-major
     order, from the sandwiches e_j b_t e_i of the basis b_t, and
     `bases[(j, i)]` and `spans[(j, i)]` hold them.  Every sandwich
-    e_j v e_i, of the basis here and of an element in `components`, comes
-    from n + 1 `products` walks over the n reps.  Components are given in
-    corner coordinates, the indices into `bases[(j, i)]`.  When the reps
-    sum to e, the components of a reassemble e a e.  When they sum to 1,
-    `one_sided` gives e_i A and A e_i from the corners.
+    e_j v e_i, of the basis here, of an element in `components` and of
+    the basis elements a tensor meets in `tensor_components`, comes from
+    one batch of n + 1 `products` walks over the n reps.  Components are
+    given in corner coordinates, the indices into `bases[(j, i)]`.  When
+    the reps sum to e, the components of a reassemble e a e.  When they
+    sum to 1, `one_sided` gives e_i A and A e_i from the corners.
     """
 
     def __init__(self, alg: FinDimAlgebra, reps):
@@ -91,9 +94,8 @@ class PeirceCorners:
         self.bases: dict = {}
         basis = [{t: alg.field.one} for t in range(alg.dim)]
         for key, rows in _sandwiches(alg, reps, basis).items():
-            span = self.spans[key] = Span(alg.field, rows)
+            span = self.spans[key] = Span(alg.field, rows.values())
             self.bases[key] = [Element(alg, dict(row)) for row in span.basis_vectors()]
-        self._basis_components: dict = {}  # basis index -> components, filled on demand
 
     def require_sum_one(self):
         """Raise NotBasic unless the reps sum to 1; on a basic algebra,
@@ -119,26 +121,30 @@ class PeirceCorners:
             raise AlgebraError(f"element left its Peirce corner {corner}")
         return coords
 
+    def _components(self, vectors) -> list:
+        """Per v in `vectors`, the nonzero components {(j, i): {b: c}}."""
+        out = [{} for _ in vectors]
+        for key, rows in _sandwiches(self.alg, self.reps, vectors).items():
+            for t, row in rows.items():
+                out[t][key] = {b: c for b, c in enumerate(self.coordinates(key, row)) if c}
+        return out
+
     def components(self, a: Element) -> dict:
         """Nonzero corner components {(j, i): {b: c}} of e_j a e_i."""
-        out = {}
-        for key, rows in _sandwiches(self.alg, self.reps, [a.coeffs]).items():
-            if rows:
-                coords = self.coordinates(key, rows[0])
-                out[key] = {b: c for b, c in enumerate(coords) if c}
-        return out
+        return self._components([a.coeffs])[0]
 
     def tensor_components(self, y: Tensor2) -> dict:
         """Nonzero Peirce components of y: {(j, i, u, v): {(b1, b2): c}},
-        the component in e_j A e_i (x) e_u A e_v in corner coordinates."""
-        memo = self._basis_components
-        for idx in {k for key in y.coeffs for k in key} - memo.keys():
-            memo[idx] = self.components(self.alg.basis_element(idx))
+        the component in e_j A e_i (x) e_u A e_v in corner coordinates.
+        The basis elements y meets are projected in one batch."""
+        support = sorted({k for key in y.coeffs for k in key})
+        one = self.alg.field.one
+        comps = dict(zip(support, self._components([{k: one} for k in support])))
         p = self.alg.field.p
         out: dict = {}
         for (a, b), c in y.coeffs.items():
-            for left_corner, left in memo[a].items():
-                for right_corner, right in memo[b].items():
+            for left_corner, left in comps[a].items():
+                for right_corner, right in comps[b].items():
                     comp = out.setdefault(left_corner + right_corner, {})
                     for k1, c1 in left.items():
                         cc = c * c1
@@ -176,9 +182,9 @@ class PeirceCorners:
         vectors = [bases[(j, i)][b].coeffs for j, i, b in flat]
         for (j1, i1, b1), row in zip(flat, products(alg, vectors, vectors)):
             for y, prod in row.items():
-                j2, i2, b2 = flat[y]
-                if j2 != i1:  # q1 e_i1 e_j2 q2 vanishes for orthogonal reps
-                    continue
+                # `products` yields only nonzero q1 q2 = q1 e_i1 e_j2 q2, so
+                # j2 = i1 for orthogonal reps
+                _, i2, b2 = flat[y]
                 entries = [(k, c) for k, c in enumerate(self.coordinates((j1, i2), prod)) if c]
                 for s1, t1, s2 in product(
                     range(1, m[i1] + 1), range(1, m[j1] + 1), range(1, m[i2] + 1)
@@ -384,9 +390,9 @@ def _split_once(qalg: FinDimAlgebra, e: Element, corner_elems: list, rng, budget
         for _ in range(factors[0][1] - 1):
             f = poly.mul(field, f, factors[0][0])
         g, _ = poly.divmod_poly(field, mu, f)
-        gcd_fg, u, v = poly.xgcd(field, f, g)
-        if poly.degree(gcd_fg) != 0:
-            continue
+        # f is the full power of one irreducible factor and g = mu / f,
+        # so the two are coprime and v g is 1 mod f and 0 mod g
+        _, _, v = poly.xgcd(field, f, g)
         eps_poly = poly.mod(field, poly.mul(field, v, g), mu)
         # evaluate at z relative to the corner unit e
         eps = e.scaled(field.zero)
@@ -400,7 +406,6 @@ def _split_once(qalg: FinDimAlgebra, e: Element, corner_elems: list, rng, budget
         if multiply(eps, eps) != eps:
             raise AlgebraError("split produced a non-idempotent")
         return (eps, e - eps), attempts
-    return None, attempts
 
 
 def _primitive_idempotents_semisimple(qalg: FinDimAlgebra, seed: int, budget: int):

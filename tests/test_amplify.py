@@ -43,7 +43,8 @@ from sialg.families import (
     nsy_algebra,
 )
 from sialg.fields import QQ, Field
-from sialg.frobenius import frobenius_pair
+from sialg.frobenius import FrobeniusPair, frobenius_pair, tensor_blocks
+from sialg.pipeline import prepare
 from sialg.structure import (
     NakayamaData,
     PeirceCorners,
@@ -58,6 +59,13 @@ def _setup(alg):
     dec = canonical_decomposition(alg, rad=rad)
     nak = nakayama(PeirceCorners(alg, dec.reps), rad)
     return dec, nak
+
+
+def _cut(amp, y, nak):
+    """The corner blocks of y, which must lie on the block support."""
+    blocks, witness = tensor_blocks(amp.corners, y, nak)
+    assert witness is None
+    return blocks
 
 
 def _scalar_amp():
@@ -171,23 +179,39 @@ def _rand(alg, rng):
 
 def test_spread_singleton_and_diagonal_m2():
     k, dec, nak, amp, pair = _scalar_amp()
-    xs = spread(amp, pair.y, preset_spec("singleton", amp.m, nak), nak)
+    xs = spread(amp, _cut(amp, pair.y, nak), preset_spec("singleton", amp.m, nak), nak)
     assert is_invariant(xs) is None
     ab = {amp.tuples[a][2:4] + amp.tuples[b][2:4] for (a, b) in xs.coeffs}
     # E11 (x) E11 + E21 (x) E12 in copy coordinates (s,t) x (s,t)
     assert ab == {(1, 1, 1, 1), (1, 2, 2, 1)}
-    xd = spread(amp, pair.y, preset_spec("diagonal", amp.m, nak), nak)
+    xd = spread(amp, _cut(amp, pair.y, nak), preset_spec("diagonal", amp.m, nak), nak)
     assert len(xd.coeffs) == 4
     assert is_invariant(xd) is None
 
 
-def test_spread_rejects_bad_block_support():
+def test_spread_rejects_bad_block_support(monkeypatch):
+    # spread distributes blocks it is handed; the cut names the lowest
+    # block off the support, and prepare refuses such a pair
     B = nakayama_algebra(2, 2)
     dec, nak = _setup(B)
-    amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
+    corners = PeirceCorners(B, dec.reps)
     bad = B.tensor2({(0, 0): 1})  # e0 (x) e0 violates the block pattern
-    with pytest.raises(BadBlockSupport):
-        spread(amp, bad, preset_spec("singleton", amp.m, nak), nak)
+    blocks, witness = tensor_blocks(corners, bad, nak)
+    assert witness == (0, 0, 0, 0)
+    assert blocks == {(0, 0, 0, 0): {(0, 0): 1}}
+    # the lowest offender, not the first met: e1 (x) e1 comes first in y
+    two = B.tensor2({(2, 2): 1, (0, 0): 1})
+    assert list(tensor_blocks(corners, two, nak)[0]) == [(1, 1, 1, 1), (0, 0, 0, 0)]
+    assert tensor_blocks(corners, two, nak)[1] == (0, 0, 0, 0)
+    pair = frobenius_pair(corners, nak)
+    assert tensor_blocks(corners, pair.y, nak) == (corners.tensor_components(pair.y), None)
+    monkeypatch.setattr(
+        "sialg.pipeline.frobenius_pair",
+        lambda corners, nak, seed: FrobeniusPair(pair.epsilon, bad),
+    )
+    with pytest.raises(BadBlockSupport) as err:
+        prepare(B)
+    assert str(err.value) == "tensor has a component in corners (0<-0) (x) (0<-0)"
 
 
 def test_spread_index_validation():
@@ -195,7 +219,7 @@ def test_spread_index_validation():
     k, dec, nak, amp, pair = _scalar_amp()
     bad = SpreadSpec((frozenset({(3, 1), (1, 3)}),))
     with pytest.raises(IndexOutOfRange) as err:
-        spread(amp, pair.y, bad, nak)
+        spread(amp, _cut(amp, pair.y, nak), bad, nak)
     assert str(err.value) == "pair (1,3) outside 1..2 x 1..2 for class 1"
 
 
@@ -250,7 +274,7 @@ def _assert_counit(eps, x):
 def test_build_counit_matrix_trace():
     k, dec, nak, amp, pair = _scalar_amp()
     spec = preset_spec("diagonal", amp.m, nak)
-    x = spread(amp, pair.y, spec, nak)
+    x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
     assert is_invariant(x) is None
     eps = build_counit(amp, spec, nak, pair.epsilon)
     _assert_counit(eps, x)
@@ -264,7 +288,7 @@ def test_report_flags_a_wrong_built_counit():
     # build_counit checks nothing; the report tests the counit it is handed
     k, dec, nak, amp, pair = _scalar_amp()
     spec = preset_spec("diagonal", amp.m, nak)
-    x = spread(amp, pair.y, spec, nak)
+    x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
     eps = build_counit(amp, spec, nak, pair.epsilon)
     wrong = Functional(amp.algebra, [2 * v for v in eps.values])
     rep = comultiplication_report(amp.algebra, x, is_bijection_graph(spec, amp.m, nak), wrong)
@@ -278,7 +302,7 @@ def test_build_counit_m_equals_one_recovers_base():
     amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
     pair = frobenius_pair(amp.corners, nak)
     spec = preset_spec("singleton", amp.m, nak)
-    x = spread(amp, pair.y, spec, nak)
+    x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
     assert is_invariant(x) is None
     eps = build_counit(amp, spec, nak, pair.epsilon)
     _assert_counit(eps, x)
@@ -293,7 +317,7 @@ def test_build_counit_m_equals_one_recovers_base():
 
 def test_counit_oracle_m2_singleton_infeasible():
     k, dec, nak, amp, pair = _scalar_amp()
-    x = spread(amp, pair.y, preset_spec("singleton", amp.m, nak), nak)
+    x = spread(amp, _cut(amp, pair.y, nak), preset_spec("singleton", amp.m, nak), nak)
     assert is_invariant(x) is None
     # independent dense cross-check of the 8x4 system
     alg = amp.algebra
@@ -320,7 +344,7 @@ def test_counit_oracle_m2_singleton_infeasible():
 
 def test_counit_oracle_m2_diagonal_unique_trace():
     k, dec, nak, amp, pair = _scalar_amp()
-    x = spread(amp, pair.y, preset_spec("diagonal", amp.m, nak), nak)
+    x = spread(amp, _cut(amp, pair.y, nak), preset_spec("diagonal", amp.m, nak), nak)
     assert is_invariant(x) is None
     eps, nullity = counit_solution_space(amp.algebra, x)
     assert eps is not None and nullity == 0
@@ -335,7 +359,7 @@ def test_counitality_beyond_bijection_graphs_finding():
     k, dec, nak, amp, pair = _scalar_amp()
     spec = SpreadSpec((frozenset({(1, 1), (2, 2), (1, 2)}),))
     assert is_bijection_graph(spec, amp.m, nak) == [False]
-    x = spread(amp, pair.y, spec, nak)
+    x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
     assert is_invariant(x) is None
     assert check_coassociativity(x) is None
     eps, nullity = counit_solution_space(amp.algebra, x)
@@ -370,7 +394,7 @@ def test_exhaustive_nonempty_specs_small_multiplicities():
 
         for combo in iter_product(*(nonempty_subsets(b) for b in boxes)):
             spec = SpreadSpec(tuple(combo))
-            x = spread(amp, pair.y, spec, nak)
+            x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
             assert is_invariant(x) is None
             assert check_coassociativity(x) is None
 
@@ -381,7 +405,7 @@ def test_empty_class_flagged_noninjective():
     amp = amplify(PeirceCorners(B, dec.reps), (1, 1))
     pair = frobenius_pair(amp.corners, nak)
     spec = SpreadSpec((frozenset(), frozenset({(1, 1)})))
-    x = spread(amp, pair.y, spec, nak)
+    x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
     rep = comultiplication_report(amp.algebra, x, is_bijection_graph(spec, amp.m, nak))
     assert rep.invariant and rep.coassociative
     assert rep.rank < rep.dim and not rep.injective
@@ -395,7 +419,7 @@ def test_compatibility_square_singleton():
     m = (2, 2)
     amp = amplify(PeirceCorners(B, dec.reps), m)
     pair = frobenius_pair(amp.corners, nak)
-    x = spread(amp, pair.y, preset_spec("singleton", amp.m, nak), nak)
+    x = spread(amp, _cut(amp, pair.y, nak), preset_spec("singleton", amp.m, nak), nak)
     assert is_invariant(x) is None
     rng = random.Random(29)
     reps = dec.reps
@@ -456,7 +480,7 @@ def test_build_counit_nsy_diagonal_socle_support():
     amp = amplify(PeirceCorners(B, dec.reps), (2, 2))
     pair = frobenius_pair(amp.corners, nak)
     spec = preset_spec("diagonal", amp.m, nak)
-    x = spread(amp, pair.y, spec, nak)
+    x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
     assert is_invariant(x) is None
     eps = build_counit(amp, spec, nak, pair.epsilon)
     _assert_counit(eps, x)

@@ -112,6 +112,20 @@ def test_comul_spec_file_duplicate_class(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_comul_spec_file_class_index_out_of_range(tmp_path, capsys, i):
+    # nsy(2,2,(1,2)) has two classes, indexed 1 and 2 in the JSON
+    alg_path = tmp_path / "a.json"
+    run_cli("generate", "--family", "nsy", "--n", "2", "--l", "2", "--m", "1,2",
+            "-o", str(alg_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"classes": [{"i": i, "pairs": [[1, 1]]}]}))
+    assert run_cli("comul", "--input", str(alg_path), "--spec", str(spec_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: BadParams: class index {i} out of range\n"
+    assert captured.out == ""
+
+
 def test_comul_spec_file_duplicate_pair(tmp_path, capsys):
     alg_path = tmp_path / "a.json"
     run_cli("generate", "--family", "nsy", "--n", "2", "--l", "2", "--m", "1,2",
@@ -285,7 +299,14 @@ def test_comul_spec_file_non_integral_pair(tmp_path, capsys):
      "expected comma-separated integers, got '1,,2'"),
     (("group", "--factors", ",2,,3,"),
      "expected comma-separated integers, got ',2,,3,'"),
-], ids=["non-integer-m", "two-sizes", "empty-item-m", "empty-item-factors"])
+    # each family refuses a missing flag it needs, by name
+    (("nakayama", "--n", "2"), "--family nakayama needs --n and --l"),
+    (("matrix",), "--family matrix needs --m SIZE"),
+    (("product", "--n", "2"), "--family product needs --m COPIES"),
+    (("group", "--m", "2"), "--family group needs --factors"),
+], ids=["non-integer-m", "two-sizes", "empty-item-m", "empty-item-factors",
+        "nakayama-without-l", "matrix-without-m", "product-without-m",
+        "group-without-factors"])
 def test_generate_malformed_integers(capsys, family_args, message):
     assert run_cli("generate", "--family", *family_args) == 1
     captured = capsys.readouterr()

@@ -170,6 +170,19 @@ def test_verify_detects_corrupted_counit():
     rep = verify_frobenius_pair(corners, bad, nak)
     assert not rep.support_ok
     assert rep.support_witness is not None
+    # zero eps on the small space of class 1, the socle of nu^-1(1): the
+    # pairing there degenerates, and class 1 is the witness
+    B = nakayama_algebra(2, 2)
+    corners, nak, rad = _setup(B)
+    pair = frobenius_pair(corners, nak)
+    [z] = nak.socles[nak.nu_inverse(1)]
+    [t] = z.coeffs
+    values = list(pair.epsilon.values)
+    values[t] = QQ(0)
+    rep = verify_frobenius_pair(corners, FrobeniusPair(Functional(B, values), pair.y), nak)
+    assert rep.support_ok and rep.block_ok
+    assert not rep.small_ok and rep.small_witness == 1
+    assert not rep.all_ok
 
 
 def test_transport_identity_and_kx2():

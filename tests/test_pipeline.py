@@ -195,6 +195,26 @@ def test_one_peirce_decomposition_per_context(monkeypatch):
         assert an.lam is an.corners.alg
 
 
+def test_one_cut_of_y_per_context(monkeypatch):
+    # prepare cuts y into its corner blocks once; run_spec only spreads them
+    cuts = []
+    original = PeirceCorners.tensor_components
+
+    def counting(self, y):
+        cuts.append(y)
+        return original(self, y)
+
+    monkeypatch.setattr(PeirceCorners, "tensor_components", counting)
+    for entry in corpus("small"):
+        cuts.clear()
+        ctx = prepare(entry.algebra)
+        assert cuts == [ctx.pair.y], entry.key
+        for preset in ("singleton", "diagonal", "full"):
+            run_spec(ctx, preset)
+        assert len(cuts) == 1, entry.key
+        assert ctx.blocks == original(ctx.analysis.corners, ctx.pair.y)
+
+
 def test_pair_checks_build_no_corners(monkeypatch):
     cache = CorpusCache("small")
     for idx in range(len(cache.entries)):
