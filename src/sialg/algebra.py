@@ -68,8 +68,9 @@ class FinDimAlgebra:
 
     def validate(self):
         """Raise InvalidAlgebra, with a witness, unless the unit and
-        associativity axioms hold.  `pipeline.analyze` calls it on its input;
-        construction does not."""
+        associativity axioms hold.  `pipeline.analyze` calls it on the
+        basic algebra, and on its input only when a step fails (the model
+        map proves a valid input an algebra); construction does not."""
         w = check_unit(self)
         if w is not None:
             raise InvalidAlgebra(f"unit axiom fails at basis index {w}", witness=w)

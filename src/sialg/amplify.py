@@ -48,10 +48,14 @@ class AmplifiedAlgebra:
 
     dim = sum over class pairs (i, j) of m(i) * m(j) * dim(corner j<-i);
     the product composes morphisms through a matching inner copy index.
+    The reps must be orthogonal idempotents summing to 1, the premises
+    under which the model is a matrix-unit algebra over the corners (see
+    `pipeline.ModelIsomorphism`); both are checked here.
     """
 
     def __init__(self, corners: PeirceCorners, m):
         corners.require_sum_one()
+        corners.require_orthogonal()
         m = tuple(json_int(v, "multiplicity") for v in m)
         if len(m) != len(corners.reps) or any(v < 1 for v in m):
             raise BadParams("multiplicities must list one value >= 1 per class")

@@ -5,9 +5,10 @@ multiplicity amplifications with the four-index X basis, matrix algebras,
 products of fields, and small abelian group algebras.  The path, X and
 matrix-unit bases each state their product rule and emit only the
 nonzero products, in basis-pair order.  The generators do not check the
-algebra axioms themselves: `pipeline.analyze` validates every input it
-is given, and the tests check the unit and associativity of every
-algebra the corpus and the benchmark sweeps build.
+algebra axioms themselves: `pipeline.analyze` proves every input it is
+given an algebra, or refuses it as `validate()` would, and the tests
+check the unit and associativity of every algebra the corpus and the
+benchmark sweeps build.
 """
 
 from __future__ import annotations

@@ -68,12 +68,15 @@ class Span:
     """Row space of sparse vectors, kept in reduced echelon form.
 
     Each stored row is scaled to 1 at its pivot, its least key, and no
-    other stored row has an entry at that key.
+    other stored row has an entry at that key.  `_keys` holds every key
+    ever stored in a row, so a new pivot outside it needs no
+    back-elimination.
     """
 
     def __init__(self, field, vectors=()):
         self.field = field
         self.rows: dict = {}
+        self._keys: set = set()
         for v in vectors:
             self.add(v)
 
@@ -95,19 +98,21 @@ class Span:
         else:
             inv, norm = field.inv(lead), field.normal
             row = {k: norm(v * inv) for k, v in row.items()}
-        for other in self.rows.values():
-            c = other.get(piv)
-            if c:
-                for k, v in row.items():
-                    w = other.get(k, 0) - c * v
-                    if p:
-                        w %= p
-                    elif type(w) is not int and w.denominator == 1:
-                        w = w.numerator  # an integral Fraction, stored as int
-                    if w:
-                        other[k] = w
-                    else:
-                        other.pop(k, None)
+        if piv in self._keys:
+            for other in self.rows.values():
+                c = other.get(piv)
+                if c:
+                    for k, v in row.items():
+                        w = other.get(k, 0) - c * v
+                        if p:
+                            w %= p
+                        elif type(w) is not int and w.denominator == 1:
+                            w = w.numerator  # an integral Fraction, stored as int
+                        if w:
+                            other[k] = w
+                        else:
+                            other.pop(k, None)
+        self._keys.update(row)
         self.rows[piv] = row
         return True
 

@@ -9,7 +9,9 @@ phi(a) phi(b) = phi(ab) on every basis pair, with the products taken in
 the input algebra and only the nonzero ones on either side compared.
 The matrix of the images is inverted by `linalg.Matrix.inverse`, the
 same sparse inversion the Gram matrix of a counit goes through, and its
-rows are the preimages that carry a functional back to the input.
+rows are the preimages that carry a functional back to the input.  The
+map is built in `analyze`, where it proves the input an algebra from
+the basic algebra's axioms.
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ class AnalysisResult:
     `corners.alg`.  `input_corners` is the input's Peirce decomposition
     by the class reps, whose corner basis element `bases[(j, i)][b]`
     carries the basic algebra's; it is `corners` when the input is
-    basic."""
+    basic.  `amp` is the amplified model over `corners` at the input's
+    multiplicities, and `model_map` the verified isomorphism from it onto
+    the input, built from the copy `witnesses`."""
 
     algebra: FinDimAlgebra
     rad: RadicalData
@@ -68,6 +72,9 @@ class AnalysisResult:
     input_corners: PeirceCorners
     corners: PeirceCorners
     nak: NakayamaData
+    witnesses: IsoWitness
+    amp: AmplifiedAlgebra
+    model_map: ModelIsomorphism
 
     @property
     def lam(self) -> FinDimAlgebra:
@@ -91,19 +98,59 @@ class AnalysisResult:
 
 
 def analyze(alg: FinDimAlgebra, seed: int = DEFAULT_SEED) -> AnalysisResult:
-    """Canonical decomposition, basic reduction and Nakayama permutation.
+    """Canonical decomposition, basic reduction, Nakayama permutation and
+    the verified model map, which proves the input an algebra.
 
-    The input is validated first, and only here: every algebra derived
-    from it is a pullback of it (see `ModelIsomorphism`).  The basic
+    The steps are the radical, decomposition and basic reduction; the
+    unit and associativity of the basic algebra Lambda, checked by its
+    `validate` (the full direct check when the input is basic, since
+    Lambda is then the input); the Nakayama permutation; and the copy
+    witnesses, the amplified model and `ModelIsomorphism`.  The basic
     algebra keeps the parent's class order, so its Nakayama permutation
     indexes the same classes as the multiplicity vector.
+
+    Proof that the input is an associative unital algebra: the model is
+    a matrix-unit algebra over the Peirce-graded Lambda, so it is
+    associative and unital because Lambda is and Lambda's class
+    idempotents are orthogonal idempotents summing to 1 (`amplify`
+    checks both, at Lambda's size).  The model map is a verified
+    multiplicative bijection sending the model's unit to `alg.unit`, so
+    the input is isomorphic to the model, hence associative with unit
+    `alg.unit`.
+
+    If any step raises, the input's own `validate` runs first (a basic
+    input, its own Lambda, has had it already), so an input that is not
+    an algebra is refused with its message and witness, and a valid
+    input gets the step's own error.  Every step
+    before the model map terminates on a table that is not associative.  The quotient
+    split has a budget of 32 dim attempts of `_split_once` in all, and
+    each split spends at least one, so its work list empties; a minimal
+    polynomial is found within dim + 1 powers or raises, and
+    `poly.factor` sees only that polynomial.  The copy witnesses try each
+    corner basis element once.  The nilpotency loop of `radical` raises
+    unless each pass lowers the dimension, and the idempotent lifting
+    raises after a bounded number of steps.  Every other step is linear
+    algebra over finite index sets.
     """
-    alg.validate()
-    rad = radical(alg)
-    dec = canonical_decomposition(alg, seed, rad)
-    input_corners, corners = basic_reduction(alg, dec)
-    nak = nakayama(corners, rad if corners is input_corners else radical(corners.alg))
-    return AnalysisResult(alg, rad, dec, input_corners, corners, nak)
+    lam = None
+    try:
+        rad = radical(alg)
+        dec = canonical_decomposition(alg, seed, rad)
+        input_corners, corners = basic_reduction(alg, dec)
+        lam = corners.alg
+        lam.validate()
+        nak = nakayama(corners, rad if lam is alg else radical(lam))
+        wit = iso_witnesses(alg, dec)
+        amp = amplify(corners, dec.multiplicities)
+        model_map = ModelIsomorphism(alg, amp, input_corners, wit)
+    except Exception:
+        # any error, not only an AlgebraError: a table that is not an
+        # algebra can fail a step in a way no check anticipates.  A basic
+        # input is its own Lambda and has had its direct check already
+        if lam is not alg:
+            alg.validate()
+        raise
+    return AnalysisResult(alg, rad, dec, input_corners, corners, nak, wit, amp, model_map)
 
 
 class ModelIsomorphism:
@@ -116,10 +163,17 @@ class ModelIsomorphism:
     `alg` is the algebra the map is checked against, given apart from
     `input_corners.alg`.
 
-    `_verify` proves phi a unital, multiplicative linear bijection onto
-    the input `analyze` validated, so the model, its pullback, is
-    associative and unital.  The model's copies (1 <- 1) span a corner
-    isomorphic to the basic reduction, which the same proof covers.
+    The model is a matrix-unit algebra over the Peirce-graded basic
+    algebra Lambda: its element in corner (j <- i) with copies (t <- s)
+    is the matrix over Lambda with one entry, in e_j Lambda e_i at row
+    (j, t) and column (i, s), and its product is the matrix product.  So
+    it is associative when Lambda is, and the diagonal matrix of the
+    class idempotents is its unit when they are orthogonal idempotents
+    summing to 1.  `_verify` proves phi a linear bijection with
+    phi(ab) = phi(a) phi(b) on every basis pair, the right side
+    multiplied in `alg`, and phi(1) = `alg.unit`.  Then the product of
+    `alg` is the model's carried along phi, so `alg` is associative with
+    unit `alg.unit`: `analyze` proves its input an algebra this way.
     """
 
     def __init__(
@@ -195,14 +249,12 @@ class ModelIsomorphism:
 @dataclass
 class PipelineContext:
     """Everything spec-independent: reusable across subset-data sweeps.
+    The model and its map are `analysis.amp` and `analysis.model_map`;
     `blocks` are the corner blocks of `pair.y` that `tensor_blocks` cut,
     and `certified` is `certify_family(pair.y)`."""
 
     analysis: AnalysisResult
     pair: FrobeniusPair
-    witnesses: IsoWitness
-    amp: AmplifiedAlgebra
-    model_map: ModelIsomorphism
     blocks: dict
     certified: bool
 
@@ -233,10 +285,7 @@ def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED):
     if witness is not None:
         j, i, u, v = witness
         raise BadBlockSupport(f"tensor has a component in corners ({j}<-{i}) (x) ({u}<-{v})")
-    wit = iso_witnesses(alg, analysis.dec)
-    amp = amplify(analysis.corners, analysis.dec.multiplicities)
-    model_map = ModelIsomorphism(alg, amp, analysis.input_corners, wit)
-    return PipelineContext(analysis, pair, wit, amp, model_map, blocks, certify_family(pair.y))
+    return PipelineContext(analysis, pair, blocks, certify_family(pair.y))
 
 
 def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
@@ -250,16 +299,17 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     verified unital isomorphism, so each holds there exactly when it
     holds on the model.
     """
-    analysis, amp = ctx.analysis, ctx.amp
+    analysis = ctx.analysis
+    amp, model_map = analysis.amp, analysis.model_map
     m, nak = analysis.dec.multiplicities, analysis.nak
     if isinstance(spec, str):
         spec = preset_spec(spec, m, nak)
-    x = ctx.model_map.apply_tensor2(spread(amp, ctx.blocks, spec, nak))
+    x = model_map.apply_tensor2(spread(amp, ctx.blocks, spec, nak))
     flags = is_bijection_graph(spec, m, nak)
     built = None
     if all(flags):
         built_model = build_counit(amp, spec, nak, ctx.pair.epsilon)
-        built = ctx.model_map.transport_functional(built_model)
+        built = model_map.transport_functional(built_model)
     certified = ctx.certified and all(spec.classes)
     report = comultiplication_report(analysis.algebra, x, flags, built, certified)
     return PipelineRun(ctx, spec, x, report)

@@ -104,6 +104,14 @@ class PeirceCorners:
         if sum(reps[1:], reps[0]) != self.alg.unit:
             raise NotBasic("the class representatives do not sum to 1")
 
+    def require_orthogonal(self):
+        """Raise NotBasic unless the reps are orthogonal idempotents:
+        e_j e_i is e_i when j = i and 0 otherwise."""
+        vectors = [e.coeffs for e in self.reps]
+        for j, prods in enumerate(products(self.alg, vectors, vectors)):
+            if prods != ({j: vectors[j]} if vectors[j] else {}):
+                raise NotBasic("the class representatives are not orthogonal idempotents")
+
     def one_sided(self, i: int, left: bool) -> list:
         """Echelon basis of e_i A, the sum of the corners (i, k), if `left`,
         else of A e_i, the sum of the corners (k, i).  The corner bases are

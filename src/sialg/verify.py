@@ -476,7 +476,7 @@ def check_negative_controls(seed: int = DEFAULT_SEED) -> CheckResult:
             pass
     # exhaustive subset-data sweep on the (1,2)-amplified algebra
     ctx = prepare(nsy_algebra(2, 2, (1, 2)).algebra, seed)
-    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    m, nak, amp = ctx.analysis.dec.multiplicities, ctx.analysis.nak, ctx.analysis.amp
     boxes = copy_boxes(m, nak)
 
     def subsets(box):
@@ -490,8 +490,8 @@ def check_negative_controls(seed: int = DEFAULT_SEED) -> CheckResult:
         for s1 in subsets(boxes[1]):
             total += 1
             spec = SpreadSpec((s0, s1))
-            x = spread(ctx.amp, ctx.blocks, spec, nak)
-            eps, _ = counit_solution_space(ctx.amp.algebra, x)
+            x = spread(amp, ctx.blocks, spec, nak)
+            eps, _ = counit_solution_space(amp.algebra, x)
             if eps is not None:
                 failures.append(f"counit found for subset data {spec.to_json()}")
     if total != 16:

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 import dense_reference as dense
+from sialg import algebra as algebra_module
 from sialg import linalg
 from sialg.algebra import combination, is_invariant, permute_basis
 from sialg.amplify import (
@@ -74,12 +75,31 @@ def test_validate_flag_rejects_corrupt():
         alg.validate()
 
 
-def test_analyze_refuses_what_validate_refuses():
-    # analyze validates its input before any other layer, so every seeded
-    # single-constant corruption that validate() refuses is refused there
-    # with the same message and witness
+def _record_model_map_refusals(monkeypatch):
+    """Messages of the AlgebraErrors `ModelIsomorphism._verify` raises."""
+    refusals = []
+    original = ModelIsomorphism._verify
+
+    def recording(self):
+        try:
+            original(self)
+        except AlgebraError as exc:
+            refusals.append(str(exc))
+            raise
+
+    monkeypatch.setattr(ModelIsomorphism, "_verify", recording)
+    return refusals
+
+
+def test_analyze_refuses_what_validate_refuses(monkeypatch):
+    # analyze checks the basic algebra directly and proves the input an
+    # algebra through the model map; validate() on the input is the
+    # fallback when any step raises, so every seeded single-constant
+    # corruption that validate() refuses is refused with the same message
+    # and witness, some of them only because the model map refused them
+    refusals = _record_model_map_refusals(monkeypatch)
     rng = random.Random(20261018)
-    refused = 0
+    refused = by_model_map = 0
     for entry in corpus("small"):
         for corrupt in dense.single_constant_mutants(entry.algebra, rng, 3):
             try:
@@ -87,12 +107,60 @@ def test_analyze_refuses_what_validate_refuses():
                 continue
             except InvalidAlgebra as exc:
                 want = exc
+            refusals.clear()
             with pytest.raises(InvalidAlgebra) as info:
                 analyze(corrupt)
             assert str(info.value) == str(want), entry.key
             assert info.value.witness == want.witness, entry.key
             refused += 1
+            by_model_map += bool(refusals)
     assert refused == 114
+    assert by_model_map >= 1
+
+
+def test_model_map_alone_refuses_corrupted_matrix_algebra(monkeypatch):
+    # the basic algebra of M_2 is the ground field, which no corruption of
+    # a product between the two copies reaches: only the model map sees
+    # E[1,1] E[1,2] = 2 E[1,2], and analyze raises validate's witness
+    good = matrix_algebra(2)
+    assert analyze(good).lam.dim == 1
+    struct = [
+        (i, j, k, 2 if (i, j, k) == (0, 1, 1) else c)
+        for i, row in enumerate(good.rows)
+        for j, prod in row.items()
+        for k, c in prod.items()
+    ]
+    corrupt = FinDimAlgebra(good.field, good.labels, struct, good.unit.dense())
+    with pytest.raises(InvalidAlgebra) as want:
+        corrupt.validate()
+    refusals = _record_model_map_refusals(monkeypatch)
+    with pytest.raises(InvalidAlgebra) as info:
+        analyze(corrupt)
+    assert refusals == ["model map is not multiplicative at basis pair (0,2)"]
+    assert str(info.value) == str(want.value) == "unit axiom fails at basis index 1"
+    assert info.value.witness == want.value.witness == 1
+
+
+def test_analyze_checks_associativity_in_the_basic_algebra(monkeypatch):
+    # the input's own associativity check runs only when it is basic, where
+    # it is its own basic algebra; otherwise the model map proves it
+    checked = []
+    original = algebra_module.check_associativity
+
+    def recording(alg):
+        checked.append(alg)
+        return original(alg)
+
+    monkeypatch.setattr(algebra_module, "check_associativity", recording)
+    basic = set()
+    for entry in corpus("small"):
+        checked.clear()
+        an = analyze(entry.algebra)
+        # one check, on the basic algebra, which is the input exactly when
+        # the input is basic
+        assert checked == [an.lam], entry.key
+        basic.add(an.lam is entry.algebra)
+    assert basic == {True, False}
 
 
 def test_pipeline_b32_singleton_matches_reference():
@@ -191,7 +259,7 @@ def test_one_peirce_decomposition_per_context(monkeypatch):
             or (alg is an.algebra and reps == an.dec.reps)
         ]
         assert len(on_reps) == (1 if basic else 2), entry.key
-        assert ctx.amp.corners is an.corners
+        assert an.amp.corners is an.corners
         assert an.lam is an.corners.alg
 
 
@@ -244,16 +312,16 @@ def test_model_map_refuses_corrupted_input(small_contexts):
     rng = random.Random(20261018)
     refused = 0
     for entry, ctx in small_contexts:
-        alg = entry.algebra
-        input_corners, wit = ctx.analysis.input_corners, ctx.witnesses
-        assert _model_map_outcome(alg, ctx.amp, input_corners, wit) is None
+        alg, an = entry.algebra, ctx.analysis
+        input_corners, wit = an.input_corners, an.witnesses
+        assert _model_map_outcome(alg, an.amp, input_corners, wit) is None
         for corrupt in dense.single_constant_mutants(alg, rng, 2):
             if corrupt.structure_equal(alg):
                 continue
             # the corners stay the real input's; only `alg` is corrupted
-            got = _model_map_outcome(corrupt, ctx.amp, input_corners, wit)
+            got = _model_map_outcome(corrupt, an.amp, input_corners, wit)
             assert got is not None and "not multiplicative" in got, entry.key
-            assert got == dense.model_map_failure(corrupt, ctx.amp.algebra, ctx.model_map.images)
+            assert got == dense.model_map_failure(corrupt, an.amp.algebra, an.model_map.images)
             refused += 1
     assert refused == 76
 
@@ -265,11 +333,11 @@ def test_model_map_matches_per_pair_reference_on_mutants(small_contexts):
     rng = random.Random(20261018)
     outcomes = []
     for entry, ctx in small_contexts:
-        alg, amp = entry.algebra, ctx.amp
-        input_corners, wit = ctx.analysis.input_corners, ctx.witnesses
+        alg, an = entry.algebra, ctx.analysis
+        amp, input_corners, wit = an.amp, an.input_corners, an.witnesses
         # the reference lifts each basic corner element along the input's
         # corner bases in j-major order, as a combination
-        basic = input_corners is ctx.analysis.corners
+        basic = input_corners is an.corners
         elements = [q for qs in input_corners.bases.values() for q in qs]
 
         def embed(q):
@@ -279,7 +347,7 @@ def test_model_map_matches_per_pair_reference_on_mutants(small_contexts):
             fake = copy.copy(amp)
             fake.algebra = model
             got = _model_map_outcome(alg, fake, input_corners, wit)
-            want = dense.model_map_failure(alg, model, ctx.model_map.images)
+            want = dense.model_map_failure(alg, model, an.model_map.images)
             assert got == want or (want is None and got == "model map is not bijective")
             outcomes.append(got)
         for _ in range(3):
@@ -450,7 +518,7 @@ def test_transport_functional_matches_dense_solve():
     # and equal the dense solve of sum_k images[t][k] psi_k = f_t
     rng = random.Random(23)
     for entry in corpus("small"):
-        model_map = prepare(entry.algebra).model_map
+        model_map = prepare(entry.algebra).analysis.model_map
         alg, images = model_map.alg, model_map.images
         field, d = alg.field, alg.dim
         rows = [[img.coeffs.get(k, field.zero) for k in range(d)] for img in images]
@@ -478,9 +546,10 @@ def test_inversions_match_dense_reference():
     # textbook inverse of its dense matrix
     for key, alg in _INVERTED:
         ctx = prepare(alg)
+        model_map = ctx.analysis.model_map
         field, d = alg.field, alg.dim
-        images = dense.densify(field, [img.coeffs for img in ctx.model_map.images], d)
-        preimages = dense.densify(field, ctx.model_map.preimages, d)
+        images = dense.densify(field, [img.coeffs for img in model_map.images], d)
+        preimages = dense.densify(field, model_map.preimages, d)
         assert preimages == dense.inverse(field, images), key
         lam = ctx.analysis.lam
         gram = gram_matrix(lam, ctx.pair.epsilon)
@@ -506,7 +575,7 @@ def _stored_scalars(ctx, runs):
     structure rows hold only nonzero products, so none is an empty dict."""
     a = ctx.analysis
     sparse, dense_values = [], []
-    for name, alg in (("input", a.algebra), ("basic", a.lam), ("model", ctx.amp.algebra)):
+    for name, alg in (("input", a.algebra), ("basic", a.lam), ("model", a.amp.algebra)):
         prods = [prod for row in alg.rows for prod in row.values()]
         assert all(prods), f"{name} rows store an empty product"
         sparse += [(f"{name} rows", prod) for prod in prods]
@@ -580,13 +649,14 @@ def test_base_change_to_gf101_keeps_invariants(entry):
 def _direct_report(ctx, run):
     """The report on run.x with invariance, coassociativity and rank
     checked directly, and the counit built as `run_spec` builds it."""
-    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    an = ctx.analysis
+    m, nak = an.dec.multiplicities, an.nak
     flags = is_bijection_graph(run.spec, m, nak)
     built = None
     if all(flags):
-        eps = build_counit(ctx.amp, run.spec, nak, ctx.pair.epsilon)
-        built = ctx.model_map.transport_functional(eps)
-    return comultiplication_report(ctx.analysis.algebra, run.x, flags, built)
+        eps = build_counit(an.amp, run.spec, nak, ctx.pair.epsilon)
+        built = an.model_map.transport_functional(eps)
+    return comultiplication_report(an.algebra, run.x, flags, built)
 
 
 def _record_certified(monkeypatch):
