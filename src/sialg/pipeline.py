@@ -121,16 +121,16 @@ def analyze(alg: FinDimAlgebra, seed: int = DEFAULT_SEED) -> AnalysisResult:
     If any step raises, the input's own `validate` runs first (a basic
     input, its own Lambda, has had it already), so an input that is not
     an algebra is refused with its message and witness, and a valid
-    input gets the step's own error.  Every step
-    before the model map terminates on a table that is not associative.  The quotient
-    split has a budget of 32 dim attempts of `_split_once` in all, and
-    each split spends at least one, so its work list empties; a minimal
-    polynomial is found within dim + 1 powers or raises, and
-    `poly.factor` sees only that polynomial.  The copy witnesses try each
-    corner basis element once.  The nilpotency loop of `radical` raises
-    unless each pass lowers the dimension, and the idempotent lifting
-    raises after a bounded number of steps.  Every other step is linear
-    algebra over finite index sets.
+    input gets the step's own error.  Every step before the model map
+    terminates on a table that is not associative.  The radical is one
+    kernel computation.  The quotient split has a budget of 32 dim
+    attempts of `_split_once` in all, and each split spends at least
+    one, so its work list empties; a minimal polynomial is found within
+    dim + 1 powers or raises, and `poly.factor` sees only that
+    polynomial.  The idempotent lifting raises after at most
+    `rad.dim.bit_length() + 2` steps.  The copy witnesses try each corner
+    basis element once.  Every other step is linear algebra over finite
+    index sets.
     """
     lam = None
     try:

@@ -227,9 +227,11 @@ def _element_pow(a: Element, q: int) -> Element:
 
 @dataclass
 class RadicalData:
+    """The Jacobson radical J: `basis` as elements of the algebra, and
+    `span` their echelon span, whose pivots `semisimple_quotient` drops."""
+
     basis: list
     span: Span
-    nilpotency_index: int
 
     @property
     def dim(self) -> int:
@@ -278,11 +280,13 @@ def _frobenius_power_kernel(alg: FinDimAlgebra):
 
 
 def radical(alg: FinDimAlgebra) -> RadicalData:
-    """Jacobson radical basis with nilpotency index.
+    """Jacobson radical of an associative algebra, as one kernel.
 
-    Characteristic restrictions: exact over the rationals, over GF(p)
-    with p > dim, and for commutative algebras over any GF(p); other
-    modular inputs raise UnsupportedField.
+    Over the rationals and over GF(p) with p > dim it is the kernel of
+    the trace form, and for commutative algebras over any GF(p) the
+    kernel of a Frobenius power; other modular inputs raise
+    UnsupportedField.  `canonical_decomposition` proves each kernel J.
+    The proof needs associativity, which `analyze` proves afterwards.
     """
     field = alg.field
     if field.p is None or field.p > alg.dim:
@@ -294,30 +298,8 @@ def radical(alg: FinDimAlgebra) -> RadicalData:
             f"radical over GF({field.p}) needs p > dim or a commutative algebra"
         )
     span = Span(field, kernel)
-    vectors = span.basis_vectors()
-    basis = [Element(alg, dict(row)) for row in vectors]
-    # nilpotency index: first power of the span that vanishes; J^(k+1) is
-    # spanned by the nonzero products of J^k's basis with J's.  A pass that
-    # does not raise lowers the dimension, so there are at most dim J passes
-    index = 1
-    current = span
-    while current.dim:
-        nxt = Span(field)
-        for prods in products(alg, current.basis_vectors(), vectors):
-            for prod in prods.values():
-                nxt.add(prod)
-        if nxt.dim >= current.dim and nxt.dim:
-            raise AlgebraError("radical candidate is not nilpotent")
-        current = nxt
-        index += 1
-    # two-sided ideal: b_i r and r b_i lie in J for every basis element b_i
-    # and r in J's basis; a zero product does, so only nonzero ones are tested
-    units = [{i: field.one} for i in range(alg.dim)]
-    for xs, ys in ((units, vectors), (vectors, units)):
-        for prods in products(alg, xs, ys):
-            if not all(span.contains(prod) for prod in prods.values()):
-                raise AlgebraError("radical candidate is not an ideal")
-    return RadicalData(basis, span, index)
+    basis = [Element(alg, dict(row)) for row in span.basis_vectors()]
+    return RadicalData(basis, span)
 
 
 # -- semisimple quotient -------------------------------------------------------
@@ -467,11 +449,26 @@ def canonical_decomposition(
     the idempotent coordinate vectors, so the output is reproducible.
 
     The quotient A/J is split with no second radical, because `radical`
-    returns J exactly, so A/J is semisimple.  Its kernel contains J: for
-    r in J and any b, b r is nilpotent, so tr L_{br} = 0 and r lies in
-    the trace form's kernel; over GF(p) the Frobenius-power kernel is the
-    nilradical, which is J for a commutative algebra.  And `radical`
-    raises unless that kernel is a nilpotent ideal, so it lies in J.
+    returns J exactly, so A/J is semisimple.  Over the rationals and over
+    GF(p) with p > dim the trace-form kernel K is J (Dickson's criterion).
+    K contains J: for r in J and any b, b r is nilpotent, so
+    tr L_{br} = 0.  K is a two-sided ideal, as tr L_{axy} = tr L_{xya}.
+    For x in K, tr L_x^k = tr L_{x x^(k-1)} = 0 for every k >= 1, so by
+    Newton's identities, which divide only by k <= dim, L_x is nilpotent
+    and so is x.  A nil ideal lies in J, so K = J.  Over GF(p) with A
+    commutative, x -> x^q is a GF(p)-linear ring map.  Its kernel for
+    q >= dim is the set of nilpotent elements, the nilradical, which is
+    J.  Both arguments need associativity.  A table that is not
+    associative is refused later, by Lambda's `validate` or by the model
+    map, and `analyze` then gives it `validate()`'s message and witness.
+
+    The lift is bounded by the nilpotency index of J.  J^(k+1) is
+    strictly inside J^k while J^k is nonzero (Nakayama's lemma), so
+    J^(dim J + 1) = 0.  Each step of `_lift_idempotent` doubles the
+    power of J that holds a^2 - a, so `steps`, the bit length of dim J,
+    gives 2^steps >= dim J + 1, and the iterate after `steps` steps is
+    idempotent.  The lift returns at the first idempotent iterate, so a
+    larger bound than the index changes no lift.
     """
     if rad is None:
         rad = radical(alg)
@@ -484,9 +481,7 @@ def canonical_decomposition(
     # induction the sum p of the lifts so far is idempotent: the next lift is
     # an idempotent of (1 - p) A (1 - p), so it is orthogonal to each lift
     # before it, and 1 - p is an idempotent orthogonal to all of them
-    steps = 0
-    while (1 << steps) < rad.nilpotency_index:
-        steps += 1
+    steps = rad.dim.bit_length()
     lifted = []
     partial = alg.zero()
     for t, ebar in enumerate(qidems):

@@ -17,13 +17,15 @@ each stored scalar.  The actions walk
 every term of the tensor for every term of the acting element, with no
 grouping by leg, so comparing against them checks ``act_left`` and
 ``act_right``.  The radical and model-map loops multiply every pair of
-basis vectors with one ``multiply`` call each, so comparing against them
-checks ``algebra.products`` and the checks batched over it; they keep
-``Span`` for membership and rank, since the elimination is not what they
-test.  ``basic_reduction_reference`` builds the corner algebra e A e
-the same way, one ``multiply`` call per composable pair of corner basis
-vectors, so comparing against it checks ``PeirceCorners.copy_algebra``
-at every multiplicity 1.  ``one_sided_reference`` spans e A or A e by
+basis vectors with one ``multiply`` call each.  The radical loops are
+the nilpotency and ideal checks that ``structure.radical`` leaves to its
+proof, so running them on its kernel checks the proof's premise; the
+model-map loop checks ``algebra.products`` and the check batched over
+it.  Both keep ``Span`` for membership and rank, since the elimination
+is not what they test.  ``basic_reduction_reference`` builds the corner
+algebra e A e the same way, one ``multiply`` call per composable pair of
+corner basis vectors, so comparing against it checks
+``PeirceCorners.copy_algebra`` at every multiplicity 1.  ``one_sided_reference`` spans e A or A e by
 one ``multiply`` call per basis element, so comparing against it checks
 ``PeirceCorners.one_sided``, and ``nakayama_reference`` reads the socles
 and the permutation off those spans, so comparing against it checks
@@ -263,10 +265,13 @@ def act_right(t, a):
 
 
 def radical_checks(alg, kernel):
-    """RadicalData of the span of `kernel` by per-pair products: every
-    product of a power's basis with J's for the nilpotency index, then
-    b r and r b for every basis element b and every r for the ideal
-    check.  Raises AlgebraError as `structure.radical` does."""
+    """(RadicalData, nilpotency index) of the span of `kernel`, checked by
+    per-pair products to be a nilpotent two-sided ideal: every product of
+    a power's basis with the span's for the index, then b r and r b for
+    every basis element b and every r for the ideal check.  Raises
+    AlgebraError when the span is not nilpotent or not an ideal; on an
+    associative table it is neither, as `canonical_decomposition`
+    proves, and the index is at most the span's dimension + 1."""
     field = alg.field
     span = Span(field, kernel)
     basis = [Element(alg, dict(row)) for row in span.basis_vectors()]
@@ -293,7 +298,7 @@ def radical_checks(alg, kernel):
                 multiply(r, b).coeffs
             ):
                 raise AlgebraError("radical candidate is not an ideal")
-    return RadicalData(basis, span, index)
+    return RadicalData(basis, span), index
 
 
 def basic_reduction_reference(alg, reps):

@@ -16,7 +16,7 @@ from sialg.amplify import (
     copy_boxes,
     is_bijection_graph,
 )
-from sialg.errors import AlgebraError, InvalidAlgebra, NotSelfInjectiveLike
+from sialg.errors import AlgebraError, InvalidAlgebra, NotSelfInjectiveLike, UnsupportedField
 from sialg.families import (
     corpus,
     group_algebra,
@@ -91,31 +91,53 @@ def _record_model_map_refusals(monkeypatch):
     return refusals
 
 
+def _radical_kernel_refused(alg):
+    """Whether the per-pair checks refuse `radical`'s kernel on `alg` as
+    a nilpotent ideal."""
+    try:
+        rad = radical(alg)
+        dense.radical_checks(alg, [b.coeffs for b in rad.basis])
+    except UnsupportedField:
+        return False
+    except AlgebraError:
+        return True
+    return False
+
+
 def test_analyze_refuses_what_validate_refuses(monkeypatch):
     # analyze checks the basic algebra directly and proves the input an
     # algebra through the model map; validate() on the input is the
     # fallback when any step raises, so every seeded single-constant
     # corruption that validate() refuses is refused with the same message
-    # and witness, some of them only because the model map refused them
+    # and witness, some of them only because the model map refused them,
+    # and some whose radical kernel the per-pair checks refuse, which
+    # radical leaves to this proof
     refusals = _record_model_map_refusals(monkeypatch)
     rng = random.Random(20261018)
-    refused = by_model_map = 0
-    for entry in corpus("small"):
-        for corrupt in dense.single_constant_mutants(entry.algebra, rng, 3):
-            try:
-                corrupt.validate()
-                continue
-            except InvalidAlgebra as exc:
-                want = exc
-            refusals.clear()
-            with pytest.raises(InvalidAlgebra) as info:
-                analyze(corrupt)
-            assert str(info.value) == str(want), entry.key
-            assert info.value.witness == want.witness, entry.key
-            refused += 1
-            by_model_map += bool(refusals)
-    assert refused == 114
+    mutants = [
+        (entry.key, corrupt)
+        for profile, reps in (("small", 3), ("standard", 2))
+        for entry in corpus(profile)
+        for corrupt in dense.single_constant_mutants(entry.algebra, rng, reps)
+    ]
+    refused = by_model_map = not_radical = 0
+    for key, corrupt in mutants:
+        try:
+            corrupt.validate()
+            continue
+        except InvalidAlgebra as exc:
+            want = exc
+        refusals.clear()
+        with pytest.raises(InvalidAlgebra) as info:
+            analyze(corrupt)
+        assert str(info.value) == str(want), key
+        assert info.value.witness == want.witness, key
+        refused += 1
+        by_model_map += bool(refusals)
+        not_radical += _radical_kernel_refused(corrupt)
+    assert refused == 617
     assert by_model_map >= 1
+    assert not_radical >= 1
 
 
 def test_model_map_alone_refuses_corrupted_matrix_algebra(monkeypatch):

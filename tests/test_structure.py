@@ -9,6 +9,7 @@ from sialg.algebra import combination, multiply, permute_basis
 from sialg.amplify import amplify, lift
 from sialg.errors import (
     AlgebraError,
+    InvalidAlgebra,
     NotBasic,
     NotSelfInjectiveLike,
     UnsupportedField,
@@ -41,11 +42,21 @@ from sialg.structure import (
 )
 
 
+def _nilpotency_index(alg, rad):
+    """The nilpotency index of `rad`, read off the per-pair reference,
+    which also checks it a nilpotent ideal with `rad`'s span rows."""
+    checked, index = dense.radical_checks(alg, [b.coeffs for b in rad.basis])
+    assert checked.span.rows == rad.span.rows
+    return index
+
+
 def test_radical_examples():
-    assert radical(matrix_algebra(2)).dim == 0
-    assert radical(matrix_algebra(2)).nilpotency_index == 1
-    r = radical(nakayama_algebra(1, 2))
-    assert r.dim == 1 and r.nilpotency_index == 2
+    m2 = matrix_algebra(2)
+    assert radical(m2).dim == 0
+    assert _nilpotency_index(m2, radical(m2)) == 1
+    kx2 = nakayama_algebra(1, 2)
+    r = radical(kx2)
+    assert r.dim == 1 and _nilpotency_index(kx2, r) == 2
     assert r.basis[0].coeffs == {1: QQ(1)}
 
 
@@ -83,7 +94,7 @@ def test_radical_b22_exhaustive_ideal_oracle():
                 best = set(subset)
     r = radical(B)
     assert r.dim == len(best) == 2
-    assert r.nilpotency_index == 2
+    assert _nilpotency_index(B, r) == 2
     rad_span = Span(B.field, (e.coeffs for e in r.basis))
     for i in best:
         assert rad_span.contains({i: B.field.one})
@@ -92,12 +103,12 @@ def test_radical_b22_exhaustive_ideal_oracle():
 def test_radical_modular_group_algebras():
     g2 = group_algebra([2], Field(2))
     r = radical(g2)
-    assert r.dim == 1 and r.nilpotency_index == 2
+    assert r.dim == 1 and _nilpotency_index(g2, r) == 2
     # the radical is spanned by 1 + g
     assert r.basis[0].coeffs == {0: Field(2).one, 1: Field(2).one}
     g3 = group_algebra([3], Field(3))
     r3 = radical(g3)
-    assert r3.dim == 2 and r3.nilpotency_index == 3
+    assert r3.dim == 2 and _nilpotency_index(g3, r3) == 3
 
 
 def test_radical_unsupported_field():
@@ -105,40 +116,43 @@ def test_radical_unsupported_field():
         radical(matrix_algebra(2, Field(2)))
 
 
-def _radical_outcome(compute):
-    try:
-        rad = compute()
-    except UnsupportedField:
-        return None
-    except AlgebraError as exc:
-        return str(exc)
-    return ([b.coeffs for b in rad.basis], rad.span.rows, rad.nilpotency_index)
-
-
 def test_radical_matches_per_pair_reference_on_mutants():
-    # seeded single-constant corruptions: bump one, delete one, add one; the
-    # batched products must reach the same RadicalData or the same refusal
-    # as the per-pair loops on the same trace-form (or Frobenius-power) kernel
+    # seeded single-constant corruptions: bump one, delete one, add one.
+    # Where the per-pair loops accept the trace-form (or Frobenius-power)
+    # kernel as a nilpotent ideal, radical returns the same basis and
+    # span rows.  Where they refuse it, the table is not an associative
+    # algebra, and analyze refuses it with validate's message and witness
     rng = random.Random(20261018)
-    outcomes = []
+    accepted = 0
+    refusals = []
     for entry in corpus("small"):
         field, d = entry.algebra.field, entry.algebra.dim
         for corrupt in dense.single_constant_mutants(entry.algebra, rng, 6):
-            got = _radical_outcome(lambda: radical(corrupt))
-            if got is None:  # refused before any product is taken
+            try:
+                rad = radical(corrupt)
+            except UnsupportedField:  # refused before any product is taken
                 continue
             if field.p is None or field.p > d:
                 kernel = structure._trace_form_kernel(corrupt)
             else:
                 kernel = structure._frobenius_power_kernel(corrupt)
-            want = _radical_outcome(lambda: dense.radical_checks(corrupt, kernel))
-            assert got == want, entry.key
-            outcomes.append(got)
-    messages = [o for o in outcomes if isinstance(o, str)]
-    assert len(outcomes) >= 200
-    assert "radical candidate is not an ideal" in messages
-    assert "radical candidate is not nilpotent" in messages
-    assert len(messages) < len(outcomes)
+            try:
+                checked, _ = dense.radical_checks(corrupt, kernel)
+            except AlgebraError as exc:
+                refusals.append(str(exc))
+                with pytest.raises(InvalidAlgebra) as want:
+                    corrupt.validate()
+                with pytest.raises(InvalidAlgebra) as info:
+                    analyze(corrupt)
+                assert str(info.value) == str(want.value), entry.key
+                assert info.value.witness == want.value.witness, entry.key
+                continue
+            assert [b.coeffs for b in rad.basis] == [b.coeffs for b in checked.basis], entry.key
+            assert rad.span.rows == checked.span.rows, entry.key
+            accepted += 1
+    assert accepted + len(refusals) == 246
+    assert refusals.count("radical candidate is not an ideal") == 22
+    assert refusals.count("radical candidate is not nilpotent") == 18
 
 
 def test_quotient_of_radical_is_semisimple():
@@ -433,6 +447,20 @@ _SWEPT = [alg for _, alg in _DECOMPOSED] + [
     for n, l in STANDARD_NSY_SHAPES
     for m in product((1, 2, 3), repeat=n)
 ]
+
+
+def test_radical_kernel_is_a_nilpotent_ideal_on_every_valid_input():
+    # radical returns its kernel unchecked, and canonical_decomposition
+    # proves it J on an associative table; the per-pair checks it proves
+    # away accept it on the small and standard corpora, the sweep-gfp
+    # group algebras and the basic algebra of each, with the same span
+    # rows and a nilpotency index within the lift bound dim J + 1
+    inputs = [(e.key, e.algebra) for e in corpus("small")] + _DECOMPOSED
+    for key, alg in inputs:
+        for a in (alg, analyze(alg).lam):
+            rad = radical(a)
+            assert _nilpotency_index(a, rad) <= rad.dim + 1, key
+    assert len(inputs) == 14 + 86 + 12
 
 
 @pytest.mark.parametrize(
