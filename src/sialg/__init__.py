@@ -31,6 +31,7 @@ from .amplify import (
     certify_family,
     comultiplication_report,
     copy_boxes,
+    counit_from_incidence,
     counit_solution_space,
     is_bijection_graph,
     is_incidence_invertible,

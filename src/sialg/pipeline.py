@@ -33,6 +33,7 @@ from .amplify import (
     build_counit,
     certify_family,
     comultiplication_report,
+    counit_from_incidence,
     is_bijection_graph,
     preset_spec,
     spread,
@@ -294,10 +295,14 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     When the context is certified and every S(i) is nonempty, the report
     takes invariance, coassociativity and injectivity from
     `certify_family`; otherwise it checks them directly on the
-    transported tensor x.  The counit oracle and the constructed
-    counit's two identities run on x for every spec: the model map is a
-    verified unital isomorphism, so each holds there exactly when it
-    holds on the model.
+    transported tensor x.  When the context is certified, empty classes
+    included, counitality and the solution-space dimension come from
+    `counit_from_incidence`, and the counit oracle runs on x only for
+    counital data without a verified constructed counit, whose solution
+    the report prints; on an uncertified context it runs for every spec.
+    The constructed counit's two identities are checked on x for every
+    bijection graph: the model map is a verified unital isomorphism, so
+    each holds there exactly when it holds on the model.
     """
     analysis = ctx.analysis
     amp, model_map = analysis.amp, analysis.model_map
@@ -311,6 +316,7 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
         built_model = build_counit(amp, spec, nak, ctx.pair.epsilon)
         built = model_map.transport_functional(built_model)
     certified = ctx.certified and all(spec.classes)
-    report = comultiplication_report(analysis.algebra, x, flags, built, certified)
+    counit = counit_from_incidence(analysis.corners, m, nak, spec) if ctx.certified else None
+    report = comultiplication_report(analysis.algebra, x, flags, built, certified, counit=counit)
     return PipelineRun(ctx, spec, x, report)
 

@@ -17,7 +17,6 @@ from itertools import product
 from .algebra import FinDimAlgebra, Tensor2, permute_basis, right_images
 from .amplify import (
     PRESETS,
-    ComultiplicationReport,
     SpreadSpec,
     amplify,
     copy_boxes,
@@ -42,7 +41,7 @@ from .frobenius import (
     transport_pair,
     verify_frobenius_pair,
 )
-from .pipeline import PipelineContext, analyze, prepare, run_spec
+from .pipeline import PipelineContext, PipelineRun, analyze, prepare, run_spec
 from .structure import (
     DEFAULT_SEED,
     NakayamaData,
@@ -74,15 +73,15 @@ class CheckResult:
 
 
 class CorpusCache:
-    """Pipeline contexts per corpus entry, and the reports of the subset
-    data run on them, each built once and shared."""
+    """Pipeline contexts per corpus entry, and the runs of the subset
+    data on them, each built once and shared."""
 
     def __init__(self, profile: str, seed: int = DEFAULT_SEED):
         self.profile = profile
         self.seed = seed
         self.entries = corpus(profile)
         self._contexts: dict = {}
-        self._reports: dict = {}
+        self._runs: dict = {}
 
     def context(self, idx: int) -> PipelineContext:
         ctx = self._contexts.get(idx)
@@ -91,17 +90,17 @@ class CorpusCache:
             self._contexts[idx] = ctx
         return ctx
 
-    def report(self, idx: int, spec: SpreadSpec | str) -> ComultiplicationReport:
-        """Report of `run_spec` on entry idx; a preset name and the subset
-        data it resolves to share one run."""
+    def run(self, idx: int, spec: SpreadSpec | str) -> PipelineRun:
+        """`run_spec` on entry idx; a preset name and the subset data it
+        resolves to share one run."""
         ctx = self.context(idx)
         if isinstance(spec, str):
             spec = preset_spec(spec, ctx.analysis.dec.multiplicities, ctx.analysis.nak)
-        report = self._reports.get((idx, spec))
-        if report is None:
-            report = run_spec(ctx, spec).report
-            self._reports[(idx, spec)] = report
-        return report
+        run = self._runs.get((idx, spec))
+        if run is None:
+            run = run_spec(ctx, spec)
+            self._runs[(idx, spec)] = run
+        return run
 
     def items(self):
         return list(enumerate(self.entries))
@@ -197,7 +196,7 @@ def check_singleton_injectivity(cache: CorpusCache) -> CheckResult:
     comultiplication has full rank, on every corpus algebra."""
     failures = []
     for idx, entry in cache.items():
-        r = cache.report(idx, "singleton")
+        r = cache.run(idx, "singleton").report
         if not (r.invariant and r.coassociative and r.rank == r.dim):
             failures.append(
                 f"{entry.key}: invariant={r.invariant} coassociative={r.coassociative}"
@@ -234,6 +233,13 @@ def check_spread_family(cache: CorpusCache):
       matrix M_i is invertible over the ground field, and on
       bijection-graph data the constructed counit exists and both
       routes agree.
+
+    The report's counit verdict and solution-space dimension come from
+    the incidence ranks (`counit_from_incidence`), so comparing them with
+    `is_incidence_invertible` would prove nothing.  Here the linear
+    oracle runs on the transported x of every swept spec, and both
+    statements read its feasibility; the report's verdict and dimension
+    must equal the oracle's, or the routes count as inconsistent.
     """
     fam_failures = []
     counit_failures = []
@@ -242,33 +248,38 @@ def check_spread_family(cache: CorpusCache):
     for idx, entry in cache.items():
         ctx, specs = _spec_sweep(cache, idx)
         m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
-        field = ctx.analysis.algebra.field
+        alg = ctx.analysis.algebra
         for spec_name, spec in specs:
             runs += 1
-            r = cache.report(idx, spec)
+            run = cache.run(idx, spec)
+            r = run.report
             if not (r.invariant and r.coassociative):
                 fam_failures.append(
                     f"{entry.key} [{spec_name}]: invariant={r.invariant}"
                     f" coassociative={r.coassociative}"
                 )
+            eps, nullity = counit_solution_space(alg, run.x)
+            feasible = eps is not None
+            agree = (r.counital, r.solution_space_dim) == (feasible, nullity)
+            consistent = r.routes_consistent and agree
             bij = all(r.bijection_per_class)
-            if r.counital != bij or not r.routes_consistent:
+            if feasible != bij or not consistent:
                 counit_failures.append(
-                    f"{entry.key} [{spec_name}]: feasible={r.counital}"
-                    f" bijection={bij} consistent={r.routes_consistent}"
+                    f"{entry.key} [{spec_name}]: feasible={feasible}"
+                    f" bijection={bij} consistent={consistent}"
                 )
             if bij and not r.counit_built:
                 counit_failures.append(
                     f"{entry.key} [{spec_name}]: constructed counit missing"
                 )
-            inv = all(is_incidence_invertible(spec, m, nak, field))
-            if r.counital != inv or (
+            inv = all(is_incidence_invertible(spec, m, nak, alg.field))
+            if feasible != inv or not agree or (
                 bij and not (r.counit_built and r.routes_consistent)
             ):
                 corrected_failures.append(
-                    f"{entry.key} [{spec_name}]: feasible={r.counital}"
+                    f"{entry.key} [{spec_name}]: feasible={feasible}"
                     f" invertible={inv} bijection={bij} built={r.counit_built}"
-                    f" consistent={r.routes_consistent}"
+                    f" consistent={consistent}"
                 )
     fam = CheckResult(
         "spread-family-invariance",
@@ -552,7 +563,7 @@ def check_round_trip(cache: CorpusCache) -> CheckResult:
         for preset in PRESETS:
             runs += 1
             r = report(preset_spec(preset, m, nak))
-            r0 = cache.report(idx, preset)
+            r0 = cache.run(idx, preset).report
             ok = (
                 r.invariant
                 and r.coassociative

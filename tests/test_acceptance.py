@@ -17,6 +17,7 @@ import time
 import pytest
 
 from sialg import verify
+from sialg.amplify import counit_from_incidence
 from sialg.structure import DEFAULT_SEED
 from sialg.verify import (
     CorpusCache,
@@ -100,6 +101,18 @@ def test_criterion_5_counitality_characterization(spread_results):
         "counitality characterization falsified by exact counterexamples: "
         + "; ".join(counit.failures[:3])
     )
+
+
+@pytest.mark.parametrize("lie", [lambda c, d: (not c, d), lambda c, d: (c, d + 1)],
+                         ids=["verdict", "dimension"])
+def test_counit_statements_compare_the_report_with_the_oracle(monkeypatch, lie):
+    # the report takes its counit verdict and dimension from the incidence
+    # ranks, and both counit statements run the oracle on x: a wrong closed
+    # form fails both of them, not only the statement it falsifies
+    monkeypatch.setattr("sialg.pipeline.counit_from_incidence",
+                        lambda *args: lie(*counit_from_incidence(*args)))
+    _, specified, corrected = check_spread_family(CorpusCache("small", DEFAULT_SEED))
+    assert not specified.passed and not corrected.passed
 
 
 def test_criterion_6_frobenius_pair_support(cache):

@@ -21,6 +21,7 @@ from sialg.amplify import (
     build_counit,
     comultiplication_report,
     copy_boxes,
+    counit_from_incidence,
     counit_solution_space,
     is_bijection_graph,
     is_incidence_invertible,
@@ -263,6 +264,23 @@ def test_is_incidence_invertible_depends_on_the_field():
     assert is_incidence_invertible(spec, (3,), fix, QQ) == [True]
     assert is_incidence_invertible(spec, (3,), fix, Field(3)) == [True]
     assert is_incidence_invertible(spec, (3,), fix, Field(2)) == [False]
+
+
+def test_counit_from_incidence_on_every_subset_of_the_scalar_box():
+    # M_2 over QQ as the (2)-amplified field: one class, nu = id, one corner
+    # of dimension 1, so the closed form reads (rk == 2, (2 - rk)^2)
+    k, dec, nak, amp, pair = _scalar_amp()
+    blocks = _cut(amp, pair.y, nak)
+    box = copy_boxes(amp.m, nak)[0]
+    seen = set()
+    for bits in range(1 << len(box)):
+        spec = SpreadSpec((frozenset(p for b, p in enumerate(box) if bits >> b & 1),))
+        x = spread(amp, blocks, spec, nak)
+        eps, nullity = counit_solution_space(amp.algebra, x)
+        lam = counit_from_incidence(amp.corners, amp.m, nak, spec)
+        assert lam == (eps is not None, nullity), spec
+        seen.add(lam)
+    assert seen == {(False, 4), (False, 1), (True, 0)}
 
 
 def _assert_counit(eps, x):

@@ -10,14 +10,20 @@ from sialg import algebra as algebra_module
 from sialg import linalg
 from sialg.algebra import combination, is_invariant, permute_basis
 from sialg.amplify import (
+    PRESETS,
     SpreadSpec,
     build_counit,
     comultiplication_report,
     copy_boxes,
+    counit_from_incidence,
+    counit_solution_space,
     is_bijection_graph,
+    is_incidence_invertible,
+    preset_spec,
 )
 from sialg.errors import AlgebraError, InvalidAlgebra, NotSelfInjectiveLike, UnsupportedField
 from sialg.families import (
+    STANDARD_NSY_SHAPES,
     corpus,
     group_algebra,
     matrix_algebra,
@@ -580,7 +586,6 @@ def test_inversions_match_dense_reference():
     assert len(_INVERTED) == 86 + 11
 
 
-PRESETS = ("singleton", "diagonal", "full")
 GF101_NSY_SHAPES = (
     (1, 1, (2,)),
     (1, 2, (3,)),
@@ -682,13 +687,14 @@ def _direct_report(ctx, run):
 
 
 def _record_certified(monkeypatch):
-    """The `certified` verdict of every report `run_spec` asks for."""
+    """The `certified` verdict of every report `run_spec` asks for, and
+    whether it handed the report the Lambda counit pair."""
     seen = []
     original = comultiplication_report
 
-    def recording(alg, x, flags, built=None, certified=False):
-        seen.append(certified)
-        return original(alg, x, flags, built, certified)
+    def recording(alg, x, flags, built=None, certified=False, counit=None):
+        seen.append((certified, counit is not None))
+        return original(alg, x, flags, built, certified, counit=counit)
 
     monkeypatch.setattr("sialg.pipeline.comultiplication_report", recording)
     return seen
@@ -696,7 +702,9 @@ def _record_certified(monkeypatch):
 
 def test_certified_reports_equal_direct_checks_on_standard_corpus(monkeypatch):
     # every subset datum `sialg verify --profile standard` sweeps: the
-    # certificate decides each run, and its report is the direct one
+    # certificate decides each run, and its report, counit verdict and
+    # solution-space dimension from the incidence ranks, is the direct one
+    # with the oracle on x
     seen = _record_certified(monkeypatch)
     cache = CorpusCache("standard")
     runs = 0
@@ -710,7 +718,7 @@ def test_certified_reports_equal_direct_checks_on_standard_corpus(monkeypatch):
             )
             runs += 1
     assert runs == 86 * 13
-    assert seen == [True] * runs
+    assert seen == [(True, True)] * runs
 
 
 def _all_subset_data(ctx):
@@ -727,7 +735,8 @@ def _all_subset_data(ctx):
 def test_certified_exactly_when_no_class_is_empty(monkeypatch, m, count):
     # every subset datum, empty classes included: a run is certified exactly
     # when every S(i) is nonempty, and its report is the direct one; an
-    # empty class costs injectivity, so the certificate's condition is tight
+    # empty class costs injectivity, so the certificate's condition is tight.
+    # The counit pair from the incidence ranks is used on every run
     ctx = prepare(nsy_algebra(2, 2, m).algebra)
     specs = _all_subset_data(ctx)
     assert ctx.certified and len(specs) == count
@@ -735,7 +744,9 @@ def test_certified_exactly_when_no_class_is_empty(monkeypatch, m, count):
     for spec in specs:
         run = run_spec(ctx, spec)
         assert run.report.to_json() == _direct_report(ctx, run).to_json(), spec
-        assert seen.pop() == all(spec.classes) == run.report.injective, spec
+        certified, lam_counit = seen.pop()
+        assert certified == all(spec.classes) == run.report.injective, spec
+        assert lam_counit, spec
 
 
 def test_failed_certificate_falls_back_to_direct_checks(monkeypatch):
@@ -755,3 +766,115 @@ def test_failed_certificate_falls_back_to_direct_checks(monkeypatch):
     r = run.report.to_json()
     assert not r["coassociative"] and r["coassociative_witness"] == [0, 1, 2]
     assert r["invariant"] and r["delta_rank"] == 9 and r["injective"]
+
+
+# -- counitality from the incidence ranks against the oracle --------------------
+
+
+def _gf101_sweep():
+    """The sweep-gfp benchmark's inputs that prepare accepts: every nsy
+    shape over GF(101) with m(i) in 1..3, and the group algebras of
+    `_INVERTED`."""
+    field = Field(101)
+    out = [
+        (f"nsy({n},{l},{m})-gf101", lambda n=n, l=l, m=m: nsy_algebra(n, l, m, field).algebra)
+        for n, l in STANDARD_NSY_SHAPES
+        for m in product(range(1, 4), repeat=n)
+    ]
+    return out + [(key, lambda alg=alg: alg) for key, alg in _INVERTED[86:]]
+
+
+def _emptied(spec, rng):
+    classes = list(spec.classes)
+    classes[rng.randrange(len(classes))] = frozenset()
+    return SpreadSpec(tuple(classes))
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=key) for key, make in _gf101_sweep()])
+def test_counit_from_incidence_matches_the_oracle_on_the_gfp_sweep(make):
+    # verdict and solution-space dimension, on the 3 presets, 10 draws and
+    # 3 draws with one class emptied
+    alg = make()
+    ctx = prepare(alg)
+    assert ctx.certified
+    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    rng = random.Random(alg.dim)
+    specs = [preset_spec(name, m, nak) for name in PRESETS]
+    specs += [SpreadSpec.random_nonempty(m, nak, rng) for _ in range(10)]
+    specs += [_emptied(SpreadSpec.random_nonempty(m, nak, rng), rng) for _ in range(3)]
+    for spec in specs:
+        eps, nullity = counit_solution_space(alg, run_spec(ctx, spec).x)
+        lam = counit_from_incidence(ctx.analysis.corners, m, nak, spec)
+        assert lam == (eps is not None, nullity), spec
+
+
+def test_counit_from_incidence_matches_the_oracle_on_every_subset_of_nsy_1_3_3():
+    # every S of the one 3 x 3 box, the empty one included; over QQ, 174
+    # of the 512 incidence matrices are invertible (OEIS A055165)
+    ctx = prepare(nsy_algebra(1, 3, (3,)).algebra)
+    specs = _all_subset_data(ctx)
+    assert ctx.certified and len(specs) == 512
+    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    counital = 0
+    for spec in specs:
+        eps, nullity = counit_solution_space(ctx.analysis.algebra, run_spec(ctx, spec).x)
+        lam = counit_from_incidence(ctx.analysis.corners, m, nak, spec)
+        assert lam == (eps is not None, nullity), spec
+        counital += lam[0]
+    assert counital == 174
+
+
+def _record_oracle(monkeypatch):
+    """The tensor of every call of the counit oracle."""
+    calls = []
+    original = counit_solution_space
+
+    def recording(alg, x):
+        calls.append(x)
+        return original(alg, x)
+
+    monkeypatch.setattr("sialg.amplify.counit_solution_space", recording)
+    return calls
+
+
+def test_run_spec_runs_the_oracle_only_on_counital_non_bijection_data(monkeypatch):
+    # on a certified context the report prints the oracle's solution only
+    # where no constructed counit exists: counital data that are not a
+    # bijection graph; certify_family runs it once per context, on y
+    calls = _record_oracle(monkeypatch)
+    cache = CorpusCache("standard")
+    oracle_runs = 0
+    for idx, entry in cache.items():
+        ctx, specs = _spec_sweep(cache, idx)
+        assert [y is ctx.pair.y for y in calls] == [True], entry.key
+        calls.clear()
+        m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+        field = ctx.analysis.algebra.field
+        for name, spec in specs:
+            run = run_spec(ctx, spec)
+            expected = all(is_incidence_invertible(spec, m, nak, field)) and not all(
+                is_bijection_graph(spec, m, nak)
+            )
+            assert [x is run.x for x in calls] == [True] * expected, (entry.key, name)
+            oracle_runs += expected
+            calls.clear()
+    # of the 86 * 13 specs, as `sialg verify --profile standard` sweeps them
+    assert oracle_runs == 30
+
+
+def test_failed_certificate_runs_the_oracle_on_every_spec(monkeypatch):
+    # a context whose certificate fails has no counit verdict from the
+    # incidence ranks: the oracle decides every spec, bijection graphs too
+    monkeypatch.setattr("sialg.amplify.check_coassociativity", lambda x: (0, 1, 2))
+    calls = _record_oracle(monkeypatch)
+    ctx = prepare(nsy_algebra(2, 2, (2, 2)).algebra)
+    assert not ctx.certified
+    calls.clear()
+    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    rng = random.Random(5)
+    specs = [preset_spec(name, m, nak) for name in PRESETS]
+    specs += [SpreadSpec.random_nonempty(m, nak, rng) for _ in range(5)]
+    for spec in specs:
+        run = run_spec(ctx, spec)
+        assert [x is run.x for x in calls] == [True], spec
+        calls.clear()
