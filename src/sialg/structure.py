@@ -6,17 +6,21 @@ or p > dim); for commutative algebras over GF(p) it falls back on the
 kernel of a high Frobenius power, which covers modular group algebras.
 Idempotents are lifted from the semisimple quotient with the cubic
 iteration a -> 3a^2 - 2a^3 and orthogonalized sequentially; splitting
-inside the quotient factors minimal polynomials of swept corner elements.
+inside the quotient factors minimal polynomials of swept corner elements,
+and gives up on a corner as soon as one of them proves it a field.
 Two searches are randomized, the quotient split here and the counit
 retry of `frobenius_pair`; both take an explicit seed and are
 reproducible.  The copy witnesses and the duality pattern are decided on
 a basis, with no draw.
-`PeirceCorners` is the one Peirce decomposition and the only code that
-computes a sandwich e_j v e_i.  It gives the corners of the class
-representatives, of the copies within a class (for the copy witnesses),
-of the quotient images (for the class grouping) and of each idempotent
-the quotient split visits; every projection of an element or tensor onto
-the corners, and every one-sided ideal e_i A or A e_i, goes through it.
+`PeirceCorners` is the one Peirce decomposition.  It builds each corner
+e_j A e_i as (e_j A) e_i, in O(d n) products of elements for n reps that
+sum to 1, and reads the corner components of an element or a tensor off
+the inverse of the stacked corner bases.  It gives the corners of the
+class representatives, of the copies within a class (for the copy
+witnesses), of the quotient images (for the class grouping) and of each
+idempotent the quotient split visits; every projection of an element or
+tensor onto the corners, and every one-sided ideal e_i A or A e_i, goes
+through it.
 `basic_reduction` hands on the input's corners with those of the basic
 algebra e A e, which they carry basis element for basis element.
 """
@@ -44,7 +48,7 @@ from .errors import (
     UnsupportedField,
     WitnessNotFound,
 )
-from .linalg import Span, sparse_kernel, sparse_rank, sparse_solve
+from .linalg import Matrix, Span, sparse_kernel, sparse_rank, sparse_solve
 
 DEFAULT_SEED = 271828
 SPLIT_BUDGET_FACTOR = 32
@@ -56,35 +60,19 @@ FLAG_NOT_SPLIT = "not-split-unverified"
 # -- Peirce corners in the ambient coordinate space ---------------------------
 
 
-def _sandwiches(alg: FinDimAlgebra, reps, vectors) -> dict:
-    """{(j, i): {t: e_j v_t e_i} over the v_t in `vectors` where it is
-    nonzero, in t order}, for the reps e_j, e_i in j-major order: one
-    `products` walk gives every e_j v, then one walk per j gives every
-    (e_j v) e_i."""
-    rep_vectors = [e.coeffs for e in reps]
-    out = {}
-    for j, lefts in enumerate(products(alg, rep_vectors, vectors)):
-        rows = [{} for _ in reps]
-        ts = sorted(lefts)
-        for t, prods in zip(ts, products(alg, [lefts[t] for t in ts], rep_vectors)):
-            for i, w in prods.items():
-                rows[i][t] = w
-        out.update(((j, i), row) for i, row in enumerate(rows))
-    return out
-
-
 class PeirceCorners:
     """The Peirce corners e_j A e_i of orthogonal idempotents `reps`.
 
     Each corner's Span and echelon basis is computed once, in j-major
-    order, from the sandwiches e_j b_t e_i of the basis b_t, and
-    `bases[(j, i)]` and `spans[(j, i)]` hold them.  Every sandwich
-    e_j v e_i, of the basis here, of an element in `components` and of
-    the basis elements a tensor meets in `tensor_components`, comes from
-    one batch of n + 1 `products` walks over the n reps.  Components are
-    given in corner coordinates, the indices into `bases[(j, i)]`.  When
-    the reps sum to e, the components of a reassemble e a e.  When they
-    sum to 1, `one_sided` gives e_i A and A e_i from the corners.
+    order, into `spans[(j, i)]` and `bases[(j, i)]`.  One `products` walk
+    gives every e_j b_t.  For each j they are right-multiplied by the
+    reps as they are when their least keys are pairwise distinct (so
+    they are independent, the certificate of `sparse_rank`), and else
+    through the echelon basis of the e_j A they span: (e_j A) e_i is
+    e_j A e_i, and a reduced echelon basis depends only on its span.  So
+    a build makes n + 1 walks, O(d n) products of elements, and no
+    `multiply` call.  Components are in corner coordinates, the indices
+    into `bases[(j, i)]`; they and `one_sided` need reps that sum to 1.
     """
 
     def __init__(self, alg: FinDimAlgebra, reps):
@@ -92,10 +80,20 @@ class PeirceCorners:
         self.reps = reps
         self.spans: dict = {}
         self.bases: dict = {}
-        basis = [{t: alg.field.one} for t in range(alg.dim)]
-        for key, rows in _sandwiches(alg, reps, basis).items():
-            span = self.spans[key] = Span(alg.field, rows.values())
-            self.bases[key] = [Element(alg, dict(row)) for row in span.basis_vectors()]
+        field = alg.field
+        rep_vectors = [e.coeffs for e in reps]
+        basis = [{t: field.one} for t in range(alg.dim)]
+        for j, lefts in enumerate(products(alg, rep_vectors, basis)):
+            rows = [lefts[t] for t in sorted(lefts)]
+            if len({min(row) for row in rows}) < len(rows):
+                rows = Span(field, rows).basis_vectors()
+            corners = [[] for _ in reps]
+            for prods in products(alg, rows, rep_vectors):
+                for i, w in prods.items():
+                    corners[i].append(w)
+            for i, vectors in enumerate(corners):
+                span = self.spans[(j, i)] = Span(field, vectors)
+                self.bases[(j, i)] = [Element(alg, dict(row)) for row in span.basis_vectors()]
 
     def require_sum_one(self):
         """Raise NotBasic unless the reps sum to 1; on a basic algebra,
@@ -130,11 +128,30 @@ class PeirceCorners:
         return coords
 
     def _components(self, vectors) -> list:
-        """Per v in `vectors`, the nonzero components {(j, i): {b: c}}."""
-        out = [{} for _ in vectors]
-        for key, rows in _sandwiches(self.alg, self.reps, vectors).items():
-            for t, row in rows.items():
-                out[t][key] = {b: c for b, c in enumerate(self.coordinates(key, row)) if c}
+        """Per v in `vectors`, the nonzero components {(j, i): {b: c}}, in
+        j-major corner order and b order.  With the reps summing to 1, A
+        is the direct sum of the corners, so the stacked corner bases are
+        the rows of an invertible B, and the coordinates of v in them are
+        v B^-1, from one `Matrix.inverse` per call."""
+        self.require_sum_one()
+        alg = self.alg
+        slots = [(key, b) for key, basis in self.bases.items() for b in range(len(basis))]
+        stacked = (q.coeffs for basis in self.bases.values() for q in basis)
+        inverse = Matrix(alg.field, stacked, alg.dim).inverse().rows
+        norm = alg.field.normal
+        out = []
+        for v in vectors:
+            coords: dict = {}
+            for t, c in v.items():
+                for k, x in inverse[t].items():
+                    coords[k] = coords.get(k, 0) + c * x
+            comps: dict = {}
+            for k in sorted(coords):
+                c = norm(coords[k])
+                if c:
+                    key, b = slots[k]
+                    comps.setdefault(key, {})[b] = c
+            out.append(comps)
         return out
 
     def components(self, a: Element) -> dict:
@@ -357,9 +374,22 @@ class CanonicalDecomposition:
 
 def _split_once(qalg: FinDimAlgebra, e: Element, corner_elems: list, rng, budget: int):
     """Try to write e as a sum of two orthogonal idempotents, sweeping the
-    basis `corner_elems` of e Q e, then seeded random combinations of it;
-    None if the budget runs out.  Returns ((e1, e2), attempts_used) on
-    success."""
+    basis `corner_elems` of e Q e, then seeded random combinations of it.
+    Returns ((e1, e2), attempts_used) on success, and (None, attempts_used)
+    when the budget runs out or e Q e is proved a field.
+
+    The sweep stops at the first z whose minimal polynomial mu_z is
+    irreducible of degree dim e Q e (an exact primitivity test, as in
+    Ronyai, J. Symbolic Comput. 9 (1990)).  Then k[z], of dimension
+    deg mu_z, is all of e Q e, so e Q e = k[x]/(mu_z) is a field.  Every
+    later z generates a subfield k[z], so its mu_z is irreducible, no
+    later attempt splits e, and the full sweep would end by spending the
+    whole budget.  The stop returns (None, budget), which spends it
+    exactly so.  The draws it skips would only have advanced the rng,
+    and no later corner reads the rng: with the budget at 0, a later
+    call returns before its first basis element.  So the idempotents,
+    the flags and the budget left are the full sweep's, byte for byte.
+    """
     field = qalg.field
     draws = (
         combination(qalg, corner_elems, [field.random(rng) for _ in corner_elems])
@@ -375,6 +405,8 @@ def _split_once(qalg: FinDimAlgebra, e: Element, corner_elems: list, rng, budget
         mu = minimal_polynomial(z, unit=e)
         _, factors = poly.factor(field, mu)
         if len(factors) < 2:
+            if factors[0][1] == 1 and len(mu) - 1 == len(corner_elems):
+                return None, budget
             continue
         f = factors[0][0]
         for _ in range(factors[0][1] - 1):

@@ -49,8 +49,12 @@ decides both.  ``corner_span_reference`` spans left . b_t . right by two
 ``paired_reference`` sandwich one element, or every basis element, the
 same way, so comparing against them checks every corner, every
 component and the class grouping that ``PeirceCorners`` batches over
-``algebra.products``.  ``single_constant_mutants`` gives the seeded
-corrupted tables that the differential tests feed to both sides.  These
+``algebra.products`` and reads off the inverse of the stacked corner
+bases.  ``split_once_reference`` is the quotient split's sweep without
+its stop at a corner proved to be a field, so comparing against it
+checks that the stop leaves the split's outcome and budget unchanged.
+``single_constant_mutants`` gives the seeded corrupted tables that the
+differential tests feed to both sides.  These
 references read a structure constant one basis pair at a time, as
 ``rows[i].get(j, {})`` (the stored rows hold only the nonzero products),
 and never walk the rows as an index of nonzero pairs the way
@@ -58,8 +62,17 @@ and never walk the rows as an index of nonzero pairs the way
 """
 
 import random
+from itertools import chain, count
 
-from sialg.algebra import Element, FinDimAlgebra, Functional, combination, multiply
+from sialg import poly
+from sialg.algebra import (
+    Element,
+    FinDimAlgebra,
+    Functional,
+    combination,
+    minimal_polynomial,
+    multiply,
+)
 from sialg.errors import AlgebraError, NotFrobenius, NotSelfInjectiveLike, WitnessNotFound
 from sialg.frobenius import COUNIT_RETRY_BUDGET, FrobeniusPair, dual_basis_tensor, gram_matrix
 from sialg.linalg import Span, sparse_rank, sparse_solve
@@ -306,7 +319,8 @@ def basic_reduction_reference(alg, reps):
     basis) for the corner algebra e A e of orthogonal idempotents `reps`:
     the corner bases concatenated in j-major order, b_a b_b computed by
     one `multiply` call for every pair whose inner classes match, and the
-    unit read off the corner components of each rep."""
+    unit read off the sandwich coordinates of each rep, which need no
+    complete set of reps (`components_reference`)."""
     corners = PeirceCorners(alg, reps)
     elements, offsets, corner_of = [], {}, []
     for key, basis in corners.bases.items():
@@ -329,7 +343,7 @@ def basic_reduction_reference(alg, reps):
     images = []
     for r in reps:
         image = {}
-        for key, comp in corners.components(r).items():
+        for key, comp in components_reference(corners, r).items():
             for b, c in comp.items():
                 image[offsets[key] + b] = unit[offsets[key] + b] = c
         images.append(image)
@@ -510,6 +524,47 @@ def duality_pattern_reference(corners, seed=DEFAULT_SEED):
         return False
 
     return [{j for j in range(n) if holds(i, j)} for i in range(n)]
+
+
+def split_once_reference(qalg, e, corner_elems, rng, budget):
+    """`structure._split_once` as a full sweep: the basis of e Q e, then
+    seeded random combinations of it, until a minimal polynomial with two
+    coprime factors splits e or the budget runs out, with no stop at a
+    corner proved to be a field.  Returns ((e1, e2) or None,
+    attempts_used)."""
+    field = qalg.field
+    draws = (
+        combination(qalg, corner_elems, [field.random(rng) for _ in corner_elems])
+        for _ in count()
+    )
+    attempts = 0
+    for z in chain(corner_elems, draws):
+        if attempts >= budget:
+            return None, attempts
+        attempts += 1
+        if not z.coeffs:
+            continue
+        mu = minimal_polynomial(z, unit=e)
+        _, factors = poly.factor(field, mu)
+        if len(factors) < 2:
+            continue
+        f = factors[0][0]
+        for _ in range(factors[0][1] - 1):
+            f = poly.mul(field, f, factors[0][0])
+        g, _ = poly.divmod_poly(field, mu, f)
+        _, _, v = poly.xgcd(field, f, g)
+        eps_poly = poly.mod(field, poly.mul(field, v, g), mu)
+        eps = e.scaled(field.zero)
+        power = e
+        for c in eps_poly:
+            if c:
+                eps = eps + power.scaled(c)
+            power = multiply(power, z)
+        if not eps.coeffs or eps == e:
+            continue
+        if multiply(eps, eps) != eps:
+            raise AlgebraError("split produced a non-idempotent")
+        return (eps, e - eps), attempts
 
 
 def paired_reference(qalg, eu, ev):

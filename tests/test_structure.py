@@ -11,6 +11,7 @@ from sialg.errors import (
     AlgebraError,
     InvalidAlgebra,
     NotBasic,
+    NotFrobenius,
     NotSelfInjectiveLike,
     UnsupportedField,
     WitnessNotFound,
@@ -324,40 +325,60 @@ def _outer(alg, terms):
     return alg.tensor2(coeffs)
 
 
-def _check_corners(corners, rng, complete):
-    # components reassemble e a e, and y with both legs cut down by e, for
-    # e the sum of the reps; that is a and y themselves when e = 1
+def _completed(alg, reps):
+    """`reps`, and 1 - sum(reps) after them unless they sum to 1: the
+    complete set of orthogonal idempotents that components need."""
+    e = sum(reps[1:], reps[0])
+    return reps if e == alg.unit else reps + [alg.unit - e]
+
+
+def _check_corners(corners, rng, k):
+    # the reps sum to 1, so the components of a equal the sandwich route
+    # and reassemble a, and those of y reassemble y; the components in the
+    # corners of the first k reps reassemble e a e and y with both legs
+    # cut down by e, for e the sum of those k reps
     alg, field, bases = corners.alg, corners.alg.field, corners.bases
     d = alg.dim
-    e = alg.zero()
-    for r in corners.reps:
-        e = e + r
-    assert (e == alg.unit) == complete
+    assert sum(corners.reps[1:], corners.reps[0]) == alg.unit
+    e = sum(corners.reps[1:k], corners.reps[0])
 
     def cut(x):
         return multiply(multiply(e, x), e)
 
-    for _ in range(3):
-        a = alg.element({k: field.random(rng) for k in range(d)})
-        assert corners.components(a) == dense.components_reference(corners, a)
+    def inside(key):
+        return all(c < k for c in key)
+
+    def reassembled(comps, keep):
         got = alg.zero()
-        for key, comp in corners.components(a).items():
-            for b, c in comp.items():
-                got = got + bases[key][b].scaled(c)
-        assert got == (a if complete else cut(a))
+        for key, comp in comps.items():
+            if keep(key):
+                for b, c in comp.items():
+                    got = got + bases[key][b].scaled(c)
+        return got
+
+    def outer(comps, keep):
+        return _outer(alg, (
+            (c, bases[key[:2]][b1], bases[key[2:]][b2])
+            for key, comp in comps.items()
+            if keep(key)
+            for (b1, b2), c in comp.items()
+        ))
+
+    for _ in range(3):
+        a = alg.element({t: field.random(rng) for t in range(d)})
+        comps = corners.components(a)
+        assert comps == dense.components_reference(corners, a)
+        assert reassembled(comps, lambda key: True) == a
+        assert reassembled(comps, inside) == cut(a)
         y = alg.tensor2(
             {(rng.randrange(d), rng.randrange(d)): field.random(rng) for _ in range(4 * d)}
         )
-        got = _outer(alg, (
-            (c, bases[key[:2]][b1], bases[key[2:]][b2])
-            for key, comp in corners.tensor_components(y).items()
-            for (b1, b2), c in comp.items()
-        ))
-        expected = _outer(alg, (
+        comps = corners.tensor_components(y)
+        assert outer(comps, lambda key: True) == y
+        assert outer(comps, inside) == _outer(alg, (
             (c, cut(alg.basis_element(k1)), cut(alg.basis_element(k2)))
             for (k1, k2), c in y.coeffs.items()
         ))
-        assert got == (y if complete else expected)
 
 
 _PEIRCE_INPUTS = [(e.key, e.algebra) for e in corpus("small")] + [
@@ -368,12 +389,13 @@ _PEIRCE_INPUTS = [(e.key, e.algebra) for e in corpus("small")] + [
 
 
 def _ordered(span):
-    return [(piv, sorted(row.items())) for piv, row in span.rows.items()]
+    return sorted((piv, sorted(row.items())) for piv, row in span.rows.items())
 
 
 def _matches_reference(corners):
     """Every corner of `corners` equals the per-basis double-`multiply`
-    reference row for row, down to the order the pivots were found in."""
+    reference row for row: the same pivots, each with the same reduced
+    row, and the same echelon basis in pivot order."""
     for (j, i), span in corners.spans.items():
         expected = dense.corner_span_reference(corners.alg, corners.reps[j], corners.reps[i])
         assert _ordered(span) == _ordered(expected)
@@ -420,19 +442,20 @@ def test_peirce_corners_reassemble(alg, monkeypatch):
     rng = random.Random(97)
     a = analyze(alg)
     dec = a.dec
-    # the input with one representative per class: e a e, e = 1 iff basic
-    basic = all(v == 1 for v in dec.multiplicities)
-    _check_corners(_built(alg, dec.reps, monkeypatch), rng, basic)
+    # the input with one representative per class, completed by 1 - e for
+    # e their sum when it is not basic: the first n corners cut out e a e
+    _check_corners(_built(alg, _completed(alg, dec.reps), monkeypatch), rng, dec.n)
     _built(a.lam, a.corners.reps, monkeypatch)
-    _check_corners(a.corners, rng, True)
+    _check_corners(a.corners, rng, dec.n)
     # the amplified model cut by every copy idempotent, then by one per class
     amp = amplify(a.corners, dec.multiplicities)
     copies = [
         [lift(amp, rep, t, t) for t in range(1, amp.m[i] + 1)] for i, rep in enumerate(a.corners.reps)
     ]
     every_copy = _built(amp.algebra, [e for cls in copies for e in cls], monkeypatch)
-    _check_corners(every_copy, rng, True)
-    _check_corners(_built(amp.algebra, [cls[0] for cls in copies], monkeypatch), rng, basic)
+    _check_corners(every_copy, rng, len(every_copy.reps))
+    firsts = _completed(amp.algebra, [cls[0] for cls in copies])
+    _check_corners(_built(amp.algebra, firsts, monkeypatch), rng, dec.n)
 
 
 # the standard corpus, and the group algebras of the sweep-gfp benchmark
@@ -442,11 +465,12 @@ _DECOMPOSED = [(e.key, e.algebra) for e in corpus("standard")] + [
     for factors in ((2,), (4,), (2, 2), (2, 4), (3, 3), (2, 2, 2))
 ]
 # ... and the GF(101) nsy shapes of the sweep-gfp benchmark
-_SWEPT = [alg for _, alg in _DECOMPOSED] + [
-    nsy_algebra(n, l, m, Field(101)).algebra
+_GFP_NSY = [
+    (f"nsy n={n} l={l} m={list(m)} gf101", nsy_algebra(n, l, m, Field(101)).algebra)
     for n, l in STANDARD_NSY_SHAPES
     for m in product((1, 2, 3), repeat=n)
 ]
+_SWEPT = [alg for _, alg in _DECOMPOSED + _GFP_NSY]
 
 
 def test_radical_kernel_is_a_nilpotent_ideal_on_every_valid_input():
@@ -486,6 +510,108 @@ def test_decomposition_corners_match_reference(alg, monkeypatch):
     for u, v in product(range(len(images)), repeat=2):
         paired = dense.paired_reference(quot, images[u], images[v])
         assert paired == (cls_of[u] == cls_of[v])
+
+
+# every swept algebra, and two split group algebras with one class per
+# basis element, where a corner build was slowest
+_SANDWICH_INPUTS = _DECOMPOSED + _GFP_NSY + [
+    ("group [4, 4] gf5", group_algebra((4, 4), Field(5))),
+    ("group [2, 2, 3] gf13", group_algebra((2, 2, 3), Field(13))),
+]
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for _, alg in _SANDWICH_INPUTS], ids=[key for key, _ in _SANDWICH_INPUTS]
+)
+def test_corners_and_components_match_sandwich_route(alg):
+    # on the complete set of primitive idempotents: each corner basis, built
+    # from the echelon basis of e_j A when the e_j b_t are dependent, is the
+    # span of the sandwiches e_j b_t e_i, and the components read off the
+    # inverse of the stacked corner bases are the sandwich coordinates of
+    # every basis element and of seeded random elements
+    corners = PeirceCorners(alg, canonical_decomposition(alg).all_idempotents())
+    _matches_reference(corners)
+    rng = random.Random(35)
+    field = alg.field
+    randoms = [alg.element({t: field.random(rng) for t in range(alg.dim)}) for _ in range(3)]
+    for a in alg.basis() + randoms:
+        assert corners.components(a) == dense.components_reference(corners, a)
+
+
+_FIELD_CORNER_INPUTS = [
+    (f"group {list(factors)} {field}", group_algebra(factors, field))
+    for factors, field in (
+        ((5,), QQ),
+        ((7,), QQ),
+        ((3, 3), QQ),
+        ((2, 4), QQ),
+        ((4,), Field(3)),
+        ((2, 4), Field(3)),
+        ((3, 3), Field(5)),
+        ((3, 3), Field(2)),
+    )
+]
+
+
+def _count_factor(m, factored):
+    """Patch `poly.factor` through the monkeypatch `m` so that it appends
+    each polynomial it is given to `factored`."""
+    original = structure.poly.factor
+
+    def counting(field, f):
+        factored.append(f)
+        return original(field, f)
+
+    m.setattr(structure.poly, "factor", counting)
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for _, alg in _FIELD_CORNER_INPUTS], ids=[key for key, _ in _FIELD_CORNER_INPUTS]
+)
+def test_field_corner_stop_matches_full_sweep(alg, monkeypatch):
+    # each input meets a corner e Q e that is a field bigger than the
+    # ground field; the split stops there, where the full sweep spends the
+    # rest of the budget in vain.  Both visit the same corners with the
+    # same budget, use the same attempts, and give the same prepare
+    # outcome, GF(2)[C3 x C3]'s NotFrobenius message included
+    def outcome(split_once):
+        visits, factored = [], []
+
+        def recording(qalg, e, corner_elems, rng, budget):
+            split, used = split_once(qalg, e, corner_elems, rng, budget)
+            visits.append((len(corner_elems), budget, used, split is not None))
+            return split, used
+
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_split_once", recording)
+            _count_factor(m, factored)
+            try:
+                ctx = prepare(alg)
+            except NotFrobenius as exc:
+                return visits, str(exc), len(factored)
+        return visits, (ctx.analysis.to_json(), ctx.pair.to_json()), len(factored)
+
+    visits, result, factored = outcome(structure._split_once)
+    full_visits, full_result, full_factored = outcome(dense.split_once_reference)
+    assert (visits, result) == (full_visits, full_result)
+    assert any(not split and used for _, _, used, split in visits)
+    assert factored < full_factored
+    if alg.field.p == 2:
+        assert result == (
+            "no counit with the required corner support has an invertible Gram"
+            " matrix after 32 seeded attempts"
+        )
+
+
+def test_field_corner_ends_the_split_of_qq_c13(monkeypatch):
+    # QQ[C13] = QQ x QQ(zeta_13): the second corner is proved a field by a
+    # basis element with minimal polynomial Phi_13, where the full sweep
+    # factored a polynomial at each of its 416 attempts
+    factored = []
+    _count_factor(monkeypatch, factored)
+    a = analyze(group_algebra((13,), QQ))
+    assert len(factored) <= 8
+    assert a.dec.n == 2 and [len(e.coeffs) for e in a.dec.reps] == [13, 13]
 
 
 _NON_BASIC = [
@@ -695,23 +821,15 @@ def test_iso_witnesses_refuses_copies_that_are_not_isomorphic():
 
 
 # The abelian groups of ROADMAP item 1's closed-form grid: C2 ... C15 and
-# five products.  Over QQ, C11, C13, C14 and C15 are left out for time:
-# `analyze` spends 4 to 40 s on each, because the quotient split burns its
-# whole budget on a cyclotomic field corner it cannot split (item 1).
+# five products, over QQ, GF(2), GF(3) and GF(5).
 _GRID_GROUPS = tuple((n,) for n in range(2, 16)) + ((2, 2), (2, 4), (3, 3), (2, 6), (4, 4))
-_GRID_SLOW_OVER_QQ = ((11,), (13,), (14,), (15,))
 _BASIS_ROUTE_INPUTS = (
     [(e.key, e.algebra) for e in corpus("standard")]
-    + [
-        (f"nsy n={n} l={l} m={list(m)} gf101", nsy_algebra(n, l, m, Field(101)).algebra)
-        for n, l in STANDARD_NSY_SHAPES
-        for m in product(range(1, 4), repeat=n)
-    ]
+    + _GFP_NSY
     + [
         (f"group {list(factors)} {field}", group_algebra(factors, field))
         for field in (QQ, Field(2), Field(3), Field(5))
         for factors in _GRID_GROUPS
-        if field.p or factors not in _GRID_SLOW_OVER_QQ
     ]
     # the one sweep-gfp group algebra outside the grid
     + [(f"group [2, 2, 2] {Field(p)}", group_algebra((2, 2, 2), Field(p))) for p in (2, 3)]
