@@ -10,14 +10,17 @@ one Peirce decomposition.  Copy indices are 1-based, matching the subset
 data S(i) in {1..m(i)} x {1..m(nu^-1 i)}.  The spreading operation
 takes the corner blocks of an invariant basic tensor, cut once per
 context by `frobenius.tensor_blocks`, and only distributes each block
-over copies according to S(i).  Counitality and the dimension of the
-counit solution space are decided in Lambda from the ranks of the
-incidence matrices of S (`counit_from_incidence`, proved once per
-context by `certify_family`).  Two independent routes stay beside it:
-the direct counit construction for bijection graphs, and the linear
-feasibility oracle on the spread tensor, which the report runs only
-where it prints the oracle's solution and the verify battery runs on
-every swept spec.
+over copies according to S(i).  `spread` is the model-side definition:
+the pipeline spreads the whole copy box once per context and sums, per
+S, the transported pieces of its pairs (`pipeline.PipelineContext`),
+and the verify battery's reference routes spread S itself.  Counitality
+and the dimension of the counit solution space are decided in Lambda
+from the ranks of the incidence matrices of S (`counit_from_incidence`,
+proved once per context by `certify_family`).  Two independent routes
+stay beside it: the direct counit construction for bijection graphs,
+and the linear feasibility oracle on the spread tensor, which the report
+runs only where it prints the oracle's solution and the verify battery
+runs on every swept spec.
 """
 
 from __future__ import annotations
@@ -190,7 +193,10 @@ def spread(amp: AmplifiedAlgebra, blocks: dict, spec: SpreadSpec, nak: NakayamaD
     corner(j<-i), the output holds phi^{t<-s} (x) psi^{s'<-t} over
     t = 1..m(j) and (s, s') in S(i).  Each coefficient is written once:
     (block, t, (s, s'), (b1, b2)) is read back off the two model basis
-    tuples (i, j, s, t, b1) and (j, u, t, s', b2).  The result is
+    tuples (i, j, s, t, b1) and (j, u, t, s', b2).  So x_S is the sum,
+    over (i, (s, s')) in S, of the spreads of the single pairs, with
+    disjoint supports: `pipeline.prepare` splits the spread of the whole
+    box by (i, s, s') into those pieces once per context.  The result is
     invariant in the amplified bimodule when y is invariant in the basic
     one (see `certify_family`).
     """

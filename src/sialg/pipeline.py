@@ -1,9 +1,14 @@
-"""End-to-end pipeline: analyze, build the amplified model, spread, transport.
+"""End-to-end pipeline: analyze, build the amplified model, transport the
+copy pieces of the spread once, and sum the pieces each subset datum chooses.
 
 Real inputs arrive in arbitrary bases, so the spread tensor is built on
 the amplified model End(P_1^m1 + ...) over the basic corner algebra and
 then carried back along an explicit isomorphism assembled from the
-projective-copy witnesses.  Before use the map is verified to be a
+projective-copy witnesses.  The spread is linear in the indicator of S
+and the map is linear, so `prepare` spreads the whole copy box once,
+splits it into one piece per class i and copy pair (s, s'), and carries
+each piece back; `run_spec` sums the pieces in S (the proof is in
+`PipelineContext`).  Before use the map is verified to be a
 unital algebra isomorphism: it keeps the unit, it is bijective, and
 phi(a) phi(b) = phi(ab) on every basis pair, with the products taken in
 the input algebra and only the nonzero ones on either side compared.
@@ -39,6 +44,7 @@ from .amplify import (
     spread,
 )
 from .errors import AlgebraError, BadBlockSupport, SingularMatrix
+from .fields import narrow
 from .frobenius import FrobeniusPair, frobenius_pair, tensor_blocks
 from .linalg import Matrix
 from .structure import (
@@ -223,12 +229,15 @@ class ModelIsomorphism:
 
     def apply_tensor2(self, x: Tensor2) -> Tensor2:
         p = self.alg.field.p
+        images = self.images
         out: dict = {}
         for (a, b), c in x.coeffs.items():
-            for k1, c1 in self.images[a].coeffs.items():
-                for k2, c2 in self.images[b].coeffs.items():
+            right = images[b].coeffs.items()
+            for k1, c1 in images[a].coeffs.items():
+                cc = c * c1
+                for k2, c2 in right:
                     key = (k1, k2)
-                    w = out.get(key, 0) + c * c1 * c2
+                    w = out.get(key, 0) + cc * c2
                     if p:
                         w %= p
                     if w:
@@ -252,12 +261,25 @@ class PipelineContext:
     """Everything spec-independent: reusable across subset-data sweeps.
     The model and its map are `analysis.amp` and `analysis.model_map`;
     `blocks` are the corner blocks of `pair.y` that `tensor_blocks` cut,
-    and `certified` is `certify_family(pair.y)`."""
+    and `certified` is `certify_family(pair.y)`.
+
+    `pieces` maps each pair (i, (s, s')) of the copy boxes to the
+    transported piece X_{i,s,s'} = (phi (x) phi)(x_{i,s,s'}), a zero-free
+    {(k1, k2): c} in the input's basis, where x_{i,s,s'} is the spread of
+    the one pair (s, s') in class i.  Proof that x_S = sum of the pieces
+    over (i, (s, s')) in S: the model spread writes each coefficient of
+    x_S at the pair of model basis tuples (i, j, s, t, b1) and
+    (j, u, t, s', b2), read back from that key alone, so the spreads of
+    distinct pairs have disjoint supports and the spread of S is their
+    sum; phi (x) phi is linear, so the transported x_S is the sum of the
+    transported pieces.  `_transported_pieces` builds them once, from one
+    spread of the whole box split by (i, s, s')."""
 
     analysis: AnalysisResult
     pair: FrobeniusPair
     blocks: dict
     certified: bool
+    pieces: dict
 
 
 @dataclass
@@ -277,20 +299,51 @@ class PipelineRun:
         }
 
 
+def _transported_pieces(analysis: AnalysisResult, blocks: dict) -> dict:
+    """{(i, (s, s')): X_{i,s,s'}}: one spread of the whole copy box, split
+    by the class and source copy s of leg 1's model tuple and the target
+    copy s' of leg 2's, each part carried to the input by the model map
+    (see `PipelineContext`), with its scalars in the field's normal form."""
+    amp, nak = analysis.amp, analysis.nak
+    tuples = amp.tuples
+    full = spread(amp, blocks, preset_spec("full", amp.m, nak), nak)
+    parts: dict = {}
+    for k, c in full.coeffs.items():
+        i, _, s, _, _ = tuples[k[0]]
+        parts.setdefault((i, (s, tuples[k[1]][3])), {})[k] = c
+    rational = analysis.algebra.field.p is None
+    pieces = {}
+    for key, part in parts.items():
+        piece = analysis.model_map.apply_tensor2(Tensor2(amp.algebra, part)).coeffs
+        # over GF(p) apply_tensor2 leaves residues; over QQ an integral
+        # Fraction is stored as its int
+        pieces[key] = {k: narrow(c) for k, c in piece.items()} if rational else piece
+    return pieces
+
+
 def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED):
     """The spec-independent context; y is cut into its corner blocks here,
-    once, and `BadBlockSupport` names the lowest block off its support."""
+    once, and `BadBlockSupport` names the lowest block off its support.
+    The transported pieces of the spread are built here too, once."""
     analysis = analyze(alg, seed)
     pair = frobenius_pair(analysis.corners, analysis.nak, seed)
     blocks, witness = tensor_blocks(analysis.corners, pair.y, analysis.nak)
     if witness is not None:
         j, i, u, v = witness
         raise BadBlockSupport(f"tensor has a component in corners ({j}<-{i}) (x) ({u}<-{v})")
-    return PipelineContext(analysis, pair, blocks, certify_family(pair.y))
+    pieces = _transported_pieces(analysis, blocks)
+    return PipelineContext(analysis, pair, blocks, certify_family(pair.y), pieces)
 
 
 def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     """Spread one choice of subset data, transport it and report.
+
+    The transported tensor x is the sum of the pieces X_{i,s,s'} over
+    (i, (s, s')) in S, built once by `prepare` (the linearity proof is in
+    `PipelineContext`).  S is validated first, so a pair outside its box
+    raises `IndexOutOfRange` as the spread would.  The sum is exact: a
+    scalar shared by two pieces is added in the field's normal form, and
+    a key whose sum is 0 is dropped, so x is zero-free.
 
     When the context is certified and every S(i) is nonempty, the report
     takes invariance, coassociativity and injectivity from
@@ -309,7 +362,22 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     m, nak = analysis.dec.multiplicities, analysis.nak
     if isinstance(spec, str):
         spec = preset_spec(spec, m, nak)
-    x = model_map.apply_tensor2(spread(amp, ctx.blocks, spec, nak))
+    spec.validate(m, nak)
+    alg = analysis.algebra
+    norm = alg.field.normal
+    pieces = ctx.pieces
+    coeffs: dict = {}
+    for i, pairs in enumerate(spec.classes):
+        for pair in pairs:
+            for key, c in pieces[(i, pair)].items():
+                old = coeffs.get(key)
+                if old is None:
+                    coeffs[key] = c
+                elif w := norm(old + c):
+                    coeffs[key] = w
+                else:
+                    del coeffs[key]
+    x = Tensor2(alg, coeffs)
     flags = is_bijection_graph(spec, m, nak)
     built = None
     if all(flags):
@@ -317,6 +385,5 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
         built = model_map.transport_functional(built_model)
     certified = ctx.certified and all(spec.classes)
     counit = counit_from_incidence(analysis.corners, m, nak, spec) if ctx.certified else None
-    report = comultiplication_report(analysis.algebra, x, flags, built, certified, counit=counit)
+    report = comultiplication_report(alg, x, flags, built, certified, counit=counit)
     return PipelineRun(ctx, spec, x, report)
-

@@ -73,6 +73,8 @@ class PeirceCorners:
     a build makes n + 1 walks, O(d n) products of elements, and no
     `multiply` call.  Components are in corner coordinates, the indices
     into `bases[(j, i)]`; they and `one_sided` need reps that sum to 1.
+    The inverse of the stacked corner bases is computed on the first
+    `_components` call and kept: the bases never change after the build.
     """
 
     def __init__(self, alg: FinDimAlgebra, reps):
@@ -80,6 +82,7 @@ class PeirceCorners:
         self.reps = reps
         self.spans: dict = {}
         self.bases: dict = {}
+        self._inverse = None
         field = alg.field
         rep_vectors = [e.coeffs for e in reps]
         basis = [{t: field.one} for t in range(alg.dim)]
@@ -132,12 +135,14 @@ class PeirceCorners:
         j-major corner order and b order.  With the reps summing to 1, A
         is the direct sum of the corners, so the stacked corner bases are
         the rows of an invertible B, and the coordinates of v in them are
-        v B^-1, from one `Matrix.inverse` per call."""
+        v B^-1, from one `Matrix.inverse` per object."""
         self.require_sum_one()
         alg = self.alg
         slots = [(key, b) for key, basis in self.bases.items() for b in range(len(basis))]
-        stacked = (q.coeffs for basis in self.bases.values() for q in basis)
-        inverse = Matrix(alg.field, stacked, alg.dim).inverse().rows
+        if self._inverse is None:
+            stacked = (q.coeffs for basis in self.bases.values() for q in basis)
+            self._inverse = Matrix(alg.field, stacked, alg.dim).inverse().rows
+        inverse = self._inverse
         norm = alg.field.normal
         out = []
         for v in vectors:
@@ -577,25 +582,29 @@ def nakayama(corners: PeirceCorners, rad: RadicalData) -> NakayamaData:
 
     Requires each socle soc(e_i A) to be concentrated in exactly one
     class (right multiplication by the reps); otherwise the input is
-    rejected as not self-injective-like.
+    rejected as not self-injective-like.  A socle element s lies in e_i A
+    and the reps are orthogonal, so s e_k = e_i s e_k is the component of
+    s in corner (i, k) (`amplify` checks the reps orthogonal before
+    `analyze` returns): the classes a socle meets are read off the corner
+    components of every socle element, found in one batch.
     """
     alg, reps = corners.alg, corners.reps
-    nu = []
     socles = []
     for i in range(len(reps)):
         soc = annihilator(alg, corners.one_sided(i, True), [], rad.basis)
         if not soc:
             raise NotSelfInjectiveLike(f"socle of projective class {i} is zero")
-        hits = set()
-        for k, ek in enumerate(reps):
-            if any(multiply(s, ek).coeffs for s in soc):
-                hits.add(k)
+        socles.append(soc)
+    comps = corners._components([s.coeffs for soc in socles for s in soc])
+    nu, start = [], 0
+    for i, soc in enumerate(socles):
+        hits = {k for comp in comps[start:start + len(soc)] for _, k in comp}
+        start += len(soc)
         if len(hits) != 1:
             raise NotSelfInjectiveLike(
                 f"socle of projective class {i} meets classes {sorted(hits)}"
             )
         nu.append(hits.pop())
-        socles.append(soc)
     if sorted(nu) != list(range(len(reps))):
         raise NotSelfInjectiveLike(f"socle pattern {nu} is not a permutation")
     return NakayamaData(tuple(nu), socles)

@@ -28,8 +28,11 @@ corner basis vectors, so comparing against it checks
 ``PeirceCorners.copy_algebra`` at every multiplicity 1.  ``one_sided_reference`` spans e A or A e by
 one ``multiply`` call per basis element, so comparing against it checks
 ``PeirceCorners.one_sided``, and ``nakayama_reference`` reads the socles
-and the permutation off those spans, so comparing against it checks
-``nakayama``.  ``project_reference`` reduces an element modulo the
+off those spans, or off the ones ``one_sided`` gives, and the
+permutation by one ``multiply`` call per (socle element, class), so
+comparing against it checks ``nakayama``, which reads the classes a
+socle meets off the corner components of its elements.
+``project_reference`` reduces an element modulo the
 radical's span and reindexes it on the quotient's complement, so
 comparing against it checks that the class grouping reads the quotient
 idempotents the lifts came from.  ``frobenius_pair_reference`` takes
@@ -572,18 +575,24 @@ def paired_reference(qalg, eu, ev):
     return any(multiply(multiply(eu, b), ev).coeffs for b in qalg.basis())
 
 
-def nakayama_reference(alg, reps, rad):
-    """(nu, socles) for a basic algebra with one rep per class: soc(e_i A)
-    is the right annihilator of the radical in the reference span of e_i A,
-    and nu(i) the one class k with soc(e_i A) e_k != 0."""
+def nakayama_reference(alg, reps, rad, projectives):
+    """(nu, socles) for a basic algebra with one rep per class, from a
+    basis of each e_i A in `projectives`: soc(e_i A) is the right
+    annihilator of the radical in it, and nu(i) the one class k with
+    soc(e_i A) e_k != 0, found by one `multiply(s, e_k)` per (socle
+    element, class).  It refuses as `nakayama` does, with its messages."""
     nu, socles = [], []
-    for i, rep in enumerate(reps):
-        soc = annihilator(alg, one_sided_reference(alg, rep, True), [], rad.basis)
+    for i, basis in enumerate(projectives):
+        soc = annihilator(alg, basis, [], rad.basis)
+        if not soc:
+            raise NotSelfInjectiveLike(f"socle of projective class {i} is zero")
         hits = [k for k, ek in enumerate(reps) if any(multiply(s, ek).coeffs for s in soc)]
         if len(hits) != 1:
-            raise NotSelfInjectiveLike(f"socle of class {i} meets classes {hits}")
+            raise NotSelfInjectiveLike(f"socle of projective class {i} meets classes {hits}")
         nu.append(hits[0])
         socles.append(soc)
+    if sorted(nu) != list(range(len(reps))):
+        raise NotSelfInjectiveLike(f"socle pattern {nu} is not a permutation")
     return tuple(nu), socles
 
 

@@ -20,8 +20,15 @@ from sialg.amplify import (
     is_bijection_graph,
     is_incidence_invertible,
     preset_spec,
+    spread,
 )
-from sialg.errors import AlgebraError, InvalidAlgebra, NotSelfInjectiveLike, UnsupportedField
+from sialg.errors import (
+    AlgebraError,
+    IndexOutOfRange,
+    InvalidAlgebra,
+    NotSelfInjectiveLike,
+    UnsupportedField,
+)
 from sialg.families import (
     STANDARD_NSY_SHAPES,
     corpus,
@@ -878,3 +885,106 @@ def test_failed_certificate_runs_the_oracle_on_every_spec(monkeypatch):
         run = run_spec(ctx, spec)
         assert [x is run.x for x in calls] == [True], spec
         calls.clear()
+
+
+# -- the transported pieces against the spread on the model ----------------------
+
+
+def _reference_run(ctx, spec):
+    """(x, report) with x = (phi (x) phi)(spread of S on the model), and
+    the report `run_spec` asks for, taken on that x."""
+    an = ctx.analysis
+    m, nak = an.dec.multiplicities, an.nak
+    x = an.model_map.apply_tensor2(spread(an.amp, ctx.blocks, spec, nak))
+    flags = is_bijection_graph(spec, m, nak)
+    built = None
+    if all(flags):
+        eps = build_counit(an.amp, spec, nak, ctx.pair.epsilon)
+        built = an.model_map.transport_functional(eps)
+    certified = ctx.certified and all(spec.classes)
+    counit = counit_from_incidence(an.corners, m, nak, spec) if ctx.certified else None
+    return x, comultiplication_report(an.algebra, x, flags, built, certified, counit=counit)
+
+
+def _normal_form(field, c):
+    """c is nonzero and stored as `field.normal` stores it: an int in
+    range(p) over GF(p), an int for an integral rational."""
+    n = field.normal(c)
+    return c != 0 and type(c) is type(n) and c == n
+
+
+def _check_pieces(ctx, specs):
+    """run_spec's x and report equal those on the spread of S transported
+    whole, for every spec; returns the runs."""
+    field = ctx.analysis.algebra.field
+    runs = []
+    for name, spec in specs:
+        run = run_spec(ctx, spec)
+        x, report = _reference_run(ctx, spec)
+        assert run.x.coeffs == x.coeffs, name
+        assert all(_normal_form(field, c) for c in run.x.coeffs.values()), name
+        assert run.report.to_json() == report.to_json(), name
+        runs.append(run)
+    return runs
+
+
+def _with_empty_classes(ctx, rng):
+    """3 seeded specs, each with one class emptied."""
+    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    return [
+        (f"emptied{t}", _emptied(SpreadSpec.random_nonempty(m, nak, rng), rng))
+        for t in range(3)
+    ]
+
+
+def test_pieces_sum_to_the_transported_spread_on_standard_corpus():
+    # every subset datum `sialg verify --profile standard` sweeps, and 3
+    # seeded ones with an empty class, whose reports come from the direct
+    # checks on x, witnesses included
+    cache = CorpusCache("standard")
+    runs = 0
+    for idx, entry in cache.items():
+        ctx, specs = _spec_sweep(cache, idx)
+        specs += _with_empty_classes(ctx, random.Random(idx))
+        injective = [run.report.injective for run in _check_pieces(ctx, specs)]
+        assert injective == [True] * 13 + [False] * 3, entry.key
+        runs += len(specs)
+    assert runs == 86 * 16
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for _, alg in _INVERTED[86:]], ids=[key for key, _ in _INVERTED[86:]]
+)
+def test_pieces_sum_to_the_transported_spread_on_gfp_group_algebras(alg):
+    ctx = prepare(alg)
+    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    rng = random.Random(alg.dim)
+    specs = [(name, preset_spec(name, m, nak)) for name in PRESETS]
+    specs += [(f"random{t}", SpreadSpec.random_nonempty(m, nak, rng)) for t in range(10)]
+    specs += _with_empty_classes(ctx, rng)
+    injective = [run.report.injective for run in _check_pieces(ctx, specs)]
+    assert injective == [True] * 13 + [False] * 3
+
+
+def test_pieces_hold_the_nonzeros_of_the_full_spread():
+    # on nsy(2,2,(2,3)) no two pieces share a key, so the pieces hold
+    # exactly the nonzeros of the full preset, each in one piece
+    ctx = prepare(nsy_algebra(2, 2, (2, 3)).algebra)
+    m, nak = ctx.analysis.dec.multiplicities, ctx.analysis.nak
+    x, _ = _reference_run(ctx, preset_spec("full", m, nak))
+    keys = [k for piece in ctx.pieces.values() for k in piece]
+    assert len(keys) == len(set(keys)) == len(x.coeffs)
+    assert set(keys) == x.coeffs.keys()
+
+
+def test_run_spec_refuses_a_pair_outside_its_box_as_the_spread_does():
+    ctx = prepare(nsy_algebra(2, 2, (1, 2)).algebra)
+    an = ctx.analysis
+    bad = SpreadSpec((frozenset({(1, 1)}), frozenset({(1, 1), (3, 1)})))
+    with pytest.raises(IndexOutOfRange) as from_run:
+        run_spec(ctx, bad)
+    with pytest.raises(IndexOutOfRange) as from_spread:
+        spread(an.amp, ctx.blocks, bad, an.nak)
+    assert str(from_run.value) == str(from_spread.value) == (
+        "pair (3,1) outside 1..2 x 1..1 for class 2"
+    )

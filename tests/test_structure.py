@@ -5,7 +5,7 @@ import pytest
 
 import dense_reference as dense
 from sialg import structure
-from sialg.algebra import combination, multiply, permute_basis
+from sialg.algebra import FinDimAlgebra, combination, multiply, permute_basis
 from sialg.amplify import amplify, lift
 from sialg.errors import (
     AlgebraError,
@@ -758,9 +758,57 @@ def test_one_sided_and_nakayama_match_reference():
                 assert _rows(corners.one_sided(i, left)) == _rows(
                     dense.one_sided_reference(lam, rep, left)
                 ), (key, i, left)
-        nu, socles = dense.nakayama_reference(lam, corners.reps, radical(lam))
+        projectives = [dense.one_sided_reference(lam, rep, True) for rep in corners.reps]
+        nu, socles = dense.nakayama_reference(lam, corners.reps, radical(lam), projectives)
         assert a.nak.nu == nu, key
         assert [_rows(soc) for soc in a.nak.socles] == [_rows(soc) for soc in socles], key
+
+
+def _nakayama_reference(corners, rad):
+    """`dense.nakayama_reference` on the projectives `one_sided` gives."""
+    projectives = [corners.one_sided(i, True) for i in range(len(corners.reps))]
+    return dense.nakayama_reference(corners.alg, corners.reps, rad, projectives)
+
+
+# the standard corpus, the sweep-gfp group algebras, and GF(5)[C4 x C4]
+# with one class per basis element
+_NAKAYAMA_INPUTS = _DECOMPOSED + [("group [4, 4] gf5", group_algebra((4, 4), Field(5)))]
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for _, alg in _NAKAYAMA_INPUTS], ids=[key for key, _ in _NAKAYAMA_INPUTS]
+)
+def test_nakayama_matches_the_per_class_loop(alg):
+    # the classes each socle meets, read off the corner components of its
+    # elements, give the permutation and socles of one multiply per (socle
+    # element, class)
+    a = analyze(alg)
+    nu, socles = _nakayama_reference(a.corners, radical(a.lam))
+    assert a.nak.nu == nu
+    assert [_rows(soc) for soc in a.nak.socles] == [_rows(soc) for soc in socles]
+
+
+def _two_arrows_out():
+    """The path algebra of 1 -> 2, 1 -> 3: soc(e_1 A) holds both arrows,
+    so it meets classes 2 and 3."""
+    structure = [
+        (0, 0, 0, 1), (1, 1, 1, 1), (2, 2, 2, 1),
+        (0, 3, 3, 1), (3, 1, 3, 1), (0, 4, 4, 1), (4, 2, 4, 1),
+    ]
+    return FinDimAlgebra(QQ, ["e1", "e2", "e3", "a", "b"], structure, [1, 1, 1, 0, 0])
+
+
+@pytest.mark.parametrize("make, message", [
+    (path_algebra_a2, "socle pattern [1, 1] is not a permutation"),
+    (_two_arrows_out, "socle of projective class 0 meets classes [1, 2]"),
+], ids=["a2", "two-arrows-out"])
+def test_nakayama_refuses_as_the_per_class_loop(make, message):
+    corners, rad = _corners_and_rad(make())
+    with pytest.raises(NotSelfInjectiveLike) as batched:
+        nakayama(corners, rad)
+    with pytest.raises(NotSelfInjectiveLike) as looped:
+        _nakayama_reference(corners, rad)
+    assert str(batched.value) == str(looped.value) == message
 
 
 def test_one_sided_needs_reps_summing_to_one():
