@@ -12,7 +12,6 @@ from .algebra import (
     Functional,
     Tensor2,
     act_left,
-    act_right,
     apply_functional,
     check_associativity,
     check_coassociativity,
@@ -35,7 +34,6 @@ from .amplify import (
     counit_solution_space,
     is_bijection_graph,
     is_incidence_invertible,
-    lift,
     preset_spec,
     spread,
 )

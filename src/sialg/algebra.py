@@ -88,9 +88,6 @@ class FinDimAlgebra:
     def basis_element(self, i: int) -> "Element":
         return Element(self, {i: self.field.one})
 
-    def basis(self):
-        return [self.basis_element(i) for i in range(self.dim)]
-
     def element(self, coeffs) -> "Element":
         if isinstance(coeffs, dict):
             items = coeffs.items()
@@ -104,16 +101,6 @@ class FinDimAlgebra:
                     raise BadParams(f"coefficient index {i} out of range")
                 out[i] = c
         return Element(self, out)
-
-    def tensor2(self, coeffs) -> "Tensor2":
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        out = {}
-        for key, c in items:
-            a, b = key
-            c = self.field(c)
-            if c:
-                _accum(out, (a, b), c, self.field.p)
-        return Tensor2(self, out)
 
     def is_commutative(self) -> bool:
         rows = self.rows
@@ -167,21 +154,13 @@ class FinDimAlgebra:
             raise BadParams(f"malformed algebra JSON: {exc}") from exc
         return cls(field, labels, structure, unit)
 
-    def structure_equal(self, other: "FinDimAlgebra") -> bool:
-        """Same field, dimension, products and unit (labels ignored)."""
-        return (
-            self.field == other.field
-            and self.dim == other.dim
-            and self.rows == other.rows
-            and self._unit_coeffs == other._unit_coeffs
-        )
-
     def __repr__(self):
         return f"FinDimAlgebra(dim={self.dim}, field={self.field!r})"
 
 
 class Element:
-    """Sparse algebra element; supports +, -, * (product or scalar)."""
+    """Sparse algebra element; supports + and -, with products by
+    `multiply` and scalar multiples by `scaled`."""
 
     __slots__ = ("algebra", "coeffs")
 
@@ -192,12 +171,6 @@ class Element:
     def _check(self, other):
         if not self.algebra.same_space(other.algebra):
             raise DimensionMismatch("elements of different algebras")
-
-    def coefficient(self, i: int):
-        return self.coeffs.get(i, self.algebra.field.zero)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def dense(self) -> tuple:
         z = self.algebra.field.zero
@@ -227,10 +200,6 @@ class Element:
             _accum(out, i, -c, p)
         return Element(self.algebra, out)
 
-    def __neg__(self):
-        norm = self.algebra.field.normal
-        return Element(self.algebra, {i: norm(-c) for i, c in self.coeffs.items()})
-
     def scaled(self, c):
         field = self.algebra.field
         c, p = field(c), field.p
@@ -239,14 +208,6 @@ class Element:
         return Element(
             self.algebra, {i: v * c % p if p else v * c for i, v in self.coeffs.items()}
         )
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            return multiply(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
 
     def __repr__(self):
         if not self.coeffs:
@@ -315,9 +276,6 @@ class Tensor2:
         self.coeffs = coeffs
         self._delta = None
         self._legs = None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def legs(self) -> tuple:
         """(by_left, by_right): the terms c u_alpha (x) v_beta grouped by
@@ -549,20 +507,6 @@ def right_images(t: Tensor2) -> list:
                     else:
                         out.pop(key, None)
     return images
-
-
-def act_right(t: Tensor2, a: Element) -> Tensor2:
-    """(u (x) v) . a = u (x) (v a), extended bilinearly: the combination
-    sum_j a_j (t . b_j) of the right images."""
-    if not a.algebra.same_space(t.algebra):
-        raise DimensionMismatch("action across algebras")
-    images = right_images(t)
-    p = t.algebra.field.p
-    out: dict = {}
-    for j, ca in a.coeffs.items():
-        for key, c in images[j].items():
-            _accum(out, key, c * ca, p)
-    return Tensor2(t.algebra, out)
 
 
 def is_invariant(t: Tensor2):

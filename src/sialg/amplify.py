@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass
 
 from .algebra import (
-    Element,
     FinDimAlgebra,
     Functional,
     Tensor2,
@@ -41,7 +40,6 @@ from .algebra import (
 from .errors import (
     AlgebraError,
     BadParams,
-    BlockMismatch,
     IndexOutOfRange,
     NotBijection,
 )
@@ -55,6 +53,11 @@ class AmplifiedAlgebra:
 
     dim = sum over class pairs (i, j) of m(i) * m(j) * dim(corner j<-i);
     the product composes morphisms through a matching inner copy index.
+    `index` maps each basis tuple (i, j, s, t, b) to its position.  The
+    corner basis index b runs innermost, so index[(i, j, s, t, b)] is
+    index[(i, j, s, t, 0)] + b: the tuples of one (corner, s, t) are
+    contiguous, and `spread` looks up one offset per leg for each block,
+    t and copy pair.
     The reps must be orthogonal idempotents summing to 1, the premises
     under which the model is a matrix-unit algebra over the corners (see
     `pipeline.ModelIsomorphism`); both are checked here.
@@ -74,21 +77,6 @@ class AmplifiedAlgebra:
 
 def amplify(corners: PeirceCorners, m) -> AmplifiedAlgebra:
     return AmplifiedAlgebra(corners, m)
-
-
-def lift(amp: AmplifiedAlgebra, phi: Element, s: int, t: int) -> Element:
-    """Copy-placement of a single-corner element phi of the base algebra."""
-    comps = amp.corners.components(phi)
-    if not comps:
-        return amp.algebra.zero()
-    if len(comps) > 1:
-        raise BlockMismatch("element meets several Peirce corners")
-    [((j, i), coords)] = comps.items()
-    if not (1 <= s <= amp.m[i]) or not (1 <= t <= amp.m[j]):
-        raise IndexOutOfRange(
-            f"copy indices ({s},{t}) outside 1..{amp.m[i]} x 1..{amp.m[j]}"
-        )
-    return Element(amp.algebra, {amp.index[(i, j, s, t, b)]: c for b, c in coords.items()})
 
 
 # -- subset data ----------------------------------------------------------------
@@ -193,7 +181,9 @@ def spread(amp: AmplifiedAlgebra, blocks: dict, spec: SpreadSpec, nak: NakayamaD
     corner(j<-i), the output holds phi^{t<-s} (x) psi^{s'<-t} over
     t = 1..m(j) and (s, s') in S(i).  Each coefficient is written once:
     (block, t, (s, s'), (b1, b2)) is read back off the two model basis
-    tuples (i, j, s, t, b1) and (j, u, t, s', b2).  So x_S is the sum,
+    tuples (i, j, s, t, b1) and (j, u, t, s', b2), whose positions are
+    the offsets of (i, j, s, t, 0) and (j, u, t, s', 0) plus b1 and b2
+    (see `AmplifiedAlgebra`).  So x_S is the sum,
     over (i, (s, s')) in S, of the spreads of the single pairs, with
     disjoint supports: `pipeline.prepare` splits the spread of the whole
     box by (i, s, s') into those pieces once per context.  The result is
@@ -206,8 +196,9 @@ def spread(amp: AmplifiedAlgebra, blocks: dict, spec: SpreadSpec, nak: NakayamaD
     for (j, i, u, _), grid in blocks.items():
         for t in range(1, amp.m[j] + 1):
             for s, s2 in spec.classes[i]:
+                o1, o2 = index[(i, j, s, t, 0)], index[(j, u, t, s2, 0)]
                 for (b1, b2), c in grid.items():
-                    coeffs[(index[(i, j, s, t, b1)], index[(j, u, t, s2, b2)])] = c
+                    coeffs[(o1 + b1, o2 + b2)] = c
     return Tensor2(amp.algebra, coeffs)
 
 

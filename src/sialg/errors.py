@@ -50,10 +50,6 @@ class NotBasic(AlgebraError):
     """Operation requires a decomposition with all multiplicities one."""
 
 
-class BlockMismatch(AlgebraError):
-    """Element is not supported in a single Peirce corner."""
-
-
 class IndexOutOfRange(AlgebraError):
     """Copy index outside the multiplicity range."""
 

@@ -120,10 +120,6 @@ class Field:
         self.zero = 0
         self.one = 1
 
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
     def __call__(self, n):
         """Coerce an int, Fraction or Fp into this field."""
         p = self.p

@@ -188,18 +188,6 @@ class FrobeniusPairReport:
             and self.small_ok
         )
 
-    def to_json(self):
-        return {
-            "invariant": self.invariant,
-            "counital": self.counital,
-            "counit_support": self.support_ok,
-            "counit_support_witness": self.support_witness,
-            "tensor_block_support": self.block_ok,
-            "tensor_block_witness": self.block_witness,
-            "small_space_nondegenerate": self.small_ok,
-            "small_space_witness": self.small_witness,
-        }
-
 
 def verify_frobenius_pair(
     corners: PeirceCorners, pair: FrobeniusPair, nak: NakayamaData

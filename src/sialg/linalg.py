@@ -137,9 +137,6 @@ class Span:
                     row.pop(k, None)
         return row
 
-    def contains(self, coeffs: dict) -> bool:
-        return not self.reduce(coeffs)
-
     def coordinates(self, coeffs: dict):
         """Coordinates w.r.t. the echelon basis, or None if outside the span.
 

@@ -40,15 +40,6 @@ def degree(f) -> int:
     return len(f) - 1
 
 
-def add(field, f, g) -> tuple:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = out[i] + c
-    return normalize(field, out)
-
-
 def sub(field, f, g) -> tuple:
     out = list(f) + [c * 0 for c in g[len(f):]]
     for i, c in enumerate(g):
@@ -186,7 +177,7 @@ def _equal_degree_split(field: Field, f, d: int, rng) -> list:
             b = a
             for _ in range(d - 1):
                 b = pow_mod(field, b, 2, f)
-                t = add(field, t, b)
+                t = sub(field, t, b)  # t + b: -b = b in characteristic 2
             h = gcd(field, t, f)
         else:
             b = pow_mod(field, a, (p**d - 1) // 2, f)

@@ -74,7 +74,7 @@ class PeirceCorners:
     `multiply` call.  Components are in corner coordinates, the indices
     into `bases[(j, i)]`; they and `one_sided` need reps that sum to 1.
     The inverse of the stacked corner bases is computed on the first
-    `_components` call and kept: the bases never change after the build.
+    `components` call and kept: the bases never change after the build.
     """
 
     def __init__(self, alg: FinDimAlgebra, reps):
@@ -130,12 +130,13 @@ class PeirceCorners:
             raise AlgebraError(f"element left its Peirce corner {corner}")
         return coords
 
-    def _components(self, vectors) -> list:
-        """Per v in `vectors`, the nonzero components {(j, i): {b: c}}, in
-        j-major corner order and b order.  With the reps summing to 1, A
-        is the direct sum of the corners, so the stacked corner bases are
-        the rows of an invertible B, and the coordinates of v in them are
-        v B^-1, from one `Matrix.inverse` per object."""
+    def components(self, vectors) -> list:
+        """Per coefficient dict v in `vectors`, the nonzero components
+        {(j, i): {b: c}} of e_j v e_i, in j-major corner order and b
+        order.  With the reps summing to 1, A is the direct sum of the
+        corners, so the stacked corner bases are the rows of an invertible
+        B, and the coordinates of v in them are v B^-1, from one
+        `Matrix.inverse` per object."""
         self.require_sum_one()
         alg = self.alg
         slots = [(key, b) for key, basis in self.bases.items() for b in range(len(basis))]
@@ -159,17 +160,13 @@ class PeirceCorners:
             out.append(comps)
         return out
 
-    def components(self, a: Element) -> dict:
-        """Nonzero corner components {(j, i): {b: c}} of e_j a e_i."""
-        return self._components([a.coeffs])[0]
-
     def tensor_components(self, y: Tensor2) -> dict:
         """Nonzero Peirce components of y: {(j, i, u, v): {(b1, b2): c}},
         the component in e_j A e_i (x) e_u A e_v in corner coordinates.
         The basis elements y meets are projected in one batch."""
         support = sorted({k for key in y.coeffs for k in key})
         one = self.alg.field.one
-        comps = dict(zip(support, self._components([{k: one} for k in support])))
+        comps = dict(zip(support, self.components([{k: one} for k in support])))
         p = self.alg.field.p
         out: dict = {}
         for (a, b), c in y.coeffs.items():
@@ -371,10 +368,6 @@ class CanonicalDecomposition:
 
     def all_idempotents(self) -> list:
         return [e for cls in self.classes for e in cls]
-
-    @property
-    def is_split_certified(self) -> bool:
-        return FLAG_SPLIT in self.flags
 
 
 def _split_once(qalg: FinDimAlgebra, e: Element, corner_elems: list, rng, budget: int):
@@ -595,7 +588,7 @@ def nakayama(corners: PeirceCorners, rad: RadicalData) -> NakayamaData:
         if not soc:
             raise NotSelfInjectiveLike(f"socle of projective class {i} is zero")
         socles.append(soc)
-    comps = corners._components([s.coeffs for soc in socles for s in soc])
+    comps = corners.components([s.coeffs for soc in socles for s in soc])
     nu, start = [], 0
     for i, soc in enumerate(socles):
         hits = {k for comp in comps[start:start + len(soc)] for _, k in comp}

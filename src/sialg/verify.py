@@ -330,8 +330,9 @@ def check_pair_support(cache: CorpusCache) -> CheckResult:
     the tensor block-support clause, and small-space nondegeneracy, on
     every basic corpus algebra.  Falsified: only the constructed pair is
     promised the support clauses, and units with off-diagonal corner
-    components move counit mass out of e_{nu^-1 i} L e_i; the statement
-    that does hold is `check_transported_pairs`."""
+    components move counit mass out of e_{nu^-1 i} L e_i.  The statement
+    that does hold, for transports by units of the diagonal corner sum,
+    is asserted by the acceptance tests."""
     failures = []
     pairs_checked = 0
     for idx, entry, ctx in _basic_contexts(cache):
@@ -354,53 +355,6 @@ def check_pair_support(cache: CorpusCache) -> CheckResult:
     )
 
 
-def check_transported_pairs(cache: CorpusCache) -> CheckResult:
-    """Transport statements that hold, on every basic corpus algebra.
-
-    Two seeded sequences start from the constructed pair, each with
-    TRANSPORTS_PER_ALGEBRA transports: by units of the diagonal corner sum
-    e_1 L e_1 + ... + e_n L e_n, where every clause of
-    `verify_frobenius_pair` (support clauses included) must keep holding;
-    and by arbitrary units, where the pair must stay genuine (invariant
-    tensor, both counit identities, nonzero on every small space).
-    """
-    failures = []
-    pairs_checked = 0
-    for idx, entry, ctx in _basic_contexts(cache):
-        corners = ctx.analysis.corners
-        lam = corners.alg
-        diag_rng = random.Random(cache.seed * 13 + idx)
-        any_rng = random.Random(cache.seed * 7 + idx)
-        sequences = (
-            (
-                "diagonal-corner",
-                lambda: _random_corner_diagonal_unit(corners, diag_rng),
-                lambda rep: rep.all_ok,
-            ),
-            (
-                "arbitrary",
-                lambda: _random_invertible(lam, any_rng),
-                lambda rep: rep.invariant and rep.counital and rep.small_ok,
-            ),
-        )
-        for label, draw, holds in sequences:
-            for t, b, rep in _transports(ctx, draw):
-                pairs_checked += 1
-                if not holds(rep):
-                    failures.append(
-                        f"{entry.key} {label} transport {t} by ({b}): "
-                        + ", ".join(f"{k}={v}" for k, v in rep.to_json().items())
-                    )
-                    break
-    return CheckResult(
-        "frobenius-pair-transports",
-        not failures,
-        f"{pairs_checked} pairs (constructed + two seeded transport sequences)"
-        " verified",
-        failures,
-    )
-
-
 def _random_invertible(lam, rng):
     field = lam.field
     while True:
@@ -409,19 +363,6 @@ def _random_invertible(lam, rng):
         )
         if cand.coeffs and is_unit(lam, cand):
             return cand
-
-
-def _random_corner_diagonal_unit(corners, rng):
-    """Random unit of the diagonal corner sum e_1 L e_1 + ... + e_n L e_n."""
-    lam = corners.alg
-    field = lam.field
-    while True:
-        b = lam.zero()
-        for rep in corners.reps:
-            r = lam.element({i: field.random(rng, -2, 2) for i in range(lam.dim)})
-            b = b + rep + (rep * r * rep).scaled(field.random(rng, -2, 2))
-        if is_unit(lam, b):
-            return b
 
 
 def check_nakayama_crosscheck(cache: CorpusCache) -> CheckResult:

@@ -32,6 +32,9 @@ off those spans, or off the ones ``one_sided`` gives, and the
 permutation by one ``multiply`` call per (socle element, class), so
 comparing against it checks ``nakayama``, which reads the classes a
 socle meets off the corner components of its elements.
+``spread_reference`` finds both model positions of every coefficient
+from their full basis tuples, so comparing against it checks that
+``spread`` may add the corner basis index to one offset per leg.
 ``project_reference`` reduces an element modulo the
 radical's span and reindexes it on the quotient's complement, so
 comparing against it checks that the class grouping reads the quotient
@@ -62,6 +65,13 @@ references read a structure constant one basis pair at a time, as
 ``rows[i].get(j, {})`` (the stored rows hold only the nonzero products),
 and never walk the rows as an index of nonzero pairs the way
 ``sialg.algebra`` does.
+
+The rest are helpers that only tests read: ``basis``, ``tensor2`` and
+``structure_equal`` build and compare test data; ``lift`` places a
+single-corner element on a copy pair of the amplified model, through
+``components_reference``; and ``check_transported_pairs`` asserts the
+transport statements that hold (acceptance criterion 6), drawing units
+of the diagonal corner sum with ``random_corner_diagonal_unit``.
 """
 
 import random
@@ -72,11 +82,18 @@ from sialg.algebra import (
     Element,
     FinDimAlgebra,
     Functional,
+    Tensor2,
     combination,
     minimal_polynomial,
     multiply,
 )
-from sialg.errors import AlgebraError, NotFrobenius, NotSelfInjectiveLike, WitnessNotFound
+from sialg.errors import (
+    AlgebraError,
+    IndexOutOfRange,
+    NotFrobenius,
+    NotSelfInjectiveLike,
+    WitnessNotFound,
+)
 from sialg.frobenius import COUNIT_RETRY_BUDGET, FrobeniusPair, dual_basis_tensor, gram_matrix
 from sialg.linalg import Span, sparse_rank, sparse_solve
 from sialg.structure import (
@@ -86,6 +103,12 @@ from sialg.structure import (
     RadicalData,
     _right_dual_intertwiners,
     annihilator,
+)
+from sialg.verify import (
+    CheckResult,
+    _basic_contexts,
+    _random_invertible,
+    _transports,
 )
 
 
@@ -229,7 +252,7 @@ class SpanReference:
 def left_multiplication(b):
     """Dense matrix of a -> b a; b is a unit exactly when it has full rank."""
     alg = b.algebra
-    cols = [(b * alg.basis_element(t)).coeffs for t in range(alg.dim)]
+    cols = [multiply(b, alg.basis_element(t)).coeffs for t in range(alg.dim)]
     return [[col.get(k, alg.field.zero) for col in cols] for k in range(alg.dim)]
 
 
@@ -280,6 +303,19 @@ def act_right(t, a):
     return out
 
 
+def spread_reference(amp, blocks, spec):
+    """Coefficients of `amplify.spread`, in its order, with both model
+    positions looked up from their full basis tuples per coefficient."""
+    index = amp.index
+    out = {}
+    for (j, i, u, _), grid in blocks.items():
+        for t in range(1, amp.m[j] + 1):
+            for s, s2 in spec.classes[i]:
+                for (b1, b2), c in grid.items():
+                    out[(index[(i, j, s, t, b1)], index[(j, u, t, s2, b2)])] = c
+    return out
+
+
 def radical_checks(alg, kernel):
     """(RadicalData, nilpotency index) of the span of `kernel`, checked by
     per-pair products to be a nilpotent two-sided ideal: every product of
@@ -310,9 +346,7 @@ def radical_checks(alg, kernel):
     for i in range(alg.dim):
         b = alg.basis_element(i)
         for r in basis:
-            if not span.contains(multiply(b, r).coeffs) or not span.contains(
-                multiply(r, b).coeffs
-            ):
+            if span.reduce(multiply(b, r).coeffs) or span.reduce(multiply(r, b).coeffs):
                 raise AlgebraError("radical candidate is not an ideal")
     return RadicalData(basis, span), index
 
@@ -360,14 +394,14 @@ def one_sided_reference(alg, rep, left):
     """Echelon basis of rep A if `left`, else of A rep: the span of
     rep . b_t (or b_t . rep) over the basis b_t."""
     span = Span(alg.field)
-    for b in alg.basis():
+    for b in basis(alg):
         span.add((multiply(rep, b) if left else multiply(b, rep)).coeffs)
     return [Element(alg, dict(row)) for row in span.basis_vectors()]
 
 
 def corner_span_reference(alg, left, right):
     """Span of left . b_t . right over the basis b_t, added in basis order."""
-    return Span(alg.field, (multiply(multiply(left, b), right).coeffs for b in alg.basis()))
+    return Span(alg.field, (multiply(multiply(left, b), right).coeffs for b in basis(alg)))
 
 
 def components_reference(corners, a):
@@ -572,7 +606,7 @@ def split_once_reference(qalg, e, corner_elems, rng, budget):
 
 def paired_reference(qalg, eu, ev):
     """True iff eu . b . ev != 0 for some basis element b of qalg."""
-    return any(multiply(multiply(eu, b), ev).coeffs for b in qalg.basis())
+    return any(multiply(multiply(eu, b), ev).coeffs for b in basis(qalg))
 
 
 def nakayama_reference(alg, reps, rad, projectives):
@@ -686,3 +720,110 @@ def matrix_algebra_reference(size, field):
     for u in range(size):
         unit[idx[(u, u)]] = field.one
     return FinDimAlgebra(field, labels, structure, unit)
+
+
+# -- helpers read only by the tests ---------------------------------------------
+
+
+def basis(alg):
+    return [alg.basis_element(i) for i in range(alg.dim)]
+
+
+def tensor2(alg, coeffs):
+    """Tensor2 of {(a, b): scalar}, or of (key, scalar) pairs, where a
+    repeated key adds up; scalars are coerced into the field."""
+    items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+    p = alg.field.p
+    out = {}
+    for key, c in items:
+        w = out.get(key, 0) + alg.field(c)
+        if p:
+            w %= p
+        if w:
+            out[key] = w
+        else:
+            out.pop(key, None)
+    return Tensor2(alg, out)
+
+
+def structure_equal(a, b):
+    """Same field, dimension, products and unit (labels ignored)."""
+    return (
+        a.field == b.field
+        and a.dim == b.dim
+        and a.rows == b.rows
+        and a.unit.coeffs == b.unit.coeffs
+    )
+
+
+def lift(amp, phi, s, t):
+    """phi^{t<-s}: a single-corner element phi of the base algebra placed
+    from copy s of its source class to copy t of its target class."""
+    comps = components_reference(amp.corners, phi)
+    if not comps:
+        return amp.algebra.zero()
+    if len(comps) > 1:
+        raise ValueError("element meets several Peirce corners")
+    [((j, i), coords)] = comps.items()
+    if not (1 <= s <= amp.m[i]) or not (1 <= t <= amp.m[j]):
+        raise IndexOutOfRange(
+            f"copy indices ({s},{t}) outside 1..{amp.m[i]} x 1..{amp.m[j]}"
+        )
+    return Element(amp.algebra, {amp.index[(i, j, s, t, b)]: c for b, c in coords.items()})
+
+
+def random_corner_diagonal_unit(corners, rng):
+    """Random unit of the diagonal corner sum e_1 L e_1 + ... + e_n L e_n."""
+    lam = corners.alg
+    field = lam.field
+    while True:
+        b = lam.zero()
+        for rep in corners.reps:
+            r = lam.element({i: field.random(rng, -2, 2) for i in range(lam.dim)})
+            b = b + rep + multiply(multiply(rep, r), rep).scaled(field.random(rng, -2, 2))
+        if rank(field, left_multiplication(b)) == lam.dim:
+            return b
+
+
+def check_transported_pairs(cache):
+    """Transport statements that hold, on every basic corpus algebra.
+
+    Two seeded sequences start from the constructed pair, each with
+    TRANSPORTS_PER_ALGEBRA transports: by units of the diagonal corner sum
+    e_1 L e_1 + ... + e_n L e_n, where every clause of
+    `verify_frobenius_pair` (support clauses included) must keep holding;
+    and by arbitrary units, where the pair must stay genuine (invariant
+    tensor, both counit identities, nonzero on every small space).
+    """
+    failures = []
+    pairs_checked = 0
+    for idx, entry, ctx in _basic_contexts(cache):
+        corners = ctx.analysis.corners
+        lam = corners.alg
+        diag_rng = random.Random(cache.seed * 13 + idx)
+        any_rng = random.Random(cache.seed * 7 + idx)
+        sequences = (
+            (
+                "diagonal-corner",
+                lambda: random_corner_diagonal_unit(corners, diag_rng),
+                lambda rep: rep.all_ok,
+            ),
+            (
+                "arbitrary",
+                lambda: _random_invertible(lam, any_rng),
+                lambda rep: rep.invariant and rep.counital and rep.small_ok,
+            ),
+        )
+        for label, draw, holds in sequences:
+            for t, b, rep in _transports(ctx, draw):
+                pairs_checked += 1
+                if not holds(rep):
+                    failures.append(f"{entry.key} {label} transport {t} by ({b}): {rep}")
+                    break
+    return CheckResult(
+        "frobenius-pair-transports",
+        not failures,
+        f"{pairs_checked} pairs (constructed + two seeded transport sequences)"
+        " verified",
+        failures,
+    )

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from dense_reference import check_transported_pairs
 from sialg import verify
 from sialg.amplify import counit_from_incidence
 from sialg.structure import DEFAULT_SEED
@@ -28,7 +29,6 @@ from sialg.verify import (
     check_round_trip,
     check_singleton_injectivity,
     check_spread_family,
-    check_transported_pairs,
 )
 
 PROFILE = "standard"

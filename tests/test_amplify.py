@@ -16,6 +16,7 @@ from sialg.algebra import (
     multiply,
 )
 from sialg.amplify import (
+    PRESETS,
     SpreadSpec,
     amplify,
     build_counit,
@@ -25,19 +26,18 @@ from sialg.amplify import (
     counit_solution_space,
     is_bijection_graph,
     is_incidence_invertible,
-    lift,
     preset_spec,
     spread,
 )
 from sialg.errors import (
     BadBlockSupport,
     BadParams,
-    BlockMismatch,
     IndexOutOfRange,
     NotBasic,
     NotBijection,
 )
 from sialg.families import (
+    corpus,
     field_product_algebra,
     matrix_algebra,
     nakayama_algebra,
@@ -137,19 +137,19 @@ def test_amplify_refuses_reps_not_summing_to_one():
 
 def test_lift_examples():
     k, dec, nak, amp, pair = _scalar_amp()
-    e21 = lift(amp, k.unit, 1, 2)
+    e21 = dense.lift(amp, k.unit, 1, 2)
     assert list(e21.coeffs) == [amp.index[(0, 0, 1, 2, 0)]]
     B = nakayama_algebra(2, 2)
     decb, nakb = _setup(B)
     ampb = amplify(PeirceCorners(B, decb.reps), (2, 2))
     for i, rep in enumerate(decb.reps):
         for t in (1, 2):
-            idem = lift(ampb, rep, t, t)
+            idem = dense.lift(ampb, rep, t, t)
             assert multiply(idem, idem) == idem
     with pytest.raises(IndexOutOfRange):
-        lift(amp, k.unit, 1, 3)
-    with pytest.raises(BlockMismatch):
-        lift(ampb, B.unit, 1, 1)  # unit meets several corners
+        dense.lift(amp, k.unit, 1, 3)
+    with pytest.raises(ValueError):
+        dense.lift(ampb, B.unit, 1, 1)  # unit meets several corners
 
 
 def test_lift_composition_rule():
@@ -163,15 +163,15 @@ def test_lift_composition_rule():
         i, mid, j = (rng.randrange(2) for _ in range(3))
         phi = multiply(multiply(reps[j], _rand(B, rng)), reps[mid])
         psi = multiply(multiply(reps[mid], _rand(B, rng)), reps[i])
-        if phi.is_zero() or psi.is_zero():
+        if not phi or not psi:
             continue
         s, t, u = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
         comp = multiply(phi, psi)
-        lhs = multiply(lift(amp, phi, u, t), lift(amp, psi, s, u))
-        if comp.is_zero():
-            assert lhs.is_zero()
+        lhs = multiply(dense.lift(amp, phi, u, t), dense.lift(amp, psi, s, u))
+        if not comp:
+            assert not lhs
         else:
-            assert lhs == lift(amp, comp, s, t)
+            assert lhs == dense.lift(amp, comp, s, t)
 
 
 def _rand(alg, rng):
@@ -190,18 +190,35 @@ def test_spread_singleton_and_diagonal_m2():
     assert is_invariant(xd) is None
 
 
+def test_spread_offsets_match_full_lookup_on_standard_corpus():
+    # the corner basis index b runs innermost in the model's tuples, so
+    # index[(i, j, s, t, b)] = index[(i, j, s, t, 0)] + b, and spread writes
+    # the same coefficients in the same order as a lookup of every tuple
+    rng = random.Random(29)
+    for entry in corpus("standard"):
+        ctx = prepare(entry.algebra)
+        amp, nak = ctx.analysis.amp, ctx.analysis.nak
+        index = amp.index
+        assert all(index[(i, j, s, t, 0)] + b == a for (i, j, s, t, b), a in index.items())
+        specs = [preset_spec(name, amp.m, nak) for name in PRESETS]
+        specs += [SpreadSpec.random_nonempty(amp.m, nak, rng) for _ in range(3)]
+        for spec in specs:
+            got = spread(amp, ctx.blocks, spec, nak).coeffs
+            assert list(got.items()) == list(dense.spread_reference(amp, ctx.blocks, spec).items())
+
+
 def test_spread_rejects_bad_block_support(monkeypatch):
     # spread distributes blocks it is handed; the cut names the lowest
     # block off the support, and prepare refuses such a pair
     B = nakayama_algebra(2, 2)
     dec, nak = _setup(B)
     corners = PeirceCorners(B, dec.reps)
-    bad = B.tensor2({(0, 0): 1})  # e0 (x) e0 violates the block pattern
+    bad = dense.tensor2(B, {(0, 0): 1})  # e0 (x) e0 violates the block pattern
     blocks, witness = tensor_blocks(corners, bad, nak)
     assert witness == (0, 0, 0, 0)
     assert blocks == {(0, 0, 0, 0): {(0, 0): 1}}
     # the lowest offender, not the first met: e1 (x) e1 comes first in y
-    two = B.tensor2({(2, 2): 1, (0, 0): 1})
+    two = dense.tensor2(B, {(2, 2): 1, (0, 0): 1})
     assert list(tensor_blocks(corners, two, nak)[0]) == [(1, 1, 1, 1), (0, 0, 0, 0)]
     assert tensor_blocks(corners, two, nak)[1] == (0, 0, 0, 0)
     pair = frobenius_pair(corners, nak)
@@ -445,10 +462,10 @@ def test_compatibility_square_singleton():
     for _ in range(15):
         i, j = rng.randrange(2), rng.randrange(2)
         phi = multiply(multiply(reps[j], _rand(B, rng)), reps[i])
-        if phi.is_zero():
+        if not phi:
             continue
         s, t = rng.randint(1, m[i]), rng.randint(1, m[j])
-        lhs = act_left(lift(amp, phi, s, t), x)
+        lhs = act_left(dense.lift(amp, phi, s, t), x)
         base = act_left(phi, pair.y)
         assert lhs == _lift_tensor(amp, B, reps, base, s, t)
         checked += 1
@@ -467,15 +484,15 @@ def _lift_tensor(amp, B, reps, base, s, t):
         for j2 in range(n):
             for i2 in range(n):
                 left = multiply(multiply(reps[j2], ea), reps[i2])
-                if left.is_zero():
+                if not left:
                     continue
                 for u2 in range(n):
                     for v2 in range(n):
                         right = multiply(multiply(reps[u2], eb), reps[v2])
-                        if right.is_zero():
+                        if not right:
                             continue
-                        la = lift(amp, left, 1, t)
-                        lb = lift(amp, right, s, 1)
+                        la = dense.lift(amp, left, 1, t)
+                        lb = dense.lift(amp, right, s, 1)
                         for ka, ca in la.coeffs.items():
                             for kb, cb in lb.coeffs.items():
                                 key = (ka, kb)

@@ -4,7 +4,7 @@ import pytest
 
 import dense_reference as dense
 from sialg import frobenius
-from sialg.algebra import Functional, apply_functional, is_invariant, multiply
+from sialg.algebra import Functional, apply_functional, is_invariant
 from sialg.errors import BadParams, NotFrobenius, NotInvertible, SingularGram
 from sialg.families import (
     corpus,
@@ -197,22 +197,6 @@ def test_transport_identity_and_kx2():
         transport_pair(A, pair, A.basis_element(1))
 
 
-def _random_corner_diagonal_unit(alg, corners, rng):
-    """Invertible element supported on the diagonal corners e_i A e_i."""
-    field = alg.field
-    while True:
-        b = alg.zero()
-        for rep in corners.reps:
-            corner = multiply(multiply(rep, _random_el(alg, rng)), rep)
-            b = b + rep + corner.scaled(field.random(rng, -2, 2))
-        if dense.rank(field, dense.left_multiplication(b)) == alg.dim:
-            return b
-
-
-def _random_el(alg, rng):
-    return alg.element({i: alg.field.random(rng, -2, 2) for i in range(alg.dim)})
-
-
 def test_corner_diagonal_transports_preserve_support():
     # transports by units inside the sum of diagonal corners keep both
     # support clauses; this is the support-stable transport subgroup
@@ -221,7 +205,7 @@ def test_corner_diagonal_transports_preserve_support():
         corners, nak, rad = _setup(alg)
         pair = frobenius_pair(corners, nak)
         for _ in range(6):
-            b = _random_corner_diagonal_unit(alg, corners, rng)
+            b = dense.random_corner_diagonal_unit(corners, rng)
             pair = transport_pair(alg, pair, b)
             rep = verify_frobenius_pair(corners, pair, nak)
             assert rep.all_ok
@@ -251,7 +235,7 @@ def test_uniqueness_up_to_transport():
     for alg in (nakayama_algebra(2, 2), nakayama_algebra(1, 3)):
         corners, nak, rad = _setup(alg)
         pair = frobenius_pair(corners, nak)
-        b0 = _random_corner_diagonal_unit(alg, corners, rng)
+        b0 = dense.random_corner_diagonal_unit(corners, rng)
         other = transport_pair(alg, pair, b0)
         # recover the transport element from the two counits: G b = eps'
         sparse = gram_matrix(alg, pair.epsilon)

@@ -202,7 +202,7 @@ def test_sparse_integer_rows_give_field_scalars():
     span = Span(gf3, [{0: 5, 1: -1, 2: 3}, {0: -4, 1: 7}])
     assert span.dim == 2
     assert span.basis_vectors() == [{0: 1}, {1: 1}]
-    assert span.contains({0: 4, 1: -2, 2: 6})
+    assert not span.reduce({0: 4, 1: -2, 2: 6})
     assert Span(gf3, [{0: 3, 1: -3}]).dim == 0
     assert sparse_kernel(gf3, [{0: 5, 1: -1}], 2) == [{1: 1, 0: 2}]
     assert sparse_solve(gf3, [{0: -1}], [5], 1) == ({0: 1}, 0)

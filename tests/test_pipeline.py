@@ -8,7 +8,7 @@ import pytest
 import dense_reference as dense
 from sialg import algebra as algebra_module
 from sialg import linalg
-from sialg.algebra import combination, is_invariant, permute_basis
+from sialg.algebra import combination, is_invariant, multiply, permute_basis
 from sialg.amplify import (
     PRESETS,
     SpreadSpec,
@@ -52,7 +52,6 @@ from sialg.verify import (
     CorpusCache,
     _spec_sweep,
     check_pair_support,
-    check_transported_pairs,
 )
 
 
@@ -323,7 +322,7 @@ def test_pair_checks_build_no_corners(monkeypatch):
     for idx in range(len(cache.entries)):
         cache.context(idx)
     builds = _count_corner_builds(monkeypatch)
-    assert check_transported_pairs(cache).passed
+    assert dense.check_transported_pairs(cache).passed
     check_pair_support(cache)
     assert builds == []
 
@@ -351,7 +350,7 @@ def test_model_map_refuses_corrupted_input(small_contexts):
         input_corners, wit = an.input_corners, an.witnesses
         assert _model_map_outcome(alg, an.amp, input_corners, wit) is None
         for corrupt in dense.single_constant_mutants(alg, rng, 2):
-            if corrupt.structure_equal(alg):
+            if dense.structure_equal(corrupt, alg):
                 continue
             # the corners stay the real input's; only `alg` is corrupted
             got = _model_map_outcome(corrupt, an.amp, input_corners, wit)
@@ -393,7 +392,10 @@ def test_model_map_matches_per_pair_reference_on_mutants(small_contexts):
             lists[side][i][s] = lists[side][i][s] + alg.basis_element(rng.randrange(alg.dim))
             bad = IsoWitness(lists["us"], lists["vs"])
             images = [
-                bad.vs[j][t - 1] * embed(amp.corners.bases[(j, i2)][b]) * bad.us[i2][s2 - 1]
+                multiply(
+                    multiply(bad.vs[j][t - 1], embed(amp.corners.bases[(j, i2)][b])),
+                    bad.us[i2][s2 - 1],
+                )
                 for (i2, j, s2, t, b) in amp.tuples
             ]
             got = _model_map_outcome(alg, amp, input_corners, bad)
@@ -616,7 +618,8 @@ def _stored_scalars(ctx, runs):
         sparse.append((f"{name} unit", alg.unit.coeffs))
     for name, idempotents in (("input", a.dec.all_idempotents()), ("basic", a.corners.reps)):
         for e in idempotents:
-            sparse += [(f"{name} idempotent", e.coeffs), (f"{name} -idempotent", (-e).coeffs)]
+            sparse += [(f"{name} idempotent", e.coeffs),
+                       (f"{name} -idempotent", e.scaled(-1).coeffs)]
     for name, rad in (("input", a.rad), ("basic", radical(a.lam))):
         sparse += [(f"{name} radical span", row) for row in rad.span.rows.values()]
     sparse.append(("Frobenius tensor", ctx.pair.y.coeffs))

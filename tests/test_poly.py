@@ -84,7 +84,8 @@ def test_xgcd_identity():
             if not f or not g:
                 continue
             d, u, v = poly.xgcd(field, f, g)
-            assert poly.add(field, poly.mul(field, u, f), poly.mul(field, v, g)) == d
+            # u f + v g = d
+            assert poly.sub(field, d, poly.mul(field, u, f)) == poly.mul(field, v, g)
             if d:
                 assert poly.mod(field, f, d) == () and poly.mod(field, g, d) == ()
 

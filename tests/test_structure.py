@@ -6,7 +6,7 @@ import pytest
 import dense_reference as dense
 from sialg import structure
 from sialg.algebra import FinDimAlgebra, combination, multiply, permute_basis
-from sialg.amplify import amplify, lift
+from sialg.amplify import amplify
 from sialg.errors import (
     AlgebraError,
     InvalidAlgebra,
@@ -70,8 +70,8 @@ def test_radical_b22_exhaustive_ideal_oracle():
         for subset in combinations(range(B.dim), size):
             span = Span(B.field, (B.basis_element(i).coeffs for i in subset))
             ideal = all(
-                span.contains(multiply(B.basis_element(b), B.basis_element(v)).coeffs)
-                and span.contains(multiply(B.basis_element(v), B.basis_element(b)).coeffs)
+                not span.reduce(multiply(B.basis_element(b), B.basis_element(v)).coeffs)
+                and not span.reduce(multiply(B.basis_element(v), B.basis_element(b)).coeffs)
                 for b in range(B.dim)
                 for v in subset
             )
@@ -98,7 +98,7 @@ def test_radical_b22_exhaustive_ideal_oracle():
     assert _nilpotency_index(B, r) == 2
     rad_span = Span(B.field, (e.coeffs for e in r.basis))
     for i in best:
-        assert rad_span.contains({i: B.field.one})
+        assert not rad_span.reduce({i: B.field.one})
 
 
 def test_radical_modular_group_algebras():
@@ -173,7 +173,7 @@ def test_canonical_decomposition_m2():
     assert dec.n == 1 and dec.multiplicities == (2,)
     assert dec.classes[0][0].coeffs == {0: QQ(1)}  # E11
     assert dec.classes[0][1].coeffs == {3: QQ(1)}  # E22
-    assert dec.is_split_certified
+    assert dec.flags == [structure.FLAG_SPLIT]
 
 
 def test_canonical_decomposition_product():
@@ -215,7 +215,7 @@ def _assert_complete_orthogonal(alg, idems):
     for a in range(len(idems)):
         for b in range(len(idems)):
             if a != b:
-                assert multiply(idems[a], idems[b]).is_zero()
+                assert not multiply(idems[a], idems[b])
 
 
 def test_decomposition_idempotents_across_sweeps():
@@ -322,7 +322,7 @@ def _outer(alg, terms):
         for k1, c1 in left.coeffs.items():
             for k2, c2 in right.coeffs.items():
                 coeffs[(k1, k2)] = coeffs.get((k1, k2), 0) + c * c1 * c2
-    return alg.tensor2(coeffs)
+    return dense.tensor2(alg, coeffs)
 
 
 def _completed(alg, reps):
@@ -366,11 +366,12 @@ def _check_corners(corners, rng, k):
 
     for _ in range(3):
         a = alg.element({t: field.random(rng) for t in range(d)})
-        comps = corners.components(a)
+        comps = corners.components([a.coeffs])[0]
         assert comps == dense.components_reference(corners, a)
         assert reassembled(comps, lambda key: True) == a
         assert reassembled(comps, inside) == cut(a)
-        y = alg.tensor2(
+        y = dense.tensor2(
+            alg,
             {(rng.randrange(d), rng.randrange(d)): field.random(rng) for _ in range(4 * d)}
         )
         comps = corners.tensor_components(y)
@@ -450,7 +451,8 @@ def test_peirce_corners_reassemble(alg, monkeypatch):
     # the amplified model cut by every copy idempotent, then by one per class
     amp = amplify(a.corners, dec.multiplicities)
     copies = [
-        [lift(amp, rep, t, t) for t in range(1, amp.m[i] + 1)] for i, rep in enumerate(a.corners.reps)
+        [dense.lift(amp, rep, t, t) for t in range(1, amp.m[i] + 1)]
+        for i, rep in enumerate(a.corners.reps)
     ]
     every_copy = _built(amp.algebra, [e for cls in copies for e in cls], monkeypatch)
     _check_corners(every_copy, rng, len(every_copy.reps))
@@ -534,8 +536,8 @@ def test_corners_and_components_match_sandwich_route(alg):
     rng = random.Random(35)
     field = alg.field
     randoms = [alg.element({t: field.random(rng) for t in range(alg.dim)}) for _ in range(3)]
-    for a in alg.basis() + randoms:
-        assert corners.components(a) == dense.components_reference(corners, a)
+    for a in dense.basis(alg) + randoms:
+        assert corners.components([a.coeffs])[0] == dense.components_reference(corners, a)
 
 
 _FIELD_CORNER_INPUTS = [
@@ -671,7 +673,7 @@ def test_basic_reduction_of_amplified_is_b22():
     for _ in range(10):
         a = lam.element({i: QQ(rng.randint(-2, 2)) for i in range(lam.dim)})
         b = lam.element({i: QQ(rng.randint(-2, 2)) for i in range(lam.dim)})
-        assert embed(a * b) == embed(a) * embed(b)
+        assert embed(multiply(a, b)) == multiply(embed(a), embed(b))
 
 
 def test_input_corners_carry_the_basic_corners():
@@ -734,7 +736,7 @@ def test_basic_reduction_matches_per_pair_reference():
             continue
         input_corners, corners = basic_reduction(alg, dec)
         ref, ref_reps, ref_elements = dense.basic_reduction_reference(alg, dec.reps)
-        assert corners.alg.structure_equal(ref), key
+        assert dense.structure_equal(corners.alg, ref), key
         assert [e.coeffs for e in corners.reps] == [e.coeffs for e in ref_reps], key
         elements = _carriers(input_corners)
         assert [e.coeffs for e in elements] == [e.coeffs for e in ref_elements], key
@@ -826,7 +828,7 @@ def test_iso_witnesses_m2():
     wit = iso_witnesses(M, dec)
     e11, e22 = dec.classes[0]
     u, v = wit.us[0][1], wit.vs[0][1]
-    assert u * v == e11 and v * u == e22
+    assert multiply(u, v) == e11 and multiply(v, u) == e22
     assert wit.us[0][0] == e11 and wit.vs[0][0] == e11
 
 
@@ -837,11 +839,11 @@ def test_iso_witnesses_nsy():
     # product rule oracle: X[0,0;0,1] * X[0,0;1,0] = X[0,0;0,0]
     a = nsy.algebra.basis_element(nsy.x(0, 0, 0, 1))
     b = nsy.algebra.basis_element(nsy.x(0, 0, 1, 0))
-    assert a * b == nsy.algebra.basis_element(nsy.x(0, 0, 0, 0))
+    assert multiply(a, b) == nsy.algebra.basis_element(nsy.x(0, 0, 0, 0))
     for i, cls in enumerate(dec.classes):
         for s in range(len(cls)):
-            assert wit.us[i][s] * wit.vs[i][s] == cls[0]
-            assert wit.vs[i][s] * wit.us[i][s] == cls[s]
+            assert multiply(wit.us[i][s], wit.vs[i][s]) == cls[0]
+            assert multiply(wit.vs[i][s], wit.us[i][s]) == cls[s]
 
 
 def test_witnesses_on_permuted_presentation():
@@ -854,8 +856,8 @@ def test_witnesses_on_permuted_presentation():
     wit = iso_witnesses(palg, dec)
     for i, cls in enumerate(dec.classes):
         for s in range(len(cls)):
-            assert wit.us[i][s] * wit.vs[i][s] == cls[0]
-            assert wit.vs[i][s] * wit.us[i][s] == cls[s]
+            assert multiply(wit.us[i][s], wit.vs[i][s]) == cls[0]
+            assert multiply(wit.vs[i][s], wit.us[i][s]) == cls[s]
 
 
 def test_iso_witnesses_refuses_copies_that_are_not_isomorphic():
