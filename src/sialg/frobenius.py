@@ -99,9 +99,10 @@ def frobenius_pair(
 
     Values are 1 on the canonical small-space basis vectors, the socle
     basis `nak.socles[nu^-1(i)]` in each corner (nu^-1(i), i), and 0 on a
-    fixed complement; seeded nonzero retries cover small spaces of
-    dimension > 1.  The first attempt whose Gram matrix inverts is kept;
-    raises NotFrobenius when the budget is exhausted.
+    fixed complement.  Retries put seeded nonzero values on the small
+    slots, but over GF(2) `Field.random_nonzero` is always 1, so there
+    every retry repeats attempt 0.  The first attempt whose Gram matrix
+    inverts is kept; raises NotFrobenius when the budget is exhausted.
     """
     lam = corners.alg
     field = lam.field

@@ -14,13 +14,13 @@ reproducible.  The copy witnesses and the duality pattern are decided on
 a basis, with no draw.
 `PeirceCorners` is the one Peirce decomposition.  It builds each corner
 e_j A e_i as (e_j A) e_i, in O(d n) products of elements for n reps that
-sum to 1, and reads the corner components of an element or a tensor off
-the inverse of the stacked corner bases.  It gives the corners of the
-class representatives, of the copies within a class (for the copy
-witnesses), of the quotient images (for the class grouping) and of each
-idempotent the quotient split visits; every projection of an element or
-tensor onto the corners, and every one-sided ideal e_i A or A e_i, goes
-through it.
+sum to 1, and reads the corner components of a tensor off the inverse of
+the stacked corner bases.  It gives the corners of the class
+representatives, of the copies within a class (for the copy witnesses),
+of the quotient images (for the class grouping) and of each idempotent
+the quotient split visits; every projection onto the corners goes
+through it, and every one-sided ideal e_i A or A e_i is spanned from its
+corners, (i, k) or (k, i) over k, where it is read.
 `basic_reduction` hands on the input's corners with those of the basic
 algebra e A e, which they carry basis element for basis element.
 """
@@ -71,10 +71,9 @@ class PeirceCorners:
     through the echelon basis of the e_j A they span: (e_j A) e_i is
     e_j A e_i, and a reduced echelon basis depends only on its span.  So
     a build makes n + 1 walks, O(d n) products of elements, and no
-    `multiply` call.  Components are in corner coordinates, the indices
-    into `bases[(j, i)]`; they and `one_sided` need reps that sum to 1.
-    The inverse of the stacked corner bases is computed on the first
-    `components` call and kept: the bases never change after the build.
+    `multiply` call.  With reps summing to 1, the corners (i, k) span
+    e_i A and the corners (k, i) span A e_i, where those are read.
+    `tensor_components` is in corner coordinates, the bases' indices.
     """
 
     def __init__(self, alg: FinDimAlgebra, reps):
@@ -113,16 +112,6 @@ class PeirceCorners:
             if prods != ({j: vectors[j]} if vectors[j] else {}):
                 raise NotBasic("the class representatives are not orthogonal idempotents")
 
-    def one_sided(self, i: int, left: bool) -> list:
-        """Echelon basis of e_i A, the sum of the corners (i, k), if `left`,
-        else of A e_i, the sum of the corners (k, i).  The corner bases are
-        reduced together, so this is the reduced echelon basis of the span
-        of e_i b_t (or b_t e_i) over the basis b_t, row for row."""
-        self.require_sum_one()
-        keys = [(i, k) if left else (k, i) for k in range(len(self.reps))]
-        span = Span(self.alg.field, (q.coeffs for key in keys for q in self.bases[key]))
-        return [Element(self.alg, dict(row)) for row in span.basis_vectors()]
-
     def coordinates(self, corner, coeffs: dict) -> list:
         """Coordinates of `coeffs` in the corner's echelon basis."""
         coords = self.spans[corner].coordinates(coeffs)
@@ -130,44 +119,25 @@ class PeirceCorners:
             raise AlgebraError(f"element left its Peirce corner {corner}")
         return coords
 
-    def components(self, vectors) -> list:
-        """Per coefficient dict v in `vectors`, the nonzero components
-        {(j, i): {b: c}} of e_j v e_i, in j-major corner order and b
-        order.  With the reps summing to 1, A is the direct sum of the
-        corners, so the stacked corner bases are the rows of an invertible
-        B, and the coordinates of v in them are v B^-1, from one
-        `Matrix.inverse` per object."""
-        self.require_sum_one()
-        alg = self.alg
-        slots = [(key, b) for key, basis in self.bases.items() for b in range(len(basis))]
-        if self._inverse is None:
-            stacked = (q.coeffs for basis in self.bases.values() for q in basis)
-            self._inverse = Matrix(alg.field, stacked, alg.dim).inverse().rows
-        inverse = self._inverse
-        norm = alg.field.normal
-        out = []
-        for v in vectors:
-            coords: dict = {}
-            for t, c in v.items():
-                for k, x in inverse[t].items():
-                    coords[k] = coords.get(k, 0) + c * x
-            comps: dict = {}
-            for k in sorted(coords):
-                c = norm(coords[k])
-                if c:
-                    key, b = slots[k]
-                    comps.setdefault(key, {})[b] = c
-            out.append(comps)
-        return out
-
     def tensor_components(self, y: Tensor2) -> dict:
         """Nonzero Peirce components of y: {(j, i, u, v): {(b1, b2): c}},
         the component in e_j A e_i (x) e_u A e_v in corner coordinates.
-        The basis elements y meets are projected in one batch."""
-        support = sorted({k for key in y.coeffs for k in key})
-        one = self.alg.field.one
-        comps = dict(zip(support, self.components([{k: one} for k in support])))
-        p = self.alg.field.p
+        With the reps summing to 1, the stacked corner bases are the rows
+        of an invertible B, and b_k has the corner coordinates in row k of
+        B^-1.  B^-1 is computed on the first call and kept."""
+        self.require_sum_one()
+        alg = self.alg
+        if self._inverse is None:
+            stacked = (q.coeffs for basis in self.bases.values() for q in basis)
+            self._inverse = Matrix(alg.field, stacked, alg.dim).inverse().rows
+        slots = [(key, b) for key, basis in self.bases.items() for b in range(len(basis))]
+        comps: dict = {}
+        for k in {k for key in y.coeffs for k in key}:
+            parts = comps[k] = {}
+            for s, c in sorted(self._inverse[k].items()):
+                corner, b = slots[s]
+                parts.setdefault(corner, {})[b] = c
+        p = alg.field.p
         out: dict = {}
         for (a, b), c in y.coeffs.items():
             for left_corner, left in comps[a].items():
@@ -548,16 +518,20 @@ def canonical_decomposition(
 
 def annihilator(alg: FinDimAlgebra, basis: list, left, right) -> list:
     """Basis of the z in span(basis) with l . z = 0 for every l in `left`
-    and z . r = 0 for every r in `right`."""
-    eq_rows = []
-    for factor, on_left in [(l, True) for l in left] + [(r, False) for r in right]:
-        per_coord: dict = {}
-        for t, q in enumerate(basis):
-            prod = multiply(factor, q) if on_left else multiply(q, factor)
-            for k, c in prod.coeffs.items():
-                per_coord.setdefault(k, {})[t] = c
-        eq_rows.extend(per_coord.values())
-    return [combination(alg, basis, vec) for vec in sparse_kernel(alg.field, eq_rows, len(basis))]
+    and z . r = 0 for every r in `right`: the kernel of one equation row
+    per (side, factor, coordinate), read off one `products` walk a side."""
+    vectors = [q.coeffs for q in basis]
+    per_coord: dict = {}
+    for t, prods in enumerate(products(alg, vectors, [r.coeffs for r in right])):
+        for r, prod in prods.items():
+            for k, c in prod.items():
+                per_coord.setdefault((False, r, k), {})[t] = c
+    for l, prods in enumerate(products(alg, [l.coeffs for l in left], vectors)):
+        for t, prod in prods.items():
+            for k, c in prod.items():
+                per_coord.setdefault((True, l, k), {})[t] = c
+    kernel = sparse_kernel(alg.field, per_coord.values(), len(basis))
+    return [combination(alg, basis, vec) for vec in kernel]
 
 
 @dataclass
@@ -573,32 +547,34 @@ def nakayama(corners: PeirceCorners, rad: RadicalData) -> NakayamaData:
     """Permutation nu with soc(P_i) isomorphic to top(P_{nu(i)}), read off
     the projectives e_i A of a basic algebra with one rep e_i per class.
 
-    Requires each socle soc(e_i A) to be concentrated in exactly one
-    class (right multiplication by the reps); otherwise the input is
-    rejected as not self-injective-like.  A socle element s lies in e_i A
-    and the reps are orthogonal, so s e_k = e_i s e_k is the component of
-    s in corner (i, k) (`amplify` checks the reps orthogonal before
-    `analyze` returns): the classes a socle meets are read off the corner
-    components of every socle element, found in one batch.
+    Requires each socle soc(e_i A) to be concentrated in one class;
+    otherwise the input is rejected as not self-injective-like.  With
+    the reps summing to 1, e_i A is the sum of the corners (i, k), and
+    the socle is the annihilator of J on one Span of their bases.  A
+    socle element s meets only class k (s e_k' = 0 for k' != k) exactly
+    when it lies in the corner (i, k): then s = s e_k, and for
+    orthogonal reps (`amplify` checks them before `analyze` returns)
+    s e_k' = s e_k e_k' = 0.  So each socle is reduced modulo the corner
+    Spans; only one that meets several classes has them named, by s e_k
+    from one `products` walk.
     """
-    alg, reps = corners.alg, corners.reps
-    socles = []
-    for i in range(len(reps)):
-        soc = annihilator(alg, corners.one_sided(i, True), [], rad.basis)
+    corners.require_sum_one()
+    alg, n, bases, spans = corners.alg, len(corners.reps), corners.bases, corners.spans
+    nu, socles = [], []
+    for i in range(n):
+        nonempty = [k for k in range(n) if bases[(i, k)]]
+        span = Span(alg.field, (q.coeffs for k in nonempty for q in bases[(i, k)]))
+        soc = annihilator(alg, [Element(alg, row) for row in span.basis_vectors()], [], rad.basis)
         if not soc:
             raise NotSelfInjectiveLike(f"socle of projective class {i} is zero")
+        homes = [k for k in nonempty if not any(spans[(i, k)].reduce(z.coeffs) for z in soc)]
+        if not homes:
+            reps = [e.coeffs for e in corners.reps]
+            hits = sorted({k for row in products(alg, [z.coeffs for z in soc], reps) for k in row})
+            raise NotSelfInjectiveLike(f"socle of projective class {i} meets classes {hits}")
+        nu.append(homes[0])
         socles.append(soc)
-    comps = corners.components([s.coeffs for soc in socles for s in soc])
-    nu, start = [], 0
-    for i, soc in enumerate(socles):
-        hits = {k for comp in comps[start:start + len(soc)] for _, k in comp}
-        start += len(soc)
-        if len(hits) != 1:
-            raise NotSelfInjectiveLike(
-                f"socle of projective class {i} meets classes {sorted(hits)}"
-            )
-        nu.append(hits.pop())
-    if sorted(nu) != list(range(len(reps))):
+    if sorted(nu) != list(range(n)):
         raise NotSelfInjectiveLike(f"socle pattern {nu} is not a permutation")
     return NakayamaData(tuple(nu), socles)
 
@@ -659,13 +635,13 @@ def _duality_holds(corners: PeirceCorners, i: int, j: int) -> bool:
     linear subspace K of S.  If some element of S is invertible, K is a
     proper subspace, and a basis of S has a vector outside K.
     """
-    alg = corners.alg
-    u_basis = corners.one_sided(i, True)
-    x_basis = corners.one_sided(j, False)
-    if len(u_basis) != len(x_basis):
+    alg, n, bases = corners.alg, len(corners.reps), corners.bases
+    u_span = Span(alg.field, (q.coeffs for k in range(n) for q in bases[(i, k)]))
+    x_span = Span(alg.field, (q.coeffs for k in range(n) for q in bases[(k, j)]))
+    if u_span.dim != x_span.dim:
         return False
-    u_span = Span(alg.field, (e.coeffs for e in u_basis))
-    x_span = Span(alg.field, (e.coeffs for e in x_basis))
+    u_basis = [Element(alg, row) for row in u_span.basis_vectors()]
+    x_basis = [Element(alg, row) for row in x_span.basis_vectors()]
     sols = _right_dual_intertwiners(alg, u_basis, u_span, x_basis, x_span)
     return any(_is_invertible(alg.field, vec, len(u_basis)) for vec in sols)
 
@@ -673,7 +649,10 @@ def _duality_holds(corners: PeirceCorners, i: int, j: int) -> bool:
 def duality_pattern(corners: PeirceCorners) -> list:
     """For each class i, the set of classes j with e_i A = (A e_j)^*, by
     solving the intertwiner equations and exhibiting an invertible basis
-    solution (see `_duality_holds` for why a basis suffices)."""
+    solution (see `_duality_holds` for why a basis suffices).  With the
+    reps summing to 1, e_i A and A e_j are spanned by the corners (i, k)
+    and (k, j)."""
+    corners.require_sum_one()
     n = len(corners.reps)
     return [{j for j in range(n) if _duality_holds(corners, i, j)} for i in range(n)]
 

@@ -25,13 +25,14 @@ it.  Both keep ``Span`` for membership and rank, since the elimination
 is not what they test.  ``basic_reduction_reference`` builds the corner
 algebra e A e the same way, one ``multiply`` call per composable pair of
 corner basis vectors, so comparing against it checks
-``PeirceCorners.copy_algebra`` at every multiplicity 1.  ``one_sided_reference`` spans e A or A e by
-one ``multiply`` call per basis element, so comparing against it checks
-``PeirceCorners.one_sided``, and ``nakayama_reference`` reads the socles
-off those spans, or off the ones ``one_sided`` gives, and the
-permutation by one ``multiply`` call per (socle element, class), so
-comparing against it checks ``nakayama``, which reads the classes a
-socle meets off the corner components of its elements.
+``PeirceCorners.copy_algebra`` at every multiplicity 1.
+``one_sided_reference`` spans e A or A e by one ``multiply`` call per
+basis element, so comparing against it checks that e_i A and A e_i are
+the sums of their corners, and ``nakayama_reference`` reads the socles
+off those spans and the permutation by one ``multiply`` call per (socle
+element, class), so comparing against it checks ``nakayama``, which
+spans e_i A from its corners and finds the corner a socle lies in by
+reducing it modulo the corner spans.
 ``spread_reference`` finds both model positions of every coefficient
 from their full basis tuples, so comparing against it checks that
 ``spread`` may add the corner basis index to one offset per leg.
@@ -53,9 +54,9 @@ combinations, so comparing against them checks that the basis alone
 decides both.  ``corner_span_reference`` spans left . b_t . right by two
 ``multiply`` calls per basis element, and ``components_reference`` and
 ``paired_reference`` sandwich one element, or every basis element, the
-same way, so comparing against them checks every corner, every
-component and the class grouping that ``PeirceCorners`` batches over
-``algebra.products`` and reads off the inverse of the stacked corner
+same way, so comparing against them checks every corner, the class
+grouping that ``PeirceCorners`` batches over ``algebra.products``, and
+the tensor components it reads off the inverse of the stacked corner
 bases.  ``split_once_reference`` is the quotient split's sweep without
 its stop at a corner proved to be a field, so comparing against it
 checks that the stop leaves the split's outcome and budget unchanged.
@@ -66,8 +67,9 @@ references read a structure constant one basis pair at a time, as
 and never walk the rows as an index of nonzero pairs the way
 ``sialg.algebra`` does.
 
-The rest are helpers that only tests read: ``basis``, ``tensor2`` and
-``structure_equal`` build and compare test data; ``lift`` places a
+The rest are helpers that only tests read: ``basis``, ``tensor2``,
+``conjugate_basis``, ``random_change_of_basis`` and ``structure_equal``
+build and compare test data; ``lift`` places a
 single-corner element on a copy pair of the amplified model, through
 ``components_reference``; and ``check_transported_pairs`` asserts the
 transport statements that hold (acceptance criterion 6), drawing units
@@ -532,8 +534,8 @@ def duality_pattern_reference(corners, seed=DEFAULT_SEED):
         return sparse_rank(field, rows) == size
 
     def holds(i, j):
-        u_basis = corners.one_sided(i, True)
-        x_basis = corners.one_sided(j, False)
+        u_basis = one_sided_reference(alg, corners.reps[i], True)
+        x_basis = one_sided_reference(alg, corners.reps[j], False)
         size = len(u_basis)
         if size != len(x_basis):
             return False
@@ -744,6 +746,50 @@ def tensor2(alg, coeffs):
         else:
             out.pop(key, None)
     return Tensor2(alg, out)
+
+
+def conjugate_basis(alg, T):
+    """Presentation on the basis b'_r = sum_s T[r][s] b_s, T invertible."""
+    field = alg.field
+    inv = inverse(field, T)
+    d = alg.dim
+    structure = []
+    for i in range(d):
+        for j in range(d):
+            prod: dict = {}
+            for a, ca in enumerate(T[i]):
+                if not ca:
+                    continue
+                for b, cb in enumerate(T[j]):
+                    if not cb:
+                        continue
+                    for k, c in alg.rows[a].get(b, {}).items():
+                        prod[k] = prod.get(k, field.zero) + ca * cb * c
+            for k, c in prod.items():
+                if not c:
+                    continue
+                for r in range(d):
+                    w = inv[k][r] * c
+                    if w:
+                        structure.append((i, j, r, w))
+    merged: dict = {}
+    for i, j, r, c in structure:
+        merged[(i, j, r)] = merged.get((i, j, r), field.zero) + c
+    entries = [(i, j, r, c) for (i, j, r), c in merged.items() if c]
+    unit = [field.zero] * d
+    for k, c in alg.unit.coeffs.items():
+        for r in range(d):
+            unit[r] = unit[r] + inv[k][r] * c
+    return FinDimAlgebra(field, [f"v{r}" for r in range(d)], entries, unit)
+
+
+def random_change_of_basis(alg, rng):
+    """`conjugate_basis` by the first seeded T with entries in -2..2 that
+    has full rank: a presentation with no monomial structure left."""
+    while True:
+        T = [[alg.field.random(rng, -2, 2) for _ in range(alg.dim)] for _ in range(alg.dim)]
+        if rank(alg.field, T) == alg.dim:
+            return conjugate_basis(alg, T)
 
 
 def structure_equal(a, b):

@@ -479,41 +479,6 @@ def test_unsupported_modular_field_rejected():
         analyze(alg)
 
 
-def _conjugate_basis(alg, T):
-    """Presentation on the basis b'_r = sum_s T[r][s] b_s, T invertible."""
-    field = alg.field
-    inv = dense.inverse(field, T)
-    d = alg.dim
-    structure = []
-    for i in range(d):
-        for j in range(d):
-            prod: dict = {}
-            for a, ca in enumerate(T[i]):
-                if not ca:
-                    continue
-                for b, cb in enumerate(T[j]):
-                    if not cb:
-                        continue
-                    for k, c in alg.rows[a].get(b, {}).items():
-                        prod[k] = prod.get(k, field.zero) + ca * cb * c
-            for k, c in prod.items():
-                if not c:
-                    continue
-                for r in range(d):
-                    w = inv[k][r] * c
-                    if w:
-                        structure.append((i, j, r, w))
-    merged: dict = {}
-    for i, j, r, c in structure:
-        merged[(i, j, r)] = merged.get((i, j, r), field.zero) + c
-    entries = [(i, j, r, c) for (i, j, r), c in merged.items() if c]
-    unit = [field.zero] * d
-    for k, c in alg.unit.coeffs.items():
-        for r in range(d):
-            unit[r] = unit[r] + inv[k][r] * c
-    return FinDimAlgebra(field, [f"v{r}" for r in range(d)], entries, unit)
-
-
 def test_pipeline_on_dense_change_of_basis():
     # full GL conjugation (not just a permutation): the presentation loses
     # all monomial structure, stressing the radical elimination, quotient
@@ -529,14 +494,7 @@ def test_pipeline_on_dense_change_of_basis():
 
     cases.append(group_algebra([3], Field(3)))
     for alg in cases:
-        while True:
-            T = [
-                [alg.field.random(rng, -2, 2) for _ in range(alg.dim)]
-                for _ in range(alg.dim)
-            ]
-            if dense.rank(alg.field, T) == alg.dim:
-                break
-        conjugated = _conjugate_basis(alg, T)
+        conjugated = dense.random_change_of_basis(alg, rng)
         base = prepare(alg)
         ctx = prepare(conjugated)
         assert sorted(ctx.analysis.dec.multiplicities) == sorted(

@@ -268,8 +268,11 @@ def test_nakayama_rejects_a2():
 def test_duality_examples():
     corners, rad = _corners_and_rad(nakayama_algebra(2, 2))
     nak = nakayama(corners, rad)
-    for i in range(2):
-        assert len(corners.one_sided(i, True)) == 2
+    for i, rep in enumerate(corners.reps):
+        # e_i B, spanned by e_i and the arrow out of i, is the sum of the
+        # corners (i, k)
+        assert len(dense.one_sided_reference(corners.alg, rep, True)) == 2
+        assert sum(len(corners.bases[(i, k)]) for k in range(2)) == 2
     assert duality_pattern(corners) == [{nak.nu[i]} for i in range(2)]
     corners3, rad3 = _corners_and_rad(nakayama_algebra(1, 3))
     assert duality_pattern(corners3) == [set(nakayama(corners3, rad3).nu)]
@@ -333,8 +336,8 @@ def _completed(alg, reps):
 
 
 def _check_corners(corners, rng, k):
-    # the reps sum to 1, so the components of a equal the sandwich route
-    # and reassemble a, and those of y reassemble y; the components in the
+    # the reps sum to 1, so the sandwich components of a reassemble a, and
+    # the components of y reassemble y; the components in the
     # corners of the first k reps reassemble e a e and y with both legs
     # cut down by e, for e the sum of those k reps
     alg, field, bases = corners.alg, corners.alg.field, corners.bases
@@ -366,8 +369,7 @@ def _check_corners(corners, rng, k):
 
     for _ in range(3):
         a = alg.element({t: field.random(rng) for t in range(d)})
-        comps = corners.components([a.coeffs])[0]
-        assert comps == dense.components_reference(corners, a)
+        comps = dense.components_reference(corners, a)
         assert reassembled(comps, lambda key: True) == a
         assert reassembled(comps, inside) == cut(a)
         y = dense.tensor2(
@@ -530,14 +532,32 @@ def test_corners_and_components_match_sandwich_route(alg):
     # from the echelon basis of e_j A when the e_j b_t are dependent, is the
     # span of the sandwiches e_j b_t e_i, and the components read off the
     # inverse of the stacked corner bases are the sandwich coordinates of
-    # every basis element and of seeded random elements
+    # both legs of a (x) a, for every basis element a and seeded random ones
     corners = PeirceCorners(alg, canonical_decomposition(alg).all_idempotents())
     _matches_reference(corners)
     rng = random.Random(35)
     field = alg.field
     randoms = [alg.element({t: field.random(rng) for t in range(alg.dim)}) for _ in range(3)]
+    legs = [dense.components_reference(corners, b) for b in dense.basis(alg)]
     for a in dense.basis(alg) + randoms:
-        assert corners.components([a.coeffs])[0] == dense.components_reference(corners, a)
+        y = _outer(alg, [(field.one, a, a)])
+        assert corners.tensor_components(y) == _tensor_components_reference(alg, legs, y)
+
+
+def _tensor_components_reference(alg, legs, y):
+    """{(j, i, u, v): {(b1, b2): c}} of y, from `legs`, the sandwich
+    components of every basis element (`dense.components_reference`)."""
+    norm = alg.field.normal
+    out = {}
+    for (a, b), c in y.coeffs.items():
+        for left_corner, left in legs[a].items():
+            for right_corner, right in legs[b].items():
+                comp = out.setdefault(left_corner + right_corner, {})
+                for k1, c1 in left.items():
+                    for k2, c2 in right.items():
+                        comp[(k1, k2)] = norm(comp.get((k1, k2), 0) + c * c1 * c2)
+    out = {key: {k: c for k, c in comp.items() if c} for key, comp in out.items()}
+    return {key: comp for key, comp in out.items() if comp}
 
 
 _FIELD_CORNER_INPUTS = [
@@ -748,6 +768,14 @@ def _rows(elements):
     return [list(e.coeffs.items()) for e in elements]
 
 
+def _corner_sum(corners, i, left):
+    """Echelon basis of the span of the corners (i, k) over k if `left`,
+    else of the corners (k, i): e_i A or A e_i when the reps sum to 1."""
+    keys = [(i, k) if left else (k, i) for k in range(len(corners.reps))]
+    span = Span(corners.alg.field, (q.coeffs for key in keys for q in corners.bases[key]))
+    return [corners.alg.element(row) for row in span.basis_vectors()]
+
+
 def test_one_sided_and_nakayama_match_reference():
     # e_i A and A e_i re-echelonized from the corners equal the span of
     # e_i b_t (b_t e_i) row for row, entry order included, and nakayama
@@ -757,7 +785,7 @@ def test_one_sided_and_nakayama_match_reference():
         corners, lam = a.corners, a.lam
         for i, rep in enumerate(corners.reps):
             for left in (True, False):
-                assert _rows(corners.one_sided(i, left)) == _rows(
+                assert _rows(_corner_sum(corners, i, left)) == _rows(
                     dense.one_sided_reference(lam, rep, left)
                 ), (key, i, left)
         projectives = [dense.one_sided_reference(lam, rep, True) for rep in corners.reps]
@@ -767,27 +795,67 @@ def test_one_sided_and_nakayama_match_reference():
 
 
 def _nakayama_reference(corners, rad):
-    """`dense.nakayama_reference` on the projectives `one_sided` gives."""
-    projectives = [corners.one_sided(i, True) for i in range(len(corners.reps))]
+    """`dense.nakayama_reference` on the projectives e_i A spanned by
+    e_i b_t over the basis b_t (`dense.one_sided_reference`)."""
+    projectives = [dense.one_sided_reference(corners.alg, rep, True) for rep in corners.reps]
     return dense.nakayama_reference(corners.alg, corners.reps, rad, projectives)
 
 
+def _permuted(key, alg, seed):
+    perm = list(range(alg.dim))
+    random.Random(seed).shuffle(perm)
+    return f"permuted {key}", permute_basis(alg, perm)
+
+
+def _dense_bases():
+    """The change-of-basis algebras of the pipeline's dense-basis test (the
+    same draws), then basic algebras with two or three classes, whose
+    e_i A have two nonzero corners, on a dense basis."""
+    rng = random.Random(99)
+    cases = [
+        ("nsy n=2 l=2 m=[1, 2]", nsy_algebra(2, 2, (1, 2)).algebra),
+        ("nsy n=1 l=1 m=[2]", nsy_algebra(1, 1, (2,)).algebra),
+        ("group [3] gf3", group_algebra([3], Field(3))),
+        ("nakayama n=2 l=2", nakayama_algebra(2, 2)),
+        ("nakayama n=3 l=2", nakayama_algebra(3, 2)),
+        ("nsy n=2 l=2 m=[1, 1]", nsy_algebra(2, 2, (1, 1)).algebra),
+    ]
+    return [(f"dense basis {key}", dense.random_change_of_basis(alg, rng)) for key, alg in cases]
+
+
+_GF5_C4C4 = group_algebra((4, 4), Field(5))
 # the standard corpus, the sweep-gfp group algebras, and GF(5)[C4 x C4]
 # with one class per basis element
-_NAKAYAMA_INPUTS = _DECOMPOSED + [("group [4, 4] gf5", group_algebra((4, 4), Field(5)))]
+_NAKAYAMA_INPUTS = _DECOMPOSED + [("group [4, 4] gf5", _GF5_C4C4)]
+# ... and on scrambled bases, where the corners of e_i A need not be
+# spanned by disjoint sets of basis vectors: a socle basis that differs
+# from the reference's by a scalar, and so a different counit, shows here
+_SCRAMBLED_INPUTS = (
+    [_permuted(e.key, e.algebra, 5) for e in corpus("standard")[::7]]
+    + _dense_bases()
+    + [_permuted("group [4, 4] gf5", _GF5_C4C4, 1)]
+)
+
+
+def _values(socles):
+    return [[sorted(z.coeffs.items()) for z in soc] for soc in socles]
 
 
 @pytest.mark.parametrize(
-    "alg", [alg for _, alg in _NAKAYAMA_INPUTS], ids=[key for key, _ in _NAKAYAMA_INPUTS]
+    "alg",
+    [alg for _, alg in _NAKAYAMA_INPUTS + _SCRAMBLED_INPUTS],
+    ids=[key for key, _ in _NAKAYAMA_INPUTS + _SCRAMBLED_INPUTS],
 )
 def test_nakayama_matches_the_per_class_loop(alg):
-    # the classes each socle meets, read off the corner components of its
-    # elements, give the permutation and socles of one multiply per (socle
-    # element, class)
+    # the socle of e_i A spanned from its corners, and the corner it lies
+    # in, give the permutation and socles of the annihilator on the span of
+    # e_i b_t and one multiply per (socle element, class); the two spans add
+    # their rows in different orders, so the socle elements are compared by
+    # value, not by the insertion order of their entries, which nothing reads
     a = analyze(alg)
     nu, socles = _nakayama_reference(a.corners, radical(a.lam))
     assert a.nak.nu == nu
-    assert [_rows(soc) for soc in a.nak.socles] == [_rows(soc) for soc in socles]
+    assert _values(a.nak.socles) == _values(socles)
 
 
 def _two_arrows_out():
@@ -814,12 +882,17 @@ def test_nakayama_refuses_as_the_per_class_loop(make, message):
 
 
 def test_one_sided_needs_reps_summing_to_one():
+    # e_11 alone does not sum to 1 in M_2, so its corner does not span e_11 A
+    # and its corner bases do not span A: every reader of a one-sided ideal
+    # or of the corner components refuses
     M = matrix_algebra(2)
     corners = PeirceCorners(M, canonical_decomposition(M).reps)
     with pytest.raises(NotBasic):
-        corners.one_sided(0, True)
-    with pytest.raises(NotBasic):
         nakayama(corners, radical(M))
+    with pytest.raises(NotBasic):
+        duality_pattern(corners)
+    with pytest.raises(NotBasic):
+        corners.tensor_components(dense.tensor2(M, {(0, 0): 1}))
 
 
 def test_iso_witnesses_m2():
