@@ -13,7 +13,7 @@ invariance checks may safely run concurrently if ever needed.
 from __future__ import annotations
 
 from .errors import BadParams, DimensionMismatch, InvalidAlgebra
-from .fields import Field, json_int, json_list
+from .fields import Field, json_int, json_list, narrow
 from .linalg import Span, sparse_rank
 
 
@@ -372,7 +372,8 @@ def products(alg: FinDimAlgebra, xs, ys):
 
     Only the structure pairs (i, j) with b_i b_j != 0 are visited, each
     against the vectors of `ys` with a key j, so a batch over a sparse
-    table costs its nonzero terms rather than |xs| |ys| products.
+    table costs its nonzero terms rather than |xs| |ys| products, and an
+    empty `ys` costs no walk.
     """
     rows = alg.rows
     p = alg.field.p
@@ -382,7 +383,7 @@ def products(alg: FinDimAlgebra, xs, ys):
             by_key.setdefault(j, []).append((t, c))
     for x in xs:
         acc: dict = {}
-        for i, ca in x.items():
+        for i, ca in x.items() if by_key else ():
             for j, row in rows[i].items():
                 terms = by_key.get(j)
                 if terms is None:
@@ -393,6 +394,21 @@ def products(alg: FinDimAlgebra, xs, ys):
                     for k, ck in row.items():
                         _accum(out, k, c * ck, p)
         yield {t: out for t, out in acc.items() if out}
+
+
+def tensor_image(field: Field, coeffs: dict, rows) -> dict:
+    """sum of c . rows[a] (x) rows[b] over the terms ((a, b), c) of `coeffs`,
+    zero-free and in the field's normal form: the one two-leg change of
+    basis, read by the model map and by `PeirceCorners.tensor_components`."""
+    p = field.p
+    out: dict = {}
+    for (a, b), c in coeffs.items():
+        right = rows[b].items()
+        for k1, c1 in rows[a].items():
+            cc = c * c1
+            for k2, c2 in right:
+                _accum(out, (k1, k2), cc * c2, p)
+    return out if p else {key: narrow(w) for key, w in out.items()}
 
 
 def combination(alg: FinDimAlgebra, vectors, coeffs) -> Element:

@@ -60,11 +60,10 @@ class AmplifiedAlgebra:
     t and copy pair.
     The reps must be orthogonal idempotents summing to 1, the premises
     under which the model is a matrix-unit algebra over the corners (see
-    `pipeline.ModelIsomorphism`); both are checked here.
+    `pipeline.ModelIsomorphism`); `require_orthogonal` checks both here.
     """
 
     def __init__(self, corners: PeirceCorners, m):
-        corners.require_sum_one()
         corners.require_orthogonal()
         m = tuple(json_int(v, "multiplicity") for v in m)
         if len(m) != len(corners.reps) or any(v < 1 for v in m):

@@ -30,6 +30,7 @@ from .algebra import (
     combination,
     multiply,
     products,
+    tensor_image,
 )
 from .amplify import (
     AmplifiedAlgebra,
@@ -44,7 +45,6 @@ from .amplify import (
     spread,
 )
 from .errors import AlgebraError, BadBlockSupport, SingularMatrix
-from .fields import narrow
 from .frobenius import FrobeniusPair, frobenius_pair, tensor_blocks
 from .linalg import Matrix
 from .structure import (
@@ -119,11 +119,11 @@ def analyze(alg: FinDimAlgebra, seed: int = DEFAULT_SEED) -> AnalysisResult:
     Proof that the input is an associative unital algebra: the model is
     a matrix-unit algebra over the Peirce-graded Lambda, so it is
     associative and unital because Lambda is and Lambda's class
-    idempotents are orthogonal idempotents summing to 1 (`amplify`
-    checks both, at Lambda's size).  The model map is a verified
-    multiplicative bijection sending the model's unit to `alg.unit`, so
-    the input is isomorphic to the model, hence associative with unit
-    `alg.unit`.
+    idempotents are orthogonal idempotents summing to 1 (`nakayama` and
+    `amplify` check both by `require_orthogonal`, at Lambda's size).
+    The model map is a verified multiplicative bijection sending the
+    model's unit to `alg.unit`, so the input is isomorphic to the model,
+    hence associative with unit `alg.unit`.
 
     If any step raises, the input's own `validate` runs first (a basic
     input, its own Lambda, has had it already), so an input that is not
@@ -211,7 +211,7 @@ class ModelIsomorphism:
         # phi(b_a) phi(b_b) = phi(b_a b_b) on every basis pair, multiplied
         # in alg; a pair where both sides vanish needs no comparison
         d = amp_alg.dim
-        vectors = [img.coeffs for img in self.images]
+        vectors = self.vectors = [img.coeffs for img in self.images]
         for a, prods in enumerate(products(alg, vectors, vectors)):
             row = amp_alg.rows[a]
             for b in sorted(prods.keys() | row.keys()):
@@ -228,23 +228,8 @@ class ModelIsomorphism:
         self.preimages = inverse.rows
 
     def apply_tensor2(self, x: Tensor2) -> Tensor2:
-        p = self.alg.field.p
-        images = self.images
-        out: dict = {}
-        for (a, b), c in x.coeffs.items():
-            right = images[b].coeffs.items()
-            for k1, c1 in images[a].coeffs.items():
-                cc = c * c1
-                for k2, c2 in right:
-                    key = (k1, k2)
-                    w = out.get(key, 0) + cc * c2
-                    if p:
-                        w %= p
-                    if w:
-                        out[key] = w
-                    else:
-                        out.pop(key, None)
-        return Tensor2(self.alg, out)
+        """(phi (x) phi)(x), in the field's normal form."""
+        return Tensor2(self.alg, tensor_image(self.alg.field, x.coeffs, self.vectors))
 
     def transport_functional(self, f: Functional) -> Functional:
         """Functional on the input algebra pulling back to f on the model:
@@ -311,14 +296,10 @@ def _transported_pieces(analysis: AnalysisResult, blocks: dict) -> dict:
     for k, c in full.coeffs.items():
         i, _, s, _, _ = tuples[k[0]]
         parts.setdefault((i, (s, tuples[k[1]][3])), {})[k] = c
-    rational = analysis.algebra.field.p is None
-    pieces = {}
-    for key, part in parts.items():
-        piece = analysis.model_map.apply_tensor2(Tensor2(amp.algebra, part)).coeffs
-        # over GF(p) apply_tensor2 leaves residues; over QQ an integral
-        # Fraction is stored as its int
-        pieces[key] = {k: narrow(c) for k, c in piece.items()} if rational else piece
-    return pieces
+    return {
+        key: analysis.model_map.apply_tensor2(Tensor2(amp.algebra, part)).coeffs
+        for key, part in parts.items()
+    }
 
 
 def prepare(alg: FinDimAlgebra, seed: int = DEFAULT_SEED):

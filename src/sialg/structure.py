@@ -40,6 +40,7 @@ from .algebra import (
     minimal_polynomial,
     multiply,
     products,
+    tensor_image,
 )
 from .errors import (
     AlgebraError,
@@ -79,9 +80,11 @@ class PeirceCorners:
     def __init__(self, alg: FinDimAlgebra, reps):
         self.alg = alg
         self.reps = reps
+        self.sums_to_one = sum(reps[1:], reps[0]) == alg.unit
         self.spans: dict = {}
         self.bases: dict = {}
         self._inverse = None
+        self._ideal_dims = 0  # sum over j of dim e_j A
         field = alg.field
         rep_vectors = [e.coeffs for e in reps]
         basis = [{t: field.one} for t in range(alg.dim)]
@@ -89,6 +92,7 @@ class PeirceCorners:
             rows = [lefts[t] for t in sorted(lefts)]
             if len({min(row) for row in rows}) < len(rows):
                 rows = Span(field, rows).basis_vectors()
+            self._ideal_dims += len(rows)
             corners = [[] for _ in reps]
             for prods in products(alg, rows, rep_vectors):
                 for i, w in prods.items():
@@ -100,17 +104,21 @@ class PeirceCorners:
     def require_sum_one(self):
         """Raise NotBasic unless the reps sum to 1; on a basic algebra,
         unless there is one idempotent per class."""
-        reps = self.reps
-        if sum(reps[1:], reps[0]) != self.alg.unit:
+        if not self.sums_to_one:
             raise NotBasic("the class representatives do not sum to 1")
 
     def require_orthogonal(self):
-        """Raise NotBasic unless the reps are orthogonal idempotents:
-        e_j e_i is e_i when j = i and 0 otherwise."""
-        vectors = [e.coeffs for e in self.reps]
-        for j, prods in enumerate(products(self.alg, vectors, vectors)):
-            if prods != ({j: vectors[j]} if vectors[j] else {}):
-                raise NotBasic("the class representatives are not orthogonal idempotents")
+        """Raise NotBasic unless the reps are orthogonal idempotents summing
+        to 1, by the dimensions of the e_j A that `__init__` spanned.
+        Proof, for reps summing to 1: A = sum_j e_j A as a = 1 a, and the
+        sum is direct exactly when sum_j dim e_j A = dim A.  e_j = e_j 1 is
+        in e_j A and e_j = sum_i e_i e_j with e_i e_j in e_i A, so a direct
+        sum gives e_i e_j = delta_ij e_j, and orthogonal idempotents give a
+        direct sum.  This needs bilinearity and the unit axiom, which
+        `analyze` checks with Lambda's `validate` before `nakayama` runs."""
+        self.require_sum_one()
+        if self._ideal_dims != self.alg.dim:
+            raise NotBasic("the class representatives are not orthogonal idempotents")
 
     def coordinates(self, corner, coeffs: dict) -> list:
         """Coordinates of `coeffs` in the corner's echelon basis."""
@@ -122,38 +130,20 @@ class PeirceCorners:
     def tensor_components(self, y: Tensor2) -> dict:
         """Nonzero Peirce components of y: {(j, i, u, v): {(b1, b2): c}},
         the component in e_j A e_i (x) e_u A e_v in corner coordinates.
-        With the reps summing to 1, the stacked corner bases are the rows
-        of an invertible B, and b_k has the corner coordinates in row k of
-        B^-1.  B^-1 is computed on the first call and kept."""
-        self.require_sum_one()
+        For orthogonal idempotents summing to 1 (`require_orthogonal`), the
+        stacked corner bases are the rows of an invertible B, and y in corner
+        coordinates is `tensor_image` on the rows of B^-1, kept once built."""
+        self.require_orthogonal()
         alg = self.alg
         if self._inverse is None:
             stacked = (q.coeffs for basis in self.bases.values() for q in basis)
             self._inverse = Matrix(alg.field, stacked, alg.dim).inverse().rows
         slots = [(key, b) for key, basis in self.bases.items() for b in range(len(basis))]
-        comps: dict = {}
-        for k in {k for key in y.coeffs for k in key}:
-            parts = comps[k] = {}
-            for s, c in sorted(self._inverse[k].items()):
-                corner, b = slots[s]
-                parts.setdefault(corner, {})[b] = c
-        p = alg.field.p
         out: dict = {}
-        for (a, b), c in y.coeffs.items():
-            for left_corner, left in comps[a].items():
-                for right_corner, right in comps[b].items():
-                    comp = out.setdefault(left_corner + right_corner, {})
-                    for k1, c1 in left.items():
-                        cc = c * c1
-                        for k2, c2 in right.items():
-                            w = comp.get((k1, k2), 0) + cc * c2
-                            if p:
-                                w %= p
-                            if w:
-                                comp[(k1, k2)] = w
-                            else:
-                                comp.pop((k1, k2), None)
-        return {key: comp for key, comp in out.items() if comp}
+        for (s1, s2), c in tensor_image(alg.field, y.coeffs, self._inverse).items():
+            (left, b1), (right, b2) = slots[s1], slots[s2]
+            out.setdefault(left + right, {})[(b1, b2)] = c
+        return out
 
     def copy_algebra(self, m):
         """End(+ (e_i A)^m(i)) on copies of the corner bases: (tuples, algebra).
@@ -548,17 +538,17 @@ def nakayama(corners: PeirceCorners, rad: RadicalData) -> NakayamaData:
     the projectives e_i A of a basic algebra with one rep e_i per class.
 
     Requires each socle soc(e_i A) to be concentrated in one class;
-    otherwise the input is rejected as not self-injective-like.  With
-    the reps summing to 1, e_i A is the sum of the corners (i, k), and
+    otherwise the input is rejected as not self-injective-like.  The
+    reps are orthogonal idempotents summing to 1, checked first by
+    `require_orthogonal`, so e_i A is the sum of the corners (i, k), and
     the socle is the annihilator of J on one Span of their bases.  A
     socle element s meets only class k (s e_k' = 0 for k' != k) exactly
-    when it lies in the corner (i, k): then s = s e_k, and for
-    orthogonal reps (`amplify` checks them before `analyze` returns)
+    when it lies in the corner (i, k): then s = s e_k, and
     s e_k' = s e_k e_k' = 0.  So each socle is reduced modulo the corner
     Spans; only one that meets several classes has them named, by s e_k
     from one `products` walk.
     """
-    corners.require_sum_one()
+    corners.require_orthogonal()
     alg, n, bases, spans = corners.alg, len(corners.reps), corners.bases, corners.spans
     nu, socles = [], []
     for i in range(n):
@@ -677,7 +667,7 @@ def basic_reduction(alg: FinDimAlgebra, dec: CanonicalDecomposition):
     """
     reps = dec.reps
     input_corners = PeirceCorners(alg, reps)
-    if sum(reps[1:], reps[0]) == alg.unit:
+    if input_corners.sums_to_one:
         return input_corners, input_corners
     tuples, lam = input_corners.copy_algebra((1,) * len(reps))
     # the unit's part in diagonal corner (i, i) is class i's idempotent

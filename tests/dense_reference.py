@@ -32,7 +32,9 @@ the sums of their corners, and ``nakayama_reference`` reads the socles
 off those spans and the permutation by one ``multiply`` call per (socle
 element, class), so comparing against it checks ``nakayama``, which
 spans e_i A from its corners and finds the corner a socle lies in by
-reducing it modulo the corner spans.
+reducing it modulo the corner spans.  ``orthogonal_reference`` multiplies
+every pair of reps, so comparing against it checks
+``PeirceCorners.require_orthogonal``, which counts dimensions instead.
 ``spread_reference`` finds both model positions of every coefficient
 from their full basis tuples, so comparing against it checks that
 ``spread`` may add the corner basis index to one offset per leg.
@@ -630,6 +632,18 @@ def nakayama_reference(alg, reps, rad, projectives):
     if sorted(nu) != list(range(len(reps))):
         raise NotSelfInjectiveLike(f"socle pattern {nu} is not a permutation")
     return tuple(nu), socles
+
+
+def orthogonal_reference(corners):
+    """True iff the reps sum to 1 and are orthogonal idempotents, by one
+    `multiply` call per ordered pair of reps: e_j e_i is e_i when j = i
+    and 0 otherwise."""
+    alg, reps = corners.alg, corners.reps
+    return sum(reps[1:], reps[0]) == alg.unit and all(
+        multiply(ej, ei) == (ei if j == i else alg.zero())
+        for j, ej in enumerate(reps)
+        for i, ei in enumerate(reps)
+    )
 
 
 def model_map_failure(alg, model, images):

@@ -881,6 +881,58 @@ def test_nakayama_refuses_as_the_per_class_loop(make, message):
     assert str(batched.value) == str(looped.value) == message
 
 
+def _orthogonal(corners):
+    """`require_orthogonal`'s verdict: None, or its NotBasic message."""
+    try:
+        corners.require_orthogonal()
+    except NotBasic as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "alg", [alg for _, alg in _DECOMPOSED], ids=[key for key, _ in _DECOMPOSED]
+)
+def test_orthogonality_by_dimensions_matches_products(alg):
+    # the basic algebra's class idempotents pass both the dimension count
+    # and the products of every pair of them; the input's class reps of a
+    # non-basic algebra do not sum to 1 and fail both
+    input_corners, corners = basic_reduction(alg, canonical_decomposition(alg))
+    assert dense.orthogonal_reference(corners) and _orthogonal(corners) is None
+    basic = input_corners is corners
+    assert dense.orthogonal_reference(input_corners) == basic
+    assert _orthogonal(input_corners) == (
+        None if basic else "the class representatives do not sum to 1"
+    )
+
+
+def _reps_not_orthogonal():
+    """Reps that sum to 1 but are not orthogonal idempotents: (2, 0) and
+    (-1, 1) in QQ x QQ, where dim e_1 A + dim e_2 A = 1 + 2, and 2 e_1 and
+    1 - 2 e_1 in B(2, 2), where it is 2 + 4."""
+    F = field_product_algebra(2)
+    yield F, [F.element([2, 0]), F.element([-1, 1])]
+    B = nakayama_algebra(2, 2)
+    e1 = canonical_decomposition(B).reps[0].scaled(2)
+    yield B, [e1, B.unit - e1]
+
+
+@pytest.mark.parametrize("alg, reps", list(_reps_not_orthogonal()), ids=["QQxQQ", "B22"])
+def test_reps_summing_to_one_that_are_not_orthogonal_are_refused(alg, reps):
+    corners = PeirceCorners(alg, reps)
+    assert corners.sums_to_one and not dense.orthogonal_reference(corners)
+    message = "the class representatives are not orthogonal idempotents"
+    assert _orthogonal(corners) == message
+    with pytest.raises(NotBasic) as amplified:
+        amplify(corners, (1,) * len(reps))
+    with pytest.raises(NotBasic) as reduced:
+        nakayama(corners, radical(alg))
+    # the corners overlap, so their stacked bases do not invert
+    with pytest.raises(NotBasic) as cut:
+        corners.tensor_components(dense.tensor2(alg, {(0, 0): 1}))
+    assert str(amplified.value) == str(reduced.value) == str(cut.value) == message
+
+
 def test_one_sided_needs_reps_summing_to_one():
     # e_11 alone does not sum to 1 in M_2, so its corner does not span e_11 A
     # and its corner bases do not span A: every reader of a one-sided ideal
