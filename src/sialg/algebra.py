@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import BadParams, DimensionMismatch, InvalidAlgebra
 from .fields import Field, json_int, json_list, narrow
-from .linalg import Span, sparse_rank
+from .linalg import Matrix, Span, sparse_rank
 
 
 def _accum(dst: dict, key, value, p):
@@ -58,13 +58,11 @@ class FinDimAlgebra:
              if (nz := {k: c for k, c in prod.items() if c})}
             for row in rows
         ]
-        coeffs = {}
-        for k, c in enumerate(unit_coeffs):
-            c = field(c)
-            if c:
-                coeffs[k] = c
-        self._unit_coeffs = coeffs
-        self._unit = Element(self, coeffs)
+        unit = [field(c) for c in unit_coeffs]
+        if len(unit) != d:
+            raise BadParams("unit vector length differs from dim")
+        self._unit_coeffs = {k: c for k, c in enumerate(unit) if c}
+        self._unit = Element(self, self._unit_coeffs)
 
     def validate(self):
         """Raise InvalidAlgebra, with a witness, unless the unit and
@@ -141,8 +139,6 @@ class FinDimAlgebra:
                 field.parse(s) if isinstance(s, str) else field(s)
                 for s in json_list(data["unit"], "unit")
             ]
-            if len(unit) != dim:
-                raise BadParams("unit vector length differs from dim")
             structure = [
                 (
                     *(json_int(x, "structure index") for x in (i, j, k)),
@@ -425,12 +421,32 @@ def combination(alg: FinDimAlgebra, vectors, coeffs) -> Element:
     return Element(alg, out)
 
 
+def gram_matrix(alg: FinDimAlgebra, f: Functional) -> Matrix:
+    """G[a][b] = f(b_a b_b), as sparse rows over the nonzero products: the
+    Gram matrix of a counit, and with f the traces the radical's trace form."""
+    field, vals = alg.field, f.values
+    rows = []
+    for row in alg.rows:
+        out = {}
+        for b, prod in row.items():
+            acc = field.zero
+            for k, c in prod.items():
+                if vals[k]:
+                    acc = acc + c * vals[k]
+            if acc and (acc := field.normal(acc)):
+                out[b] = acc
+        rows.append(out)
+    return Matrix(field, rows, alg.dim)
+
+
 def check_unit(alg: FinDimAlgebra):
-    """None if 1*b_i = b_i = b_i*1 for all i, else the first failing index."""
-    one = alg.unit
-    for i in range(alg.dim):
-        b = alg.basis_element(i)
-        if multiply(one, b) != b or multiply(b, one) != b:
+    """None if 1*b_i = b_i = b_i*1 for all i, else the first failing index;
+    one `products` walk per side."""
+    one = [alg.unit.coeffs]
+    basis = [{i: alg.field.one} for i in range(alg.dim)]
+    [left] = products(alg, one, basis)
+    for i, (b, right) in enumerate(zip(basis, products(alg, basis, one))):
+        if left.get(i, {}) != b or right.get(0, {}) != b:
             return i
     return None
 

@@ -2,13 +2,14 @@
 
 Covers cyclic Nakayama algebras B(n, l) with path basis p[i,k], their
 multiplicity amplifications with the four-index X basis, matrix algebras,
-products of fields, and small abelian group algebras.  The path, X and
-matrix-unit bases each state their product rule and emit only the
-nonzero products, in basis-pair order.  The generators do not check the
-algebra axioms themselves: `pipeline.analyze` proves every input it is
-given an algebra, or refuses it as `validate()` would, and the tests
-check the unit and associativity of every algebra the corpus and the
-benchmark sweeps build.
+products of fields, and small abelian group algebras.  `_nsy_table`
+states the product rule of the X basis once and emits only the nonzero
+products, in basis-pair order; B(n, l), the matrix algebras and the
+products of fields are its cases, relabelled.  The generators do not
+check the algebra axioms themselves: `pipeline.analyze` proves every
+input it is given an algebra, or refuses it as `validate()` would, and
+the tests check the unit and associativity of every algebra the corpus
+and the benchmark sweeps build.
 """
 
 from __future__ import annotations
@@ -21,25 +22,41 @@ from .errors import BadParams
 from .fields import QQ, Field, json_int
 
 
+def _nsy_table(n: int, l: int, m: tuple, field: Field):
+    """(tuples, index, structure, unit) of the nsy basis X[i,k;r,s], tuples
+    i-major, then k, r, s, and the nonzero products in basis-pair order:
+    the one product rule of the cyclic Nakayama families."""
+    tuples = [
+        (i, k, r, s)
+        for i in range(n)
+        for k in range(l)
+        for r in range(m[i])
+        for s in range(m[(i + k) % n])
+    ]
+    index = {t: a for a, t in enumerate(tuples)}
+    # X[i,k;r,s] X[i+k,k2;s,s2] = X[i,k+k2;r,s2] for k + k2 < l; every
+    # other product is 0
+    structure = [
+        (a, index[((i + k) % n, k2, s, s2)], index[(i, k + k2, r, s2)], field.one)
+        for (i, k, r, s), a in index.items()
+        for k2 in range(l - k)
+        for s2 in range(m[(i + k + k2) % n])
+    ]
+    unit = [field.one if k == 0 and r == s else field.zero for _, k, r, s in tuples]
+    return tuples, index, structure, unit
+
+
 def nakayama_algebra(n: int, l: int, field: Field = QQ) -> FinDimAlgebra:
     """Cyclic Nakayama algebra: paths p[i,k] on a cyclic quiver, length < l.
 
     p[i,k] starts at vertex i, ends at vertex i+k (mod n); composition
-    appends paths and truncates at length l.
+    appends paths and truncates at length l.  It is the nsy table at
+    m = (1, ..., 1), p[i,k] being X[i,k;0,0].
     """
     if n < 1 or l < 1:
         raise BadParams("need n >= 1 and l >= 1")
-    idx = {(i, k): i * l + k for i in range(n) for k in range(l)}
-    labels = [f"p[{i},{k}]" for i in range(n) for k in range(l)]
-    # p[i,k] p[i+k,k2] = p[i,k+k2] for k + k2 < l; every other product is 0
-    structure = [
-        (a, idx[((i + k) % n, k2)], idx[(i, k + k2)], field.one)
-        for (i, k), a in idx.items()
-        for k2 in range(l - k)
-    ]
-    unit = [field.zero] * (n * l)
-    for i in range(n):
-        unit[idx[(i, 0)]] = field.one
+    tuples, _, structure, unit = _nsy_table(n, l, (1,) * n, field)
+    labels = [f"p[{i},{k}]" for i, k, _, _ in tuples]
     return FinDimAlgebra(field, labels, structure, unit)
 
 
@@ -69,26 +86,8 @@ def nsy_algebra(n: int, l: int, m, field: Field = QQ) -> NsyPresentation:
     m = tuple(json_int(v, "multiplicity") for v in m)
     if len(m) != n or any(v < 1 for v in m):
         raise BadParams("m must list n multiplicities >= 1")
-    tuples = []
-    for i in range(n):
-        for k in range(l):
-            for r in range(m[i]):
-                for s in range(m[(i + k) % n]):
-                    tuples.append((i, k, r, s))
-    index = {t: a for a, t in enumerate(tuples)}
+    tuples, index, structure, unit = _nsy_table(n, l, m, field)
     labels = [f"X[{i},{k};{r},{s}]" for (i, k, r, s) in tuples]
-    # X[i,k;r,s] X[i+k,k2;s,s2] = X[i,k+k2;r,s2] for k + k2 < l; every
-    # other product is 0
-    structure = [
-        (a, index[((i + k) % n, k2, s, s2)], index[(i, k + k2, r, s2)], field.one)
-        for (i, k, r, s), a in index.items()
-        for k2 in range(l - k)
-        for s2 in range(m[(i + k + k2) % n])
-    ]
-    unit = [field.zero] * len(tuples)
-    for i in range(n):
-        for r in range(m[i]):
-            unit[index[(i, 0, r, r)]] = field.one
     alg = FinDimAlgebra(field, labels, structure, unit)
     return NsyPresentation(n, l, m, alg, index)
 
@@ -112,28 +111,22 @@ def reference_delta_one(nsy: NsyPresentation) -> Tensor2:
 
 
 def matrix_algebra(size: int, field: Field = QQ) -> FinDimAlgebra:
-    """Full matrix algebra on the matrix-unit basis E[u,v]."""
+    """Full matrix algebra on the matrix-unit basis E[u,v]: the nsy table
+    at (n, l, m) = (1, 1, (size,)), E[u,v] being X[0,0;u-1,v-1]."""
     if size < 1:
         raise BadParams("size must be >= 1")
-    idx = {(u, v): u * size + v for u in range(size) for v in range(size)}
-    labels = [f"E[{u + 1},{v + 1}]" for u in range(size) for v in range(size)]
-    # E[u,v] E[v,z] = E[u,z]; every other product is 0
-    structure = [
-        (a, idx[(v, z)], idx[(u, z)], field.one) for (u, v), a in idx.items() for z in range(size)
-    ]
-    unit = [field.zero] * (size * size)
-    for u in range(size):
-        unit[idx[(u, u)]] = field.one
+    tuples, _, structure, unit = _nsy_table(1, 1, (size,), field)
+    labels = [f"E[{u + 1},{v + 1}]" for _, _, u, v in tuples]
     return FinDimAlgebra(field, labels, structure, unit)
 
 
 def field_product_algebra(copies: int, field: Field = QQ) -> FinDimAlgebra:
-    """Direct product of `copies` copies of the ground field."""
+    """Direct product of `copies` copies of the ground field: the nsy table
+    at l = 1 and every m(i) = 1, e[i] being X[i-1,0;0,0]."""
     if copies < 1:
         raise BadParams("copies must be >= 1")
-    labels = [f"e[{i + 1}]" for i in range(copies)]
-    structure = [(i, i, i, field.one) for i in range(copies)]
-    unit = [field.one] * copies
+    tuples, _, structure, unit = _nsy_table(copies, 1, (1,) * copies, field)
+    labels = [f"e[{i + 1}]" for i, _, _, _ in tuples]
     return FinDimAlgebra(field, labels, structure, unit)
 
 

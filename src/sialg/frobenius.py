@@ -10,8 +10,9 @@ the left as well as on the right.
 
 An attempt is accepted when its Gram matrix G[a][b] = eps(b_a b_b)
 inverts: the inverse that gives the dual-basis tensor is the acceptance
-test, so G is built, as sparse rows over the nonzero products b_a b_b,
-and inverted by `linalg.Matrix.inverse` once per attempt.  The rows of
+test, so G is built by `algebra.gram_matrix`, which builds the radical's
+trace form too, and inverted by `linalg.Matrix.inverse` once per attempt;
+`transport_pair` reads eps(b_a b) off its rows.  The rows of
 the inverse are read straight into the dual-basis tensor, with duals
 multiplying on the left inside eps, and every produced pair is
 re-verified exactly: invariance, both counit identities, and the two
@@ -33,9 +34,10 @@ from .algebra import (
     FinDimAlgebra,
     Functional,
     Tensor2,
+    gram_matrix,
     is_counit,
     is_invariant,
-    multiply,
+    products,
 )
 from .errors import (
     AlgebraError,
@@ -45,7 +47,7 @@ from .errors import (
     SingularGram,
     SingularMatrix,
 )
-from .linalg import Matrix, Span, sparse_rank, sparse_solve
+from .linalg import Span, sparse_rank, sparse_solve
 from .structure import DEFAULT_SEED, NakayamaData, PeirceCorners
 
 COUNIT_RETRY_BUDGET = 32
@@ -70,26 +72,6 @@ class FrobeniusPair:
             Functional.from_json(algebra, data["epsilon"]),
             Tensor2.from_json(algebra, data["y"]),
         )
-
-
-def gram_matrix(lam: FinDimAlgebra, eps: Functional) -> Matrix:
-    """G[a][b] = eps(b_a b_b), as sparse rows over the nonzero products."""
-    field = lam.field
-    vals = eps.values
-    rows = []
-    for row in lam.rows:
-        out = {}
-        for b, prod in row.items():
-            acc = field.zero
-            for k, c in prod.items():
-                v = vals[k]
-                if v:
-                    acc = acc + c * v
-            acc = field.normal(acc)
-            if acc:
-                out[b] = acc
-        rows.append(out)
-    return Matrix(field, rows, lam.dim)
 
 
 def frobenius_pair(
@@ -241,17 +223,17 @@ def tensor_blocks(corners: PeirceCorners, y: Tensor2, nak: NakayamaData):
 
 
 def is_unit(lam: FinDimAlgebra, b: Element) -> bool:
-    """b is a unit exactly when the columns b.e_t have full rank."""
-    cols = (multiply(b, lam.basis_element(t)).coeffs for t in range(lam.dim))
-    return sparse_rank(lam.field, cols) == lam.dim
+    """b is a unit exactly when the columns b.e_t, one `products` walk, have full rank."""
+    [cols] = products(lam, [b.coeffs], [{t: lam.field.one} for t in range(lam.dim)])
+    return sparse_rank(lam.field, cols.values()) == lam.dim
 
 
 def transport_pair(lam: FinDimAlgebra, pair: FrobeniusPair, b: Element) -> FrobeniusPair:
-    """New pair with eps'(a) = eps(a b) for an invertible b; the tensor is
+    """New pair with eps'(a) = eps(a b) for an invertible b, read off the
+    Gram rows of eps as eps(b_a b) = sum_t G[a][t] b_t; the tensor is
     rebuilt from the transported counit's Gram inverse."""
     if not is_unit(lam, b):
         raise NotInvertible("transport element is not a unit")
-    eps2 = Functional(
-        lam, [pair.epsilon(multiply(lam.basis_element(a), b)) for a in range(lam.dim)]
-    )
+    gram = gram_matrix(lam, pair.epsilon).rows
+    eps2 = Functional(lam, [sum(c * b.coeffs.get(t, 0) for t, c in row.items()) for row in gram])
     return FrobeniusPair(eps2, dual_basis_tensor(lam, eps2))

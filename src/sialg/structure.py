@@ -1,9 +1,9 @@
 """Structure theory: radical, canonical decomposition, Peirce corners,
 Nakayama data and the basic reduction.
 
-The radical uses the regular-representation trace form (characteristic 0
-or p > dim); for commutative algebras over GF(p) it falls back on the
-kernel of a high Frobenius power, which covers modular group algebras.
+The radical is the kernel of the trace form (characteristic 0 or p > dim),
+`algebra.gram_matrix` of the traces tr L_b; for commutative algebras over
+GF(p) it is the kernel of a high Frobenius power (modular group algebras).
 Idempotents are lifted from the semisimple quotient with the cubic
 iteration a -> 3a^2 - 2a^3 and orthogonalized sequentially; splitting
 inside the quotient factors minimal polynomials of swept corner elements,
@@ -35,8 +35,10 @@ from . import poly
 from .algebra import (
     Element,
     FinDimAlgebra,
+    Functional,
     Tensor2,
     combination,
+    gram_matrix,
     minimal_polynomial,
     multiply,
     products,
@@ -218,30 +220,9 @@ class RadicalData:
 
 
 def _trace_form_kernel(alg: FinDimAlgebra):
-    field = alg.field
-    p = field.p
-    traces = []
-    for row in alg.rows:
-        acc = field.zero
-        for a, prod in row.items():
-            c = prod.get(a)
-            if c:
-                acc = acc + c
-        traces.append(acc % p if p else acc)
-    form = []
-    for row in alg.rows:
-        form_row = {}
-        for j, prod in row.items():
-            acc = field.zero
-            for k, c in prod.items():
-                if traces[k]:
-                    acc = acc + c * traces[k]
-            if p:
-                acc %= p
-            if acc:
-                form_row[j] = acc
-        form.append(form_row)
-    return sparse_kernel(field, form, alg.dim)
+    # tr L_{b_i b_j} = sum_k c_ijk tr L_{b_k}: the Gram matrix of the traces
+    traces = Functional(alg, [sum(prod.get(a, 0) for a, prod in row.items()) for row in alg.rows])
+    return sparse_kernel(alg.field, gram_matrix(alg, traces).rows, alg.dim)
 
 
 def _frobenius_power_kernel(alg: FinDimAlgebra):
@@ -576,15 +557,17 @@ def _right_dual_intertwiners(alg, u_basis, u_span, x_basis, x_span):
     """Solution space of theta(u a) = theta(u) . a for theta: U -> X^*.
 
     U carries the right regular action, X^* the dual of a left module;
-    unknown theta is a |U| x |X| coordinate matrix.
+    unknown theta is a |U| x |X| coordinate matrix.  The products u b_s
+    and b_s x come from one `products` walk a side.
     """
     field = alg.field
     nu_, nx = len(u_basis), len(x_basis)
+    basis = [{s: field.one} for s in range(alg.dim)]
+    u_prods = list(products(alg, [u.coeffs for u in u_basis], basis))
     eq_rows = []
-    for s in range(alg.dim):
-        a = alg.basis_element(s)
-        gamma = [u_span.coordinates(multiply(u, a).coeffs) for u in u_basis]
-        delta = [x_span.coordinates(multiply(a, x).coeffs) for x in x_basis]
+    for s, x_prods in enumerate(products(alg, basis, [x.coeffs for x in x_basis])):
+        gamma = [u_span.coordinates(prods.get(s, {})) for prods in u_prods]
+        delta = [x_span.coordinates(x_prods.get(t, {})) for t in range(nx)]
         if any(g is None for g in gamma) or any(dd is None for dd in delta):
             raise AlgebraError("module basis is not closed under the action")
         for r in range(nu_):
@@ -728,12 +711,13 @@ def _find_witness_pair(alg, e1, es, c1, c2):
     """(u, v) for the first u in the basis `c1` with a v in span(c2)
     solving u v = e1, or None."""
     field = alg.field
+    vectors = [w.coeffs for w in c2]
     for u in c1:
-        # solve u * (sum_t y_t c2_t) = e1
+        # solve u * (sum_t y_t c2_t) = e1, with every u c2_t from one walk
+        [prods] = products(alg, [u.coeffs], vectors)
         per_coord: dict = {}
-        for t, w in enumerate(c2):
-            prod = multiply(u, w)
-            for k, c in prod.coeffs.items():
+        for t in sorted(prods):
+            for k, c in prods[t].items():
                 per_coord.setdefault(k, {})[t] = c
         keys = sorted(set(per_coord) | set(e1.coeffs))
         rows = [per_coord.get(k, {}) for k in keys]

@@ -62,6 +62,14 @@ the tensor components it reads off the inverse of the stacked corner
 bases.  ``split_once_reference`` is the quotient split's sweep without
 its stop at a corner proved to be a field, so comparing against it
 checks that the stop leaves the split's outcome and budget unchanged.
+``trace_form_kernel_reference`` accumulates each row of the trace form
+from the traces of the basis, so comparing against it checks that the
+radical reads the form as the Gram matrix of the traces.
+``transport_pair_reference`` takes eps(b_a b) by one ``multiply`` call
+per basis element and tests b for a unit by the dense rank of its left
+multiplication, so comparing against it checks that ``transport_pair``
+reads eps(b_a b) off the Gram rows of eps and that ``is_unit`` takes the
+columns b . e_t from one ``products`` walk.
 ``single_constant_mutants`` gives the seeded corrupted tables that the
 differential tests feed to both sides.  These
 references read a structure constant one basis pair at a time, as
@@ -95,11 +103,12 @@ from sialg.errors import (
     AlgebraError,
     IndexOutOfRange,
     NotFrobenius,
+    NotInvertible,
     NotSelfInjectiveLike,
     WitnessNotFound,
 )
 from sialg.frobenius import COUNIT_RETRY_BUDGET, FrobeniusPair, dual_basis_tensor, gram_matrix
-from sialg.linalg import Span, sparse_rank, sparse_solve
+from sialg.linalg import Span, sparse_kernel, sparse_rank, sparse_solve
 from sialg.structure import (
     DEFAULT_SEED,
     IsoWitness,
@@ -353,6 +362,41 @@ def radical_checks(alg, kernel):
             if span.reduce(multiply(b, r).coeffs) or span.reduce(multiply(r, b).coeffs):
                 raise AlgebraError("radical candidate is not an ideal")
     return RadicalData(basis, span), index
+
+
+def trace_form_kernel_reference(alg):
+    """Kernel of the trace form (b_i, b_j) -> tr L_{b_i b_j}: the traces
+    tr L_{b_k} = sum_a c_kaa, then each form row accumulated pair by pair
+    as sum_k c_ijk tr L_{b_k}, with no Gram matrix of a functional."""
+    field, d, rows = alg.field, alg.dim, alg.rows
+    traces = [
+        field.normal(sum((rows[k].get(a, {}).get(a, 0) for a in range(d)), field.zero))
+        for k in range(d)
+    ]
+    form = []
+    for i in range(d):
+        form_row = {}
+        for j in range(d):
+            acc = field.zero
+            for k, c in rows[i].get(j, {}).items():
+                acc = acc + c * traces[k]
+            acc = field.normal(acc)
+            if acc:
+                form_row[j] = acc
+        form.append(form_row)
+    return sparse_kernel(field, form, d)
+
+
+def transport_pair_reference(lam, pair, b):
+    """`frobenius.transport_pair` by one `multiply` call per basis element,
+    eps'(b_a) = eps(b_a b), refused unless left multiplication by b has
+    full rank under the dense elimination here."""
+    if rank(lam.field, left_multiplication(b)) != lam.dim:
+        raise NotInvertible("transport element is not a unit")
+    eps2 = Functional(
+        lam, [pair.epsilon(multiply(lam.basis_element(a), b)) for a in range(lam.dim)]
+    )
+    return FrobeniusPair(eps2, dual_basis_tensor(lam, eps2))
 
 
 def basic_reduction_reference(alg, reps):

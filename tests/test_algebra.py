@@ -95,6 +95,38 @@ def test_check_associativity_and_unit():
     assert info.value.witness == 0
 
 
+def test_check_unit_returns_lowest_failing_index():
+    # basis 1, a, b with unit b_0; each side is one products walk, and the
+    # lowest index failing on either side is the witness
+    # only the right identity fails: 1 a = a but a 1 = 0
+    A = FinDimAlgebra(QQ, ["1", "a"], [(0, 0, 0, 1), (0, 1, 1, 1)], [1, 0])
+    assert check_unit(A) == 1
+    # the left fails at b (1 b = 0), the right lower, at a (a 1 = 0)
+    B = FinDimAlgebra(QQ, ["1", "a", "b"], [(0, 0, 0, 1), (0, 1, 1, 1), (2, 0, 2, 1)], [1, 0, 0])
+    assert check_unit(B) == 1
+    with pytest.raises(InvalidAlgebra) as info:
+        B.validate()
+    assert str(info.value) == "unit axiom fails at basis index 1"
+    # with a 1 = a restored only the left fails, at b
+    C = FinDimAlgebra(QQ, ["1", "a", "b"], [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (2, 0, 2, 1)],
+                      [1, 0, 0])
+    assert check_unit(C) == 2
+
+
+@pytest.mark.parametrize("unit", [[1, 1], [1, 0, 0], []], ids=["long-1", "long-2", "empty"])
+def test_unit_vector_length_must_equal_dim(unit):
+    # unchecked, a long unit vector reaches analyze and raises IndexError
+    # there, or is cut to length dim without a word
+    with pytest.raises(BadParams) as info:
+        FinDimAlgebra(QQ, ["a"], [(0, 0, 0, 1)], unit)
+    assert str(info.value) == "unit vector length differs from dim"
+    data = FinDimAlgebra(QQ, ["a"], [(0, 0, 0, 1)], [1]).to_json()
+    data["unit"] = [str(c) for c in unit]
+    with pytest.raises(BadParams) as info:
+        FinDimAlgebra.from_json(data)
+    assert str(info.value) == "unit vector length differs from dim"
+
+
 def dense_associativity_witness(alg):
     """Reference: the lowest basis triple with (b_i b_j) b_k != b_i (b_j b_k)."""
     b = dense.basis(alg)

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import product as iter_product
 
 import pytest
@@ -16,6 +17,7 @@ from sialg.errors import BadParams
 from sialg.families import (
     STANDARD_NSY_SHAPES,
     corpus,
+    field_product_algebra,
     group_algebra,
     matrix_algebra,
     nakayama_algebra,
@@ -89,6 +91,52 @@ def test_nsy_m_one_equals_nakayama():
         B = nakayama_algebra(n, l)
         # identical structure up to labelling (indices align by construction)
         assert dense.structure_equal(nsy.algebra, B)
+
+
+def _nsy_cases():
+    """(family, build from the field, nsy shape, labels in basis order) for
+    the cyclic Nakayama, matrix and field-product generators."""
+    for n in range(1, 5):
+        for l in range(1, 5):
+            labels = [f"p[{i},{k}]" for i in range(n) for k in range(l)]
+            yield "nakayama", partial(nakayama_algebra, n, l), (n, l, (1,) * n), labels
+    for size in range(1, 6):
+        labels = [f"E[{u},{v}]" for u in range(1, size + 1) for v in range(1, size + 1)]
+        yield "matrix", partial(matrix_algebra, size), (1, 1, (size,)), labels
+    for copies in range(1, 6):
+        labels = [f"e[{i}]" for i in range(1, copies + 1)]
+        yield "product", partial(field_product_algebra, copies), (copies, 1, (1,) * copies), labels
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(101)], ids=["QQ", "GF2", "GF101"])
+def test_cyclic_nakayama_families_are_nsy_tables(field):
+    # each generator reads the nsy table and keeps its own labels: the rows
+    # (each product's entries in emitted order), the unit and the basis
+    # order equal the table's, and only the labels differ
+    compared = 0
+    for kind, build, shape, labels in _nsy_cases():
+        alg, table = build(field), nsy_algebra(*shape, field).algebra
+        assert alg.field == table.field and alg.dim == table.dim == len(labels), (kind, shape)
+        assert repr(alg.rows) == repr(table.rows), (kind, shape)
+        assert alg.unit.coeffs == table.unit.coeffs, (kind, shape)
+        assert list(alg.labels) == labels, (kind, shape)
+        compared += 1
+    assert compared == 16 + 5 + 5
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3)], ids=["QQ", "GF3"])
+@pytest.mark.parametrize("build, message", [
+    (lambda f: nakayama_algebra(0, 2, f), "need n >= 1 and l >= 1"),
+    (lambda f: nakayama_algebra(2, 0, f), "need n >= 1 and l >= 1"),
+    (lambda f: matrix_algebra(0, f), "size must be >= 1"),
+    (lambda f: matrix_algebra(-2, f), "size must be >= 1"),
+    (lambda f: field_product_algebra(0, f), "copies must be >= 1"),
+    (lambda f: field_product_algebra(-1, f), "copies must be >= 1"),
+], ids=["nakayama-n0", "nakayama-l0", "matrix-0", "matrix-neg", "product-0", "product-neg"])
+def test_cyclic_nakayama_family_messages(field, build, message):
+    with pytest.raises(BadParams) as info:
+        build(field)
+    assert str(info.value) == message
 
 
 def _model_index_map(amp, nsy):

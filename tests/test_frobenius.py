@@ -20,11 +20,13 @@ from sialg.frobenius import (
     dual_basis_tensor,
     frobenius_pair,
     gram_matrix,
+    is_unit,
     transport_pair,
     verify_frobenius_pair,
 )
 from sialg.linalg import Matrix
 from sialg.pipeline import analyze
+from sialg.verify import CorpusCache, _basic_contexts
 from sialg.structure import (
     NakayamaData,
     PeirceCorners,
@@ -195,6 +197,36 @@ def test_transport_identity_and_kx2():
     assert moved.epsilon.values == (QQ(1), QQ(1))
     with pytest.raises(NotInvertible):
         transport_pair(A, pair, A.basis_element(1))
+
+
+def test_transport_matches_per_basis_reference():
+    # transport_pair reads eps(b_a b) off the Gram rows of eps and is_unit
+    # takes the columns b . e_t from one products walk; the per-basis route
+    # gives the same verdict and the same pair for seeded draws, units of
+    # the diagonal corner sum and arbitrary elements, on every basic
+    # standard-corpus algebra
+    compared = refused = 0
+    for idx, entry, ctx in _basic_contexts(CorpusCache("standard")):
+        corners, pair = ctx.analysis.corners, ctx.pair
+        lam, field = corners.alg, corners.alg.field
+        rng = random.Random(1000 + idx)
+        draws = [dense.random_corner_diagonal_unit(corners, rng) for _ in range(2)] + [
+            lam.element({i: field.random(rng, -1, 1) for i in range(lam.dim)}) for _ in range(4)
+        ]
+        for b in draws:
+            want_unit = dense.rank(field, dense.left_multiplication(b)) == lam.dim
+            assert is_unit(lam, b) == want_unit, entry.key
+            if not want_unit:
+                with pytest.raises(NotInvertible):
+                    transport_pair(lam, pair, b)
+                with pytest.raises(NotInvertible):
+                    dense.transport_pair_reference(lam, pair, b)
+                refused += 1
+                continue
+            got, want = transport_pair(lam, pair, b), dense.transport_pair_reference(lam, pair, b)
+            assert got.epsilon == want.epsilon and got.y == want.y, entry.key
+            compared += 1
+    assert (compared, refused) == (45, 21)
 
 
 def test_corner_diagonal_transports_preserve_support():

@@ -117,6 +117,28 @@ def test_radical_unsupported_field():
         radical(matrix_algebra(2, Field(2)))
 
 
+def test_trace_form_kernel_matches_per_row_reference():
+    # radical reads the trace form as the Gram matrix of the traces; the
+    # rows accumulated pair by pair from the traces give the same kernel on
+    # the standard corpus, sweep-gfp's GF(101) nsy inputs and the seeded
+    # mutants of the small corpus that reach the trace form
+    rng = random.Random(20261018)
+    mutants = [
+        corrupt
+        for entry in corpus("small")
+        for corrupt in dense.single_constant_mutants(entry.algebra, rng, 6)
+        if corrupt.field.p is None or corrupt.field.p > corrupt.dim
+    ]
+    inputs = [e.algebra for e in corpus("standard")] + [alg for _, alg in _GFP_NSY] + mutants
+    nonzero = 0
+    for alg in inputs:
+        kernel = structure._trace_form_kernel(alg)
+        assert kernel == dense.trace_form_kernel_reference(alg)
+        nonzero += bool(kernel)
+    assert len(mutants) == 234
+    assert nonzero == 322  # 164 of them mutants
+
+
 def test_radical_matches_per_pair_reference_on_mutants():
     # seeded single-constant corruptions: bump one, delete one, add one.
     # Where the per-pair loops accept the trace-form (or Frobenius-power)
