@@ -13,7 +13,7 @@ invariance checks may safely run concurrently if ever needed.
 from __future__ import annotations
 
 from .errors import BadParams, DimensionMismatch, InvalidAlgebra
-from .fields import Field, json_int, json_list, narrow
+from .fields import Field, json_int, json_list, narrow_values
 from .linalg import Matrix, Span, sparse_rank
 
 
@@ -404,12 +404,12 @@ def tensor_image(field: Field, coeffs: dict, rows) -> dict:
             cc = c * c1
             for k2, c2 in right:
                 _accum(out, (k1, k2), cc * c2, p)
-    return out if p else {key: narrow(w) for key, w in out.items()}
+    return out if p else narrow_values(out)
 
 
 def combination(alg: FinDimAlgebra, vectors, coeffs) -> Element:
     """sum_t c_t v_t for coeffs a dict {t: c_t} or a list parallel to
-    `vectors`, accumulated into one dict."""
+    `vectors`, accumulated into one dict, in the field's normal form."""
     items = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
     norm, p = alg.field.normal, alg.field.p
     out: dict = {}
@@ -418,7 +418,7 @@ def combination(alg: FinDimAlgebra, vectors, coeffs) -> Element:
         if c:
             for k, v in vectors[t].coeffs.items():
                 _accum(out, k, v * c, p)
-    return Element(alg, out)
+    return Element(alg, out if p else narrow_values(out))
 
 
 def gram_matrix(alg: FinDimAlgebra, f: Functional) -> Matrix:

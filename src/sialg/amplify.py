@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (
     FinDimAlgebra,
@@ -43,7 +44,7 @@ from .errors import (
     IndexOutOfRange,
     NotBijection,
 )
-from .fields import json_int
+from .fields import Field, json_int
 from .linalg import sparse_rank, sparse_solve
 from .structure import NakayamaData, PeirceCorners
 
@@ -97,12 +98,16 @@ class SpreadSpec:
     classes: tuple
 
     def validate(self, m, nak: NakayamaData):
+        """Every pair of S(i) in 1..m(i) x 1..m(nu^-1 i), tested by its
+        bounds; the lowest pair outside its box is named."""
         if len(self.classes) != len(m):
             raise BadParams("subset data must cover every class")
-        for i, (pairs, box) in enumerate(zip(self.classes, copy_boxes(m, nak))):
-            outside = set(pairs).difference(box)
+        for i, pairs in enumerate(self.classes):
+            hi_s, hi_t = m[i], m[nak.nu_inverse(i)]
+            copies, targets = range(1, hi_s + 1), range(1, hi_t + 1)
+            outside = [(s, s2) for s, s2 in pairs if s not in copies or s2 not in targets]
             if outside:
-                (s, s2), (hi_s, hi_t) = min(outside), box[-1]
+                s, s2 = min(outside)
                 raise IndexOutOfRange(
                     f"pair ({s},{s2}) outside 1..{hi_s} x 1..{hi_t} for class {i + 1}"
                 )
@@ -255,17 +260,28 @@ def is_bijection_graph(spec: SpreadSpec, m, nak: NakayamaData) -> list:
     return out
 
 
+# distinct (S(i), characteristic) keys whose incidence rank is kept
+INCIDENCE_RANK_CACHE = 4096
+
+
+@lru_cache(maxsize=INCIDENCE_RANK_CACHE)
+def _incidence_rank(pairs: frozenset, p) -> int:
+    """The rank over QQ (p None) or GF(p) of the incidence matrix of the
+    pairs, the one builder of that matrix: a pure function of the set and
+    the characteristic, so it is kept for the `INCIDENCE_RANK_CACHE` keys
+    used last."""
+    rows: dict = {}
+    for s, s2 in pairs:
+        rows.setdefault(s, {})[s2] = 1
+    return sparse_rank(Field(p), rows.values())
+
+
 def _incidence_ranks(spec: SpreadSpec, field) -> list:
     """Per class i, the rank over the ground field of the incidence matrix
     M_i of S(i): the m(i) x m(nu^-1 i) 0/1 matrix with M_i[s][s'] = 1
-    exactly when (s, s') is in S(i).  The one builder of M_i."""
-    out = []
-    for pairs in spec.classes:
-        rows: dict = {}
-        for s, s2 in pairs:
-            rows.setdefault(s, {})[s2] = field.one
-        out.append(sparse_rank(field, rows.values()))
-    return out
+    exactly when (s, s') is in S(i), read through the cache of
+    `_incidence_rank`."""
+    return [_incidence_rank(frozenset(pairs), field.p) for pairs in spec.classes]
 
 
 def is_incidence_invertible(spec: SpreadSpec, m, nak: NakayamaData, field) -> list:
@@ -325,22 +341,34 @@ def counit_from_incidence(
 
 
 def build_counit(
-    amp: AmplifiedAlgebra, spec: SpreadSpec, nak: NakayamaData, eps_base: Functional
+    amp: AmplifiedAlgebra,
+    spec: SpreadSpec,
+    nak: NakayamaData,
+    eps_base: Functional,
+    flags: list,
 ) -> Functional:
     """Counit for a bijection-graph spread: the base counit through the
-    copy identification on blocks (nu^-1(i) <- i, copies phi_i(t) <- t),
-    zero elsewhere.  `comultiplication_report` checks both counit
-    identities on the tensor it is given."""
-    flags = is_bijection_graph(spec, amp.m, nak)
+    copy identification on blocks (nu^-1(i) <- i, copies phi_i(s) <- s),
+    zero elsewhere.  `flags` are `is_bijection_graph` of the same data,
+    which the caller also reports; `NotBijection` unless all hold.  Only
+    the blocks at the pairs (s, phi_i(s))
+    of S(i) are written, each from the offset of its tuple
+    (i, nu^-1(i), s, phi_i(s), 0) plus the corner basis index (see
+    `AmplifiedAlgebra`), with eps_base taken once per corner basis
+    element.  `comultiplication_report` checks both counit identities on
+    the tensor it is given."""
     if not all(flags):
         bad = [i for i, ok in enumerate(flags) if not ok]
         raise NotBijection(f"subset data is not a bijection graph for classes {bad}")
-    phi = [dict(pairs) for pairs in spec.classes]
-    field = amp.algebra.field
-    values = [field.zero] * amp.algebra.dim
-    for (i, j, s, t, b), idx in amp.index.items():
-        if j == nak.nu_inverse(i) and t == phi[i][s]:
-            values[idx] = eps_base(amp.corners.bases[(j, i)][b])
+    index = amp.index
+    values = [amp.algebra.field.zero] * amp.algebra.dim
+    for i, pairs in enumerate(spec.classes):
+        j = nak.nu_inverse(i)
+        eps = [eps_base(q) for q in amp.corners.bases[(j, i)]]
+        if eps:
+            for s, t in pairs:
+                o = index[(i, j, s, t, 0)]
+                values[o : o + len(eps)] = eps
     return Functional(amp.algebra, values)
 
 

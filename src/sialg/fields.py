@@ -2,10 +2,11 @@
 
 Over QQ a scalar is a Python ``int`` or a ``fractions.Fraction``:
 ``Field.__call__``, :meth:`Field.normal`, :meth:`Field.inv`, the ``Span``
-echelon forms and ``algebra.tensor_image`` narrow an integral value to
-``int``, while the other inline accumulation kernels add without
-narrowing and may keep an integral ``Fraction``; ``==``, ``hash`` and
-:meth:`Field.format` treat both alike, so no report byte depends on it.
+echelon forms, ``algebra.tensor_image`` and ``algebra.combination``
+narrow an integral value to ``int``, while the other inline
+accumulation kernels add without narrowing and may keep an integral
+``Fraction``; ``==``, ``hash`` and :meth:`Field.format` treat both
+alike, so no report byte depends on it.
 Over GF(p) a scalar is an ``int`` reduced into ``range(p)``.  Scalars
 are plain Python numbers, so generic code adds and multiplies them
 without branching on the field kind; over GF(p) every site that stores
@@ -102,6 +103,15 @@ def narrow(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
+
+
+def narrow_values(coeffs: dict) -> dict:
+    """`coeffs` with every value narrowed, or the dict itself when it
+    holds no Fraction: a sum of ints is an int and a sum with a Fraction
+    term is a Fraction, so one C-level `sum` tells the two apart."""
+    if type(sum(coeffs.values())) is Fraction:
+        return {k: narrow(w) for k, w in coeffs.items()}
+    return coeffs
 
 
 # "a", "a/b" or "r mod p" in decimal digits: no exponent or decimal point,

@@ -14,9 +14,9 @@ phi(a) phi(b) = phi(ab) on every basis pair, with the products taken in
 the input algebra and only the nonzero ones on either side compared.
 The matrix of the images is inverted by `linalg.Matrix.inverse`, the
 same sparse inversion the Gram matrix of a counit goes through, and its
-rows are the preimages that carry a functional back to the input.  The
-map is built in `analyze`, where it proves the input an algebra from
-the basic algebra's axioms.
+columns carry a functional back to the input.  The map is built in
+`analyze`, where it proves the input an algebra from the basic
+algebra's axioms.
 """
 
 from __future__ import annotations
@@ -192,11 +192,16 @@ class ModelIsomorphism:
     ):
         self.alg = alg
         self.amp = amp
-        bases = input_corners.bases
-        self.images = [
-            multiply(multiply(wit.vs[j][t - 1], bases[(j, i)][b]), wit.us[i][s - 1])
-            for (i, j, s, t, b) in amp.tuples
-        ]
+        # the images in model tuple order (corner, then s, t, b), taken in
+        # the algebra of the corners and witnesses; v_{j,t} phi is taken
+        # once per corner and shared by the m(i) copies s
+        self.images = []
+        for (j, i), corner in amp.corners.bases.items():
+            phis = input_corners.bases[(j, i)]
+            lefts = [[multiply(v, phis[b]) for b in range(len(corner))] for v in wit.vs[j]]
+            for u in wit.us[i]:
+                for row in lefts:
+                    self.images += [multiply(left, u) for left in row]
         self._verify()
 
     def _verify(self):
@@ -220,12 +225,18 @@ class ModelIsomorphism:
                         f"model map is not multiplicative at basis pair ({a},{b})"
                     )
         # phi is bijective exactly when the matrix of its images inverts,
-        # and row k of the inverse spells phi^-1(b_k)
+        # and row k of the inverse spells phi^-1(b_k); its columns are kept,
+        # column t listing the (k, c) with c the coefficient of model
+        # basis element t in phi^-1(b_k)
         try:
             inverse = Matrix(alg.field, vectors, d).inverse()
         except SingularMatrix as exc:
             raise AlgebraError("model map is not bijective") from exc
-        self.preimages = inverse.rows
+        columns: list = [[] for _ in range(d)]
+        for k, row in enumerate(inverse.rows):
+            for t, c in row.items():
+                columns[t].append((k, c))
+        self.preimage_columns = columns
 
     def apply_tensor2(self, x: Tensor2) -> Tensor2:
         """(phi (x) phi)(x), in the field's normal form."""
@@ -233,12 +244,16 @@ class ModelIsomorphism:
 
     def transport_functional(self, f: Functional) -> Functional:
         """Functional on the input algebra pulling back to f on the model:
-        its value at b_k is f(phi^-1(b_k))."""
-        zero = self.alg.field.zero
-        return Functional(
-            self.alg,
-            [sum((c * f.values[t] for t, c in pre.items()), zero) for pre in self.preimages],
-        )
+        its value at b_k is f(phi^-1(b_k)), the sum over the model basis
+        elements t with f(t) != 0 of f(t) times their coefficient in
+        phi^-1(b_k), so only the preimage columns of those t are read."""
+        columns = self.preimage_columns
+        values = [self.alg.field.zero] * self.alg.dim
+        for t, v in enumerate(f.values):
+            if v:
+                for k, c in columns[t]:
+                    values[k] += c * v
+        return Functional(self.alg, values)
 
 
 @dataclass
@@ -340,7 +355,8 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     """
     analysis = ctx.analysis
     amp, model_map = analysis.amp, analysis.model_map
-    m, nak = analysis.dec.multiplicities, analysis.nak
+    # amp.m is dec.multiplicities as amplify stored it, not recounted per call
+    m, nak = amp.m, analysis.nak
     if isinstance(spec, str):
         spec = preset_spec(spec, m, nak)
     spec.validate(m, nak)
@@ -350,7 +366,12 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     coeffs: dict = {}
     for i, pairs in enumerate(spec.classes):
         for pair in pairs:
-            for key, c in pieces[(i, pair)].items():
+            piece = pieces[(i, pair)]
+            # keys all new: the same items, in the same order, as the loop
+            if coeffs.keys().isdisjoint(piece):
+                coeffs.update(piece)
+                continue
+            for key, c in piece.items():
                 old = coeffs.get(key)
                 if old is None:
                     coeffs[key] = c
@@ -362,7 +383,7 @@ def run_spec(ctx: PipelineContext, spec: SpreadSpec | str) -> PipelineRun:
     flags = is_bijection_graph(spec, m, nak)
     built = None
     if all(flags):
-        built_model = build_counit(amp, spec, nak, ctx.pair.epsilon)
+        built_model = build_counit(amp, spec, nak, ctx.pair.epsilon, flags)
         built = model_map.transport_functional(built_model)
     certified = ctx.certified and all(spec.classes)
     counit = counit_from_incidence(analysis.corners, m, nak, spec) if ctx.certified else None

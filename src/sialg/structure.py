@@ -28,7 +28,7 @@ algebra e A e, which they carry basis element for basis element.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, count, product
 
 from . import poly
@@ -509,9 +509,14 @@ def annihilator(alg: FinDimAlgebra, basis: list, left, right) -> list:
 class NakayamaData:
     nu: tuple  # 0-based permutation on class indices
     socles: list  # per class, basis of soc(e_{i1} A)
+    # the inverse permutation, computed once: _inverse[i] is nu.index(i)
+    _inverse: tuple = dataclass_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self._inverse = tuple(self.nu.index(i) for i in range(len(self.nu)))
 
     def nu_inverse(self, i: int) -> int:
-        return self.nu.index(i)
+        return self._inverse[i]
 
 
 def nakayama(corners: PeirceCorners, rad: RadicalData) -> NakayamaData:

@@ -70,6 +70,18 @@ per basis element and tests b for a unit by the dense rank of its left
 multiplication, so comparing against it checks that ``transport_pair``
 reads eps(b_a b) off the Gram rows of eps and that ``is_unit`` takes the
 columns b . e_t from one ``products`` walk.
+``model_map_images_reference`` takes each image v_{j,t} phi u_{i,s}
+of the model map by two ``multiply`` calls per model tuple, so comparing
+against it checks that ``ModelIsomorphism`` shares each v_{j,t} phi
+across the copies s.  The references for ``run_spec``'s bookkeeping
+take the long routes it skips: ``validate_reference`` lists every copy
+box through ``copy_boxes``; ``incidence_rank_reference`` builds M_i and
+calls ``sparse_rank`` with no cache; ``build_counit_reference`` walks
+every model tuple; ``transport_functional_reference`` sums over every
+row of a fresh inverse of the images; and ``piece_sum_reference`` adds
+every piece key by key, so comparing ``run_spec``'s tensor with it
+checks the ``dict.update`` of a piece with all keys new, key order
+included.
 ``single_constant_mutants`` gives the seeded corrupted tables that the
 differential tests feed to both sides.  These
 references read a structure constant one basis pair at a time, as
@@ -99,8 +111,10 @@ from sialg.algebra import (
     minimal_polynomial,
     multiply,
 )
+from sialg.amplify import copy_boxes
 from sialg.errors import (
     AlgebraError,
+    BadParams,
     IndexOutOfRange,
     NotFrobenius,
     NotInvertible,
@@ -108,7 +122,7 @@ from sialg.errors import (
     WitnessNotFound,
 )
 from sialg.frobenius import COUNIT_RETRY_BUDGET, FrobeniusPair, dual_basis_tensor, gram_matrix
-from sialg.linalg import Span, sparse_kernel, sparse_rank, sparse_solve
+from sialg.linalg import Matrix, Span, sparse_kernel, sparse_rank, sparse_solve
 from sialg.structure import (
     DEFAULT_SEED,
     IsoWitness,
@@ -703,6 +717,77 @@ def model_map_failure(alg, model, images):
             if multiply(imgs[a], imgs[b]) != combination(alg, images, model.rows[a].get(b, {})):
                 return f"model map is not multiplicative at basis pair ({a},{b})"
     return None
+
+
+def model_map_images_reference(amp, input_corners, wit):
+    """The coefficient dicts of the model map's images, in model tuple
+    order: v_{j,t} phi u_{i,s} by two `multiply` calls per tuple."""
+    bases = input_corners.bases
+    return [
+        multiply(multiply(wit.vs[j][t - 1], bases[(j, i)][b]), wit.us[i][s - 1]).coeffs
+        for (i, j, s, t, b) in amp.tuples
+    ]
+
+
+def validate_reference(spec, m, nak):
+    """`SpreadSpec.validate` by listing every copy box: the lowest pair of
+    S(i) outside the box is named, with the box's last pair as bound."""
+    if len(spec.classes) != len(m):
+        raise BadParams("subset data must cover every class")
+    for i, (pairs, box) in enumerate(zip(spec.classes, copy_boxes(m, nak))):
+        outside = set(pairs).difference(box)
+        if outside:
+            (s, s2), (hi_s, hi_t) = min(outside), box[-1]
+            raise IndexOutOfRange(
+                f"pair ({s},{s2}) outside 1..{hi_s} x 1..{hi_t} for class {i + 1}"
+            )
+
+
+def incidence_rank_reference(pairs, field):
+    """Rank of the 0/1 incidence matrix of the pairs, by `sparse_rank`
+    with no cache."""
+    rows = {}
+    for s, s2 in pairs:
+        rows.setdefault(s, {})[s2] = field.one
+    return sparse_rank(field, rows.values())
+
+
+def build_counit_reference(amp, spec, nak, eps_base):
+    """`amplify.build_counit` by walking every model tuple: eps_base on the
+    tuples (i, nu^-1(i), s, phi_i(s), b), zero elsewhere."""
+    phi = [dict(pairs) for pairs in spec.classes]
+    values = [amp.algebra.field.zero] * amp.algebra.dim
+    for (i, j, s, t, b), idx in amp.index.items():
+        if j == nak.nu.index(i) and t == phi[i].get(s):
+            values[idx] = eps_base(amp.corners.bases[(j, i)][b])
+    return Functional(amp.algebra, values)
+
+
+def transport_functional_reference(model_map, f):
+    """f carried to the input row by row: its value at b_k is the sum of
+    c f(t) over row k of a fresh inverse of the images' matrix."""
+    alg = model_map.alg
+    rows = Matrix(alg.field, [img.coeffs for img in model_map.images], alg.dim).inverse().rows
+    zero = alg.field.zero
+    return Functional(alg, [sum((c * f.values[t] for t, c in row.items()), zero) for row in rows])
+
+
+def piece_sum_reference(ctx, spec):
+    """(sum of the pieces of S, key by key, in `run_spec`'s order; number
+    of pieces that met a key already in the sum)."""
+    norm = ctx.analysis.algebra.field.normal
+    coeffs, collided = {}, 0
+    for i, pairs in enumerate(spec.classes):
+        for pair in pairs:
+            piece = ctx.pieces[(i, pair)]
+            collided += not coeffs.keys().isdisjoint(piece)
+            for key, c in piece.items():
+                w = norm(coeffs.get(key, 0) + c)
+                if w:
+                    coeffs[key] = w
+                else:
+                    coeffs.pop(key, None)
+    return coeffs, collided
 
 
 def single_constant_mutants(alg, rng, reps):

@@ -1,6 +1,6 @@
 import inspect
 import random
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 
 import pytest
 
@@ -16,8 +16,11 @@ from sialg.algebra import (
     multiply,
 )
 from sialg.amplify import (
+    INCIDENCE_RANK_CACHE,
     PRESETS,
     SpreadSpec,
+    _incidence_rank,
+    _incidence_ranks,
     amplify,
     build_counit,
     comultiplication_report,
@@ -274,6 +277,34 @@ def test_is_incidence_invertible_examples():
     assert is_incidence_invertible(single, (1, 2), ident, QQ) == [True, False]
 
 
+def test_cached_incidence_rank_matches_uncached_sparse_rank():
+    # all 512 subsets of the 3 x 3 box, each over QQ, GF(2) and GF(3), on
+    # an empty cache and again from it; J - I has rank 3 over QQ and
+    # GF(3) but 2 over GF(2), so a key without the characteristic fails
+    box = list(iter_product(range(1, 4), repeat=2))
+    fields = (QQ, Field(2), Field(3))
+    _incidence_rank.cache_clear()
+    for _ in range(2):
+        for bits in range(2 ** len(box)):
+            pairs = frozenset(p for k, p in enumerate(box) if bits >> k & 1)
+            for field in fields:
+                want = dense.incidence_rank_reference(pairs, field)
+                assert _incidence_ranks(SpreadSpec((pairs,)), field) == [want], (pairs, field)
+    info = _incidence_rank.cache_info()
+    assert info.hits >= 512 * 3 and info.maxsize == INCIDENCE_RANK_CACHE
+    j_minus_i = SpreadSpec((frozenset(p for p in box if p[0] != p[1]),))
+    assert [_incidence_ranks(j_minus_i, field) for field in fields] == [[3], [2], [3]]
+
+
+def test_nakayama_inverse_is_the_index_of_each_class():
+    # the inverse is kept once, outside equality and repr
+    for nu in permutations(range(4)):
+        nak = NakayamaData(nu, [[]] * 4)
+        assert [nak.nu_inverse(i) for i in range(4)] == [nu.index(i) for i in range(4)]
+        assert nak == NakayamaData(nu, [[]] * 4)
+        assert repr(nak) == f"NakayamaData(nu={nu!r}, socles={[[]] * 4!r})"
+
+
 def test_is_incidence_invertible_depends_on_the_field():
     # rows {1,2}, {2,3}, {1,3}: det 2, singular exactly in characteristic 2
     fix = NakayamaData((0,), [[]])
@@ -311,12 +342,13 @@ def test_build_counit_matrix_trace():
     spec = preset_spec("diagonal", amp.m, nak)
     x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
     assert is_invariant(x) is None
-    eps = build_counit(amp, spec, nak, pair.epsilon)
+    eps = build_counit(amp, spec, nak, pair.epsilon, is_bijection_graph(spec, amp.m, nak))
     _assert_counit(eps, x)
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
         assert eps.values[a] == (QQ(1) if s == t else QQ(0))
     with pytest.raises(NotBijection):
-        build_counit(amp, preset_spec("singleton", amp.m, nak), nak, pair.epsilon)
+        single = preset_spec("singleton", amp.m, nak)
+        build_counit(amp, single, nak, pair.epsilon, is_bijection_graph(single, amp.m, nak))
 
 
 def test_report_flags_a_wrong_built_counit():
@@ -324,7 +356,7 @@ def test_report_flags_a_wrong_built_counit():
     k, dec, nak, amp, pair = _scalar_amp()
     spec = preset_spec("diagonal", amp.m, nak)
     x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
-    eps = build_counit(amp, spec, nak, pair.epsilon)
+    eps = build_counit(amp, spec, nak, pair.epsilon, is_bijection_graph(spec, amp.m, nak))
     wrong = Functional(amp.algebra, [2 * v for v in eps.values])
     rep = comultiplication_report(amp.algebra, x, is_bijection_graph(spec, amp.m, nak), wrong)
     assert rep.counital and not rep.counit_built and rep.routes_consistent is False
@@ -339,7 +371,7 @@ def test_build_counit_m_equals_one_recovers_base():
     spec = preset_spec("singleton", amp.m, nak)
     x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
     assert is_invariant(x) is None
-    eps = build_counit(amp, spec, nak, pair.epsilon)
+    eps = build_counit(amp, spec, nak, pair.epsilon, is_bijection_graph(spec, amp.m, nak))
     _assert_counit(eps, x)
     # under the canonical identification the counit restricts to the base one
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
@@ -517,7 +549,7 @@ def test_build_counit_nsy_diagonal_socle_support():
     spec = preset_spec("diagonal", amp.m, nak)
     x = spread(amp, _cut(amp, pair.y, nak), spec, nak)
     assert is_invariant(x) is None
-    eps = build_counit(amp, spec, nak, pair.epsilon)
+    eps = build_counit(amp, spec, nak, pair.epsilon, is_bijection_graph(spec, amp.m, nak))
     _assert_counit(eps, x)
     for a, (i, j, s, t, b) in enumerate(amp.tuples):
         v = eps.values[a]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from sialg.errors import BadParams
-from sialg.fields import Field, Fp, QQ, is_prime, next_prime
+from sialg.fields import Field, Fp, QQ, is_prime, narrow_values, next_prime
 
 
 def test_primality():
@@ -17,6 +17,21 @@ def test_primality():
     for n in [0, 1, 4, 9, 100, 7917, 104730]:
         assert not is_prime(n)
     assert next_prime(14) == 17
+
+
+def test_narrow_values_keeps_an_int_dict_and_narrows_integral_fractions():
+    ints = {1: 3, 5: -2, 7: 10**30}
+    assert narrow_values(ints) is ints and narrow_values({}) == {}
+    # a Fraction among the values, integral or not, sends the dict through
+    # narrow; integral Fractions summing to an int are caught too
+    mixed = {0: Fraction(4, 2), 1: Fraction(1, 2), 2: 7}
+    out = narrow_values(mixed)
+    assert out == mixed and [type(v) for v in out.values()] == [int, Fraction, int]
+    pair = narrow_values({0: Fraction(1, 2), 1: Fraction(1, 2)})
+    assert [type(v) for v in pair.values()] == [Fraction, Fraction]
+    whole = narrow_values({0: Fraction(3, 1), 1: Fraction(-3, 1)})
+    assert list(whole.items()) == [(0, 3), (1, -3)]
+    assert [type(v) for v in whole.values()] == [int, int]
 
 
 # OEIS A014233: psi_k is the least odd composite that is a strong

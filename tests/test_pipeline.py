@@ -1,7 +1,8 @@
 import copy
 import json
 import random
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -24,6 +25,7 @@ from sialg.amplify import (
 )
 from sialg.errors import (
     AlgebraError,
+    BadParams,
     IndexOutOfRange,
     InvalidAlgebra,
     NotSelfInjectiveLike,
@@ -34,6 +36,7 @@ from sialg.families import (
     corpus,
     group_algebra,
     matrix_algebra,
+    nakayama_algebra,
     nsy_algebra,
     path_algebra_a2,
     reference_delta_one,
@@ -544,8 +547,9 @@ def test_inversions_match_dense_reference():
         model_map = ctx.analysis.model_map
         field, d = alg.field, alg.dim
         images = dense.densify(field, [img.coeffs for img in model_map.images], d)
-        preimages = dense.densify(field, model_map.preimages, d)
-        assert preimages == dense.inverse(field, images), key
+        # column t of the inverse lists the (k, c) of its nonzero entries
+        columns = dense.densify(field, [dict(col) for col in model_map.preimage_columns], d)
+        assert columns == [list(col) for col in zip(*dense.inverse(field, images))], key
         lam = ctx.analysis.lam
         gram = gram_matrix(lam, ctx.pair.epsilon)
         ginv = dense.densify(field, gram.inverse().rows, lam.dim)
@@ -649,7 +653,7 @@ def _direct_report(ctx, run):
     flags = is_bijection_graph(run.spec, m, nak)
     built = None
     if all(flags):
-        eps = build_counit(an.amp, run.spec, nak, ctx.pair.epsilon)
+        eps = build_counit(an.amp, run.spec, nak, ctx.pair.epsilon, flags)
         built = an.model_map.transport_functional(eps)
     return comultiplication_report(an.algebra, run.x, flags, built)
 
@@ -860,7 +864,7 @@ def _reference_run(ctx, spec):
     flags = is_bijection_graph(spec, m, nak)
     built = None
     if all(flags):
-        eps = build_counit(an.amp, spec, nak, ctx.pair.epsilon)
+        eps = build_counit(an.amp, spec, nak, ctx.pair.epsilon, flags)
         built = an.model_map.transport_functional(eps)
     certified = ctx.certified and all(spec.classes)
     counit = counit_from_incidence(an.corners, m, nak, spec) if ctx.certified else None
@@ -949,3 +953,157 @@ def test_run_spec_refuses_a_pair_outside_its_box_as_the_spread_does():
     assert str(from_run.value) == str(from_spread.value) == (
         "pair (3,1) outside 1..2 x 1..1 for class 2"
     )
+
+
+@pytest.fixture(scope="module")
+def standard_cache():
+    cache = CorpusCache("standard")
+    for idx in range(len(cache.entries)):
+        cache.context(idx)
+    return cache
+
+
+def _outside_pairs(hi_s, hi_t):
+    """Pairs just outside 1..hi_s x 1..hi_t on every side, with 0 and
+    negative copies."""
+    return [
+        (0, 1), (1, 0), (0, 0), (-1, 1), (1, -2), (-3, -3),
+        (hi_s + 1, 1), (1, hi_t + 1), (hi_s + 1, hi_t + 1), (0, hi_t + 1), (hi_s + 2, -1),
+    ]
+
+
+def _validate_message(validate, spec, m, nak):
+    try:
+        validate(spec, m, nak)
+    except IndexOutOfRange as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_names_the_pair_the_box_listing_names(standard_cache):
+    # each outside pair alone, and all of them with the box's own pairs,
+    # in every class of every standard context; the rest of the data is
+    # the diagonal preset
+    checked = 0
+    for idx, entry in standard_cache.items():
+        an = standard_cache.context(idx).analysis
+        m, nak = an.dec.multiplicities, an.nak
+        base = preset_spec("diagonal", m, nak)
+        assert _validate_message(SpreadSpec.validate, base, m, nak) is None
+        for i, box in enumerate(copy_boxes(m, nak)):
+            outside = _outside_pairs(*box[-1])
+            for pairs in [{p} for p in outside] + [set(box) | set(outside), {box[0], outside[-1]}]:
+                classes = list(base.classes)
+                classes[i] = frozenset(pairs)
+                spec = SpreadSpec(tuple(classes))
+                want = _validate_message(dense.validate_reference, spec, m, nak)
+                assert want is not None, (entry.key, i, pairs)
+                assert _validate_message(SpreadSpec.validate, spec, m, nak) == want
+                checked += 1
+        short = SpreadSpec(base.classes[1:])
+        with pytest.raises(BadParams) as err:
+            short.validate(m, nak)
+        with pytest.raises(BadParams) as ref:
+            dense.validate_reference(short, m, nak)
+        assert str(err.value) == str(ref.value)
+    assert checked > 86 * 13
+
+
+def _bijection_specs(m, nak):
+    """Every subset data whose classes are all graphs of bijections: none
+    unless m(i) = m(nu^-1 i) in every class."""
+    if any(m[i] != m[nak.nu_inverse(i)] for i in range(len(m))):
+        return []
+    graphs = [
+        [frozenset(zip(range(1, v + 1), perm)) for perm in permutations(range(1, v + 1))]
+        for v in m
+    ]
+    return [SpreadSpec(classes) for classes in product(*graphs)]
+
+
+def _check_built_counits(ctx):
+    """build_counit and its transport against the per-tuple walk and the
+    per-row sum, on every bijection-graph spec; returns their number."""
+    an = ctx.analysis
+    amp, nak, eps_base = an.amp, an.nak, ctx.pair.epsilon
+    specs = _bijection_specs(amp.m, nak)
+    for spec in specs:
+        flags = is_bijection_graph(spec, amp.m, nak)
+        assert all(flags)
+        want = dense.build_counit_reference(amp, spec, nak, eps_base)
+        assert build_counit(amp, spec, nak, eps_base, flags) == want
+        got = an.model_map.transport_functional(want)
+        assert got.values == dense.transport_functional_reference(an.model_map, want).values
+    return len(specs)
+
+
+def test_build_counit_walks_the_blocks_as_the_tuple_walk_on_standard_corpus(standard_cache):
+    total = sum(
+        _check_built_counits(standard_cache.context(idx)) for idx, _ in standard_cache.items()
+    )
+    assert total > 86
+
+
+def test_build_counit_walks_the_blocks_as_the_tuple_walk_on_the_gfp_sweep():
+    total = sum(_check_built_counits(prepare(make())) for _, make in _gf101_sweep())
+    assert total > 93
+
+
+def test_transport_functional_reads_the_columns_as_the_row_sum():
+    # random functionals with zeros among their values, on every
+    # standard-corpus model map
+    rng = random.Random(49)
+    for entry in corpus("standard"):
+        model_map = prepare(entry.algebra).analysis.model_map
+        field, d = model_map.alg.field, model_map.alg.dim
+        for _ in range(2):
+            f = Functional(model_map.amp.algebra, [field.random(rng, -2, 2) for _ in range(d)])
+            want = dense.transport_functional_reference(model_map, f)
+            assert model_map.transport_functional(f).values == want.values, entry.key
+
+
+def test_piece_sum_update_fast_path_keeps_items_and_key_order(standard_cache):
+    # a piece whose keys are all new is added by one dict.update, which
+    # must give the same items in the same order as adding key by key;
+    # both branches are taken on the corpus
+    collided = disjoint = 0
+    for idx, entry in standard_cache.items():
+        ctx, specs = _spec_sweep(standard_cache, idx)
+        specs += _with_empty_classes(ctx, random.Random(idx))
+        for name, spec in specs:
+            want, hits = dense.piece_sum_reference(ctx, spec)
+            assert list(run_spec(ctx, spec).x.coeffs.items()) == list(want.items()), name
+            collided += hits
+            disjoint += sum(len(pairs) for pairs in spec.classes) - hits
+    assert collided > 0 and disjoint > 0
+
+
+@pytest.mark.parametrize("alg", [alg for _, alg in _INVERTED], ids=[key for key, _ in _INVERTED])
+def test_model_map_images_match_the_double_multiply(alg):
+    an = analyze(alg)
+    want = dense.model_map_images_reference(an.amp, an.input_corners, an.witnesses)
+    assert [img.coeffs for img in an.model_map.images] == want
+
+
+def _integral_fractions(an):
+    """The integral Fractions among the scalars of the elements analyze
+    returns: socles, radical and corner bases, idempotents and copy
+    witnesses."""
+    elements = [z for soc in an.nak.socles for z in soc] + list(an.rad.basis)
+    for bases in (an.corners.bases, an.input_corners.bases):
+        elements += [q for qs in bases.values() for q in qs]
+    elements += an.dec.all_idempotents()
+    elements += [w for ws in (*an.witnesses.us, *an.witnesses.vs) for w in ws]
+    return [
+        c for z in elements for c in z.coeffs.values()
+        if type(c) is Fraction and c.denominator == 1
+    ]
+
+
+def test_analyze_returns_no_integral_fraction(standard_cache):
+    # a dense change of basis of nakayama_algebra(2, 3) once held
+    # Fraction(18, 1), Fraction(-15, 1) and Fraction(19, 1) in its socles
+    alg = dense.random_change_of_basis(nakayama_algebra(2, 3), random.Random(1))
+    assert _integral_fractions(analyze(alg)) == []
+    for idx, entry in standard_cache.items():
+        assert _integral_fractions(standard_cache.context(idx).analysis) == [], entry.key
